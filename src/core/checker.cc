@@ -95,13 +95,13 @@ CoherenceChecker::violation(const char *fmt, ...)
 void
 CoherenceChecker::recordWrite(const MemAccess &acc, Version v)
 {
-    auto [it, inserted] = version_line_.emplace(v, acc.lineAddr);
-    if (!inserted && it->second != acc.lineAddr)
+    auto [line, inserted] = version_line_.tryEmplace(v, acc.lineAddr);
+    if (!inserted && *line != acc.lineAddr)
         violation("version %llu written to line %#llx was already "
                   "produced for line %#llx",
                   static_cast<unsigned long long>(v),
                   static_cast<unsigned long long>(acc.lineAddr),
-                  static_cast<unsigned long long>(it->second));
+                  static_cast<unsigned long long>(*line));
     SmState &sm = sms_.at(acc.sm);
     sm.writeLog.emplace_back(acc.lineAddr, v);
     ++sm.logged;
@@ -111,7 +111,7 @@ CoherenceChecker::recordWrite(const MemAccess &acc, Version v)
 void
 CoherenceChecker::recordArrival(Addr line, Version v)
 {
-    arrival_rank_.emplace(v, ++arr_next_[line]);
+    arrival_rank_.tryEmplace(v, ++arr_next_[line]);
 }
 
 bool
@@ -129,16 +129,16 @@ CoherenceChecker::newerThan(Version a, Version b) const
         return false;
     if (b == 0)
         return true;
-    const auto ra = arrival_rank_.find(a);
-    const auto rb = arrival_rank_.find(b);
-    if (ra != arrival_rank_.end() && rb != arrival_rank_.end())
-        return ra->second > rb->second;
+    const std::uint64_t *ra = arrival_rank_.find(a);
+    const std::uint64_t *rb = arrival_rank_.find(b);
+    if (ra && rb)
+        return *ra > *rb;
     // An unlanded write will reach the home after every landed one,
     // making it coherence-newer; between two unlanded writes fall back
     // to version-id order (same-SM writes land in id order).
-    if (ra == arrival_rank_.end() && rb != arrival_rank_.end())
+    if (!ra && rb)
         return true;
-    if (ra != arrival_rank_.end())
+    if (ra)
         return false;
     return a > b;
 }
@@ -150,19 +150,19 @@ CoherenceChecker::staleAgainst(Version v, Version floor) const
         return false;
     if (v == 0)
         return true; // the never-written initial value predates any floor
-    const auto rv = arrival_rank_.find(v);
-    const auto rf = arrival_rank_.find(floor);
-    if (rf == arrival_rank_.end())
+    const std::uint64_t *rv = arrival_rank_.find(v);
+    const std::uint64_t *rf = arrival_rank_.find(floor);
+    if (!rf)
         // GPU-scope floors can be folded before the write-through
         // reaches the system home; without its rank the coherence
         // order is still open, so don't flag (conservative).
         return false;
-    if (rv == arrival_rank_.end())
+    if (!rv)
         // An unlanded observed version will land after the floor did,
         // making it coherence-newer: reading it is legal (this also
         // covers reading one's own in-flight write).
         return false;
-    return rv->second < rf->second;
+    return *rv < *rf;
 }
 
 Version
@@ -171,13 +171,12 @@ CoherenceChecker::floorOf(const FloorMap &m, Addr line,
 {
     if (epoch == 0)
         return 0;
-    auto it = m.find(line);
-    if (it == m.end())
+    const std::vector<FloorEntry> *entries = m.find(line);
+    if (!entries)
         return 0;
     // Entries carry coherence-increasing versions and nondecreasing
     // epochs, so the newest entry not past `epoch` is the floor.
-    const auto &entries = it->second;
-    for (auto rit = entries.rbegin(); rit != entries.rend(); ++rit)
+    for (auto rit = entries->rbegin(); rit != entries->rend(); ++rit)
         if (rit->epoch <= epoch)
             return rit->version;
     return 0;
@@ -261,12 +260,12 @@ void
 CoherenceChecker::noteInvDelivered(Addr sector)
 {
     MaybeLock lock(ctx_.lps);
-    auto it = invs_by_sector_.find(sector);
-    if (it == invs_by_sector_.end() || invs_in_flight_ == 0)
+    std::uint32_t *n = invs_by_sector_.find(sector);
+    if (!n || invs_in_flight_ == 0)
         hmg_panic("invalidation ledger underflow on sector %#llx",
                   static_cast<unsigned long long>(sector));
-    if (--it->second == 0)
-        invs_by_sector_.erase(it);
+    if (--*n == 0)
+        invs_by_sector_.erase(sector);
     --invs_in_flight_;
 }
 
@@ -282,13 +281,13 @@ CoherenceChecker::invInFlightOn(Addr line) const
 {
     if (!hw_ || invs_in_flight_ == 0)
         return false;
-    return invs_by_sector_.count(sectorOf(line)) != 0;
+    return invs_by_sector_.find(sectorOf(line)) != nullptr;
 }
 
 bool
 CoherenceChecker::writeInFlight(GpuId gpu, Addr line) const
 {
-    return writes_in_flight_.count(wtKey(gpu, line)) != 0;
+    return writes_in_flight_.find(wtKey(gpu, line)) != nullptr;
 }
 
 bool
@@ -302,7 +301,7 @@ CoherenceChecker::coverageExempt(GpmId g, Addr line,
     // the copy is dirty write-back data, which travels by update
     // messages rather than sharer tracking.
     return invInFlightOn(line) || writeInFlight(ctx_.cfg.gpuOf(g), line) ||
-           atomics_in_flight_.count(line) != 0 ||
+           atomics_in_flight_.find(line) != nullptr ||
            (ctx_.cfg.l2WriteBack && copy.dirty);
 }
 
@@ -316,20 +315,20 @@ CoherenceChecker::verifyObserved(const MemAccess &acc, const char *op,
     ++checks_;
     ++loads_checked_;
     if (v != 0) {
-        auto it = version_line_.find(v);
-        if (it == version_line_.end())
+        const Addr *line = version_line_.find(v);
+        if (!line)
             violation("%s at sm %u on line %#llx returned version %llu "
                       "that no store ever produced",
                       op, acc.sm,
                       static_cast<unsigned long long>(acc.lineAddr),
                       static_cast<unsigned long long>(v));
-        if (it->second != acc.lineAddr)
+        if (*line != acc.lineAddr)
             violation("%s at sm %u on line %#llx returned version %llu "
                       "that belongs to line %#llx",
                       op, acc.sm,
                       static_cast<unsigned long long>(acc.lineAddr),
                       static_cast<unsigned long long>(v),
-                      static_cast<unsigned long long>(it->second));
+                      static_cast<unsigned long long>(*line));
     }
     const Version floor =
         newerThan(gpu_floor, sys_floor) ? gpu_floor : sys_floor;
@@ -555,9 +554,9 @@ CoherenceChecker::store(const MemAccess &acc, Version v, DoneCb accepted,
                    sys_done = std::move(sys_done)]() mutable {
         {
             MaybeLock lock(ctx_.lps);
-            auto it = writes_in_flight_.find(key);
-            if (it != writes_in_flight_.end() && --it->second == 0)
-                writes_in_flight_.erase(it);
+            std::uint32_t *n = writes_in_flight_.find(key);
+            if (n && --*n == 0)
+                writes_in_flight_.erase(key);
             // This callback runs in the event that applies the write at
             // the system home (deterministic engines) or is posted back
             // from it within a window (relaxed), so ranks record the
@@ -609,9 +608,9 @@ CoherenceChecker::atomic(const MemAccess &acc, Version v, LoadDoneCb done,
         [this, acc, v, sys_done = std::move(sys_done)]() mutable {
             {
                 MaybeLock lock(ctx_.lps);
-                auto it = atomics_in_flight_.find(acc.lineAddr);
-                if (it != atomics_in_flight_.end() && --it->second == 0)
-                    atomics_in_flight_.erase(it);
+                std::uint32_t *n = atomics_in_flight_.find(acc.lineAddr);
+                if (n && --*n == 0)
+                    atomics_in_flight_.erase(acc.lineAddr);
                 recordArrival(acc.lineAddr, v);
                 checkStructural(acc.lineAddr);
             }

@@ -50,10 +50,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "core/protocol.hh"
 
 namespace hmg
@@ -106,9 +106,7 @@ class CoherenceChecker : public CoherenceModel
         std::uint64_t epoch;
         Version version;
     };
-    // det-ok: floor maps are only probed per line, never iterated.
-    using FloorMap =
-        std::unordered_map<Addr, std::vector<FloorEntry>>;
+    using FloorMap = FlatMap<Addr, std::vector<FloorEntry>>;
 
     struct SmState
     {
@@ -169,15 +167,15 @@ class CoherenceChecker : public CoherenceModel
     const bool hier_;  //!< wrapped model routes via GPU homes
 
     /** Every version ever produced, mapped to its line. */
-    std::unordered_map<Version, Addr> version_line_; // det-ok: keyed probes only
+    FlatMap<Version, Addr> version_line_;
 
     /** Home-arrival rank per landed version, 1-based per line. The
      *  system home is the serialization point: the order write-throughs
      *  land there is the line's coherence order, which for racy
      *  unsynchronized writers can differ from version-id order. */
-    std::unordered_map<Version, std::uint64_t> arrival_rank_; // det-ok: keyed probes only
+    FlatMap<Version, std::uint64_t> arrival_rank_;
     /** Next arrival rank per line. */
-    std::unordered_map<Addr, std::uint64_t> arr_next_; // det-ok: keyed probes only
+    FlatMap<Addr, std::uint64_t> arr_next_;
 
     std::vector<SmState> sms_;
     FloorMap released_sys_;
@@ -186,12 +184,12 @@ class CoherenceChecker : public CoherenceModel
     std::vector<std::uint64_t> gpu_epoch_;
 
     /** In-flight invalidations by directory sector. */
-    std::unordered_map<Addr, std::uint32_t> invs_by_sector_; // det-ok: keyed probes only
+    FlatMap<Addr, std::uint32_t> invs_by_sector_;
     std::uint64_t invs_in_flight_ = 0;
     /** In-flight write-throughs keyed by (gpm, line). */
-    std::unordered_map<Addr, std::uint32_t> writes_in_flight_; // det-ok: keyed probes only
+    FlatMap<Addr, std::uint32_t> writes_in_flight_;
     /** In-flight atomics by line (performed away from the requester). */
-    std::unordered_map<Addr, std::uint32_t> atomics_in_flight_; // det-ok: keyed probes only
+    FlatMap<Addr, std::uint32_t> atomics_in_flight_;
 
     /** Ring of the last protocol events, dumped on violation. */
     std::vector<std::string> txlog_;

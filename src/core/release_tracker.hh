@@ -88,7 +88,7 @@ class ReleaseTracker
 
     struct alignas(64) LpPending
     {
-        // det-ok: single-writer relaxed counter (see class comment).
+        // Single-writer relaxed counter (see class comment).
         std::atomic<std::uint64_t> v{0};
     };
 

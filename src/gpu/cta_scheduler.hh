@@ -53,7 +53,7 @@ class CtaScheduler
     std::uint64_t kernelsLaunched() const { return kernels_launched_; }
 
     /** CTAs of the running kernel not yet retired (watchdog
-     *  diagnostics; det-ok: reporting only, never a simulated value). */
+     *  diagnostics only, never a simulated value). */
     std::uint64_t
     ctasRemaining() const
     {
@@ -74,8 +74,8 @@ class CtaScheduler
     std::function<void()> on_done_;
     std::size_t kernel_idx_ = 0;
     /** CTAs of the running kernel not yet retired. Atomic because each
-     *  CTA retires on its GPM's LP thread (det-ok: the count is a pure
-     *  join — the order of decrements is not observable). */
+     *  CTA retires on its GPM's LP thread; the count is a pure join, so
+     *  the order of decrements is not observable. */
     std::atomic<std::uint64_t> ctas_remaining_{0};
     std::uint64_t kernels_launched_ = 0;
 

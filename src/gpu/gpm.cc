@@ -52,8 +52,8 @@ GpmNode::waitInvDrained(Callback cb)
 bool
 GpmNode::mshrRegister(Addr line, MissCb cb)
 {
-    auto [it, first] = mshr_.try_emplace(line);
-    it->second.push_back(std::move(cb));
+    auto [waiters, first] = mshr_.tryEmplace(line);
+    waiters->push_back(std::move(cb));
     if (!first)
         ++mshr_merges_;
     return first;
@@ -62,11 +62,13 @@ GpmNode::mshrRegister(Addr line, MissCb cb)
 void
 GpmNode::mshrComplete(Addr line, Version v)
 {
-    auto it = mshr_.find(line);
-    if (it == mshr_.end())
+    auto *parked = mshr_.find(line);
+    if (!parked)
         return;
-    auto waiters = std::move(it->second);
-    mshr_.erase(it);
+    // Move the list out before the erase invalidates `parked`; a
+    // callback may also register a new miss on this line.
+    auto waiters = std::move(*parked);
+    mshr_.erase(line);
     for (auto &cb : waiters)
         cb(v);
 }

@@ -10,11 +10,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/config.hh"
+#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "core/directory.hh"
 #include "mem/dram.hh"
@@ -121,9 +121,8 @@ class GpmNode
     Cache l2_;
     Dram dram_;
     std::unique_ptr<Directory> dir_;
-    // det-ok: MSHRs are probed/erased by line address; the waiter list
-    // itself is an ordered vector, so wakeup order is deterministic.
-    std::unordered_map<Addr, std::vector<MissCb>> mshr_;
+    /** Parked continuations per missing line, in arrival order. */
+    FlatMap<Addr, std::vector<MissCb>> mshr_;
     std::uint64_t mshr_merges_ = 0;
     std::uint64_t pending_invs_ = 0;
     std::vector<Callback> inv_waiters_;

@@ -361,17 +361,17 @@ Sm::sbInsert(Addr line, Version v)
 void
 Sm::sbRemove(Addr line)
 {
-    auto it = store_buffer_.find(line);
-    hmg_assert(it != store_buffer_.end());
-    if (--it->second.refs == 0)
-        store_buffer_.erase(it);
+    SbEntry *e = store_buffer_.find(line);
+    hmg_assert(e);
+    if (--e->refs == 0)
+        store_buffer_.erase(line);
 }
 
 const Version *
 Sm::sbLookup(Addr line) const
 {
-    auto it = store_buffer_.find(line);
-    return it == store_buffer_.end() ? nullptr : &it->second.version;
+    const SbEntry *e = store_buffer_.find(line);
+    return e ? &e->version : nullptr;
 }
 
 void

@@ -26,11 +26,11 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/config.hh"
+#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "core/protocol.hh"
 #include "sim/channel.hh"
@@ -144,9 +144,7 @@ class Sm
         Version version = 0;
         std::uint32_t refs = 0;
     };
-    // det-ok: the store buffer is coalesced/drained per line address,
-    // never iterated, so hash order cannot leak into timing.
-    std::unordered_map<Addr, SbEntry> store_buffer_;
+    FlatMap<Addr, SbEntry> store_buffer_;
 
     std::uint64_t ops_executed_ = 0;
     std::uint64_t loads_ = 0;

@@ -6,53 +6,26 @@ namespace hmg
 Version
 MemoryState::read(Addr line_addr) const
 {
-    const Shard &s = shardOf(line_addr);
-    auto lookup = [&]() {
-        auto it = s.lines.find(line_addr);
-        return it == s.lines.end() ? Version{0} : it->second;
-    };
-    if (concurrent_) {
-        std::lock_guard<std::mutex> g(s.mu);
-        return lookup();
-    }
-    return lookup();
+    return lines_.with(line_addr, [&](const FlatMap<Addr, Version> &m) {
+        const Version *v = m.find(line_addr);
+        return v ? *v : Version{0};
+    });
 }
 
 void
 MemoryState::write(Addr line_addr, Version version, bool serialized)
 {
-    Shard &s = shardOf(line_addr);
-    auto update = [&]() {
-        auto [it, inserted] = s.lines.emplace(line_addr, version);
-        if (!inserted && (serialized || it->second < version))
-            it->second = version;
-    };
-    if (concurrent_) {
-        std::lock_guard<std::mutex> g(s.mu);
-        update();
-    } else {
-        update();
-    }
-}
-
-std::uint64_t
-MemoryState::linesWritten() const
-{
-    // lp-ok: post-run aggregation — the sweep joins every LP worker
-    // before it reads stats, so nothing races this shard walk.
-    std::uint64_t n = 0;
-    for (const Shard &s : shards_)
-        n += s.lines.size();
-    return n;
+    lines_.with(line_addr, [&](FlatMap<Addr, Version> &m) {
+        auto [v, inserted] = m.tryEmplace(line_addr, version);
+        if (!inserted && (serialized || *v < version))
+            *v = version;
+    });
 }
 
 void
 MemoryState::clear()
 {
-    // lp-ok: reset runs between simulations, before any LP worker
-    // exists; the unlocked shard wipe cannot race.
-    for (Shard &s : shards_)
-        s.lines.clear();
+    lines_.clear();
     next_version_.store(0, std::memory_order_relaxed);
 }
 

@@ -13,9 +13,9 @@
  * Partitioned (PDES) runs touch this state from several LP threads: a
  * store allocates its version on the issuing LP and the write lands on
  * the home LP. Version allocation is a relaxed atomic counter, and the
- * line map is split into address-hashed shards, each behind a mutex
- * taken only when LP workers actually run concurrently — serial and
- * deterministic-merge runs pay no synchronization.
+ * line map is a ShardedMap, whose shard locks are taken only when LP
+ * workers actually run concurrently — serial and deterministic-merge
+ * runs pay no synchronization.
  */
 
 #ifndef HMG_MEM_MEMORY_STATE_HH
@@ -23,9 +23,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 
 namespace hmg
@@ -36,7 +35,7 @@ class MemoryState
 {
   public:
     /** Enable shard locking (TimeWindow runs; off by default). */
-    void setConcurrent(bool c) { concurrent_ = c; }
+    void setConcurrent(bool c) { lines_.setConcurrent(c); }
 
     /** Allocate a fresh, globally unique store version. */
     Version
@@ -67,7 +66,7 @@ class MemoryState
      */
     void write(Addr line_addr, Version version, bool serialized = true);
 
-    std::uint64_t linesWritten() const;
+    std::uint64_t linesWritten() const { return lines_.size(); }
     Version
     latestVersion() const
     {
@@ -77,28 +76,9 @@ class MemoryState
     void clear();
 
   private:
-    static constexpr std::size_t kShards = 64;
-
-    struct Shard
-    {
-        // det-ok: taken only in concurrent (TimeWindow) runs; shard
-        // choice is a pure address hash, never timing-relevant.
-        mutable std::mutex mu;
-        // det-ok: read/written by line address only, never iterated.
-        std::unordered_map<Addr, Version> lines;
-    };
-
-    Shard &shardOf(Addr a) { return shards_[(a >> 7) % kShards]; }
-    const Shard &
-    shardOf(Addr a) const
-    {
-        return shards_[(a >> 7) % kShards];
-    }
-
-    Shard shards_[kShards];
-    bool concurrent_ = false;
-    // det-ok: relaxed monotone counter; serial runs see the exact
-    // sequence the old non-atomic increment produced.
+    ShardedMap<Addr, Version> lines_;
+    // Relaxed is enough: serial runs see the exact sequence a plain
+    // increment gives, and threaded runs need only unique ids.
     std::atomic<Version> next_version_{0};
 };
 

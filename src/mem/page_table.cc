@@ -16,12 +16,9 @@ PageTable::touch(Addr addr, GpmId toucher)
 {
     hmg_assert(toucher < cfg_.totalGpms());
     const std::uint64_t page = pageNumber(addr);
-    Shard &s = shardOf(page);
-
-    auto place = [&]() -> GpmId {
-        auto it = s.home.find(page);
-        if (it != s.home.end())
-            return it->second;
+    return home_.with(page, [&](FlatMap<std::uint64_t, GpmId> &m) {
+        if (const GpmId *placed = m.find(page))
+            return *placed;
 
         GpmId home = kInvalidGpm;
         switch (cfg_.pagePlacement) {
@@ -35,82 +32,31 @@ PageTable::touch(Addr addr, GpmId toucher)
             home = 0;
             break;
         }
-        s.home.emplace(page, home);
+        m.tryEmplace(page, home);
         return home;
-    };
-
-    if (concurrent_) {
-        std::lock_guard<std::mutex> g(s.mu);
-        return place();
-    }
-    return place();
+    });
 }
 
 GpmId
 PageTable::homeOf(Addr addr) const
 {
     const std::uint64_t page = pageNumber(addr);
-    const Shard &s = shardOf(page);
-    auto lookup = [&]() -> GpmId {
-        auto it = s.home.find(page);
-        if (it == s.home.end())
+    return home_.with(page, [&](const FlatMap<std::uint64_t, GpmId> &m) {
+        const GpmId *home = m.find(page);
+        if (!home)
             hmg_panic("homeOf() on unplaced page %llx",
                       static_cast<unsigned long long>(addr));
-        return it->second;
-    };
-    if (concurrent_) {
-        std::lock_guard<std::mutex> g(s.mu);
-        return lookup();
-    }
-    return lookup();
+        return *home;
+    });
 }
 
 bool
 PageTable::isPlaced(Addr addr) const
 {
     const std::uint64_t page = pageNumber(addr);
-    const Shard &s = shardOf(page);
-    if (concurrent_) {
-        std::lock_guard<std::mutex> g(s.mu);
-        return s.home.count(page) != 0;
-    }
-    return s.home.count(page) != 0;
-}
-
-std::size_t
-PageTable::pageCount() const
-{
-    // lp-ok: post-run aggregation — the sweep joins every LP worker
-    // before it reads stats, so nothing races this shard walk.
-    std::size_t n = 0;
-    for (const Shard &s : shards_)
-        n += s.home.size();
-    return n;
-}
-
-std::uint64_t
-PageTable::pagesOn(GpmId gpm) const
-{
-    // lp-ok: post-run aggregation — the sweep joins every LP worker
-    // before it reads stats, so nothing races this shard walk.
-    std::uint64_t n = 0;
-    for (const Shard &s : shards_) {
-        for (const auto &[page, home] : s.home) {
-            (void)page;
-            if (home == gpm)
-                ++n;
-        }
-    }
-    return n;
-}
-
-void
-PageTable::clear()
-{
-    // lp-ok: reset runs between simulations, before any LP worker
-    // exists; the unlocked shard wipe cannot race.
-    for (Shard &s : shards_)
-        s.home.clear();
+    return home_.with(page, [&](const FlatMap<std::uint64_t, GpmId> &m) {
+        return m.find(page) != nullptr;
+    });
 }
 
 } // namespace hmg

@@ -9,9 +9,9 @@
  * inherits the contiguous CTA scheduling and first-touch page placement
  * policies from prior work").
  *
- * In partitioned (PDES) runs any LP may touch any page, so the map is
- * split into page-number-hashed shards, each behind a mutex taken only
- * when LP workers actually run concurrently. First-touch placement in a
+ * In partitioned (PDES) runs any LP may touch any page, so the map is a
+ * ShardedMap, whose shard locks are taken only when LP workers actually
+ * run concurrently. First-touch placement in a
  * relaxed TimeWindow run may resolve a cross-LP first-touch race either
  * way; that is an accepted model variation (the deterministic modes are
  * unaffected — they never lock).
@@ -21,10 +21,9 @@
 #define HMG_MEM_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/config.hh"
+#include "common/flat_map.hh"
 #include "common/types.hh"
 
 namespace hmg
@@ -37,7 +36,7 @@ class PageTable
     explicit PageTable(const SystemConfig &cfg);
 
     /** Enable shard locking (TimeWindow runs; off by default). */
-    void setConcurrent(bool c) { concurrent_ = c; }
+    void setConcurrent(bool c) { home_.setConcurrent(c); }
 
     /**
      * Record an access to the page containing `addr` by GPM `toucher`,
@@ -53,38 +52,16 @@ class PageTable
     bool isPlaced(Addr addr) const;
 
     /** Number of placed pages. */
-    std::size_t pageCount() const;
+    std::size_t pageCount() const { return home_.size(); }
 
-    /** Pages homed on each GPM (placement-skew diagnostics). */
-    std::uint64_t pagesOn(GpmId gpm) const;
-
-    void clear();
+    void clear() { home_.clear(); }
 
   private:
-    static constexpr std::size_t kShards = 64;
-
-    struct Shard
-    {
-        // det-ok: taken only in concurrent (TimeWindow) runs; shard
-        // choice is a pure page-number hash, never timing-relevant.
-        mutable std::mutex mu;
-        // det-ok: probed by page number; the only iterations (pagesOn /
-        // pageCount) are order-insensitive counts.
-        std::unordered_map<std::uint64_t, GpmId> home;
-    };
-
     std::uint64_t pageNumber(Addr a) const { return a >> page_shift_; }
-    Shard &shardOf(std::uint64_t page) { return shards_[page % kShards]; }
-    const Shard &
-    shardOf(std::uint64_t page) const
-    {
-        return shards_[page % kShards];
-    }
 
     const SystemConfig &cfg_;
     unsigned page_shift_;
-    bool concurrent_ = false;
-    Shard shards_[kShards];
+    ShardedMap<std::uint64_t, GpmId> home_;
 };
 
 } // namespace hmg

@@ -8,8 +8,6 @@
 namespace hmg
 {
 
-// det-ok: per-thread current-engine pointer; each LP thread only ever
-// observes its own engine, so no cross-thread order can leak.
 thread_local Engine *Engine::tl_current = nullptr;
 
 Engine::Engine() : buckets_(kWheelSize) {}

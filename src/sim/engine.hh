@@ -295,8 +295,7 @@ class Engine
     std::uint64_t *seq_src_ = &own_seq_;
     bool affine_ = false;
 
-    // det-ok: thread-local pointer to the engine this thread is
-    // executing; single writer per thread, never shared across threads.
+    // The engine this thread is executing; never shared across threads.
     static thread_local Engine *tl_current;
 };
 

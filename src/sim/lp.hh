@@ -119,8 +119,8 @@ struct LpPlan
 
 namespace detail
 {
-// det-ok: thread-local LP index of the executing worker (0 on the main
-// thread); single writer per thread, set once at worker start.
+// LP index of the executing worker (0 on the main thread), set once at
+// worker start.
 inline thread_local std::uint32_t tl_current_lp = 0;
 } // namespace detail
 
@@ -225,7 +225,7 @@ class LpDomain
 
     /** Serialize checker/invalidation bookkeeping when concurrent.
      *  Recursive: completion callbacks may re-enter locked paths.
-     *  det-ok: MaybeLock no-ops in serial/deterministic modes, so the
+     *  MaybeLock no-ops in serial/deterministic modes, so the
      *  bit-identical paths never take it. */
     std::recursive_mutex &modelMutex() { return model_mu_; }
 
@@ -297,22 +297,22 @@ class LpDomain
     /** Hang detector, polled by the run loops; null when unarmed. */
     Watchdog *watchdog_ = nullptr;
 
-    // det-ok: guarded shared state for checker/invalidation paths; the
-    // lock serializes them, order inside a window is not simulated time.
+    // Serializes the checker/invalidation paths; their order inside a
+    // window is not simulated time.
     std::recursive_mutex model_mu_;
 
     // --- TimeWindow thread coordination ---
-    // det-ok: barrier atomics; acquire/release pairs publish each
-    // window's work to the barrier phase and vice versa.
+    // Barrier: acquire/release pairs publish each window's work to the
+    // barrier phase and vice versa.
     std::atomic<std::uint32_t> arrived_{0};
-    // det-ok: window generation counter, bumped by the main thread to
-    // release workers into the next window.
+    // Window generation, bumped by the main thread to release workers
+    // into the next window.
     std::atomic<std::uint64_t> generation_{0};
     /** Written by main before the generation bump (release) publishes
      *  them; read by workers after the acquire. */
     Tick window_end_ = 0;
     bool done_ = false;
-    // det-ok: worker threads for LPs 1..N-1 (main runs LP 0).
+    // Worker threads for LPs 1..N-1 (main runs LP 0).
     std::vector<std::thread> workers_;
 
     // Sync-overhead stats (main thread only).
@@ -351,7 +351,7 @@ class MaybeLock
     MaybeLock &operator=(const MaybeLock &) = delete;
 
   private:
-    // det-ok: pointer to the domain's model mutex, null when serial.
+    // The domain's model mutex, null when serial.
     std::recursive_mutex *mu_ = nullptr;
 };
 

@@ -24,7 +24,7 @@ SweepRunner::defaultJobs()
             return static_cast<unsigned>(v);
         warnImpl("ignoring HMG_JOBS='%s' (want a positive integer)", s);
     }
-    // det-ok: host core count picks the worker count, never a result.
+    // The host core count picks the worker count, never a result.
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }
@@ -45,10 +45,10 @@ SweepRunner::forEach(std::size_t n,
         return;
     }
 
-    // det-ok: the atomic hands out cell *indices*; which worker claims
-    // a cell changes timing only, results land in cell order.
+    // The atomic hands out cell *indices*; which worker claims a cell
+    // changes timing only, results land in cell order.
     std::atomic<std::size_t> next{0};
-    // det-ok: error capture; first error wins, rest are dropped either way.
+    // First error wins; the rest are dropped.
     std::mutex error_mutex;
     std::exception_ptr first_error;
     auto worker = [&]() {
@@ -60,7 +60,6 @@ SweepRunner::forEach(std::size_t n,
             try {
                 body(i);
             } catch (...) {
-                // det-ok: guards the exception slot only.
                 std::lock_guard<std::mutex> lock(error_mutex);
                 if (!first_error)
                     first_error = std::current_exception();
@@ -68,7 +67,7 @@ SweepRunner::forEach(std::size_t n,
         }
     };
 
-    std::vector<std::thread> pool; // det-ok: cells are independent
+    std::vector<std::thread> pool;
     pool.reserve(workers - 1);
     for (unsigned t = 1; t < workers; ++t)
         pool.emplace_back(worker);

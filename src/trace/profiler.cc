@@ -1,7 +1,6 @@
 #include "trace/profiler.hh"
 
-#include <unordered_map>
-
+#include "common/flat_map.hh"
 #include "common/intmath.hh"
 #include "trace/workloads_impl.hh"
 
@@ -17,10 +16,8 @@ analyzeInterGpuLocality(const Trace &t, const SystemConfig &cfg)
 
     // Pass 1: emulate first-touch page placement in program order, and
     // collect the set of GPMs accessing every line.
-    // det-ok: both maps are filled and probed in trace program order and
-    // never iterated, so hash order cannot affect placement.
-    std::unordered_map<std::uint64_t, GpmId> page_home;
-    std::unordered_map<std::uint64_t, std::uint32_t> line_gpms;
+    FlatMap<std::uint64_t, GpmId> page_home;
+    FlatMap<std::uint64_t, std::uint32_t> line_gpms;
 
     auto is_data = [](const MemOp &op) {
         return op.type == MemOpType::Load ||
@@ -36,7 +33,7 @@ analyzeInterGpuLocality(const Trace &t, const SystemConfig &cfg)
                 for (const auto &op : warp.ops) {
                     if (!is_data(op))
                         continue;
-                    page_home.emplace(op.addr >> page_shift, gpm);
+                    page_home.tryEmplace(op.addr >> page_shift, gpm);
                     line_gpms[op.addr >> line_shift] |= 1u << gpm;
                 }
             }
@@ -55,14 +52,14 @@ analyzeInterGpuLocality(const Trace &t, const SystemConfig &cfg)
                     if (op.type != MemOpType::Load)
                         continue;
                     ++s.totalLoads;
-                    const GpmId home = page_home.at(op.addr >> page_shift);
+                    const GpmId home = *page_home.find(op.addr >> page_shift);
                     if (cfg.gpuOf(home) == gpu)
                         continue;
                     ++s.interGpuLoads;
                     // Is any *other* GPM of the same GPU touching this
                     // line?
                     const std::uint32_t mask =
-                        line_gpms.at(op.addr >> line_shift);
+                        *line_gpms.find(op.addr >> line_shift);
                     std::uint32_t same_gpu_mask = 0;
                     for (std::uint32_t l = 0; l < cfg.gpmsPerGpu; ++l)
                         same_gpu_mask |= 1u << cfg.gpmId(gpu, l);

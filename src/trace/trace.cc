@@ -1,6 +1,6 @@
 #include "trace/trace.hh"
 
-#include <unordered_set>
+#include "common/flat_map.hh"
 
 namespace hmg::trace
 {
@@ -17,7 +17,7 @@ Trace::memOps() const
 std::uint64_t
 Trace::footprintBytes(std::uint32_t line_bytes) const
 {
-    std::unordered_set<Addr> lines; // det-ok: only size() is consumed
+    FlatMap<Addr, bool> lines;
     for (const auto &k : kernels)
         for (const auto &cta : k.ctas)
             for (const auto &w : cta.warps)
@@ -25,7 +25,7 @@ Trace::footprintBytes(std::uint32_t line_bytes) const
                     if (op.type == MemOpType::Load ||
                         op.type == MemOpType::Store ||
                         op.type == MemOpType::Atomic)
-                        lines.insert(op.addr / line_bytes);
+                        lines.tryEmplace(op.addr / line_bytes);
     return static_cast<std::uint64_t>(lines.size()) * line_bytes;
 }
 

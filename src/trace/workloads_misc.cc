@@ -7,6 +7,8 @@
  * suite's bulk-synchronous historical baselines).
  */
 
+#include <algorithm>
+
 #include "trace/workloads_impl.hh"
 
 namespace hmg::trace::workloads
@@ -40,7 +42,12 @@ makeCusolver(GenContext &ctx)
 
     const std::uint64_t mat_lines = mat.lines();
     const std::uint32_t steps = 5;
-    const std::uint64_t panel_lines = mat_lines / (steps * 8);
+    // A scaled-down matrix can hold fewer lines than there are CTAs;
+    // each panel and each CTA's block still span at least one line.
+    const std::uint64_t panel_lines =
+        std::max<std::uint64_t>(mat_lines / (steps * 8), 1);
+    const std::uint64_t block_lines =
+        std::max<std::uint64_t>(mat_lines / kCtas, 1);
 
     for (std::uint32_t s = 0; s < steps; ++s) {
         const std::uint64_t panel = s * panel_lines;
@@ -80,8 +87,7 @@ makeCusolver(GenContext &ctx)
                                     2);
                         const std::uint64_t own =
                             i * mat_lines / kCtas +
-                            ((w * iters + r) * 4) %
-                                (mat_lines / kCtas);
+                            ((w * iters + r) * 4) % block_lines;
                         for (std::uint32_t j = 0; j < 3; ++j)
                             warp.ld(mat.line(own + j), 2);
                         warp.st(mat.line(own), 2);

@@ -19,6 +19,8 @@
  * exploits.
  */
 
+#include <algorithm>
+
 #include "trace/workloads_impl.hh"
 
 namespace hmg::trace::workloads
@@ -70,8 +72,13 @@ gemmLayers(GenContext &ctx, const char *name, std::uint64_t a_bytes,
     placeDist(place, ctx, c, 0, kCtas);
     t.kernels.push_back(std::move(place));
 
-    const std::uint64_t panel_lines = a.lines() / panels;
     const std::uint64_t per_gpm = (kCtas + kGenGpms - 1) / kGenGpms;
+    // A scaled-down array can hold fewer lines than there are panels or
+    // CTAs; each panel and each CTA's slice of B still span one line.
+    const std::uint64_t panel_lines =
+        std::max<std::uint64_t>(a.lines() / panels, 1);
+    const std::uint64_t b_slice =
+        std::max<std::uint64_t>(b.lines() / kCtas, 1);
 
     for (std::uint32_t k = 0; k < kernels; ++k) {
         Kernel ker;
@@ -99,8 +106,7 @@ gemmLayers(GenContext &ctx, const char *name, std::uint64_t a_bytes,
                         warp.ld(a.line(p * panel_lines + off), 2);
                     }
                     warp.ld(b.line(i * b.lines() / kCtas +
-                                   (w * 19 + s) %
-                                       (b.lines() / kCtas)),
+                                   (w * 19 + s) % b_slice),
                             2);
                 }
                 for (std::uint32_t j = 0; j < c_stores; ++j)
@@ -248,6 +254,11 @@ makeOverfeat(GenContext &ctx)
     t.kernels.push_back(std::move(place));
 
     const std::uint64_t w_lines = ctx.lines(w_bytes);
+    // Per-CTA tiles of at least one line, as in gemmLayers().
+    const std::uint64_t in_tile =
+        std::max<std::uint64_t>(in.lines() / kCtas, 1);
+    const std::uint64_t out_tile =
+        std::max<std::uint64_t>(out.lines() / kCtas, 1);
 
     for (std::uint32_t k = 0; k < 2; ++k) {
         Kernel ker;
@@ -265,15 +276,13 @@ makeOverfeat(GenContext &ctx)
                                                 w_lines),
                                 2);
                     // Own streaming input tile.
-                    const std::uint64_t span = in.lines() / kCtas;
                     const std::uint64_t chunk =
                         i * in.lines() / kCtas +
-                        ((wi * rounds + r) * 3 + k * 97) % span;
+                        ((wi * rounds + r) * 3 + k * 97) % in_tile;
                     for (std::uint32_t j = 0; j < 3; ++j)
                         warp.ld(in.line(chunk + j), 2);
                     warp.st(out.line(i * out.lines() / kCtas +
-                                     (wi * rounds + r) %
-                                         (out.lines() / kCtas)),
+                                     (wi * rounds + r) % out_tile),
                             2);
                 }
             }
@@ -308,7 +317,8 @@ makeResnet(GenContext &ctx)
     t.kernels.push_back(std::move(place));
 
     const std::uint32_t panels = 4;
-    const std::uint64_t panel_lines = a.lines() / panels;
+    const std::uint64_t panel_lines =
+        std::max<std::uint64_t>(a.lines() / panels, 1);
     const std::uint64_t c_lines = c.lines();
     const std::uint64_t per_gpm = (kCtas + kGenGpms - 1) / kGenGpms;
     const std::uint64_t shift = c_lines / kGenGpms;

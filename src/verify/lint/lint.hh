@@ -6,14 +6,14 @@
  * exhaustive exploration: where the model checker enumerates reachable
  * protocol states (and therefore stops scaling past small instances),
  * the lint families prove *structural* properties — of the transition
- * tables, of the NoC channel-dependency graph, of the simulator
- * sources — in milliseconds, independent of state-space size.
+ * tables, of the NoC channel-dependency graph, of the stats-key
+ * registry — in milliseconds, independent of state-space size.
  *
  * Every family appends Findings to a shared LintReport. A Finding
  * carries machine-readable provenance (file/line for source findings,
  * table/row for spec findings) plus an optional counterexample: the
- * minimal dependency cycle, the masking row, the offending iteration
- * site. The report serializes to JSON (`hmglint --json`) so CI and
+ * minimal dependency cycle, the masking row, the first site of a
+ * duplicate stat key. The report serializes to JSON (`hmglint --json`) so CI and
  * editors can consume findings without scraping diagnostics.
  */
 
@@ -41,7 +41,8 @@ const char *toString(Severity s);
 /** One machine-readable diagnostic with provenance. */
 struct Finding
 {
-    /** Analysis family: "table", "cdg", "determinism", "statkeys". */
+    /** Analysis family: "table", "cdg", "liveness", "composed",
+     *  "statkeys". */
     std::string family;
     /** Specific check within the family, e.g. "dead-row". */
     std::string check;

@@ -1,9 +1,6 @@
 #include "verify/lint/statkeys.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -19,14 +16,10 @@ namespace
 
 constexpr int kWindow = 4; //!< statkey-ok applies 4 lines down
 
-/** One scanned file: raw text, code/comment views, and a literal mask
- *  (true where the raw char belongs to a string/char literal). */
-struct KeyFile
+/** One scanned file, its statkey-ok lines, and a literal test on its
+ *  views. */
+struct KeyFile : SourceFile
 {
-    std::string rel;
-    std::vector<std::string> raw;
-    std::vector<std::string> code;
-    std::vector<std::string> comments;
     std::set<int> okLines; // 1-based statkey-ok lines
 
     bool
@@ -261,43 +254,22 @@ scanFile(const KeyFile &f, std::vector<KeySite> &sites,
 void
 analyzeStatKeys(const StatKeysOptions &opts, LintReport &report)
 {
-    namespace fs = std::filesystem;
-    const fs::path srcRoot = fs::path(opts.root) / "src";
-    if (!fs::is_directory(srcRoot)) {
+    std::vector<SourceFile> sources;
+    std::string error;
+    if (!loadSourceTree(opts.root, sources, error)) {
         Finding f;
         f.family = "statkeys";
         f.check = "bad-root";
         f.file = opts.root;
-        f.message = "no src/ directory under the analysis root";
+        f.message = error;
         report.add(std::move(f));
         return;
     }
 
-    std::vector<std::string> paths;
-    for (const auto &e : fs::recursive_directory_iterator(srcRoot)) {
-        if (!e.is_regular_file())
-            continue;
-        const std::string ext = e.path().extension().string();
-        if (ext == ".cc" || ext == ".hh")
-            paths.push_back(e.path().string());
-    }
-    std::sort(paths.begin(), paths.end());
-
     std::vector<KeyFile> files;
-    files.reserve(paths.size());
-    const fs::path rootNorm = fs::path(opts.root).lexically_normal();
-    for (const std::string &p : paths) {
-        KeyFile f;
-        const std::string rel = fs::path(p)
-                                    .lexically_normal()
-                                    .lexically_relative(rootNorm)
-                                    .generic_string();
-        f.rel = rel.empty() || rel.rfind("..", 0) == 0 ? p : rel;
-        std::ifstream in(p);
-        std::string line;
-        while (std::getline(in, line))
-            f.raw.push_back(line);
-        splitViews(f.raw, f.code, f.comments);
+    files.reserve(sources.size());
+    for (SourceFile &src : sources) {
+        KeyFile f{std::move(src), {}};
         for (int ln = 1; ln <= static_cast<int>(f.raw.size()); ++ln)
             if (hasAnnotation(f.comments[ln - 1], "statkey-ok:"))
                 f.okLines.insert(ln);

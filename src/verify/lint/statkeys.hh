@@ -26,8 +26,7 @@
  *    will collide with (or shadow) the composed keys.
  *
  * A `statkey-ok:` comment on the line or up to 4 lines above
- * suppresses either check, mirroring the determinism lint's `det-ok:`
- * convention.
+ * suppresses either check.
  */
 
 #ifndef HMG_VERIFY_LINT_STATKEYS_HH

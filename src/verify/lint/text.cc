@@ -8,12 +8,15 @@
 namespace hmg::verify::lint
 {
 
-bool
-identChar(char c)
+namespace
 {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
 
+/**
+ * Split `raw` into a code view (comments, string and char literals
+ * blanked to spaces) and a comment view (only comment text kept),
+ * both preserving line/column geometry. Handles escapes, line and
+ * block comments, and raw string literals.
+ */
 void
 splitViews(const std::vector<std::string> &raw,
            std::vector<std::string> &code,
@@ -91,21 +94,12 @@ splitViews(const std::vector<std::string> &raw,
     }
 }
 
-std::size_t
-findToken(const std::string &s, const std::string &tok,
-          std::size_t pos)
+} // namespace
+
+bool
+identChar(char c)
 {
-    while (true) {
-        const std::size_t at = s.find(tok, pos);
-        if (at == std::string::npos)
-            return std::string::npos;
-        const bool leftOk = at == 0 || !identChar(s[at - 1]);
-        const std::size_t end = at + tok.size();
-        const bool rightOk = end >= s.size() || !identChar(s[end]);
-        if (leftOk && rightOk)
-            return at;
-        pos = at + 1;
-    }
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
 bool

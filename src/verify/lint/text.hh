@@ -1,12 +1,11 @@
 /**
  * @file
- * Shared lexical helpers for hmglint's source-scanning families.
+ * Lexical helpers for hmglint's source-scanning family (statkeys).
  *
- * The determinism and stats-key analyzers both need the same first
- * step: a view of each source line with comments / string / char
- * literals blanked out (so pattern text inside literals never
+ * The first step is a view of each source line with comments / string
+ * / char literals blanked out (so pattern text inside literals never
  * matches), and the inverse view holding only comment text (so
- * `det-ok:`-style annotations are honored exactly where a human wrote
+ * `statkey-ok:` annotations are honored exactly where a human wrote
  * them and nowhere else). Both views preserve line/column geometry, so
  * a column in one view is the same column in the raw text.
  */
@@ -24,33 +23,16 @@ namespace hmg::verify::lint
 bool identChar(char c);
 
 /**
- * Split `raw` into a code view (comments, string and char literals
- * blanked to spaces) and a comment view (only comment text kept),
- * both preserving line/column geometry. Handles escapes, line and
- * block comments, and raw string literals.
- */
-void splitViews(const std::vector<std::string> &raw,
-                std::vector<std::string> &code,
-                std::vector<std::string> &comments);
-
-/**
- * Find `tok` in `s` from `pos`, requiring a non-identifier char (or
- * the string boundary) on both sides. Returns npos when absent.
- */
-std::size_t findToken(const std::string &s, const std::string &tok,
-                      std::size_t pos);
-
-/**
  * Does this comment-view line carry the annotation `marker` (e.g.
- * "det-ok:")? Prose that merely *mentions* the marker — backticked or
- * quoted, as in the analyzers' own documentation — does not count.
+ * "statkey-ok:")? Prose that merely *mentions* the marker — backticked
+ * or quoted, as in the analyzer's own documentation — does not count.
  */
 bool hasAnnotation(const std::string &commentLine,
                    const std::string &marker);
 
 /**
  * One loaded source file with geometry-preserving views (raw text,
- * code-only, comment-only), shared by the tree-scanning families.
+ * code-only, comment-only).
  */
 struct SourceFile
 {

@@ -26,8 +26,8 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "common/log.hh"
 #include "core/protocol.hh"
 #include "core/sharer_ops.hh"
@@ -1121,14 +1121,12 @@ Explorer::run()
     std::vector<MState> states;
     std::vector<std::uint32_t> parent;
     std::vector<std::string> label;
-    // det-ok: the visited set is only probed, never iterated, so its
-    // unordered layout cannot influence the (BFS-ordered) results.
-    std::unordered_map<std::string, std::uint32_t> seen;
+    FlatMap<std::string, std::uint32_t> seen;
 
     states.push_back(init);
     parent.push_back(0);
     label.emplace_back();
-    seen.emplace(key(init), 0);
+    seen.tryEmplace(key(init), 0);
 
     auto fail = [&](std::uint32_t idx, std::string what) {
         res.ok = false;
@@ -1164,10 +1162,9 @@ Explorer::run()
 
         for (Succ &sc : succs) {
             ++res.transitionsTaken;
-            auto ins =
-                seen.emplace(key(sc.st),
-                             static_cast<std::uint32_t>(states.size()));
-            if (!ins.second)
+            if (!seen.tryEmplace(key(sc.st),
+                                 static_cast<std::uint32_t>(states.size()))
+                     .second)
                 continue;
             const auto nidx = static_cast<std::uint32_t>(states.size());
             states.push_back(sc.st);

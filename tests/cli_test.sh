@@ -175,6 +175,11 @@ if [ -n "$HMGLINT" ]; then
         --cdg --gpus 4 --gpms 2 --nodes 2
     lint_accept "hmglint --liveness over a topology file" \
         --liveness --topology "$TOPO_DIR/dgx_4x4.json"
+    # These name no hmglint family or mode: rejected, never ignored.
+    for flag in --determinism --lockset --seed-lockset --incremental \
+                --cache-file; do
+        lint_reject "hmglint $flag is unknown" "$flag"
+    done
 fi
 
 # The baseline file must be a no-op: identical statistics to the
@@ -188,6 +193,31 @@ else
     echo "FAIL: dgx_4x4.json changed the default statistics"
     fails=$((fails + 1))
 fi
+
+# Cross-process determinism: one (config, seed) must print byte-identical
+# statistics from two separate processes. This is the runtime guard
+# against hash-order and entropy leaks; the simulator's hash maps have
+# no iteration API (src/common/flat_map.hh).
+expect_repeatable() {
+    local desc=$1
+    shift
+    local a b
+    if ! a=$("$HMGSIM" "$@" 2>&1) || ! b=$("$HMGSIM" "$@" 2>&1); then
+        echo "FAIL: $desc: nonzero exit ($*)"
+        fails=$((fails + 1))
+        return
+    fi
+    if [ "$a" != "$b" ]; then
+        echo "FAIL: $desc: two processes disagree ($*)"
+        fails=$((fails + 1))
+        return
+    fi
+    echo "ok:   $desc"
+}
+expect_repeatable "mst + HMG + checker repeats across processes" \
+    --workload mst --protocol hmg --check --scale 0.05 --stats
+expect_repeatable "cusolver + SW-NonHier repeats across processes" \
+    --workload cusolver --protocol swnh --scale 0.05 --stats
 
 if [ "$fails" -ne 0 ]; then
     echo "cli_test: $fails failure(s)"

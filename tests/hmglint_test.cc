@@ -5,13 +5,12 @@
  * Mirrors the retry_model_test pattern: each family must (a) run clean
  * on the real artifact — the shipped transition tables, the real NoC
  * topology, the actual source tree — and (b) catch its seeded bug with
- * a file/row-attributed counterexample. Source-scanning families are
- * additionally exercised against small fixture trees written to a temp
- * directory, one per rule, so every check has a red test independent
- * of the (clean) repository.
+ * a file/row-attributed counterexample. The source-scanning statkeys
+ * family is additionally exercised against small fixture trees written
+ * to a temp directory, one per rule, so every check has a red test
+ * independent of the (clean) repository.
  */
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -20,10 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "verify/lint/cdg.hh"
-#include "verify/lint/determinism.hh"
 #include "verify/lint/lint.hh"
 #include "verify/lint/liveness.hh"
-#include "verify/lint/lockset.hh"
 #include "verify/lint/statkeys.hh"
 #include "verify/lint/table_lint.hh"
 
@@ -176,204 +173,7 @@ TEST(CdgLint, SeededBoundedNicCycleCaught)
 }
 
 // ===================================================================
-// Family (c): determinism analysis — real tree, then per-rule
-// fixtures.
-// ===================================================================
-
-TEST(DeterminismLint, CleanOnRealTree)
-{
-    DeterminismOptions o;
-    o.root = HMG_SOURCE_ROOT;
-    LintReport r;
-    analyzeDeterminism(o, r);
-    for (const Finding &f : r.findings())
-        ADD_FAILURE() << f.file << ":" << f.line << " [" << f.check
-                      << "]: " << f.message;
-    EXPECT_TRUE(r.clean());
-    // Sanity: the scan actually saw the tree.
-    EXPECT_GT(r.stats().at("determinism.files"), 50u);
-    EXPECT_GT(r.stats().at("determinism.suppressions"), 10u);
-}
-
-TEST(DeterminismLint, UnannotatedDeclAndIterationFlagged)
-{
-    FixtureTree t("decl_iter");
-    t.write("src/a.hh",
-            "#include <unordered_map>\n"
-            "inline std::unordered_map<int, int> table;\n");
-    t.write("src/b.cc",
-            "#include \"a.hh\"\n"
-            "int f() {\n"
-            "    int n = 0;\n"
-            "    for (const auto &kv : table)\n"
-            "        n += kv.second;\n"
-            "    return n;\n"
-            "}\n");
-    DeterminismOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeDeterminism(o, r);
-    const Finding *decl = findCheck(r, "unordered-decl");
-    ASSERT_NE(decl, nullptr);
-    EXPECT_EQ(decl->file, std::string("src/a.hh"));
-    EXPECT_EQ(decl->line, 2);
-    const Finding *iter = findCheck(r, "unordered-iteration");
-    ASSERT_NE(iter, nullptr) << "iteration three lines from the "
-                                "declaration not flagged";
-    EXPECT_EQ(iter->file, std::string("src/b.cc"));
-    EXPECT_EQ(iter->line, 4);
-    // The iteration finding points back at the declaration.
-    ASSERT_FALSE(iter->counterexample.empty());
-    EXPECT_NE(iter->counterexample[0].find("src/a.hh:2"),
-              std::string::npos);
-}
-
-TEST(DeterminismLint, DeclAnnotationSuppressesBothSites)
-{
-    FixtureTree t("decl_ok");
-    t.write("src/a.hh",
-            "#include <unordered_map>\n"
-            "// det-ok: probed by key below, iteration feeds a sort\n"
-            "inline std::unordered_map<int, int> table;\n");
-    t.write("src/b.cc",
-            "#include \"a.hh\"\n"
-            "int f() {\n"
-            "    int n = 0;\n"
-            "    for (const auto &kv : table)\n"
-            "        n += kv.second;\n"
-            "    return n;\n"
-            "}\n");
-    DeterminismOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeDeterminism(o, r);
-    EXPECT_TRUE(r.clean()) << r.toText();
-}
-
-TEST(DeterminismLint, ExplicitBeginIterationFlagged)
-{
-    FixtureTree t("begin_iter");
-    t.write("src/a.cc",
-            "#include <unordered_set>\n"
-            "// det-ok: membership probes only\n"
-            "std::unordered_set<int> seen;\n"
-            "int first() { return *seen.begin(); }\n");
-    DeterminismOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeDeterminism(o, r);
-    // The decl annotation covers .begin() too (declOk), so move the
-    // container out of the annotation's reach instead.
-    EXPECT_TRUE(r.clean());
-
-    FixtureTree t2("begin_iter2");
-    t2.write("src/a.cc",
-             "#include <unordered_set>\n"
-             "std::unordered_set<int> seen;\n"
-             "int first() { return *seen.begin(); }\n");
-    o.root = t2.root();
-    LintReport r2;
-    analyzeDeterminism(o, r2);
-    const Finding *iter = findCheck(r2, "unordered-iteration");
-    ASSERT_NE(iter, nullptr);
-    EXPECT_EQ(iter->line, 3);
-}
-
-TEST(DeterminismLint, EntropySourcesFlaggedEvenInsideComments)
-{
-    FixtureTree t("entropy");
-    t.write("src/a.cc",
-            "#include <chrono>\n"
-            "#include <cstdlib>\n"
-            "// text mentioning random_device in a comment is fine\n"
-            "const char *s = \"time(nullptr) in a string is fine\";\n"
-            "long seed() { return time(nullptr); }\n"
-            "auto tick() { return std::chrono::steady_clock::now(); }\n");
-    DeterminismOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeDeterminism(o, r);
-    EXPECT_EQ(countCheck(r, "entropy"), 2)
-        << "exactly the two code uses, not the comment or string: "
-        << r.toText();
-}
-
-TEST(DeterminismLint, SimSyncOnlyPolicedUnderSrcSim)
-{
-    const std::string body = "#include <mutex>\n"
-                             "class Shard { std::mutex m_; };\n";
-    FixtureTree t("simsync");
-    t.write("src/sim/shard.hh", body);
-    t.write("src/gpu/shard.hh", body);
-    DeterminismOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeDeterminism(o, r);
-    EXPECT_EQ(countCheck(r, "sim-sync"), 1);
-    const Finding *f = findCheck(r, "sim-sync");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->file, std::string("src/sim/shard.hh"));
-}
-
-TEST(DeterminismLint, FloatAccumulationInHashOrderFlagged)
-{
-    // Both the declaration and the iteration are annotated; the
-    // accumulation sits far enough below the annotations that only
-    // the order-sensitivity rule can catch it.
-    FixtureTree t("float_acc");
-    t.write("src/a.cc",
-            "#include <unordered_map>\n"
-            "// det-ok: aggregation is order-insensitive (ha!)\n"
-            "std::unordered_map<int, double> weights;\n"
-            "double total;\n"
-            "void fold() {\n"
-            "    // det-ok: see above\n"
-            "    for (const auto &kv : weights) {\n"
-            "        int pad1 = 0;\n"
-            "        (void)pad1;\n"
-            "        int pad2 = 0;\n"
-            "        (void)pad2;\n"
-            "        total += kv.second;\n"
-            "    }\n"
-            "}\n");
-    DeterminismOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeDeterminism(o, r);
-    const Finding *f = findCheck(r, "float-accumulation");
-    ASSERT_NE(f, nullptr) << r.toText();
-    EXPECT_EQ(f->line, 12);
-    EXPECT_NE(f->message.find("total"), std::string::npos);
-}
-
-TEST(DeterminismLint, StaleSuppressionFlagged)
-{
-    FixtureTree t("stale");
-    t.write("src/a.cc",
-            "// det-ok: this once justified a map deleted in a\n"
-            "// refactor; nothing below needs it now\n"
-            "int plain() { return 42; }\n");
-    DeterminismOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeDeterminism(o, r);
-    const Finding *f = findCheck(r, "stale-suppression");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->line, 1);
-}
-
-TEST(DeterminismLint, OutputIsDeterministic)
-{
-    DeterminismOptions o;
-    o.root = HMG_SOURCE_ROOT;
-    LintReport a, b;
-    analyzeDeterminism(o, a);
-    analyzeDeterminism(o, b);
-    EXPECT_EQ(a.toJson(), b.toJson());
-}
-
-// ===================================================================
-// Satellite: the stats-key registry.
+// Family (c): the stats-key registry.
 // ===================================================================
 
 TEST(StatKeysLint, CleanOnRealTree)
@@ -552,187 +352,6 @@ TEST(LivenessLint, OutputIsDeterministic)
 }
 
 // ===================================================================
-// Family (e): the LP-safety lockset analyzer — real tree, then
-// per-rule fixtures.
-// ===================================================================
-
-TEST(LocksetLint, CleanOnRealTree)
-{
-    LocksetOptions o;
-    o.root = HMG_SOURCE_ROOT;
-    LintReport r;
-    analyzeLockset(o, r);
-    for (const Finding &f : r.findings())
-        ADD_FAILURE() << f.file << ":" << f.line << " [" << f.check
-                      << "]: " << f.message;
-    EXPECT_TRUE(r.clean());
-    // The scan saw the discipline it polices: the two shard-guarded
-    // maps (MemoryState, PageTable), the barrier/counter atomics, the
-    // posted-closure sites, and the lp-ok justifications.
-    EXPECT_GE(r.stats().at("lockset.guarded_fields"), 2u);
-    EXPECT_GE(r.stats().at("lockset.guarded_uses"), 10u);
-    EXPECT_GE(r.stats().at("lockset.atomic_members"), 4u);
-    EXPECT_GE(r.stats().at("lockset.atomic_uses"), 10u);
-    EXPECT_GE(r.stats().at("lockset.post_sites"), 5u);
-    EXPECT_GE(r.stats().at("lockset.suppressions"), 5u);
-}
-
-TEST(LocksetLint, SeededUnlockedAccessCaught)
-{
-    LocksetOptions o;
-    o.root = HMG_SOURCE_ROOT;
-    o.seedLockset = true;
-    LintReport r;
-    analyzeLockset(o, r);
-    const Finding *f = findCheck(r, "unlocked-access");
-    ASSERT_NE(f, nullptr) << "seeded unlocked access not reported";
-    EXPECT_EQ(f->file, std::string("src/mem/__seed_lockset__.cc"));
-    EXPECT_NE(f->message.find("unlocked access"), std::string::npos);
-    ASSERT_EQ(f->counterexample.size(), 3u);
-    EXPECT_NE(f->counterexample[0].find("guarded by mutex 'mu'"),
-              std::string::npos);
-}
-
-TEST(LocksetLint, UnlockedUseFlaggedLockedUseClean)
-{
-    FixtureTree t("lockset_e1");
-    t.write("src/shard.hh",
-            "struct Shard\n"
-            "{\n"
-            "    std::mutex mu;\n"
-            "    std::unordered_map<int, int> lines;\n"
-            "};\n");
-    t.write("src/shard.cc",
-            "#include \"shard.hh\"\n"
-            "int peek(Shard &s)\n"
-            "{\n"
-            "    return s.lines.size();\n"
-            "}\n"
-            "int safe(Shard &s)\n"
-            "{\n"
-            "    std::lock_guard<std::mutex> g(s.mu);\n"
-            "    return s.lines.count(1);\n"
-            "}\n");
-    LocksetOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeLockset(o, r);
-    EXPECT_EQ(countCheck(r, "unlocked-access"), 1) << r.toText();
-    const Finding *f = findCheck(r, "unlocked-access");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->file, std::string("src/shard.cc"));
-    EXPECT_EQ(f->line, 4);
-}
-
-TEST(LocksetLint, LpOkSuppressesAndStaysLoadBearing)
-{
-    FixtureTree t("lockset_lpok");
-    t.write("src/shard.hh",
-            "struct Shard\n"
-            "{\n"
-            "    std::mutex mu;\n"
-            "    std::unordered_map<int, int> lines;\n"
-            "};\n");
-    t.write("src/shard.cc",
-            "#include \"shard.hh\"\n"
-            "int peek(Shard &s)\n"
-            "{\n"
-            "    // lp-ok: stats path, runs after workers joined\n"
-            "    return s.lines.size();\n"
-            "}\n");
-    LocksetOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeLockset(o, r);
-    // Neither an unlocked-access nor a stale-suppression: the
-    // annotation excuses the access, the access keeps it alive.
-    EXPECT_TRUE(r.clean()) << r.toText();
-    EXPECT_EQ(r.stats().at("lockset.suppressions"), 1u);
-}
-
-TEST(LocksetLint, StaleLpOkFlagged)
-{
-    FixtureTree t("lockset_stale");
-    t.write("src/plain.cc",
-            "// lp-ok: once excused an unlocked walk, since deleted\n"
-            "int plain() { return 42; }\n");
-    LocksetOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeLockset(o, r);
-    const Finding *f = findCheck(r, "stale-suppression");
-    ASSERT_NE(f, nullptr) << r.toText();
-    EXPECT_EQ(f->file, std::string("src/plain.cc"));
-    EXPECT_EQ(f->line, 1);
-}
-
-TEST(LocksetLint, AtomicDisciplineFlagged)
-{
-    FixtureTree t("lockset_e2");
-    t.write("src/ctr.hh",
-            "struct Ctr\n"
-            "{\n"
-            "    std::atomic<int> hits{0};\n"
-            "};\n");
-    t.write("src/ctr.cc",
-            "#include \"ctr.hh\"\n"
-            "int sample(Ctr &c)\n"
-            "{\n"
-            "    return c.hits.load();\n"
-            "}\n"
-            "int good(Ctr &c)\n"
-            "{\n"
-            "    return c.hits.load(std::memory_order_relaxed);\n"
-            "}\n"
-            "void bump(Ctr &c)\n"
-            "{\n"
-            "    c.hits++;\n"
-            "}\n");
-    LocksetOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeLockset(o, r);
-    EXPECT_EQ(countCheck(r, "implicit-seq-cst"), 1) << r.toText();
-    EXPECT_EQ(countCheck(r, "atomic-raw-access"), 1) << r.toText();
-    const Finding *seqcst = findCheck(r, "implicit-seq-cst");
-    ASSERT_NE(seqcst, nullptr);
-    EXPECT_EQ(seqcst->line, 4);
-    const Finding *raw = findCheck(r, "atomic-raw-access");
-    ASSERT_NE(raw, nullptr);
-    EXPECT_EQ(raw->line, 12);
-}
-
-TEST(LocksetLint, PostedBlanketRefCaptureFlagged)
-{
-    FixtureTree t("lockset_e3");
-    t.write("src/sched.cc",
-            "void schedule(Engine &e, int x)\n"
-            "{\n"
-            "    e.post(0, [&]() { consume(x); });\n"
-            "    e.post(0, [x]() { consume(x); });\n"
-            "}\n");
-    LocksetOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeLockset(o, r);
-    EXPECT_EQ(countCheck(r, "posted-ref-capture"), 1) << r.toText();
-    const Finding *f = findCheck(r, "posted-ref-capture");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->line, 3);
-    EXPECT_EQ(r.stats().at("lockset.post_sites"), 2u);
-}
-
-TEST(LocksetLint, OutputIsDeterministic)
-{
-    LocksetOptions o;
-    o.root = HMG_SOURCE_ROOT;
-    LintReport a, b;
-    analyzeLockset(o, a);
-    analyzeLockset(o, b);
-    EXPECT_EQ(a.toJson(), b.toJson());
-}
-
-// ===================================================================
 // Report plumbing.
 // ===================================================================
 
@@ -762,12 +381,12 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
 {
     LintReport r;
     Finding f;
-    f.family = "lockset";
-    f.check = "unlocked-access";
+    f.family = "statkeys";
+    f.check = "duplicate-key";
     f.file = "src/x.cc";
     f.line = 42;
-    f.message = "unlocked access to 'lines'";
-    f.counterexample = {"declared at src/x.hh:3", "no lock in extent"};
+    f.message = "stat key 'p + \".bytes\"' recorded twice";
+    f.counterexample = {"first recorded at src/x.cc:40"};
     r.add(std::move(f));
     Finding w;
     w.family = "liveness";
@@ -778,7 +397,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     w.row = 9;
     w.message = "row awaits acks";
     r.add(std::move(w));
-    r.stat("lockset.files", 7);
+    r.stat("statkeys.files", 7);
 
     const std::string sarif = r.toSarif();
     // SARIF 2.1.0 skeleton.
@@ -787,7 +406,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     EXPECT_NE(sarif.find("\"name\": \"hmglint\""), std::string::npos);
     // One reportingDescriptor per family/check, results referencing
     // them by id and index.
-    EXPECT_NE(sarif.find("\"id\": \"lockset/unlocked-access\""),
+    EXPECT_NE(sarif.find("\"id\": \"statkeys/duplicate-key\""),
               std::string::npos);
     EXPECT_NE(sarif.find("\"id\": \"liveness/ack-stall\""),
               std::string::npos);
@@ -806,7 +425,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
             EXPECT_NE(sarif.find(jsonEscape(c)), std::string::npos);
     }
     // Stats ride in the run-level property bag.
-    EXPECT_NE(sarif.find("\"lockset.files\": 7"), std::string::npos);
+    EXPECT_NE(sarif.find("\"statkeys.files\": 7"), std::string::npos);
 }
 
 TEST(LintReport, SarifIsByteDeterministic)
@@ -818,53 +437,3 @@ TEST(LintReport, SarifIsByteDeterministic)
     analyzeLiveness(o, b);
     EXPECT_EQ(a.toSarif(), b.toSarif());
 }
-
-// ===================================================================
-// Incremental mode: the warm run must replay the cold run's stdout
-// byte for byte (the repeat-run guarantee, extended to the cache).
-// ===================================================================
-
-#ifdef HMG_HMGLINT_BIN
-namespace
-{
-
-std::string
-capture(const std::string &cmd, int &exitCode)
-{
-    std::string out;
-    FILE *p = popen(cmd.c_str(), "r");
-    if (!p) {
-        exitCode = -1;
-        return out;
-    }
-    char buf[4096];
-    std::size_t n;
-    while ((n = fread(buf, 1, sizeof(buf), p)) > 0)
-        out.append(buf, n);
-    exitCode = pclose(p);
-    return out;
-}
-
-} // namespace
-
-TEST(IncrementalCache, WarmRunReplaysColdBytes)
-{
-    const fs::path dir =
-        fs::temp_directory_path() / "hmglint_cache_test";
-    fs::remove_all(dir);
-    const fs::path cache = dir / "lint.cache";
-    const std::string cmd = std::string(HMG_HMGLINT_BIN) + " --root " +
-                            HMG_SOURCE_ROOT + " --incremental" +
-                            " --cache-file " + cache.string() +
-                            " 2>/dev/null";
-    int cold_rc = -1, warm_rc = -1;
-    const std::string cold = capture(cmd, cold_rc);
-    EXPECT_TRUE(fs::exists(cache)) << "cold run wrote no cache";
-    const std::string warm = capture(cmd, warm_rc);
-    EXPECT_EQ(cold_rc, 0);
-    EXPECT_EQ(warm_rc, 0);
-    EXPECT_FALSE(cold.empty());
-    EXPECT_EQ(cold, warm);
-    fs::remove_all(dir);
-}
-#endif

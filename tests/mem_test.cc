@@ -59,9 +59,11 @@ TEST(PageTable, IsPlacedAndCounts)
     pt.touch(kPage, 2);
     pt.touch(2 * kPage, 3);
     EXPECT_TRUE(pt.isPlaced(100));
-    EXPECT_EQ(pt.pagesOn(2), 2u);
-    EXPECT_EQ(pt.pagesOn(3), 1u);
-    EXPECT_EQ(pt.pagesOn(4), 0u);
+    EXPECT_FALSE(pt.isPlaced(3 * kPage));
+    EXPECT_EQ(pt.homeOf(0), 2u);
+    EXPECT_EQ(pt.homeOf(kPage), 2u);
+    EXPECT_EQ(pt.homeOf(2 * kPage), 3u);
+    EXPECT_EQ(pt.pageCount(), 3u);
 }
 
 TEST(PageTableDeath, UnplacedPagePanics)

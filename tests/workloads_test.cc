@@ -63,6 +63,14 @@ TEST_P(WorkloadTest, ScaleGrowsOps)
     EXPECT_GT(large.memOps(), small.memOps());
 }
 
+TEST_P(WorkloadTest, GeneratesAtTinyScale)
+{
+    // Arrays with fewer lines than CTAs still give each CTA a slice of
+    // at least one line to cycle over.
+    auto t = wl::make(GetParam(), 0.001);
+    EXPECT_GT(t.memOps(), 0u);
+}
+
 TEST_P(WorkloadTest, EnoughCtasToSpreadOverGpms)
 {
     auto t = wl::make(GetParam(), 0.05);

@@ -5,7 +5,7 @@
  * The static complement to hmgcheck: instead of exploring reachable
  * protocol states, hmglint proves structural properties of the things
  * the simulator is *built from*, in milliseconds and independent of
- * state-space size. Six analysis families (src/verify/lint/):
+ * state-space size. Four analysis families (src/verify/lint/):
  *
  *   tables       spec-table structure: dead/unreachable rows, shadowed
  *                guards, coverage, emitted-message consumers, NHCC vs
@@ -18,28 +18,21 @@
  *                protocol-transport dependency graph proven acyclic
  *                per topology (the gate new protocol tables pass
  *                before hmgcheck's state explosion);
- *   lockset      LP-safety lock discipline: shard-guarded fields,
- *                atomic memory orders, posted-closure captures, stale
- *                `lp-ok:` suppressions;
- *   determinism  token-level source analysis replacing the old grep
- *                lint: unordered-container iteration, entropy sources,
- *                float accumulation order, sim-thread sync, stale
- *                `det-ok:` suppressions;
  *   statkeys     the stats-key registry: duplicate keys in one scope,
  *                absolute keys colliding with composed namespaces.
+ *
+ * Hash-order determinism and shard-lock discipline need no family: the
+ * simulator's only hash maps (common/flat_map.hh) cannot be iterated,
+ * and a ShardedMap shard is reachable only under its lock.
  *
  *   hmglint                          # all families, human diagnostics
  *   hmglint --json                   # machine-readable findings
  *   hmglint --sarif                  # SARIF 2.1.0 log on stdout
- *   hmglint --determinism --root .   # one family, explicit repo root
- *   hmglint --incremental            # replay from cache when the
- *                                    # analyzed inputs are unchanged
+ *   hmglint --statkeys --root .      # one family, explicit repo root
  *   hmglint --seed-dead-row          # test hook: must report the row
  *   hmglint --seed-cdg-cycle         # test hook: must print the cycle
  *   hmglint --seed-livelock          # test hook: must print the
  *                                    # transient livelock cycle
- *   hmglint --seed-lockset           # test hook: must report the
- *                                    # unlocked shard access
  *
  * Exit status: 0 when no errors were found, 1 otherwise. With
  * LINT_WERROR=1 in the environment, warnings gate the exit status
@@ -51,21 +44,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "common/log.hh"
 #include "common/topology.hh"
 #include "verify/lint/cdg.hh"
-#include "verify/lint/determinism.hh"
 #include "verify/lint/lint.hh"
 #include "verify/lint/liveness.hh"
-#include "verify/lint/lockset.hh"
 #include "verify/lint/statkeys.hh"
 #include "verify/lint/table_lint.hh"
-#include "verify/lint/text.hh"
 
 namespace
 {
@@ -77,8 +64,6 @@ struct Options
     bool tables = false;
     bool cdg = false;
     bool liveness = false;
-    bool lockset = false;
-    bool determinism = false;
     bool statkeys = false;
     std::string root = ".";
     std::string topology;
@@ -86,12 +71,9 @@ struct Options
     bool json = false;
     bool sarif = false;
     bool quiet = false;
-    bool incremental = false;
-    std::string cacheFile;
     bool seedDeadRow = false;
     bool seedCdgCycle = false;
     bool seedLivelock = false;
-    bool seedLockset = false;
 };
 
 void
@@ -99,16 +81,14 @@ usage()
 {
     std::printf(
         "hmglint — static analyzer for protocol tables, transport\n"
-        "deadlock freedom, protocol liveness, LP lock discipline,\n"
-        "simulator determinism and the stats-key registry\n\n"
+        "deadlock freedom, protocol liveness and the stats-key\n"
+        "registry\n\n"
         "  --tables          spec-table structural analysis only\n"
         "  --cdg             channel-dependency deadlock check only\n"
         "  --liveness        transient-state liveness + composed\n"
         "                    protocol-transport deadlock proof only\n"
-        "  --lockset         LP-safety lock-discipline analysis only\n"
-        "  --determinism     determinism source analysis only\n"
         "  --statkeys        stats-key registry lint only\n"
-        "                    (default: all six families)\n"
+        "                    (default: all four families)\n"
         "  --root DIR        repository root for source scans\n"
         "                    (default .)\n"
         "  --topology FILE   build the CDG / composed proof over the\n"
@@ -121,10 +101,6 @@ usage()
         "  --json            machine-readable report on stdout\n"
         "  --sarif           SARIF 2.1.0 log on stdout\n"
         "  --quiet           findings only, no summary\n"
-        "  --incremental     replay the previous report when no\n"
-        "                    analyzed input changed (content-hashed)\n"
-        "  --cache-file F    incremental cache location\n"
-        "                    (default ROOT/build/hmglint.cache)\n"
         "  --seed-dead-row   test hook: append a guard-shadowed row;\n"
         "                    the table analysis must report it\n"
         "  --seed-cdg-cycle  test hook: model a bounded blocking NIC\n"
@@ -133,10 +109,7 @@ usage()
         "  --seed-livelock   test hook: mark the GPU-home re-fan row\n"
         "                    transient; the liveness analysis must\n"
         "                    print the livelock cycle and the composed\n"
-        "                    proof must print the transport cycle\n"
-        "  --seed-lockset    test hook: inject an unlocked access to a\n"
-        "                    shard-guarded field; the lockset analysis\n"
-        "                    must report the site\n");
+        "                    proof must print the transport cycle\n");
 }
 
 /** Strict numeric flag parsing, mirroring tools/hmgsim.cc. */
@@ -180,10 +153,6 @@ parse(int argc, char **argv)
             o.cdg = true;
         else if (a == "--liveness")
             o.liveness = true;
-        else if (a == "--lockset")
-            o.lockset = true;
-        else if (a == "--determinism")
-            o.determinism = true;
         else if (a == "--statkeys")
             o.statkeys = true;
         else if (a == "--root")
@@ -208,18 +177,12 @@ parse(int argc, char **argv)
             o.sarif = true;
         else if (a == "--quiet")
             o.quiet = true;
-        else if (a == "--incremental")
-            o.incremental = true;
-        else if (a == "--cache-file")
-            o.cacheFile = need(i);
         else if (a == "--seed-dead-row")
             o.seedDeadRow = true;
         else if (a == "--seed-cdg-cycle")
             o.seedCdgCycle = true;
         else if (a == "--seed-livelock")
             o.seedLivelock = true;
-        else if (a == "--seed-lockset")
-            o.seedLockset = true;
         else if (a == "--help" || a == "-h") {
             usage();
             std::exit(0);
@@ -237,114 +200,9 @@ parse(int argc, char **argv)
         hmg_fatal("--json conflicts with --sarif: pick one output "
                   "format per run");
     // No family flag selects every family.
-    if (!o.tables && !o.cdg && !o.liveness && !o.lockset &&
-        !o.determinism && !o.statkeys)
-        o.tables = o.cdg = o.liveness = o.lockset = o.determinism =
-            o.statkeys = true;
-    if (o.cacheFile.empty())
-        o.cacheFile = o.root + "/build/hmglint.cache";
+    if (!o.tables && !o.cdg && !o.liveness && !o.statkeys)
+        o.tables = o.cdg = o.liveness = o.statkeys = true;
     return o;
-}
-
-// ------------------------------------------------------------------
-// Incremental cache: content-hash everything an analysis can read —
-// the source tree, the topology file, the option vector, and this
-// binary's build stamp (the compiled-in tables/classes change with
-// it) — and replay the stored report byte-identically on a hit.
-// ------------------------------------------------------------------
-
-std::uint64_t
-fnv1a(const std::string &s, std::uint64_t h)
-{
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-std::string
-cacheKey(const Options &o)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    auto mix = [&](const std::string &s) { h = fnv1a(s + '\0', h); };
-    mix("hmglint-cache-v1");
-    mix(__DATE__ " " __TIME__); // binary identity: tables are data
-    for (const bool b : {o.tables, o.cdg, o.liveness, o.lockset,
-                         o.determinism, o.statkeys, o.json, o.sarif,
-                         o.quiet, o.seedDeadRow, o.seedCdgCycle,
-                         o.seedLivelock, o.seedLockset})
-        mix(b ? "1" : "0");
-    mix(o.root);
-    mix(o.topology);
-    mix(std::to_string(o.gpus) + "," + std::to_string(o.gpms) + "," +
-        std::to_string(o.nodes));
-    const char *we = std::getenv("LINT_WERROR");
-    mix(we ? we : "");
-    if (!o.topology.empty()) {
-        std::ifstream in(o.topology, std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        mix(bytes);
-    }
-    std::vector<lint::SourceFile> files;
-    std::string error;
-    if (lint::loadSourceTree(o.root, files, error)) {
-        for (const lint::SourceFile &f : files) {
-            mix(f.rel);
-            for (const std::string &line : f.raw)
-                mix(line);
-        }
-    } else {
-        mix("no-src:" + error);
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
-
-/** Replay a cached report. @return true on a key hit. */
-bool
-replayCache(const Options &o, const std::string &key, int &exitCode)
-{
-    std::ifstream in(o.cacheFile, std::ios::binary);
-    if (!in)
-        return false;
-    std::string header, exitLine;
-    if (!std::getline(in, header) || header != "hmglint-cache-v1 " + key)
-        return false;
-    if (!std::getline(in, exitLine) ||
-        exitLine.rfind("exit ", 0) != 0)
-        return false;
-    exitCode = std::atoi(exitLine.c_str() + 5);
-    std::string out((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    std::fwrite(out.data(), 1, out.size(), stdout);
-    std::fprintf(stderr, "hmglint: incremental cache hit (%s)\n",
-                 o.cacheFile.c_str());
-    return true;
-}
-
-void
-storeCache(const Options &o, const std::string &key,
-           const std::string &out, int exitCode)
-{
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    const fs::path p(o.cacheFile);
-    if (p.has_parent_path())
-        fs::create_directories(p.parent_path(), ec);
-    std::ofstream f(o.cacheFile, std::ios::binary | std::ios::trunc);
-    if (!f) {
-        std::fprintf(stderr,
-                     "hmglint: cannot write cache file %s\n",
-                     o.cacheFile.c_str());
-        return;
-    }
-    f << "hmglint-cache-v1 " << key << "\n"
-      << "exit " << exitCode << "\n"
-      << out;
 }
 
 } // namespace
@@ -358,14 +216,6 @@ main(int argc, char **argv)
         const char *we = std::getenv("LINT_WERROR");
         return we && std::strcmp(we, "1") == 0;
     }();
-
-    std::string key;
-    if (o.incremental) {
-        key = cacheKey(o);
-        int exitCode = 0;
-        if (replayCache(o, key, exitCode))
-            return exitCode;
-    }
 
     // Geometry: a topology file owns the instance shape, otherwise
     // the (possibly flag-overridden) default small instance.
@@ -399,17 +249,6 @@ main(int argc, char **argv)
         lopts.seedLivelock = o.seedLivelock;
         lint::analyzeLiveness(lopts, report);
     }
-    if (o.lockset) {
-        lint::LocksetOptions lopts;
-        lopts.root = o.root;
-        lopts.seedLockset = o.seedLockset;
-        lint::analyzeLockset(lopts, report);
-    }
-    if (o.determinism) {
-        lint::DeterminismOptions dopts;
-        dopts.root = o.root;
-        lint::analyzeDeterminism(dopts, report);
-    }
     if (o.statkeys) {
         lint::StatKeysOptions sopts;
         sopts.root = o.root;
@@ -419,9 +258,6 @@ main(int argc, char **argv)
     const bool pass =
         report.clean() && (!werror || report.warnings() == 0);
 
-    // Render the whole report to one string: it is what the terminal
-    // sees, what the cache replays, and what the byte-identity tests
-    // compare — one source of truth for all three.
     std::string out;
     if (o.json) {
         out = report.toJson() + "\n";
@@ -440,9 +276,6 @@ main(int argc, char **argv)
         }
     }
 
-    const int exitCode = pass ? 0 : 1;
-    if (o.incremental)
-        storeCache(o, key, out, exitCode);
     std::fwrite(out.data(), 1, out.size(), stdout);
-    return exitCode;
+    return pass ? 0 : 1;
 }
