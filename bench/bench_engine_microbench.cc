@@ -29,9 +29,11 @@
  *
  * Flags: --events N, --jobs N, --sweep-scale X, --pdes-scale X,
  * --scaleout-scale X, --kernel-only (event-kernel throughput only, for
- * tools/perf_smoke.sh), --out FILE.
+ * tools/perf_smoke.sh), --invalidate-only (bulk tag-array invalidation
+ * cost at L1 and L2 size only, for tools/perf_smoke.sh), --out FILE.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -41,6 +43,8 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "cache/tag_array.hh"
+#include "common/log.hh"
 #include "gpu/simulator.hh"
 #include "sim/engine.hh"
 #include "sim/sweep.hh"
@@ -170,6 +174,32 @@ struct Pump
         e->schedule((*lcg >> 10) % 797 + 1, Pump(*this));
     }
 };
+
+/**
+ * Median host nanoseconds of one TagArray::invalidateAll() on an array
+ * of the given geometry, timed call by call with the same ten lines
+ * refilled (untimed) before each. Software coherence drops every L1 on
+ * each acquire and every L2 at kernel boundaries, so this must not grow
+ * with capacity.
+ */
+double
+bulkInvalidateNs(std::uint64_t capacity_bytes, std::uint32_t ways,
+                 std::size_t calls)
+{
+    hmg::TagArray tags = hmg::TagArray::fromCapacity(capacity_bytes, ways,
+                                                     128);
+    std::vector<double> ns(calls);
+    for (double &t : ns) {
+        for (hmg::Addr line = 0; line < 10; ++line)
+            tags.insert(line * 128);
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::uint64_t dropped = tags.invalidateAll();
+        t = secondsSince(t0) * 1e9;
+        hmg_assert(dropped == 10);
+    }
+    std::nth_element(ns.begin(), ns.begin() + calls / 2, ns.end());
+    return ns[calls / 2];
+}
 
 struct SweepTiming
 {
@@ -368,6 +398,7 @@ main(int argc, char **argv)
     double pdes_scale = 1.0;
     double scaleout_scale = 0.25;
     bool kernel_only = false;
+    bool invalidate_only = false;
     std::string out_path = "BENCH_engine.json";
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc)
@@ -381,6 +412,8 @@ main(int argc, char **argv)
             scaleout_scale = std::atof(argv[++i]);
         else if (std::strcmp(argv[i], "--kernel-only") == 0)
             kernel_only = true;
+        else if (std::strcmp(argv[i], "--invalidate-only") == 0)
+            invalidate_only = true;
         else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
             out_path = argv[++i];
         // --jobs is picked up by parseJobsFlag below.
@@ -389,6 +422,16 @@ main(int argc, char **argv)
 
     hmgbench::banner("engine microbench: events/sec + sweep wall-clock",
                      "perf harness (no paper figure)");
+
+    if (invalidate_only) {
+        // Machine-greppable lines for tools/perf_smoke.sh: an L1 (128 KB,
+        // 8-way) and an L2 slice (3 MB, 16-way) holding the same lines.
+        std::printf("bulk_invalidate_l1_ns %.1f\n",
+                    bulkInvalidateNs(128 * 1024, 8, 20'000));
+        std::printf("bulk_invalidate_l2_ns %.1f\n",
+                    bulkInvalidateNs(3 * 1024 * 1024, 16, 20'000));
+        return 0;
+    }
 
     using Wheel = hmg::Engine;
     const double wheel_small =

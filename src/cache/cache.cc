@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <optional>
 #include <vector>
 
 namespace hmg
@@ -37,12 +38,12 @@ Cache::store(Addr line_addr, Version version, bool mark_dirty,
     }
     if (!write_allocate_)
         return false;
-    CacheLine evicted;
+    std::optional<CacheLine> evicted;
     CacheLine *line = tags_.insert(line_addr, &evicted);
-    if (evicted.valid) {
+    if (evicted) {
         ++evictions_;
         if (eviction_hook_)
-            eviction_hook_(evicted);
+            eviction_hook_(*evicted);
     }
     line->version = version;
     line->dirty = mark_dirty;
@@ -83,12 +84,12 @@ void
 Cache::fill(Addr line_addr, Version version)
 {
     ++fills_;
-    CacheLine evicted;
+    std::optional<CacheLine> evicted;
     CacheLine *line = tags_.insert(line_addr, &evicted);
-    if (evicted.valid) {
+    if (evicted) {
         ++evictions_;
         if (eviction_hook_)
-            eviction_hook_(evicted);
+            eviction_hook_(*evicted);
     }
     // A racing store may have left a newer version in place; keep it.
     if (line->version < version)
@@ -119,9 +120,9 @@ Cache::invalidateRangeCollect(Addr base, std::uint64_t bytes,
 {
     std::uint64_t n = 0;
     for (Addr a = base; a < base + bytes; a += tags_.lineBytes()) {
-        if (const CacheLine *line = tags_.peek(a)) {
-            dropped.push_back(*line);
-            tags_.invalidate(a);
+        CacheLine line;
+        if (tags_.invalidate(a, &line)) {
+            dropped.push_back(line);
             ++invalidated_lines_;
             ++n;
         }

@@ -1,0 +1,234 @@
+/**
+ * @file
+ * The set-associative core shared by the L1 and L2 tag arrays
+ * (cache/tag_array.hh) and the coherence directory (core/directory.hh):
+ * set indexing, probing, true-LRU victim choice and valid counting.
+ *
+ * Validity is a generation stamp. An entry is live iff its 32-bit
+ * `stamp` equals the array's current generation, and nothing else
+ * records validity. Dropping one entry zeroes its stamp; dropping every
+ * entry bumps the generation, so a bulk invalidation costs O(1) however
+ * large the array, and the live count it returns is maintained, not
+ * counted. Generations start at 1, so the all-zero bytes of a freshly
+ * calloc'd array are empty entries and construction writes nothing.
+ * When the generation would wrap to 0, every stamp is reset first: an
+ * entry dropped 2^32 bulk invalidations earlier must not match again.
+ */
+
+#ifndef HMG_CACHE_SET_ASSOC_HH
+#define HMG_CACHE_SET_ASSOC_HH
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <optional>
+#include <type_traits>
+
+#include "common/log.hh"
+#include "common/types.hh"
+
+namespace hmg
+{
+
+/**
+ * Set-associative array of `Entry` keyed by the address member `Key`,
+ * with true-LRU replacement.
+ *
+ * `Entry` is an aggregate whose value-initialized state is all-zero
+ * bytes (so calloc'd storage holds empty entries), with members
+ * `std::uint32_t stamp` (owned by this class) and `std::uint64_t lru`
+ * (larger = more recently used). The set of a key is
+ * `(key >> key_shift) % num_sets`.
+ */
+template <typename Entry, Addr Entry::*Key>
+class SetAssoc
+{
+    static_assert(std::is_aggregate_v<Entry> &&
+                      std::is_trivially_copyable_v<Entry> &&
+                      std::is_trivially_destructible_v<Entry>,
+                  "entries are created implicitly in calloc'd storage");
+
+  public:
+    /** What insert() did. */
+    struct Placement
+    {
+        Entry *entry;  //!< the key's entry: live and most recently used
+        bool inserted; //!< false when the key was already present
+        bool evicted;  //!< a live victim was displaced to make room
+    };
+
+    /**
+     * @param first_generation generation the array starts in (tests
+     *        start near the wrap); never 0, the empty stamp
+     */
+    SetAssoc(std::uint64_t num_sets, std::uint32_t ways, unsigned key_shift,
+             std::uint32_t first_generation = 1)
+        : num_sets_(num_sets),
+          ways_(ways),
+          key_shift_(key_shift),
+          gen_(first_generation)
+    {
+        hmg_assert(num_sets > 0 && ways > 0 && first_generation != 0);
+        entries_.reset(static_cast<Entry *>(
+            std::calloc(num_sets * ways, sizeof(Entry))));
+        if (!entries_)
+            throw std::bad_alloc();
+    }
+
+    /** Find `key` and make it most recently used. */
+    Entry *
+    find(Addr key)
+    {
+        Entry *e = probe(key);
+        if (e)
+            e->lru = next_lru_++;
+        return e;
+    }
+
+    /** Find without touching LRU state. */
+    const Entry *peek(Addr key) const { return probe(key); }
+
+    /**
+     * Make `key` live and most recently used. A key already present is
+     * kept as it is. Otherwise the set's first empty way is used, or
+     * failing that its least recently used entry, which is copied to
+     * `evicted` first; the way then starts from `Entry{}`.
+     * @param evicted reset, then set to the displaced live entry
+     */
+    Placement
+    insert(Addr key, std::optional<Entry> *evicted = nullptr)
+    {
+        if (evicted)
+            evicted->reset();
+        Entry *base = setBase(key);
+        Entry *victim = nullptr;
+        bool victim_live = false;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            Entry &e = base[w];
+            if (e.stamp != gen_) {
+                if (!victim || victim_live) {
+                    victim = &e;
+                    victim_live = false;
+                }
+                continue;
+            }
+            if (e.*Key == key) {
+                e.lru = next_lru_++;
+                return {&e, false, false};
+            }
+            if (!victim || (victim_live && e.lru < victim->lru)) {
+                victim = &e;
+                victim_live = true;
+            }
+        }
+        if (victim_live) {
+            if (evicted)
+                evicted->emplace(*victim);
+        } else {
+            ++live_;
+        }
+        *victim = Entry{};
+        victim->*Key = key;
+        victim->stamp = gen_;
+        victim->lru = next_lru_++;
+        return {victim, true, victim_live};
+    }
+
+    /**
+     * Drop `key`.
+     * @param dropped if non-null, receives the entry as it was
+     * @return true if it was present
+     */
+    bool
+    erase(Addr key, Entry *dropped = nullptr)
+    {
+        Entry *e = probe(key);
+        if (!e)
+            return false;
+        if (dropped)
+            *dropped = *e;
+        e->stamp = 0;
+        --live_;
+        return true;
+    }
+
+    /** Drop every entry in O(1). @return how many were live. */
+    std::uint64_t
+    clear()
+    {
+        const std::uint64_t dropped = live_;
+        live_ = 0;
+        if (++gen_ == 0) {
+            for (std::uint64_t i = 0; i < num_sets_ * ways_; ++i)
+                entries_[i].stamp = 0;
+            gen_ = 1;
+        }
+        return dropped;
+    }
+
+    /** Number of live entries. */
+    std::uint64_t size() const { return live_; }
+
+    std::uint64_t numSets() const { return num_sets_; }
+    std::uint32_t ways() const { return ways_; }
+    std::uint32_t generation() const { return gen_; }
+
+    /** Visit every live entry, in set-then-way order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::uint64_t i = 0; i < num_sets_ * ways_; ++i) {
+            const Entry &e = entries_[i];
+            if (e.stamp == gen_)
+                fn(e);
+        }
+    }
+
+    /** Visit every live entry mutably; `fn` must not change `stamp`. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn)
+    {
+        for (std::uint64_t i = 0; i < num_sets_ * ways_; ++i) {
+            Entry &e = entries_[i];
+            if (e.stamp == gen_)
+                fn(e);
+        }
+    }
+
+  private:
+    struct Free
+    {
+        void operator()(Entry *p) const { std::free(p); }
+    };
+
+    Entry *
+    setBase(Addr key) const
+    {
+        return &entries_[((key >> key_shift_) % num_sets_) * ways_];
+    }
+
+    Entry *
+    probe(Addr key) const
+    {
+        Entry *base = setBase(key);
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (base[w].stamp == gen_ && base[w].*Key == key)
+                return &base[w];
+        return nullptr;
+    }
+
+    std::uint64_t num_sets_;
+    std::uint32_t ways_;
+    unsigned key_shift_;
+    std::uint32_t gen_;
+    std::uint64_t live_ = 0;
+    std::uint64_t next_lru_ = 1;
+    std::unique_ptr<Entry[], Free> entries_;
+};
+
+} // namespace hmg
+
+#endif // HMG_CACHE_SET_ASSOC_HH

@@ -8,13 +8,9 @@ namespace hmg
 
 TagArray::TagArray(std::uint64_t num_sets, std::uint32_t ways,
                    std::uint32_t line_bytes)
-    : num_sets_(num_sets),
-      ways_(ways),
-      line_bytes_(line_bytes),
-      line_shift_(floorLog2(line_bytes)),
-      lines_(num_sets * ways)
+    : line_bytes_(line_bytes),
+      lines_(num_sets, ways, floorLog2(line_bytes))
 {
-    hmg_assert(num_sets > 0 && ways > 0);
     hmg_assert(isPowerOf2(line_bytes));
 }
 
@@ -23,87 +19,8 @@ TagArray::fromCapacity(std::uint64_t capacity_bytes, std::uint32_t ways,
                        std::uint32_t line_bytes)
 {
     std::uint64_t lines = capacity_bytes / line_bytes;
-    hmg_assert(lines % ways == 0);
+    hmg_assert(ways > 0 && lines % ways == 0);
     return TagArray(lines / ways, ways, line_bytes);
-}
-
-std::uint64_t
-TagArray::setOf(Addr line_addr) const
-{
-    return (line_addr >> line_shift_) % num_sets_;
-}
-
-CacheLine *
-TagArray::lookup(Addr line_addr)
-{
-    CacheLine *base = setBase(setOf(line_addr));
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        CacheLine &line = base[w];
-        if (line.valid && line.addr == line_addr) {
-            line.lru = next_lru_++;
-            return &line;
-        }
-    }
-    return nullptr;
-}
-
-const CacheLine *
-TagArray::peek(Addr line_addr) const
-{
-    const CacheLine *base =
-        &lines_[setOf(line_addr) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        const CacheLine &line = base[w];
-        if (line.valid && line.addr == line_addr)
-            return &line;
-    }
-    return nullptr;
-}
-
-CacheLine *
-TagArray::insert(Addr line_addr, CacheLine *evicted)
-{
-    if (evicted)
-        evicted->valid = false;
-
-    CacheLine *base = setBase(setOf(line_addr));
-    CacheLine *victim = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        CacheLine &line = base[w];
-        if (line.valid && line.addr == line_addr) {
-            line.lru = next_lru_++;
-            return &line;
-        }
-        if (!line.valid) {
-            if (!victim || victim->valid)
-                victim = &line;
-        } else if (!victim || (victim->valid && line.lru < victim->lru)) {
-            victim = &line;
-        }
-    }
-    hmg_assert(victim);
-    if (victim->valid && evicted)
-        *evicted = *victim;
-    victim->addr = line_addr;
-    victim->valid = true;
-    victim->dirty = false;
-    victim->version = 0;
-    victim->lru = next_lru_++;
-    return victim;
-}
-
-bool
-TagArray::invalidate(Addr line_addr)
-{
-    CacheLine *base = setBase(setOf(line_addr));
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        CacheLine &line = base[w];
-        if (line.valid && line.addr == line_addr) {
-            line.valid = false;
-            return true;
-        }
-    }
-    return false;
 }
 
 std::uint64_t
@@ -112,29 +29,6 @@ TagArray::invalidateRange(Addr base_addr, std::uint64_t bytes)
     std::uint64_t n = 0;
     for (Addr a = base_addr; a < base_addr + bytes; a += line_bytes_)
         if (invalidate(a))
-            ++n;
-    return n;
-}
-
-std::uint64_t
-TagArray::invalidateAll()
-{
-    std::uint64_t n = 0;
-    for (auto &line : lines_) {
-        if (line.valid) {
-            line.valid = false;
-            ++n;
-        }
-    }
-    return n;
-}
-
-std::uint64_t
-TagArray::validCount() const
-{
-    std::uint64_t n = 0;
-    for (const auto &line : lines_)
-        if (line.valid)
             ++n;
     return n;
 }

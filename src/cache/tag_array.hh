@@ -1,18 +1,18 @@
 /**
  * @file
- * Generic set-associative tag array with LRU replacement.
- *
- * Shared by the L1 caches, the L2 caches and (via a different payload
- * use) the coherence directory. Lines carry the store-version payload
- * used by the correctness oracle (see mem/memory_state.hh).
+ * Set-associative cache tag array with true-LRU replacement, used by
+ * the L1 and L2 caches. The set mechanics live in cache/set_assoc.hh,
+ * which the coherence directory shares. Lines carry the store-version
+ * payload used by the correctness oracle (see mem/memory_state.hh).
  */
 
 #ifndef HMG_CACHE_TAG_ARRAY_HH
 #define HMG_CACHE_TAG_ARRAY_HH
 
 #include <cstdint>
-#include <vector>
+#include <optional>
 
+#include "cache/set_assoc.hh"
 #include "common/types.hh"
 
 namespace hmg
@@ -21,12 +21,13 @@ namespace hmg
 /** One cache line's bookkeeping. */
 struct CacheLine
 {
-    Addr addr = 0;          //!< full line address (tag + index)
-    bool valid = false;
-    bool dirty = false;     //!< holds a write not yet at the home (WB)
-    Version version = 0;    //!< newest store version this copy reflects
-    std::uint64_t lru = 0;  //!< larger = more recently used
+    Addr addr = 0;           //!< full line address (tag + index)
+    bool dirty = false;      //!< holds a write not yet at the home (WB)
+    std::uint32_t stamp = 0; //!< validity; owned by SetAssoc
+    Version version = 0;     //!< newest store version this copy reflects
+    std::uint64_t lru = 0;   //!< larger = more recently used
 };
+static_assert(sizeof(CacheLine) == 32, "the stamp fills padding");
 
 /** Set-associative array of CacheLine with true-LRU replacement. */
 class TagArray
@@ -49,37 +50,53 @@ class TagArray
      * Find `line_addr` and refresh its LRU stamp.
      * @return the line, or nullptr on miss.
      */
-    CacheLine *lookup(Addr line_addr);
+    CacheLine *lookup(Addr line_addr) { return lines_.find(line_addr); }
 
     /** Find without touching LRU state. */
-    const CacheLine *peek(Addr line_addr) const;
+    const CacheLine *
+    peek(Addr line_addr) const
+    {
+        return lines_.peek(line_addr);
+    }
 
     /**
      * Allocate a slot for `line_addr`, evicting the set's LRU victim if
-     * the set is full. The returned line is valid with fresh LRU but its
-     * version is untouched — the caller sets it.
+     * the set is full. A fresh line has version 0, is clean and has
+     * fresh LRU; the caller sets its version.
      *
-     * @param evicted set to the evicted line (valid==true) when a live
-     *        victim was displaced, else valid==false.
+     * @param evicted set to the displaced line when a live victim was
+     *        evicted, else emptied.
      * @return the allocated line (never nullptr). If the line is already
      *         present it is reused in place.
      */
-    CacheLine *insert(Addr line_addr, CacheLine *evicted = nullptr);
+    CacheLine *
+    insert(Addr line_addr, std::optional<CacheLine> *evicted = nullptr)
+    {
+        return lines_.insert(line_addr, evicted).entry;
+    }
 
-    /** Invalidate one line. @return true if it was present. */
-    bool invalidate(Addr line_addr);
+    /**
+     * Invalidate one line.
+     * @param dropped if non-null, receives the line as it was
+     * @return true if it was present.
+     */
+    bool
+    invalidate(Addr line_addr, CacheLine *dropped = nullptr)
+    {
+        return lines_.erase(line_addr, dropped);
+    }
 
     /** Invalidate every line in [base, base+bytes). @return count. */
     std::uint64_t invalidateRange(Addr base, std::uint64_t bytes);
 
-    /** Invalidate everything. @return number of lines dropped. */
-    std::uint64_t invalidateAll();
+    /** Invalidate everything in O(1). @return number of lines dropped. */
+    std::uint64_t invalidateAll() { return lines_.clear(); }
 
     /** Number of currently valid lines. */
-    std::uint64_t validCount() const;
+    std::uint64_t validCount() const { return lines_.size(); }
 
-    std::uint64_t numSets() const { return num_sets_; }
-    std::uint32_t ways() const { return ways_; }
+    std::uint64_t numSets() const { return lines_.numSets(); }
+    std::uint32_t ways() const { return lines_.ways(); }
     std::uint32_t lineBytes() const { return line_bytes_; }
 
     /** Visit every valid line (tests and diagnostics). */
@@ -87,9 +104,7 @@ class TagArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &line : lines_)
-            if (line.valid)
-                fn(line);
+        lines_.forEach(fn);
     }
 
     /** Visit every valid line mutably (dirty-flush bookkeeping). */
@@ -97,21 +112,12 @@ class TagArray
     void
     forEachValidMutable(Fn &&fn)
     {
-        for (auto &line : lines_)
-            if (line.valid)
-                fn(line);
+        lines_.forEach(fn);
     }
 
   private:
-    std::uint64_t setOf(Addr line_addr) const;
-    CacheLine *setBase(std::uint64_t set) { return &lines_[set * ways_]; }
-
-    std::uint64_t num_sets_;
-    std::uint32_t ways_;
     std::uint32_t line_bytes_;
-    unsigned line_shift_;
-    std::uint64_t next_lru_ = 1;
-    std::vector<CacheLine> lines_;
+    SetAssoc<CacheLine, &CacheLine::addr> lines_;
 };
 
 } // namespace hmg

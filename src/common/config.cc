@@ -1,6 +1,7 @@
 #include "common/config.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "common/intmath.hh"
 #include "common/log.hh"
@@ -97,6 +98,19 @@ SystemConfig::validate() const
         hmg_fatal("cacheLineBytes must be a power of two");
     if (!isPowerOf2(osPageBytes) || osPageBytes < cacheLineBytes)
         hmg_fatal("osPageBytes must be a power of two >= a cache line");
+    // Zero here would divide by zero in the geometry checks below and
+    // in the tag arrays' and directory's set index, so reject it first.
+    const std::pair<const char *, std::uint64_t> geometry[] = {
+        {"l1Bytes", l1Bytes},
+        {"l1Ways", l1Ways},
+        {"l2BytesPerGpu", l2BytesPerGpu},
+        {"l2Ways", l2Ways},
+        {"dirEntriesPerGpm", dirEntriesPerGpm},
+        {"dirWays", dirWays},
+    };
+    for (const auto &[name, value] : geometry)
+        if (value == 0)
+            hmg_fatal("%s must be non-zero", name);
     if (l1Bytes % (cacheLineBytes * l1Ways) != 0)
         hmg_fatal("L1 geometry does not divide into sets");
     if (l2BytesPerGpu % gpmsPerGpu != 0)

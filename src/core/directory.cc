@@ -8,114 +8,34 @@ namespace hmg
 
 Directory::Directory(std::uint32_t num_entries, std::uint32_t ways,
                      std::uint32_t sector_bytes)
-    : num_sets_(num_entries / ways),
-      ways_(ways),
-      sector_bytes_(sector_bytes),
-      sector_shift_(floorLog2(sector_bytes)),
+    : sector_bytes_(sector_bytes),
       sector_mask_(sector_bytes - 1),
-      entries_(num_entries)
+      entries_(ways ? num_entries / ways : 0, ways, floorLog2(sector_bytes))
 {
     hmg_assert(num_entries % ways == 0);
     hmg_assert(isPowerOf2(sector_bytes));
-}
-
-std::uint64_t
-Directory::setOf(Addr addr) const
-{
-    return (addr >> sector_shift_) % num_sets_;
 }
 
 DirEntry *
 Directory::find(Addr addr)
 {
     ++lookups_;
-    Addr sector = sectorOf(addr);
-    DirEntry *base = &entries_[setOf(addr) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        DirEntry &e = base[w];
-        if (e.valid && e.sector == sector) {
-            ++hits_;
-            e.lru = next_lru_++;
-            return &e;
-        }
-    }
-    return nullptr;
-}
-
-const DirEntry *
-Directory::peek(Addr addr) const
-{
-    Addr sector = sectorOf(addr);
-    const DirEntry *base = &entries_[setOf(addr) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        const DirEntry &e = base[w];
-        if (e.valid && e.sector == sector)
-            return &e;
-    }
-    return nullptr;
+    DirEntry *e = entries_.find(sectorOf(addr));
+    if (e)
+        ++hits_;
+    return e;
 }
 
 DirEntry *
-Directory::allocate(Addr addr, DirEntry *evicted)
+Directory::allocate(Addr addr, std::optional<DirEntry> *evicted)
 {
-    if (evicted)
-        evicted->valid = false;
-
-    Addr sector = sectorOf(addr);
-    DirEntry *base = &entries_[setOf(addr) * ways_];
-    DirEntry *victim = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        DirEntry &e = base[w];
-        if (e.valid && e.sector == sector) {
-            e.lru = next_lru_++;
-            return &e;
-        }
-        if (!e.valid) {
-            if (!victim || victim->valid)
-                victim = &e;
-        } else if (!victim || (victim->valid && e.lru < victim->lru)) {
-            victim = &e;
-        }
+    const auto placed = entries_.insert(sectorOf(addr), evicted);
+    if (placed.inserted) {
+        ++allocations_;
+        if (placed.evicted)
+            ++evictions_;
     }
-    hmg_assert(victim);
-    if (victim->valid) {
-        ++evictions_;
-        if (evicted)
-            *evicted = *victim;
-    }
-    ++allocations_;
-    victim->sector = sector;
-    victim->valid = true;
-    victim->gpmSharers = 0;
-    victim->gpuSharers = 0;
-    victim->nodeSharers = 0;
-    victim->lru = next_lru_++;
-    return victim;
-}
-
-bool
-Directory::remove(Addr addr)
-{
-    Addr sector = sectorOf(addr);
-    DirEntry *base = &entries_[setOf(addr) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        DirEntry &e = base[w];
-        if (e.valid && e.sector == sector) {
-            e.valid = false;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::uint64_t
-Directory::validCount() const
-{
-    std::uint64_t n = 0;
-    for (const auto &e : entries_)
-        if (e.valid)
-            ++n;
-    return n;
+    return placed.entry;
 }
 
 void

@@ -31,9 +31,10 @@
 #define HMG_CORE_DIRECTORY_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <vector>
 
+#include "cache/set_assoc.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -44,7 +45,7 @@ namespace hmg
 struct DirEntry
 {
     Addr sector = 0;             //!< sector base address
-    bool valid = false;
+    std::uint32_t stamp = 0;     //!< validity; owned by SetAssoc
     std::uint64_t lru = 0;
     std::uint32_t gpmSharers = 0;  //!< bitmask of local GPM indices
     std::uint32_t gpuSharers = 0;  //!< bitmask of node-local GPU indices
@@ -84,6 +85,7 @@ struct DirEntry
             __builtin_popcount(nodeSharers));
     }
 };
+static_assert(sizeof(DirEntry) == 40, "the stamp fills padding");
 
 /** Set-associative sharer-tracking directory for one GPM. */
 class Directory
@@ -101,27 +103,32 @@ class Directory
     DirEntry *find(Addr addr);
 
     /** Stat-neutral, LRU-neutral lookup (checkers / snapshots). */
-    const DirEntry *peek(Addr addr) const;
+    const DirEntry *
+    peek(Addr addr) const
+    {
+        return entries_.peek(sectorOf(addr));
+    }
 
     /**
      * Find-or-allocate the entry covering `addr`. On a conflict/capacity
      * eviction the displaced entry (whose sharers must be invalidated —
-     * Table I "Replace Dir Entry") is copied to `evicted`.
+     * Table I "Replace Dir Entry") is copied to `evicted`, which is
+     * emptied otherwise.
      * @return the (possibly recycled) entry, sharer sets preserved when
      *         the sector was already tracked, empty otherwise.
      */
-    DirEntry *allocate(Addr addr, DirEntry *evicted = nullptr);
+    DirEntry *allocate(Addr addr, std::optional<DirEntry> *evicted = nullptr);
 
     /** Drop the entry covering `addr` (transition to Invalid). */
-    bool remove(Addr addr);
+    bool remove(Addr addr) { return entries_.erase(sectorOf(addr)); }
 
     /** Sector base address of `addr`. */
     Addr sectorOf(Addr addr) const { return addr & ~sector_mask_; }
 
     std::uint32_t sectorBytes() const { return sector_bytes_; }
-    std::uint64_t numSets() const { return num_sets_; }
-    std::uint32_t ways() const { return ways_; }
-    std::uint64_t validCount() const;
+    std::uint64_t numSets() const { return entries_.numSets(); }
+    std::uint32_t ways() const { return entries_.ways(); }
+    std::uint64_t validCount() const { return entries_.size(); }
 
     // Statistics.
     std::uint64_t lookups() const { return lookups_; }
@@ -136,21 +143,13 @@ class Directory
     void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &e : entries_)
-            if (e.valid)
-                fn(e);
+        entries_.forEach(fn);
     }
 
   private:
-    std::uint64_t setOf(Addr addr) const;
-
-    std::uint64_t num_sets_;
-    std::uint32_t ways_;
     std::uint32_t sector_bytes_;
-    unsigned sector_shift_;
     Addr sector_mask_;
-    std::uint64_t next_lru_ = 1;
-    std::vector<DirEntry> entries_;
+    SetAssoc<DirEntry, &DirEntry::sector> entries_;
 
     std::uint64_t lookups_ = 0;
     std::uint64_t hits_ = 0;

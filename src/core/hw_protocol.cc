@@ -1,6 +1,7 @@
 #include "core/hw_protocol.hh"
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -766,10 +767,10 @@ HwProtocol::applyDirEventAt(const verify::TransitionTable &t, GpmId h,
             dir.remove(line);
         [[fallthrough]];
       case DirUpdate::AddSharer: {
-        DirEntry evicted;
+        std::optional<DirEntry> evicted;
         DirEntry *ne = dir.allocate(line, &evicted);
-        if (evicted.valid && evicted.hasSharers())
-            replaceVictim(h, evicted);
+        if (evicted && evicted->hasSharers())
+            replaceVictim(h, *evicted);
         ne->gpmSharers = outcome.gpmBits;
         ne->gpuSharers = outcome.gpuBits;
         ne->nodeSharers = outcome.nodeBits;

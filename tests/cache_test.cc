@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -35,10 +36,10 @@ TEST(TagArray, LruVictimSelection)
     t.insert(0x080);
     // Touch line 0 so line 0x080 becomes LRU.
     t.lookup(0x000);
-    CacheLine evicted;
+    std::optional<CacheLine> evicted;
     t.insert(0x100, &evicted);
-    ASSERT_TRUE(evicted.valid);
-    EXPECT_EQ(evicted.addr, 0x080u);
+    ASSERT_TRUE(evicted);
+    EXPECT_EQ(evicted->addr, 0x080u);
     EXPECT_NE(t.lookup(0x000), nullptr);
     EXPECT_EQ(t.lookup(0x080), nullptr);
 }
@@ -47,9 +48,9 @@ TEST(TagArray, ReinsertSameLineKeepsVersion)
 {
     TagArray t(4, 2, 128);
     t.insert(0x100)->version = 3;
-    CacheLine evicted;
+    std::optional<CacheLine> evicted;
     CacheLine *l = t.insert(0x100, &evicted);
-    EXPECT_FALSE(evicted.valid);
+    EXPECT_FALSE(evicted);
     EXPECT_EQ(l->version, 3u);
     EXPECT_EQ(t.validCount(), 1u);
 }

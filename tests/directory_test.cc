@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/config.hh"
 #include "core/directory.hh"
 
@@ -73,11 +75,11 @@ TEST(Directory, EvictionReturnsVictim)
     d.allocate(0 * 512)->addGpm(3);
     d.allocate(2 * 512)->addGpu(1); // sets: sector % 2
     d.find(0 * 512);                // make sector 2*512 the LRU victim
-    DirEntry victim;
+    std::optional<DirEntry> victim;
     d.allocate(4 * 512, &victim);
-    ASSERT_TRUE(victim.valid);
-    EXPECT_EQ(victim.sector, 2u * 512);
-    EXPECT_TRUE(victim.hasGpu(1));
+    ASSERT_TRUE(victim);
+    EXPECT_EQ(victim->sector, 2u * 512);
+    EXPECT_TRUE(victim->hasGpu(1));
     EXPECT_EQ(d.evictions(), 1u);
     // The evicted sector is gone; the survivor remains.
     EXPECT_EQ(d.find(2 * 512), nullptr);
@@ -98,7 +100,7 @@ TEST(Directory, FreshEntryHasClearedSharers)
     Directory d(2, 2, 512);
     d.allocate(0)->addGpm(1);
     d.allocate(2 * 512)->addGpm(2);
-    DirEntry victim;
+    std::optional<DirEntry> victim;
     DirEntry *e = d.allocate(4 * 512, &victim);
     EXPECT_FALSE(e->hasSharers());
 }

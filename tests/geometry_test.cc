@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -136,10 +137,10 @@ TEST_P(DirectoryGeometry, EvictionsAreLruWithinSet)
         d.allocate(w * sets * sector);
     for (std::uint32_t w = 1; w < ways; ++w)
         d.find(w * sets * sector);
-    DirEntry victim;
+    std::optional<DirEntry> victim;
     d.allocate(ways * sets * sector, &victim);
-    ASSERT_TRUE(victim.valid);
-    EXPECT_EQ(victim.sector, 0u);
+    ASSERT_TRUE(victim);
+    EXPECT_EQ(victim->sector, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -160,10 +161,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ConfigValidation, RejectsInconsistentConfigs)
 {
-    auto dies = [](auto mutate) {
+    auto dies = [](auto mutate, const char *message = "") {
         SystemConfig cfg;
         mutate(cfg);
-        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "");
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), message);
     };
     dies([](SystemConfig &c) { c.numGpus = 0; });
     dies([](SystemConfig &c) { c.smsPerGpu = 130; }); // not / gpms
@@ -174,6 +175,15 @@ TEST(ConfigValidation, RejectsInconsistentConfigs)
     dies([](SystemConfig &c) { c.dirEntriesPerGpm = 12 * 1024 + 1; });
     dies([](SystemConfig &c) { c.interGpuGBpsPerLink = -1; });
     dies([](SystemConfig &c) { c.smIssueWidth = 0; });
+    // ---- zero cache/directory geometry (each would divide by zero) ----
+    dies([](SystemConfig &c) { c.l1Ways = 0; }, "l1Ways must be non-zero");
+    dies([](SystemConfig &c) { c.l2Ways = 0; }, "l2Ways must be non-zero");
+    dies([](SystemConfig &c) { c.dirWays = 0; }, "dirWays must be non-zero");
+    dies([](SystemConfig &c) { c.dirEntriesPerGpm = 0; },
+         "dirEntriesPerGpm must be non-zero");
+    dies([](SystemConfig &c) { c.l1Bytes = 0; }, "l1Bytes must be non-zero");
+    dies([](SystemConfig &c) { c.l2BytesPerGpu = 0; },
+         "l2BytesPerGpu must be non-zero");
     // ---- node tier ----
     dies([](SystemConfig &c) { c.numNodes = 0; });
     dies([](SystemConfig &c) { c.numNodes = 3; }); // 4 GPUs % 3 != 0

@@ -1,0 +1,578 @@
+/**
+ * @file
+ * Differential test of the set-associative core (cache/set_assoc.hh)
+ * behind TagArray and Directory. Seeded random operation sequences run
+ * against the linear-scan implementation the core replaced, kept here
+ * as the reference: stored valid flags, first-empty-way-else-LRU victim
+ * choice, and a bulk invalidation that walks the array. Every step must
+ * agree on return values, evicted and dropped copies, LRU stamps and
+ * live counts, and the live contents must match entry for entry.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <vector>
+
+#include "cache/set_assoc.hh"
+#include "cache/tag_array.hh"
+#include "common/rng.hh"
+#include "core/directory.hh"
+
+namespace hmg
+{
+namespace
+{
+
+// ------------------------------------------------------------ reference
+
+template <typename Payload>
+struct RefEntry
+{
+    Addr key = 0;
+    bool valid = false;
+    std::uint64_t lru = 0;
+    Payload payload{};
+};
+
+/** The replaced TagArray/Directory algorithm, kept verbatim in shape. */
+template <typename Payload>
+class RefArray
+{
+  public:
+    using Entry = RefEntry<Payload>;
+
+    RefArray(std::uint64_t num_sets, std::uint32_t ways, unsigned shift)
+        : num_sets_(num_sets), ways_(ways), shift_(shift),
+          entries_(num_sets * ways)
+    {
+    }
+
+    Entry *
+    lookup(Addr key)
+    {
+        Entry *base = setBase(key);
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            Entry &e = base[w];
+            if (e.valid && e.key == key) {
+                e.lru = next_lru_++;
+                return &e;
+            }
+        }
+        return nullptr;
+    }
+
+    const Entry *
+    peek(Addr key)
+    {
+        Entry *base = setBase(key);
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].key == key)
+                return &base[w];
+        return nullptr;
+    }
+
+    /** @return the entry and whether it was freshly allocated. */
+    std::pair<Entry *, bool>
+    insert(Addr key, Entry *evicted)
+    {
+        evicted->valid = false;
+        Entry *base = setBase(key);
+        Entry *victim = nullptr;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            Entry &e = base[w];
+            if (e.valid && e.key == key) {
+                e.lru = next_lru_++;
+                return {&e, false};
+            }
+            if (!e.valid) {
+                if (!victim || victim->valid)
+                    victim = &e;
+            } else if (!victim || (victim->valid && e.lru < victim->lru)) {
+                victim = &e;
+            }
+        }
+        if (victim->valid)
+            *evicted = *victim;
+        victim->key = key;
+        victim->valid = true;
+        victim->payload = Payload{};
+        victim->lru = next_lru_++;
+        return {victim, true};
+    }
+
+    bool
+    invalidate(Addr key)
+    {
+        Entry *base = setBase(key);
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (base[w].valid && base[w].key == key) {
+                base[w].valid = false;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    std::uint64_t
+    invalidateAll()
+    {
+        std::uint64_t n = 0;
+        for (auto &e : entries_) {
+            if (e.valid) {
+                e.valid = false;
+                ++n;
+            }
+        }
+        return n;
+    }
+
+    std::uint64_t
+    validCount() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &e : entries_)
+            if (e.valid)
+                ++n;
+        return n;
+    }
+
+    const std::vector<Entry> &entries() const { return entries_; }
+
+  private:
+    Entry *
+    setBase(Addr key)
+    {
+        return &entries_[((key >> shift_) % num_sets_) * ways_];
+    }
+
+    std::uint64_t num_sets_;
+    std::uint32_t ways_;
+    unsigned shift_;
+    std::uint64_t next_lru_ = 1;
+    std::vector<Entry> entries_;
+};
+
+// ------------------------------------------------- payloads per entry type
+
+struct LinePayload
+{
+    bool dirty = false;
+    Version version = 0;
+    bool operator==(const LinePayload &) const = default;
+};
+
+struct SharerPayload
+{
+    std::uint32_t gpm = 0;
+    std::uint32_t gpu = 0;
+    std::uint32_t node = 0;
+    bool operator==(const SharerPayload &) const = default;
+};
+
+Addr keyOf(const CacheLine &l) { return l.addr; }
+Addr keyOf(const DirEntry &e) { return e.sector; }
+LinePayload payloadOf(const CacheLine &l) { return {l.dirty, l.version}; }
+
+SharerPayload
+payloadOf(const DirEntry &e)
+{
+    return {e.gpmSharers, e.gpuSharers, e.nodeSharers};
+}
+
+void
+setPayload(CacheLine &l, const LinePayload &p)
+{
+    l.dirty = p.dirty;
+    l.version = p.version;
+}
+
+void
+setPayload(DirEntry &e, const SharerPayload &p)
+{
+    e.gpmSharers = p.gpm;
+    e.gpuSharers = p.gpu;
+    e.nodeSharers = p.node;
+}
+
+LinePayload
+randomPayload(Rng &rng, LinePayload)
+{
+    return {rng.chance(0.5), rng.below(1000)};
+}
+
+SharerPayload
+randomPayload(Rng &rng, SharerPayload)
+{
+    return {static_cast<std::uint32_t>(rng.below(16)),
+            static_cast<std::uint32_t>(rng.below(16)),
+            static_cast<std::uint32_t>(rng.below(4))};
+}
+
+// ----------------------------------------------------------- subjects
+
+/**
+ * Each subject exposes the core's vocabulary over one implementation:
+ * find / peek / insert / erase, plus eraseRange and clear where the
+ * implementation has them.
+ */
+template <typename E, Addr E::*Key>
+struct CoreSubject
+{
+    using Entry = E;
+    static constexpr bool kHasClear = true;
+    static constexpr bool kHasRange = false;
+
+    SetAssoc<E, Key> core;
+
+    E *find(Addr a) { return core.find(a); }
+    const E *peek(Addr a) const { return core.peek(a); }
+    E *
+    insert(Addr a, std::optional<E> *ev)
+    {
+        return core.insert(a, ev).entry;
+    }
+    bool erase(Addr a, E *dropped) { return core.erase(a, dropped); }
+    std::uint64_t clear() { return core.clear(); }
+    std::uint64_t size() const { return core.size(); }
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        core.forEach(fn);
+    }
+};
+
+struct TagArraySubject
+{
+    using Entry = CacheLine;
+    static constexpr bool kHasClear = true;
+    static constexpr bool kHasRange = true;
+
+    TagArray tags;
+
+    CacheLine *find(Addr a) { return tags.lookup(a); }
+    const CacheLine *peek(Addr a) const { return tags.peek(a); }
+
+    CacheLine *
+    insert(Addr a, std::optional<CacheLine> *ev)
+    {
+        return tags.insert(a, ev);
+    }
+
+    bool
+    erase(Addr a, CacheLine *dropped)
+    {
+        return tags.invalidate(a, dropped);
+    }
+
+    std::uint64_t
+    eraseRange(Addr a, std::uint64_t bytes)
+    {
+        return tags.invalidateRange(a, bytes);
+    }
+
+    std::uint64_t clear() { return tags.invalidateAll(); }
+    std::uint64_t size() const { return tags.validCount(); }
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        tags.forEachValid(fn);
+    }
+};
+
+/** Directory calls take any address inside the sector. */
+struct DirectorySubject
+{
+    using Entry = DirEntry;
+    static constexpr bool kHasClear = false;
+    static constexpr bool kHasRange = false;
+
+    Directory dir;
+    Addr offset = 0; //!< added to every key; varied by the driver
+
+    DirEntry *find(Addr a) { return dir.find(a + offset); }
+    const DirEntry *peek(Addr a) const { return dir.peek(a + offset); }
+
+    DirEntry *
+    insert(Addr a, std::optional<DirEntry> *ev)
+    {
+        return dir.allocate(a + offset, ev);
+    }
+
+    bool
+    erase(Addr a, DirEntry *dropped)
+    {
+        if (dropped)
+            if (const DirEntry *e = dir.peek(a + offset))
+                *dropped = *e;
+        return dir.remove(a + offset);
+    }
+
+    std::uint64_t size() const { return dir.validCount(); }
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        dir.forEachValid(fn);
+    }
+};
+
+// --------------------------------------------------------------- driver
+
+/** What the reference did, for checking the directory's statistics. */
+struct RefCounts
+{
+    std::uint64_t finds = 0;
+    std::uint64_t findHits = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t clears = 0;
+};
+
+template <typename Entry, typename Payload>
+void
+expectSame(const Entry *got, const RefEntry<Payload> *want, std::uint64_t step)
+{
+    ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+    if (!got)
+        return;
+    EXPECT_EQ(keyOf(*got), want->key) << "step " << step;
+    EXPECT_EQ(got->lru, want->lru) << "step " << step;
+    EXPECT_TRUE(payloadOf(*got) == want->payload) << "step " << step;
+}
+
+template <typename Subject, typename Payload>
+void
+expectSameContents(const Subject &s, const RefArray<Payload> &ref,
+                   std::uint64_t step)
+{
+    std::vector<RefEntry<Payload>> got;
+    s.forEach([&](const typename Subject::Entry &e) {
+        got.push_back({keyOf(e), true, e.lru, payloadOf(e)});
+    });
+    std::vector<RefEntry<Payload>> want;
+    for (const auto &e : ref.entries())
+        if (e.valid)
+            want.push_back(e);
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    ASSERT_EQ(s.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].key, want[i].key) << "step " << step;
+        ASSERT_EQ(got[i].lru, want[i].lru) << "step " << step;
+        ASSERT_TRUE(got[i].payload == want[i].payload) << "step " << step;
+    }
+}
+
+/**
+ * Run `steps` random operations on `s` and the reference; each step is
+ * a bulk invalidation with probability `clear_prob`. Keys mostly land
+ * in a few hot sets so they overflow and evict; the rest spread over
+ * the whole array.
+ */
+template <typename Subject>
+void
+runDifferential(Subject &s, std::uint64_t num_sets, std::uint32_t ways,
+                unsigned shift, std::uint64_t steps, std::uint64_t seed,
+                double clear_prob, RefCounts &counts)
+{
+    using Entry = typename Subject::Entry;
+    using Payload = decltype(payloadOf(std::declval<const Entry &>()));
+    RefArray<Payload> ref(num_sets, ways, shift);
+    Rng rng(seed);
+    const std::uint64_t hot_sets = std::min<std::uint64_t>(num_sets, 8);
+
+    auto pickKey = [&]() -> Addr {
+        const std::uint64_t set =
+            rng.chance(0.7) ? rng.below(hot_sets) : rng.below(num_sets);
+        const std::uint64_t tag = rng.below(2 * ways);
+        return (set + tag * num_sets) << shift;
+    };
+
+    for (std::uint64_t step = 0; step < steps; ++step) {
+        if constexpr (requires { s.offset; })
+            s.offset = rng.below(Addr{1} << shift);
+        const Addr key = pickKey();
+        const std::uint64_t op = rng.below(100);
+        if (rng.chance(clear_prob)) {
+            if constexpr (Subject::kHasClear) {
+                ++counts.clears;
+                ASSERT_EQ(s.clear(), ref.invalidateAll()) << "step " << step;
+                expectSameContents(s, ref, step);
+            }
+        } else if (op < 30) {
+            ++counts.finds;
+            Entry *got = s.find(key);
+            RefEntry<Payload> *want = ref.lookup(key);
+            if (want)
+                ++counts.findHits;
+            expectSame(got, want, step);
+            if (got && want && rng.chance(0.5)) {
+                want->payload = randomPayload(rng, Payload{});
+                setPayload(*got, want->payload);
+            }
+        } else if (op < 40) {
+            expectSame(s.peek(key), ref.peek(key), step);
+        } else if (op < 78) {
+            std::optional<Entry> evicted;
+            Entry *got = s.insert(key, &evicted);
+            RefEntry<Payload> ref_evicted;
+            auto [want, fresh] = ref.insert(key, &ref_evicted);
+            ASSERT_NE(got, nullptr);
+            expectSame(got, want, step);
+            ASSERT_EQ(evicted.has_value(), ref_evicted.valid)
+                << "step " << step;
+            if (evicted)
+                expectSame(&*evicted, &ref_evicted, step);
+            if (fresh) {
+                ++counts.allocations;
+                if (ref_evicted.valid)
+                    ++counts.evictions;
+            }
+            want->payload = randomPayload(rng, Payload{});
+            setPayload(*got, want->payload);
+        } else if (op < 92 || !Subject::kHasRange) {
+            Entry dropped{};
+            const RefEntry<Payload> *present = ref.peek(key);
+            const std::optional<RefEntry<Payload>> before =
+                present ? std::optional(*present) : std::nullopt;
+            const bool got = s.erase(key, &dropped);
+            ASSERT_EQ(got, ref.invalidate(key)) << "step " << step;
+            if (got)
+                expectSame(&dropped, &*before, step);
+        } else {
+            if constexpr (Subject::kHasRange) {
+                const std::uint64_t lines = rng.range(1, 8);
+                std::uint64_t want = 0;
+                for (std::uint64_t i = 0; i < lines; ++i)
+                    want += ref.invalidate(key + (i << shift));
+                ASSERT_EQ(s.eraseRange(key, lines << shift), want)
+                    << "step " << step;
+            }
+        }
+        // The reference counts by walking, so sample it.
+        if (step % 32 == 0) {
+            ASSERT_EQ(s.size(), ref.validCount()) << "step " << step;
+        }
+        if (step % 4096 == 0)
+            expectSameContents(s, ref, step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    expectSameContents(s, ref, steps);
+}
+
+// ---------------------------------------------------------------- tests
+
+TEST(SetAssocDifferential, L1TagArray)
+{
+    // 128 KB, 8-way, 128 B lines: 128 sets.
+    TagArraySubject s{TagArray::fromCapacity(128 * 1024, 8, 128)};
+    ASSERT_EQ(s.tags.numSets(), 128u);
+    RefCounts counts;
+    runDifferential(s, 128, 8, 7, 60000, 1, 0.002, counts);
+    EXPECT_GT(counts.evictions, 1000u);
+    EXPECT_GT(counts.clears, 50u);
+}
+
+TEST(SetAssocDifferential, L2TagArray)
+{
+    // 3 MB, 16-way, 128 B lines: 1536 sets, not a power of two.
+    TagArraySubject s{TagArray::fromCapacity(3 * 1024 * 1024, 16, 128)};
+    ASSERT_EQ(s.tags.numSets(), 1536u);
+    RefCounts counts;
+    runDifferential(s, 1536, 16, 7, 60000, 2, 0.0002, counts);
+    EXPECT_GT(counts.evictions, 1000u);
+    EXPECT_GT(counts.clears, 2u);
+}
+
+TEST(SetAssocDifferential, Directory)
+{
+    // Table II: 12 K entries, 8-way, 4 x 128 B lines per entry.
+    DirectorySubject s{Directory(12 * 1024, 8, 512)};
+    ASSERT_EQ(s.dir.numSets(), 1536u);
+    RefCounts counts;
+    runDifferential(s, 1536, 8, 9, 60000, 3, 0, counts);
+    EXPECT_GT(counts.evictions, 1000u);
+    EXPECT_EQ(s.dir.lookups(), counts.finds);
+    EXPECT_EQ(s.dir.hits(), counts.findHits);
+    EXPECT_EQ(s.dir.allocations(), counts.allocations);
+    EXPECT_EQ(s.dir.evictions(), counts.evictions);
+}
+
+constexpr std::uint32_t kNearWrap =
+    std::numeric_limits<std::uint32_t>::max() - 40;
+
+TEST(SetAssocDifferential, CacheLinesAcrossGenerationWrap)
+{
+    // ~120 clears carry the generation past 2^32 - 1 and on.
+    CoreSubject<CacheLine, &CacheLine::addr> s{{4, 2, 7, kNearWrap}};
+    RefCounts counts;
+    runDifferential(s, 4, 2, 7, 4000, 4, 0.03, counts);
+    EXPECT_GT(counts.clears, 41u);
+    EXPECT_LT(s.core.generation(), kNearWrap);
+}
+
+TEST(SetAssocDifferential, DirEntriesAcrossGenerationWrap)
+{
+    CoreSubject<DirEntry, &DirEntry::sector> s{{4, 2, 9, kNearWrap}};
+    RefCounts counts;
+    runDifferential(s, 4, 2, 9, 4000, 5, 0.03, counts);
+    EXPECT_GT(counts.clears, 41u);
+    EXPECT_LT(s.core.generation(), kNearWrap);
+}
+
+TEST(SetAssoc, WrapResetsEveryStampAndReusedWaysStartClean)
+{
+    const std::uint32_t max = std::numeric_limits<std::uint32_t>::max();
+    SetAssoc<CacheLine, &CacheLine::addr> lines(2, 2, 7, max - 1);
+    SetAssoc<DirEntry, &DirEntry::sector> dir(2, 2, 9, max - 1);
+    // Generation max-1: fill, dirty and share everything, then clear.
+    for (Addr i = 0; i < 4; ++i) {
+        CacheLine *l = lines.insert(i << 7).entry;
+        l->dirty = true;
+        l->version = 9;
+        dir.insert(i << 9).entry->addGpu(1);
+    }
+    EXPECT_EQ(lines.clear(), 4u);
+    EXPECT_EQ(dir.clear(), 4u);
+    // Generation max: one line re-inserted, then the clear that wraps.
+    lines.insert(0).entry->dirty = true;
+    EXPECT_EQ(lines.clear(), 1u);
+    EXPECT_EQ(dir.clear(), 0u);
+    EXPECT_EQ(lines.generation(), 1u);
+    EXPECT_EQ(dir.generation(), 1u);
+    // Generation 0 would revive every empty (all-zero) entry; 1 must
+    // find nothing live, and so must the generations after it.
+    for (int round = 0; round < 3; ++round) {
+        for (Addr i = 0; i < 4; ++i) {
+            EXPECT_EQ(lines.peek(i << 7), nullptr);
+            EXPECT_EQ(dir.peek(i << 9), nullptr);
+        }
+        EXPECT_EQ(lines.size(), 0u);
+        EXPECT_EQ(dir.size(), 0u);
+        std::uint64_t visited = 0;
+        lines.forEach([&](const CacheLine &) { ++visited; });
+        dir.forEach([&](const DirEntry &) { ++visited; });
+        EXPECT_EQ(visited, 0u);
+        lines.clear();
+        dir.clear();
+    }
+    // A reused way starts with version 0, clean and with no sharers.
+    for (Addr i = 0; i < 4; ++i) {
+        const auto placed = lines.insert(i << 7);
+        EXPECT_TRUE(placed.inserted);
+        EXPECT_FALSE(placed.evicted);
+        EXPECT_EQ(placed.entry->version, 0u);
+        EXPECT_FALSE(placed.entry->dirty);
+        EXPECT_FALSE(dir.insert(i << 9).entry->hasSharers());
+    }
+    EXPECT_EQ(lines.size(), 4u);
+    EXPECT_EQ(dir.size(), 4u);
+}
+
+} // namespace
+} // namespace hmg
