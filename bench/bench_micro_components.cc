@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's own building
- * blocks (not a paper figure): event-queue throughput, channel
+ * blocks (not a paper figure): event-queue throughput, link
  * serialization, cache and directory operations, and end-to-end
  * simulated-ops-per-second. These guard the "significantly faster"
  * property the paper claims for its simulator (Fig. 7's right panel).
@@ -12,8 +12,8 @@
 #include "cache/cache.hh"
 #include "core/directory.hh"
 #include "gpu/simulator.hh"
-#include "sim/channel.hh"
 #include "sim/engine.hh"
+#include "sim/serializer.hh"
 #include "trace/workloads.hh"
 
 using namespace hmg;
@@ -35,10 +35,10 @@ BENCHMARK(BM_EngineScheduleRun);
 static void
 BM_ChannelSend(benchmark::State &state)
 {
-    Engine e;
-    Channel ch(e, 192.0, 100);
+    // One GPM's DRAM port: 192 B/cyc, back-to-back 128 B lines.
+    RateSerializer wire(192.0);
     for (auto _ : state)
-        benchmark::DoNotOptimize(ch.send(128));
+        benchmark::DoNotOptimize(wire.serialize(0, 128));
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChannelSend);

@@ -2,13 +2,30 @@
 
 #include <sstream>
 
+#include "common/log.hh"
+
 namespace hmg
 {
 
 void
 StatRecorder::record(const std::string &name, double value)
 {
-    stats_[name] += value;
+    if (!stats_.emplace(name, value).second)
+        hmg_panic("stat '%s' recorded twice", name.c_str());
+}
+
+void
+StatRecorder::record(const std::string &prefix, const StatRecorder &part)
+{
+    for (const auto &[name, value] : part.stats_)
+        record(prefix + "." + name, value);
+}
+
+void
+StatRecorder::add(const StatRecorder &part)
+{
+    for (const auto &[name, value] : part.stats_)
+        stats_[name] += value;
 }
 
 double
@@ -16,18 +33,6 @@ StatRecorder::get(const std::string &name) const
 {
     auto it = stats_.find(name);
     return it == stats_.end() ? 0.0 : it->second;
-}
-
-double
-StatRecorder::sumPrefix(const std::string &prefix) const
-{
-    double sum = 0;
-    for (auto it = stats_.lower_bound(prefix); it != stats_.end(); ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        sum += it->second;
-    }
-    return sum;
 }
 
 std::string

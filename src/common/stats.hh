@@ -4,9 +4,16 @@
  *
  * Components keep plain `std::uint64_t` counters for speed and implement a
  * `reportStats(StatRecorder&)` method that names them. A StatRecorder
- * accumulates `(name, value)` pairs; names are dot-separated paths such as
- * "gpu0.gpm2.l2.hits". Identical names accumulate, which lets callers
- * aggregate across sibling components simply by reusing a prefix.
+ * holds `(name, value)` pairs; names are dot-separated paths such as
+ * "gpu0.l2.load_hits". Every name is written once: a second write
+ * panics and names the key, so no figure can silently count something
+ * twice.
+ *
+ * Aggregation is explicit. A component whose stats are reported only as
+ * a sum over its siblings (GPMs, SMs, fault links) reports into a fresh
+ * recorder of its own, so a key it writes twice still panics there.
+ * add() sums such parts and is the only path that sums;
+ * record(prefix, part) files the sum under its prefix, set-once as well.
  */
 
 #ifndef HMG_COMMON_STATS_HH
@@ -23,22 +30,25 @@ namespace hmg
 class StatRecorder
 {
   public:
-    /** Add `value` to the stat called `name` (creating it at zero). */
+    /** Set the stat called `name`. Panics if `name` is already set. */
     void record(const std::string &name, double value);
+
+    /** Set `<prefix>.<name>` for every stat of `part`; panics like
+     *  record(name, value) if any of those names is already set. */
+    void record(const std::string &prefix, const StatRecorder &part);
+
+    /** Add every stat of `part` to the stat of the same name here
+     *  (creating it at zero). The only path that sums. */
+    void add(const StatRecorder &part);
 
     /** Value of `name`, or 0 if never recorded. */
     double get(const std::string &name) const;
-
-    /** Sum of every stat whose name starts with `prefix`. */
-    double sumPrefix(const std::string &prefix) const;
 
     /** All stats, sorted by name. */
     const std::map<std::string, double> &all() const { return stats_; }
 
     /** Multi-line "name value" dump. */
     std::string toString() const;
-
-    void clear() { stats_.clear(); }
 
   private:
     std::map<std::string, double> stats_;

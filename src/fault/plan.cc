@@ -122,29 +122,19 @@ LinkFault::onTransmit(std::uint32_t bytes, Tick now, Tick &arrival)
 }
 
 void
-LinkFault::reportStats(StatRecorder &r, const std::string &prefix,
-                       bool include_maxima) const
+LinkFault::reportStats(StatRecorder &r) const
 {
-    r.record(prefix + ".attempts", static_cast<double>(attempts_));
-    r.record(prefix + ".drops", static_cast<double>(drops_));
-    r.record(prefix + ".corrupts", static_cast<double>(corrupts_));
-    r.record(prefix + ".flap_drops", static_cast<double>(flap_drops_));
-    r.record(prefix + ".delays", static_cast<double>(delays_));
-    r.record(prefix + ".retransmits", static_cast<double>(retransmits_));
-    r.record(prefix + ".recoveries", static_cast<double>(recoveries_));
-    // Maxima are skipped on the shared aggregate prefix: StatRecorder
-    // sums same-name records, and a summed max is nonsense. The plan
-    // records the true maxima across links instead.
-    if (include_maxima) {
-        r.record(prefix + ".max_consecutive_losses",
-                 static_cast<double>(max_consecutive_losses_));
-        r.record(prefix + ".peak_replay_bytes",
-                 static_cast<double>(peak_replay_bytes_));
-    }
-    r.record(prefix + ".recovery_cycles_total", recovery_latency_.sum());
-    r.record(prefix + ".recovery_episodes",
+    r.record("attempts", static_cast<double>(attempts_));
+    r.record("drops", static_cast<double>(drops_));
+    r.record("corrupts", static_cast<double>(corrupts_));
+    r.record("flap_drops", static_cast<double>(flap_drops_));
+    r.record("delays", static_cast<double>(delays_));
+    r.record("retransmits", static_cast<double>(retransmits_));
+    r.record("recoveries", static_cast<double>(recoveries_));
+    r.record("recovery_cycles_total", recovery_latency_.sum());
+    r.record("recovery_episodes",
              static_cast<double>(recovery_latency_.count()));
-    recovery_hist_.reportStats(r, prefix + ".recovery_hist");
+    recovery_hist_.reportStats(r, "recovery_hist");
 }
 
 std::string
@@ -208,57 +198,61 @@ FaultPlan::gpmIngress(GpmId g)
                   : nullptr;
 }
 
+std::string
+FaultPlan::linkName(std::size_t i) const
+{
+    const std::size_t gpus = num_gpus_;
+    if (i < 2 * gpus)
+        return "gpu" + std::to_string(i % gpus) +
+               (i < gpus ? ".egress" : ".ingress");
+    i -= 2 * gpus;
+    return "gpm" + std::to_string(i % total_gpms_) +
+           (i < total_gpms_ ? ".egress" : ".ingress");
+}
+
 void
 FaultPlan::reportStats(StatRecorder &r, const std::string &prefix) const
 {
-    for (std::uint32_t u = 0; u < num_gpus_; ++u) {
-        const std::string base = prefix + ".gpu" + std::to_string(u);
-        links_[u]->reportStats(r, base + ".egress");
-        links_[num_gpus_ + u]->reportStats(r, base + ".ingress");
-    }
-    if (intra_) {
-        for (std::uint32_t g = 0; g < total_gpms_; ++g) {
-            const std::string base =
-                prefix + ".gpm" + std::to_string(g);
-            links_[2 * num_gpus_ + g]->reportStats(r, base + ".egress");
-            links_[2 * num_gpus_ + total_gpms_ + g]->reportStats(
-                r, base + ".ingress");
-        }
-    }
-    // Aggregates ride the name-accumulation rule: reuse one prefix.
-    // Counters sum; the two maxima are taken across links explicitly.
+    // Counters sum across links into `.total`; the two maxima are taken
+    // across links instead, because a summed maximum is nonsense.
+    StatRecorder total;
     std::uint32_t max_losses = 0;
     std::uint64_t peak_replay = 0;
-    for (const auto &l : links_) {
-        l->reportStats(r, prefix + ".total", /*include_maxima=*/false);
-        max_losses = std::max(max_losses, l->maxConsecutiveLosses());
-        peak_replay = std::max(peak_replay, l->peakReplayBytes());
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+        const LinkFault &l = *links_[i];
+        StatRecorder part;
+        l.reportStats(part);
+        total.add(part);
+        part.record("max_consecutive_losses",
+                    static_cast<double>(l.maxConsecutiveLosses()));
+        part.record("peak_replay_bytes",
+                    static_cast<double>(l.peakReplayBytes()));
+        r.record(prefix + "." + linkName(i), part);
+        max_losses = std::max(max_losses, l.maxConsecutiveLosses());
+        peak_replay = std::max(peak_replay, l.peakReplayBytes());
     }
-    r.record(prefix + ".total.max_consecutive_losses",
-             static_cast<double>(max_losses));
-    r.record(prefix + ".total.peak_replay_bytes",
-             static_cast<double>(peak_replay));
+    total.record("max_consecutive_losses",
+                 static_cast<double>(max_losses));
+    total.record("peak_replay_bytes", static_cast<double>(peak_replay));
+    r.record(prefix + ".total", total);
 }
 
 void
 FaultPlan::describe(std::string &out, Tick now) const
 {
-    auto one = [&](const std::string &name, const LinkFault &l) {
-        const std::string s = l.describe(now);
+    auto one = [&](std::size_t i) {
+        const std::string s = links_[i]->describe(now);
         if (!s.empty())
-            out += "  link " + name + ": " + s + "\n";
+            out += "  link " + linkName(i) + ": " + s + "\n";
     };
     for (std::uint32_t u = 0; u < num_gpus_; ++u) {
-        one("gpu" + std::to_string(u) + ".egress", *links_[u]);
-        one("gpu" + std::to_string(u) + ".ingress",
-            *links_[num_gpus_ + u]);
+        one(u);
+        one(num_gpus_ + u);
     }
     if (intra_) {
         for (std::uint32_t g = 0; g < total_gpms_; ++g) {
-            one("gpm" + std::to_string(g) + ".egress",
-                *links_[2 * num_gpus_ + g]);
-            one("gpm" + std::to_string(g) + ".ingress",
-                *links_[2 * num_gpus_ + total_gpms_ + g]);
+            one(2 * num_gpus_ + g);
+            one(2 * num_gpus_ + total_gpms_ + g);
         }
     }
 }

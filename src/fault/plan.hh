@@ -91,10 +91,10 @@ class LinkFault
         return drops_ + corrupts_ + flap_drops_ + delays_ > 0;
     }
 
-    /** Record fault.* stats under `prefix` (only called when the plan
-     *  is active, so fault-free runs add zero keys). */
-    void reportStats(StatRecorder &r, const std::string &prefix,
-                     bool include_maxima = true) const;
+    /** Report the link's summable fault.* counters into `r` under
+     *  relative names; FaultPlan adds the two maxima. Only called when
+     *  the plan is active, so fault-free runs add zero keys. */
+    void reportStats(StatRecorder &r) const;
 
     std::uint32_t
     maxConsecutiveLosses() const
@@ -171,6 +171,9 @@ class FaultPlan
     void describe(std::string &out, Tick now) const;
 
   private:
+    /** Stat name of link `i`: "gpu<u>.egress", ..., "gpm<g>.ingress". */
+    std::string linkName(std::size_t i) const;
+
     std::uint32_t num_gpus_;
     std::uint32_t total_gpms_;
     bool intra_;

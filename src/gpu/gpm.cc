@@ -95,18 +95,18 @@ GpmNode::waitWbDrained(Callback cb)
 }
 
 void
-GpmNode::reportStats(StatRecorder &r, const std::string &prefix) const
+GpmNode::reportStats(StatRecorder &r) const
 {
-    l2_.reportStats(r, prefix + ".l2");
-    dram_.reportStats(r, prefix + ".dram");
-    r.record(prefix + ".mshr_merges", static_cast<double>(mshr_merges_));
+    l2_.reportStats(r, "l2");
+    dram_.reportStats(r, "dram");
+    r.record("mshr_merges", static_cast<double>(mshr_merges_));
     std::uint64_t rx_msgs = 0;
     for (auto c : rx_count_)
         rx_msgs += c;
-    r.record(prefix + ".rx_msgs", static_cast<double>(rx_msgs));
-    r.record(prefix + ".rx_bytes", static_cast<double>(rx_bytes_));
+    r.record("rx_msgs", static_cast<double>(rx_msgs));
+    r.record("rx_bytes", static_cast<double>(rx_bytes_));
     if (dir_)
-        dir_->reportStats(r, prefix + ".dir");
+        dir_->reportStats(r, "dir");
 }
 
 } // namespace hmg

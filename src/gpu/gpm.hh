@@ -114,7 +114,9 @@ class GpmNode
 
     std::uint64_t pendingWritebacks() const { return pending_writebacks_; }
 
-    void reportStats(StatRecorder &r, const std::string &prefix) const;
+    /** Report into `r` under relative names ("l2.loads", ...): a GPM's
+     *  stats are only ever published as sums (gpuN.*, total.*). */
+    void reportStats(StatRecorder &r) const;
 
   private:
     GpmId id_;

@@ -14,9 +14,7 @@ Sm::Sm(SystemContext &ctx, CoherenceModel &model, SmId id)
       gpm_(ctx.cfg.gpmOfSm(id)),
       l1_(ctx.cfg.l1Bytes, ctx.cfg.l1Ways, ctx.cfg.cacheLineBytes,
           /*write_allocate=*/false),
-      issue_port_(ctx.engineOf(gpm_),
-                  static_cast<double>(ctx.cfg.smIssueWidth),
-                  /*latency=*/0)
+      issue_port_(static_cast<double>(ctx.cfg.smIssueWidth))
 {
 }
 
@@ -85,7 +83,7 @@ Sm::warpStep(const WarpPtr &w)
     const trace::MemOp &op = w->warp->ops[w->pc];
     // Abstract compute before the op, then the shared issue port.
     Tick after_compute = ctx_.engine().now() + op.delay;
-    Tick issued = issue_port_.sendAt(after_compute, 1);
+    Tick issued = issue_port_.serialize(after_compute, 1);
     ctx_.engine().scheduleAt(issued, [this, w, &op]() { execute(w, op); });
 }
 
@@ -375,14 +373,14 @@ Sm::sbLookup(Addr line) const
 }
 
 void
-Sm::reportStats(StatRecorder &r, const std::string &prefix) const
+Sm::reportStats(StatRecorder &r) const
 {
-    r.record(prefix + ".ops", static_cast<double>(ops_executed_));
-    r.record(prefix + ".loads", static_cast<double>(loads_));
-    r.record(prefix + ".stores", static_cast<double>(stores_));
-    r.record(prefix + ".atomics", static_cast<double>(atomics_));
-    r.record(prefix + ".sb_forwards", static_cast<double>(sb_forwards_));
-    l1_.reportStats(r, prefix + ".l1");
+    r.record("ops", static_cast<double>(ops_executed_));
+    r.record("loads", static_cast<double>(loads_));
+    r.record("stores", static_cast<double>(stores_));
+    r.record("atomics", static_cast<double>(atomics_));
+    r.record("sb_forwards", static_cast<double>(sb_forwards_));
+    l1_.reportStats(r, "l1");
 }
 
 } // namespace hmg

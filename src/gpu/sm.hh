@@ -33,8 +33,8 @@
 #include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "core/protocol.hh"
-#include "sim/channel.hh"
 #include "sim/engine.hh"
+#include "sim/serializer.hh"
 #include "trace/trace.hh"
 
 namespace hmg
@@ -80,7 +80,9 @@ class Sm
     std::uint64_t atomicsIssued() const { return atomics_; }
     std::uint64_t storeBufferForwards() const { return sb_forwards_; }
 
-    void reportStats(StatRecorder &r, const std::string &prefix) const;
+    /** Report into `r` under relative names ("ops", "l1.loads", ...):
+     *  an SM's stats are only ever published as the sm_total.* sum. */
+    void reportStats(StatRecorder &r) const;
 
   private:
     struct WarpCtx
@@ -133,7 +135,7 @@ class Sm
     GpmId gpm_;
 
     Cache l1_;
-    Channel issue_port_;
+    RateSerializer issue_port_; ///< smIssueWidth ops per cycle
 
     std::uint32_t active_warps_ = 0;
     std::uint32_t outstanding_ = 0;

@@ -77,15 +77,28 @@ System::diagnostic() const
 void
 System::reportStats(StatRecorder &r) const
 {
+    // GPM and SM stats are published only as sums: per GPU and in
+    // total for GPMs, in total for SMs. Each reports into a fresh
+    // recorder, so a key one of them writes twice panics before add()
+    // sums the parts.
+    std::vector<StatRecorder> per_gpu(cfg_.numGpus);
+    StatRecorder gpm_total;
     for (const auto &gpm : gpms_) {
-        // Aggregate the GPM-side stats per GPU and totals.
-        std::string gpu_prefix =
-            "gpu" + std::to_string(cfg_.gpuOf(gpm->id()));
-        gpm->reportStats(r, gpu_prefix);
-        gpm->reportStats(r, "total");
+        StatRecorder part;
+        gpm->reportStats(part);
+        per_gpu[cfg_.gpuOf(gpm->id())].add(part);
+        gpm_total.add(part);
     }
-    for (const auto &sm : sms_)
-        sm->reportStats(r, "sm_total");
+    for (std::uint32_t u = 0; u < cfg_.numGpus; ++u)
+        r.record("gpu" + std::to_string(u), per_gpu[u]);
+    r.record("total", gpm_total);
+    StatRecorder sm_total;
+    for (const auto &sm : sms_) {
+        StatRecorder part;
+        sm->reportStats(part);
+        sm_total.add(part);
+    }
+    r.record("sm_total", sm_total);
     net_->reportStats(r, "noc");
     model_->reportStats(r);
     r.record("mem.pages_placed", static_cast<double>(pages_.pageCount()));

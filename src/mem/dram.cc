@@ -4,7 +4,9 @@ namespace hmg
 {
 
 Dram::Dram(Engine &engine, const SystemConfig &cfg)
-    : channel_(engine, cfg.dramPortBytesPerCycle(), cfg.dramLatency)
+    : engine_(engine),
+      channel_(cfg.dramPortBytesPerCycle()),
+      latency_(cfg.dramLatency)
 {
 }
 
@@ -12,14 +14,14 @@ Tick
 Dram::read(std::uint32_t bytes)
 {
     ++reads_;
-    return channel_.send(bytes);
+    return channel_.serialize(engine_.now(), bytes) + latency_;
 }
 
 Tick
 Dram::write(std::uint32_t bytes)
 {
     ++writes_;
-    return channel_.send(bytes);
+    return channel_.serialize(engine_.now(), bytes) + latency_;
 }
 
 void

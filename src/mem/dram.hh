@@ -16,8 +16,8 @@
 
 #include "common/config.hh"
 #include "common/stats.hh"
-#include "sim/channel.hh"
 #include "sim/engine.hh"
+#include "sim/serializer.hh"
 
 namespace hmg
 {
@@ -36,12 +36,14 @@ class Dram
 
     std::uint64_t reads() const { return reads_; }
     std::uint64_t writes() const { return writes_; }
-    std::uint64_t bytesTransferred() const { return channel_.bytesSent(); }
+    std::uint64_t bytesTransferred() const { return channel_.bytesTotal(); }
 
     void reportStats(StatRecorder &r, const std::string &prefix) const;
 
   private:
-    Channel channel_;
+    Engine &engine_;
+    RateSerializer channel_;
+    Tick latency_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

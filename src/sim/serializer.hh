@@ -1,7 +1,8 @@
 /**
  * @file
- * Exact-rational bandwidth serialization, shared by Channel (sim) and
- * Port (noc).
+ * Exact-rational bandwidth serialization: the one bandwidth model. NoC
+ * ports (noc/port.hh), GPM DRAM channels (mem/dram.hh) and SM issue
+ * ports (gpu/sm.hh) each own a RateSerializer.
  *
  * Occupancy accounting is exact integer arithmetic: the bandwidth is
  * quantized once, at construction, to the rational bw_num_/bw_den_

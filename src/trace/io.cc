@@ -122,6 +122,9 @@ load(std::istream &is)
     if (!(is >> tok) || tok != "name" || !(is >> t.name))
         hmg_fatal("trace: missing name header");
 
+    // Header counts are untrusted: each vector grows as its records
+    // parse, so a count the stream cannot back ends in a malformed-line
+    // fatal instead of a huge up-front allocation.
     while (is >> tok) {
         if (tok != "kernel")
             hmg_fatal("trace: expected 'kernel', got '%s'", tok.c_str());
@@ -129,17 +132,16 @@ load(std::istream &is)
         std::size_t num_ctas = 0;
         if (!(is >> kernel.name >> num_ctas))
             hmg_fatal("trace: malformed kernel header");
-        kernel.ctas.resize(num_ctas);
-        for (auto &cta : kernel.ctas) {
+        for (std::size_t c = 0; c < num_ctas; ++c) {
+            Cta &cta = kernel.ctas.emplace_back();
             std::size_t num_warps = 0;
             if (!(is >> tok) || tok != "cta" || !(is >> num_warps))
                 hmg_fatal("trace: malformed cta header");
-            cta.warps.resize(num_warps);
-            for (auto &warp : cta.warps) {
+            for (std::size_t w = 0; w < num_warps; ++w) {
+                Warp &warp = cta.warps.emplace_back();
                 std::size_t num_ops = 0;
                 if (!(is >> tok) || tok != "warp" || !(is >> num_ops))
                     hmg_fatal("trace: malformed warp header");
-                warp.ops.reserve(num_ops);
                 for (std::size_t i = 0; i < num_ops; ++i) {
                     std::string op_s, scope_s, flags;
                     Addr addr = 0;

@@ -74,7 +74,6 @@ LintReport::toJson() const
         out += "\"severity\": \"" + std::string(toString(f.severity)) +
                "\", ";
         out += "\"file\": \"" + jsonEscape(f.file) + "\", ";
-        out += "\"line\": " + std::to_string(f.line) + ", ";
         out += "\"table\": \"" + jsonEscape(f.table) + "\", ";
         out += "\"row\": " + std::to_string(f.row) + ", ";
         out += "\"message\": \"" + jsonEscape(f.message) + "\", ";
@@ -150,11 +149,7 @@ LintReport::toSarif() const
                "\"}, ";
         out += "\"locations\": [{\"physicalLocation\": "
                "{\"artifactLocation\": {\"uri\": \"" +
-               jsonEscape(f.file) + "\"}";
-        if (f.line > 0)
-            out += ", \"region\": {\"startLine\": " +
-                   std::to_string(f.line) + "}";
-        out += "}}], ";
+               jsonEscape(f.file) + "\"}}}], ";
         out += "\"properties\": {";
         out += "\"family\": \"" + jsonEscape(f.family) + "\", ";
         out += "\"check\": \"" + jsonEscape(f.check) + "\", ";
@@ -188,10 +183,7 @@ LintReport::toText() const
 {
     std::string out;
     for (const Finding &f : findings_) {
-        out += f.file;
-        if (f.line > 0)
-            out += ":" + std::to_string(f.line);
-        out += ": ";
+        out += f.file + ": ";
         out += toString(f.severity);
         out += ": [" + f.family + "/" + f.check + "] ";
         if (!f.table.empty()) {

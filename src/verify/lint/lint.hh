@@ -6,15 +6,16 @@
  * exhaustive exploration: where the model checker enumerates reachable
  * protocol states (and therefore stops scaling past small instances),
  * the lint families prove *structural* properties — of the transition
- * tables, of the NoC channel-dependency graph, of the stats-key
- * registry — in milliseconds, independent of state-space size.
+ * tables, of the NoC channel-dependency graph, of the protocol's
+ * transient-state wait-for graph — in milliseconds, independent of
+ * state-space size.
  *
  * Every family appends Findings to a shared LintReport. A Finding
- * carries machine-readable provenance (file/line for source findings,
- * table/row for spec findings) plus an optional counterexample: the
- * minimal dependency cycle, the masking row, the first site of a
- * duplicate stat key. The report serializes to JSON (`hmglint --json`) so CI and
- * editors can consume findings without scraping diagnostics.
+ * carries machine-readable provenance (the file it is attributed to,
+ * plus table/row for spec findings) and an optional counterexample:
+ * the minimal dependency cycle, the masking row, the livelock cycle.
+ * The report serializes to JSON (`hmglint --json`) so CI and editors
+ * can consume findings without scraping diagnostics.
  */
 
 #ifndef HMG_VERIFY_LINT_LINT_HH
@@ -41,16 +42,15 @@ const char *toString(Severity s);
 /** One machine-readable diagnostic with provenance. */
 struct Finding
 {
-    /** Analysis family: "table", "cdg", "liveness", "composed",
-     *  "statkeys". */
+    /** Analysis family: "table", "cdg", "liveness", "composed". */
     std::string family;
     /** Specific check within the family, e.g. "dead-row". */
     std::string check;
     Severity severity = Severity::Error;
-    /** Source provenance. For spec-table findings this is the file the
-     *  tables live in; `row` then indexes the table. */
+    /** Source provenance: the file that defines what the finding is
+     *  about. For spec-table findings this is the file the tables live
+     *  in; `row` then indexes the table. */
     std::string file;
-    int line = 0;
     /** Table name and row index for spec findings ("" / -1 otherwise). */
     std::string table;
     int row = -1;

@@ -107,7 +107,8 @@ expect_reject "zero nodes" --nodes 0
 expect_reject "nodes not dividing gpus" --nodes 3 --workload bfs
 
 TMP_TOPO=$(mktemp /tmp/cli_topo_XXXXXX.json)
-trap 'rm -f "$TMP_TOPO"' EXIT
+TMP_TRACE=$(mktemp /tmp/cli_trace_XXXXXX.hmgtrace)
+trap 'rm -f "$TMP_TOPO" "$TMP_TRACE"' EXIT
 printf '{ "nodes": 2, "warpSpeed": 9 }\n' > "$TMP_TOPO"
 expect_reject "topology with unknown key" --topology "$TMP_TOPO"
 printf '{ "nodes": 0 }\n' > "$TMP_TOPO"
@@ -177,9 +178,10 @@ if [ -n "$HMGLINT" ]; then
         --liveness --topology "$TOPO_DIR/dgx_4x4.json"
     # These name no hmglint family or mode: rejected, never ignored.
     for flag in --determinism --lockset --seed-lockset --incremental \
-                --cache-file; do
+                --cache-file --statkeys; do
         lint_reject "hmglint $flag is unknown" "$flag"
     done
+    lint_reject "hmglint --root is unknown" --root .
 fi
 
 # The baseline file must be a no-op: identical statistics to the
@@ -218,6 +220,20 @@ expect_repeatable "mst + HMG + checker repeats across processes" \
     --workload mst --protocol hmg --check --scale 0.05 --stats
 expect_repeatable "cusolver + SW-NonHier repeats across processes" \
     --workload cusolver --protocol swnh --scale 0.05 --stats
+
+# --save-trace writes the generated trace; --trace simulates a saved
+# one. The reloaded trace must reproduce the generated run's full CSV.
+expect_reject "missing trace file" --workload bfs --trace /nonexistent/t
+if "$HMGSIM" --workload mst --scale 0.05 --save-trace "$TMP_TRACE" \
+        > /dev/null 2>&1 &&
+   gen=$("$HMGSIM" --workload mst --scale 0.05 --csv 2>&1) &&
+   loaded=$("$HMGSIM" --workload mst --trace "$TMP_TRACE" --csv 2>&1) &&
+   [ -n "$gen" ] && [ "$gen" = "$loaded" ]; then
+    echo "ok:   saved and reloaded trace gives byte-identical --csv"
+else
+    echo "FAIL: --save-trace/--trace round trip changed the --csv output"
+    fails=$((fails + 1))
+fi
 
 if [ "$fails" -ne 0 ]; then
     echo "cli_test: $fails failure(s)"

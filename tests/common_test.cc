@@ -11,6 +11,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "test_system.hh"
 
 namespace hmg
 {
@@ -90,18 +91,90 @@ TEST(Rng, SkewedPrefersSmallIndices)
     EXPECT_GT(low, n / 5);
 }
 
-TEST(Stats, RecorderAccumulates)
+TEST(Stats, RecordSetsOnce)
 {
     StatRecorder r;
     r.record("a.x", 1);
-    r.record("a.x", 2);
     r.record("a.y", 5);
-    r.record("b", 7);
-    EXPECT_DOUBLE_EQ(r.get("a.x"), 3);
+    EXPECT_DOUBLE_EQ(r.get("a.x"), 1);
     EXPECT_DOUBLE_EQ(r.get("a.y"), 5);
     EXPECT_DOUBLE_EQ(r.get("missing"), 0);
-    EXPECT_DOUBLE_EQ(r.sumPrefix("a."), 8);
-    EXPECT_DOUBLE_EQ(r.sumPrefix(""), 15);
+    EXPECT_EQ(r.all().size(), 2u);
+}
+
+TEST(StatsDeath, SecondRecordOfOneNamePanicsNamingTheKey)
+{
+    StatRecorder r;
+    r.record("protocol.store_inv_lines", 3);
+    EXPECT_DEATH(r.record("protocol.store_inv_lines", 3),
+                 "stat 'protocol.store_inv_lines' recorded twice");
+}
+
+TEST(Stats, AddSumsParts)
+{
+    // Two sibling components, each reporting into a recorder of its
+    // own; add() is the only path that sums.
+    StatRecorder a, b;
+    a.record("l2.loads", 3);
+    a.record("dir.hits", 1);
+    b.record("l2.loads", 4);
+    b.record("rx_bytes", 256);
+    StatRecorder total;
+    total.add(a);
+    total.add(b);
+    EXPECT_DOUBLE_EQ(total.get("l2.loads"), 7);
+    EXPECT_DOUBLE_EQ(total.get("dir.hits"), 1);
+    EXPECT_DOUBLE_EQ(total.get("rx_bytes"), 256);
+    EXPECT_EQ(total.all().size(), 3u);
+
+    StatRecorder r;
+    r.record("total", total);
+    EXPECT_DOUBLE_EQ(r.get("total.l2.loads"), 7);
+    EXPECT_DOUBLE_EQ(r.get("total.rx_bytes"), 256);
+    EXPECT_EQ(r.all().size(), 3u);
+}
+
+// Filing a part under a prefix is set-once too: an absolute key that
+// lands inside an aggregate's namespace panics whichever comes first.
+TEST(StatsDeath, PrefixedPartOntoExistingKeyPanics)
+{
+    StatRecorder part;
+    part.record("sideband.bytes", 1);
+    {
+        StatRecorder r;
+        r.record("noc.sideband.bytes", 1);
+        EXPECT_DEATH(r.record("noc", part),
+                     "stat 'noc.sideband.bytes' recorded twice");
+    }
+    {
+        StatRecorder r;
+        r.record("noc", part);
+        EXPECT_DEATH(r.record("noc.sideband.bytes", 1),
+                     "stat 'noc.sideband.bytes' recorded twice");
+    }
+}
+
+// A GPM's stats are published only as sums (gpuN.*, total.*), yet a key
+// written twice within one GPM's report still panics: each GPM reports
+// into a fresh recorder before the parts are added.
+TEST(StatsDeath, KeyWrittenTwiceInOneGpmReportPanics)
+{
+    testing::DirectDrive d(Protocol::Hmg);
+    d.load(0, 0x1000);
+    StatRecorder part;
+    d.sys.gpm(0).reportStats(part);
+    EXPECT_GT(part.get("l2.loads"), 0);
+    EXPECT_DEATH(d.sys.gpm(0).reportStats(part),
+                 "stat 'l2.loads' recorded twice");
+
+    // The system-wide report sums the same keys across GPMs cleanly.
+    StatRecorder r;
+    d.sys.reportStats(r);
+    double per_gpu = 0;
+    for (std::uint32_t u = 0; u < d.cfg().numGpus; ++u)
+        per_gpu += r.get("gpu" + std::to_string(u) + ".l2.loads");
+    EXPECT_DOUBLE_EQ(r.get("total.l2.loads"), per_gpu);
+    EXPECT_GT(per_gpu, 0);
 }
 
 TEST(Stats, MeanStat)

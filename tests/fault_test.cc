@@ -22,6 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "gpu/simulator.hh"
 #include "sim/sweep.hh"
 #include "sim/watchdog.hh"
@@ -237,6 +241,46 @@ TEST(FaultRecovery, TransientFlapRecovers)
     EXPECT_GT(res.cycles, 0u);
     EXPECT_GT(res.stats.get("noc.fault.total.flap_drops"), 0.0);
     EXPECT_GT(res.stats.get("noc.fault.total.recovery_episodes"), 0.0);
+}
+
+// Intra-GPU links report per link next to the inter-GPU ones, and the
+// `.total` aggregate is the per-link sum of every counter (the maxima:
+// the maximum over links).
+TEST(FaultRecovery, IntraGpuLinksReportPerLinkAndTotal)
+{
+    SystemConfig cfg = faultConfig();
+    cfg.protocol = Protocol::Hmg;
+    cfg.fault.seed = 4;
+    cfg.fault.dropProb = 0.05;
+    cfg.fault.intraGpu = true;
+    const auto t = mpTrace(cfg, 0, 4, Scope::Sys, 12, 5);
+    const SimResult res = runMode(cfg, t, 1, false);
+
+    std::vector<std::string> links;
+    for (const char *dir : {".egress", ".ingress"}) {
+        for (GpuId u = 0; u < cfg.numGpus; ++u)
+            links.push_back("noc.fault.gpu" + std::to_string(u) + dir);
+        for (GpmId g = 0; g < cfg.totalGpms(); ++g)
+            links.push_back("noc.fault.gpm" + std::to_string(g) + dir);
+    }
+    for (const char *counter :
+         {".attempts", ".drops", ".retransmits", ".recovery_episodes",
+          ".recovery_cycles_total"}) {
+        double sum = 0;
+        for (const std::string &l : links)
+            sum += res.stats.get(l + counter);
+        EXPECT_EQ(res.stats.get(std::string("noc.fault.total") + counter),
+                  sum)
+            << counter;
+    }
+    double max_losses = 0;
+    for (const std::string &l : links)
+        max_losses = std::max(
+            max_losses, res.stats.get(l + ".max_consecutive_losses"));
+    EXPECT_EQ(res.stats.get("noc.fault.total.max_consecutive_losses"),
+              max_losses);
+    EXPECT_GT(res.stats.get("noc.fault.gpm0.egress.attempts"), 0.0);
+    EXPECT_GT(res.stats.get("noc.fault.total.drops"), 0.0);
 }
 
 // --------------------------------------------------------- watchdog

@@ -3,28 +3,20 @@
  * hmglint's analysis families, positive and negative.
  *
  * Mirrors the retry_model_test pattern: each family must (a) run clean
- * on the real artifact — the shipped transition tables, the real NoC
- * topology, the actual source tree — and (b) catch its seeded bug with
- * a file/row-attributed counterexample. The source-scanning statkeys
- * family is additionally exercised against small fixture trees written
- * to a temp directory, one per rule, so every check has a red test
- * independent of the (clean) repository.
+ * on the real artifact — the shipped transition tables and the real NoC
+ * topology — and (b) catch its seeded bug with a file/row-attributed
+ * counterexample.
  */
 
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "verify/lint/cdg.hh"
 #include "verify/lint/lint.hh"
 #include "verify/lint/liveness.hh"
-#include "verify/lint/statkeys.hh"
 #include "verify/lint/table_lint.hh"
 
-namespace fs = std::filesystem;
 using namespace hmg::verify::lint;
 
 namespace
@@ -38,42 +30,6 @@ findCheck(const LintReport &r, const std::string &check)
             return &f;
     return nullptr;
 }
-
-int
-countCheck(const LintReport &r, const std::string &check)
-{
-    int n = 0;
-    for (const Finding &f : r.findings())
-        if (f.check == check)
-            ++n;
-    return n;
-}
-
-/** A throwaway `<tmp>/<name>/src` tree the scanners can be pointed at. */
-class FixtureTree
-{
-  public:
-    explicit FixtureTree(const std::string &name)
-        : root_(fs::temp_directory_path() / ("hmglint_" + name))
-    {
-        fs::remove_all(root_);
-        fs::create_directories(root_ / "src");
-    }
-    ~FixtureTree() { fs::remove_all(root_); }
-
-    void
-    write(const std::string &rel, const std::string &content)
-    {
-        const fs::path p = root_ / rel;
-        fs::create_directories(p.parent_path());
-        std::ofstream(p) << content;
-    }
-
-    std::string root() const { return root_.string(); }
-
-  private:
-    fs::path root_;
-};
 
 } // namespace
 
@@ -173,95 +129,7 @@ TEST(CdgLint, SeededBoundedNicCycleCaught)
 }
 
 // ===================================================================
-// Family (c): the stats-key registry.
-// ===================================================================
-
-TEST(StatKeysLint, CleanOnRealTree)
-{
-    StatKeysOptions o;
-    o.root = HMG_SOURCE_ROOT;
-    LintReport r;
-    analyzeStatKeys(o, r);
-    for (const Finding &f : r.findings())
-        ADD_FAILURE() << f.file << ":" << f.line << " [" << f.check
-                      << "]: " << f.message;
-    EXPECT_TRUE(r.clean());
-    // The registry reconstruction found the composed namespaces the
-    // system wires at the top level ("noc", "pdes", ...).
-    EXPECT_GE(r.stats().at("statkeys.roots"), 2u);
-    EXPECT_GT(r.stats().at("statkeys.record_sites"), 50u);
-}
-
-TEST(StatKeysLint, DuplicateKeyInOneScopeFlagged)
-{
-    FixtureTree t("statdup");
-    t.write("src/a.cc",
-            "#include \"common/stats.hh\"\n"
-            "void report(hmg::StatRecorder &r, const std::string &p,\n"
-            "            double a, double b) {\n"
-            "    r.record(p + \".bytes\", a);\n"
-            "    r.record(p + \".msgs\", a);\n"
-            "    r.record(p + \".bytes\", b);\n"
-            "}\n");
-    StatKeysOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeStatKeys(o, r);
-    const Finding *f = findCheck(r, "duplicate-key");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->line, 6);
-    ASSERT_FALSE(f->counterexample.empty());
-    EXPECT_NE(f->counterexample[0].find("src/a.cc:4"),
-              std::string::npos);
-}
-
-TEST(StatKeysLint, StatkeyOkSuppressesDuplicate)
-{
-    FixtureTree t("statdup_ok");
-    t.write("src/a.cc",
-            "#include \"common/stats.hh\"\n"
-            "void report(hmg::StatRecorder &r, const std::string &p,\n"
-            "            double a, double b) {\n"
-            "    r.record(p + \".bytes\", a);\n"
-            "    // statkey-ok: second record is the retry share,\n"
-            "    // summed into the same key on purpose\n"
-            "    r.record(p + \".bytes\", b);\n"
-            "}\n");
-    StatKeysOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeStatKeys(o, r);
-    EXPECT_TRUE(r.clean()) << r.toText();
-}
-
-TEST(StatKeysLint, AbsoluteKeyCollidingWithComposedRootFlagged)
-{
-    FixtureTree t("statroot");
-    t.write("src/top.cc",
-            "#include \"common/stats.hh\"\n"
-            "void top(hmg::StatRecorder &r) {\n"
-            "    net_->reportStats(r, \"noc\");\n"
-            "}\n");
-    t.write("src/intruder.cc",
-            "#include \"common/stats.hh\"\n"
-            "void dump(hmg::StatRecorder &r) {\n"
-            "    r.record(\"noc.sideband.bytes\", 1.0);\n"
-            "    r.record(\"debug.sideband.bytes\", 1.0);\n"
-            "}\n");
-    StatKeysOptions o;
-    o.root = t.root();
-    LintReport r;
-    analyzeStatKeys(o, r);
-    EXPECT_EQ(countCheck(r, "root-collision"), 1) << r.toText();
-    const Finding *f = findCheck(r, "root-collision");
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->file, std::string("src/intruder.cc"));
-    EXPECT_EQ(f->line, 3);
-    EXPECT_NE(f->message.find("src/top.cc:3"), std::string::npos);
-}
-
-// ===================================================================
-// Family (d): transient-state liveness + the composed proof.
+// Family (c): transient-state liveness + the composed proof.
 // ===================================================================
 
 TEST(LivenessLint, ShippedTablesHaveNoTransientStalls)
@@ -381,12 +249,11 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
 {
     LintReport r;
     Finding f;
-    f.family = "statkeys";
-    f.check = "duplicate-key";
-    f.file = "src/x.cc";
-    f.line = 42;
-    f.message = "stat key 'p + \".bytes\"' recorded twice";
-    f.counterexample = {"first recorded at src/x.cc:40"};
+    f.family = "cdg";
+    f.check = "cycle";
+    f.file = "src/noc/network.cc";
+    f.message = "channel-dependency cycle through \"gpu0.egress\"";
+    f.counterexample = {"nic0 --> gpm0.egress", "gpm0.egress --> nic0"};
     r.add(std::move(f));
     Finding w;
     w.family = "liveness";
@@ -397,7 +264,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     w.row = 9;
     w.message = "row awaits acks";
     r.add(std::move(w));
-    r.stat("statkeys.files", 7);
+    r.stat("cdg.nodes", 7);
 
     const std::string sarif = r.toSarif();
     // SARIF 2.1.0 skeleton.
@@ -406,8 +273,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     EXPECT_NE(sarif.find("\"name\": \"hmglint\""), std::string::npos);
     // One reportingDescriptor per family/check, results referencing
     // them by id and index.
-    EXPECT_NE(sarif.find("\"id\": \"statkeys/duplicate-key\""),
-              std::string::npos);
+    EXPECT_NE(sarif.find("\"id\": \"cdg/cycle\""), std::string::npos);
     EXPECT_NE(sarif.find("\"id\": \"liveness/ack-stall\""),
               std::string::npos);
     EXPECT_NE(sarif.find("\"ruleIndex\": 0"), std::string::npos);
@@ -415,7 +281,8 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     // Severity mapping and locations.
     EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
     EXPECT_NE(sarif.find("\"level\": \"warning\""), std::string::npos);
-    EXPECT_NE(sarif.find("\"startLine\": 42"), std::string::npos);
+    EXPECT_NE(sarif.find("\"uri\": \"src/noc/network.cc\""),
+              std::string::npos);
     // Round-trip: every message, file and counterexample line of the
     // JSON report appears in the SARIF log too.
     for (const Finding &g : r.findings()) {
@@ -425,7 +292,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
             EXPECT_NE(sarif.find(jsonEscape(c)), std::string::npos);
     }
     // Stats ride in the run-level property bag.
-    EXPECT_NE(sarif.find("\"statkeys.files\": 7"), std::string::npos);
+    EXPECT_NE(sarif.find("\"cdg.nodes\": 7"), std::string::npos);
 }
 
 TEST(LintReport, SarifIsByteDeterministic)

@@ -128,6 +128,10 @@ TEST(TraceIoDeath, RejectsMalformedInput)
     reject("hmgtrace 1\nname x\nbogus\n");
     reject("hmgtrace 1\nname x\nkernel k 1\ncta 1\nwarp 1\nz - 0 0 -\n");
     reject("hmgtrace 1\nname x\n"); // no kernels
+    // Header counts the stream cannot back: no allocation up front.
+    reject("hmgtrace 1\nname x\nkernel k 18446744073709551615\n");
+    reject("hmgtrace 1\nname x\nkernel k 1\ncta 1\nwarp 4000000000000\n"
+           "l - 0 0 -\n");
 }
 
 TEST(TraceIoDeath, MissingFileIsFatal)

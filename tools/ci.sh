@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The CI wall: lint + tier-1 tests under the default, ASan and UBSan
-# presets, hmglint's four analysis families, a sanitizer pass over the
+# presets, hmglint's three analysis families, a sanitizer pass over the
 # fault-injection label, TSan over the threaded code, plus an exhaustive
 # hmgcheck run per protocol.
 #
@@ -81,17 +81,17 @@ done
 
 # hmglint needs a built binary, so the static-analysis stages sit after
 # the default preset's build (which produced build/tools/hmglint).
-echo "=== hmglint: all four analysis families ==="
-budget 120 "hmglint" build/tools/hmglint --root .
+echo "=== hmglint: all three analysis families ==="
+budget 120 "hmglint" build/tools/hmglint
 
 echo "=== hmglint: protocol liveness + composed deadlock proof ==="
-budget 120 "hmglint liveness" build/tools/hmglint --liveness --root .
+budget 120 "hmglint liveness" build/tools/hmglint --liveness
 
 # SARIF artifact for ingestion by code-scanning UIs.
 echo "=== hmglint: SARIF artifact ==="
 mkdir -p build/artifacts
 budget 120 "hmglint sarif" sh -c \
-    'build/tools/hmglint --root . --sarif > build/artifacts/hmglint.sarif'
+    'build/tools/hmglint --sarif > build/artifacts/hmglint.sarif'
 echo "ci: SARIF artifact at build/artifacts/hmglint.sarif"
 
 # The fault-injection smokes (requeue/replay/watchdog paths) under ASan:

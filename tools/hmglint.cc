@@ -5,7 +5,7 @@
  * The static complement to hmgcheck: instead of exploring reachable
  * protocol states, hmglint proves structural properties of the things
  * the simulator is *built from*, in milliseconds and independent of
- * state-space size. Four analysis families (src/verify/lint/):
+ * state-space size. Three analysis families (src/verify/lint/):
  *
  *   tables       spec-table structure: dead/unreachable rows, shadowed
  *                guards, coverage, emitted-message consumers, NHCC vs
@@ -17,18 +17,17 @@
  *                tables: static livelock freedom, plus the composed
  *                protocol-transport dependency graph proven acyclic
  *                per topology (the gate new protocol tables pass
- *                before hmgcheck's state explosion);
- *   statkeys     the stats-key registry: duplicate keys in one scope,
- *                absolute keys colliding with composed namespaces.
+ *                before hmgcheck's state explosion).
  *
- * Hash-order determinism and shard-lock discipline need no family: the
+ * Source-level rules need no family because types enforce them: the
  * simulator's only hash maps (common/flat_map.hh) cannot be iterated,
- * and a ShardedMap shard is reachable only under its lock.
+ * a ShardedMap shard is reachable only under its lock, and a stat key
+ * written twice panics at run time (common/stats.hh).
  *
  *   hmglint                          # all families, human diagnostics
  *   hmglint --json                   # machine-readable findings
  *   hmglint --sarif                  # SARIF 2.1.0 log on stdout
- *   hmglint --statkeys --root .      # one family, explicit repo root
+ *   hmglint --cdg --topology f.json  # one family over a topology
  *   hmglint --seed-dead-row          # test hook: must report the row
  *   hmglint --seed-cdg-cycle         # test hook: must print the cycle
  *   hmglint --seed-livelock          # test hook: must print the
@@ -51,7 +50,6 @@
 #include "verify/lint/cdg.hh"
 #include "verify/lint/lint.hh"
 #include "verify/lint/liveness.hh"
-#include "verify/lint/statkeys.hh"
 #include "verify/lint/table_lint.hh"
 
 namespace
@@ -64,8 +62,6 @@ struct Options
     bool tables = false;
     bool cdg = false;
     bool liveness = false;
-    bool statkeys = false;
-    std::string root = ".";
     std::string topology;
     std::uint32_t gpus = 2, gpms = 2, nodes = 1;
     bool json = false;
@@ -81,16 +77,12 @@ usage()
 {
     std::printf(
         "hmglint — static analyzer for protocol tables, transport\n"
-        "deadlock freedom, protocol liveness and the stats-key\n"
-        "registry\n\n"
+        "deadlock freedom and protocol liveness\n\n"
         "  --tables          spec-table structural analysis only\n"
         "  --cdg             channel-dependency deadlock check only\n"
         "  --liveness        transient-state liveness + composed\n"
         "                    protocol-transport deadlock proof only\n"
-        "  --statkeys        stats-key registry lint only\n"
-        "                    (default: all four families)\n"
-        "  --root DIR        repository root for source scans\n"
-        "                    (default .)\n"
+        "                    (default: all three families)\n"
         "  --topology FILE   build the CDG / composed proof over the\n"
         "                    machine shape of a topology JSON file;\n"
         "                    conflicts with --gpus/--gpms/--nodes\n"
@@ -153,10 +145,6 @@ parse(int argc, char **argv)
             o.cdg = true;
         else if (a == "--liveness")
             o.liveness = true;
-        else if (a == "--statkeys")
-            o.statkeys = true;
-        else if (a == "--root")
-            o.root = need(i);
         else if (a == "--topology")
             o.topology = need(i);
         else if (a == "--gpus") {
@@ -200,8 +188,8 @@ parse(int argc, char **argv)
         hmg_fatal("--json conflicts with --sarif: pick one output "
                   "format per run");
     // No family flag selects every family.
-    if (!o.tables && !o.cdg && !o.liveness && !o.statkeys)
-        o.tables = o.cdg = o.liveness = o.statkeys = true;
+    if (!o.tables && !o.cdg && !o.liveness)
+        o.tables = o.cdg = o.liveness = true;
     return o;
 }
 
@@ -248,11 +236,6 @@ main(int argc, char **argv)
         lopts.numNodes = nodes;
         lopts.seedLivelock = o.seedLivelock;
         lint::analyzeLiveness(lopts, report);
-    }
-    if (o.statkeys) {
-        lint::StatKeysOptions sopts;
-        sopts.root = o.root;
-        lint::analyzeStatKeys(sopts, report);
     }
 
     const bool pass =

@@ -14,6 +14,8 @@
  *   hmgsim --workload all --protocol swnh --scale 0.5 --jobs 8
  *   hmgsim --workload mst --protocol hmg --dir-entries 6144 --stats
  *   hmgsim --workload bfs --protocol nhcc --csv > bfs.csv
+ *   hmgsim --workload bfs --save-trace bfs.hmgtrace
+ *   hmgsim --workload bfs --trace bfs.hmgtrace --csv
  */
 
 #include <cerrno>
@@ -146,6 +148,10 @@ usage()
         "  --protocol P            baseline|swnh|swh|nhcc|hmg|ideal\n"
         "  --scale X               workload iteration scale (default 1.0)\n"
         "  --seed N                trace RNG seed\n"
+        "  --trace FILE            simulate an hmgtrace file instead of\n"
+        "                          generating the workload's trace\n"
+        "  --save-trace FILE       write the trace to FILE in hmgtrace\n"
+        "                          format and exit without simulating\n"
         "  --jobs N                parallel runs for --workload all\n"
         "                          (default: all cores, or HMG_JOBS)\n"
         "  --lp-jobs N             partition ONE simulation into N\n"

@@ -41,7 +41,7 @@ echo "run_lint: ${#FILES[@]} files under $TIDY"
 HMGLINT="${HMGLINT:-$BUILD_DIR/tools/hmglint}"
 if [ -x "$HMGLINT" ]; then
     echo "run_lint: hmglint ($HMGLINT)"
-    "$HMGLINT" --root .
+    "$HMGLINT"
 else
     echo "run_lint: $HMGLINT not built; skipping hmglint" >&2
 fi
