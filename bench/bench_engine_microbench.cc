@@ -31,19 +31,26 @@
  * --scaleout-scale X, --kernel-only (event-kernel throughput only, for
  * tools/perf_smoke.sh), --invalidate-only (bulk tag-array invalidation
  * cost at L1 and L2 size only, for tools/perf_smoke.sh), --out FILE.
+ * Numbers parse strictly, as in hmgsim: a malformed or out-of-range
+ * value, or an unknown flag, is a one-line fatal and exit 1.
+ *
+ * The JSON's `engine` section records the host it was measured on
+ * (host_cores, compiler, build type), since perf_smoke's floor is a
+ * fraction of its wheel_events_per_sec.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <queue>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
 #include "cache/tag_array.hh"
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "gpu/simulator.hh"
 #include "sim/engine.hh"
@@ -397,28 +404,43 @@ main(int argc, char **argv)
     double sweep_scale = 0.25;
     double pdes_scale = 1.0;
     double scaleout_scale = 0.25;
+    unsigned jobs = 0; // SweepRunner default: HMG_JOBS, else every core
     bool kernel_only = false;
     bool invalidate_only = false;
     std::string out_path = "BENCH_engine.json";
+    auto need = [&](int &i) -> const char * {
+        if (i + 1 >= argc)
+            hmg_fatal("missing value for %s", argv[i]);
+        return argv[++i];
+    };
+    auto scale = [&](const char *flag, int &i) {
+        const double v = hmg::parseF64(flag, need(i), 0.0, 1e6);
+        if (v <= 0.0)
+            hmg_fatal("%s wants a positive factor", flag);
+        return v;
+    };
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc)
-            events = std::strtoull(argv[++i], nullptr, 10);
-        else if (std::strcmp(argv[i], "--sweep-scale") == 0 && i + 1 < argc)
-            sweep_scale = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--pdes-scale") == 0 && i + 1 < argc)
-            pdes_scale = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--scaleout-scale") == 0 &&
-                 i + 1 < argc)
-            scaleout_scale = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--kernel-only") == 0)
+        const std::string a = argv[i];
+        if (a == "--events")
+            events = hmg::parseU64("--events", need(i), 1);
+        else if (a == "--jobs")
+            jobs = static_cast<unsigned>(
+                hmg::parseU64("--jobs", need(i), 1, 4096));
+        else if (a == "--sweep-scale")
+            sweep_scale = scale("--sweep-scale", i);
+        else if (a == "--pdes-scale")
+            pdes_scale = scale("--pdes-scale", i);
+        else if (a == "--scaleout-scale")
+            scaleout_scale = scale("--scaleout-scale", i);
+        else if (a == "--kernel-only")
             kernel_only = true;
-        else if (std::strcmp(argv[i], "--invalidate-only") == 0)
+        else if (a == "--invalidate-only")
             invalidate_only = true;
-        else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[++i];
-        // --jobs is picked up by parseJobsFlag below.
+        else if (a == "--out")
+            out_path = need(i);
+        else
+            hmg_fatal("unknown option '%s'", a.c_str());
     }
-    const unsigned jobs = hmg::parseJobsFlag(argc, argv);
 
     hmgbench::banner("engine microbench: events/sec + sweep wall-clock",
                      "perf harness (no paper figure)");
@@ -498,6 +520,9 @@ main(int argc, char **argv)
         std::fprintf(f,
                      "{\n"
                      "  \"engine\": {\n"
+                     "    \"host_cores\": %u,\n"
+                     "    \"compiler\": \"%s\",\n"
+                     "    \"build_type\": \"%s\",\n"
                      "    \"events\": %llu,\n"
                      "    \"wheel_events_per_sec\": %.0f,\n"
                      "    \"seed_pq_events_per_sec\": %.0f,\n"
@@ -538,6 +563,8 @@ main(int argc, char **argv)
                      "    \"workload\": \"bfs\",\n"
                      "    \"scale\": %.3f,\n"
                      "    \"points\": [\n",
+                     std::thread::hardware_concurrency(),
+                     HMG_BENCH_COMPILER, HMG_BENCH_BUILD_TYPE,
                      static_cast<unsigned long long>(events), wheel_small,
                      seed_small, wheel_small / seed_small, wheel_fat,
                      seed_fat, wheel_fat / seed_fat, sw.cells, sweep_scale,

@@ -153,6 +153,18 @@ SystemConfig::validate() const
     if (fault.backoffCap > 32)
         hmg_fatal("fault backoffCap must be <= 32 (got %u)",
                   fault.backoffCap);
+    // A delay or backoff is added to `now`; past the cap the sum could
+    // wrap (and the per-link arrival clamp would hide it).
+    if (fault.delayCycles > kMaxFaultCycles)
+        hmg_fatal("fault delayCycles (%llu) must be <= %llu",
+                  static_cast<unsigned long long>(fault.delayCycles),
+                  static_cast<unsigned long long>(kMaxFaultCycles));
+    if (fault.retryTimeout > kMaxFaultCycles >> fault.backoffCap)
+        hmg_fatal("fault retryTimeout (%llu) << backoffCap (%u) must be "
+                  "<= %llu",
+                  static_cast<unsigned long long>(fault.retryTimeout),
+                  fault.backoffCap,
+                  static_cast<unsigned long long>(kMaxFaultCycles));
     for (const auto &f : fault.flaps) {
         if (f.gpu >= numGpus)
             hmg_fatal("fault flap names GPU %u of %u", f.gpu, numGpus);

@@ -45,6 +45,15 @@ struct LinkFlap
 };
 
 /**
+ * Upper bound on every fault timing knob (delayCycles, and the longest
+ * backoff retryTimeout << backoffCap), about 14 simulated minutes at
+ * 1.3 GHz. Arrival and retry ticks are `now` plus one of these, so the
+ * cap keeps them far below the engine's schedule horizon (kTickMax
+ * minus the wheel window) instead of letting the sum wrap.
+ */
+constexpr Tick kMaxFaultCycles = Tick{1} << 40;
+
+/**
  * The full fault schedule. Probabilities are per *transmission attempt*
  * (a retried message is re-drawn each attempt, like a real wire);
  * dropProb + corruptProb + delayProb must not exceed 1. Drops and

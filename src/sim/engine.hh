@@ -11,21 +11,26 @@
  * (hit latencies, hop latencies, DRAM and queueing delays — almost all
  * within a few thousand cycles of `now`):
  *
- *  - one bucket per tick over a 2^14-cycle window; scheduling is an
- *    append to the bucket's vector, execution walks a 2 KB occupancy
- *    bitmap to the next populated tick;
- *  - events beyond the window go to an overflow list that is swept into
- *    the wheel each time the wheel drains (at most once per 2^14 ticks,
- *    or directly to the next populated tick when the schedule is
- *    sparse);
+ *  - events live in one slab of fixed-size blocks whose addresses never
+ *    move, so a callback runs in place while it schedules more; freed
+ *    slots go on a LIFO free list, so the next schedule reuses the
+ *    hottest slot;
+ *  - one FIFO list of 32-bit slot indices per tick over a 2^14-cycle
+ *    window; scheduling links the slot behind the tick's tail,
+ *    execution walks a 2 KB occupancy bitmap to the next populated tick;
+ *  - events beyond the window go to an overflow list of the same kind,
+ *    swept into the wheel each time the wheel drains (at most once per
+ *    2^14 ticks, or directly to the next populated tick when the
+ *    schedule is sparse); the sweep relinks indices, it moves no event;
  *  - callbacks are SmallCallback (sim/callback.hh), so the common
  *    capture sizes — including the protocol engines' fattest data-path
- *    continuations — are stored inline in the bucket vectors.
+ *    continuations — are stored inline in the slot.
  *
- * Steady state does zero heap allocations per event: bucket vectors are
- * cleared but keep their capacity, and inline callbacks never touch the
- * heap. The determinism contract and its proof obligations are spelled
- * out in DESIGN.md ("Event kernel & parallel sweeps").
+ * Storage follows the number of live events, not the window: the slab
+ * holds at most the peak of pending plus executing events, rounded up
+ * to one block. Steady state does no heap allocation per event. The
+ * determinism contract and its proof obligations are spelled out in
+ * DESIGN.md ("Event kernel & parallel sweeps").
  */
 
 #ifndef HMG_SIM_ENGINE_HH
@@ -35,6 +40,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -57,6 +64,9 @@ class Engine
      * 184 bytes).
      */
     using Callback = SmallCallback<192>;
+
+    /** Event slots per slab block; the slab grows a block at a time. */
+    static constexpr std::size_t kSlabBlockEvents = 256;
 
     Engine();
 
@@ -118,7 +128,7 @@ class Engine
 
     /**
      * Schedule `f` to run `delay` cycles from now. Templated so the
-     * callable is constructed directly in its bucket slot — a closure
+     * callable is constructed directly in its slab slot — a closure
      * reaches the queue with zero intermediate moves.
      */
     template <typename F,
@@ -158,46 +168,113 @@ class Engine
     /** Total events executed over the engine's lifetime. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
+    /**
+     * Events the slab holds without growing. It never shrinks, and it
+     * never exceeds the peak number of live events (pending plus the
+     * one executing) rounded up to kSlabBlockEvents.
+     */
+    std::size_t
+    slabCapacity() const
+    {
+        return blocks_.size() * kSlabBlockEvents;
+    }
+
   private:
-    /** log2 of the wheel window; one bucket per tick. */
+    /** log2 of the wheel window; one bucket (a FIFO list) per tick. */
     static constexpr std::size_t kWheelBits = 14;
     static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
     static constexpr std::size_t kWheelMask = kWheelSize - 1;
     static constexpr std::size_t kBitmapWords = kWheelSize / 64;
+    static constexpr std::size_t kBlockBits = 8;
+    static_assert(kSlabBlockEvents == std::size_t{1} << kBlockBits);
+    static constexpr std::size_t kBlockMask = kSlabBlockEvents - 1;
+    /** End-of-list slot index; never a valid slot. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
     struct Event
     {
-        // Constructed in place by emplace_back, directly from the
-        // caller's raw callable — no intermediate Callback moves.
-        Event() = default;
-        template <typename F>
-        Event(Tick w, std::uint64_t s, F &&f)
-            : when(w), seq(s), cb(std::forward<F>(f))
-        {
-        }
-
         Tick when = 0;
         /** Insertion-order stamp; ties on `when` break by `seq`. */
         std::uint64_t seq = 0;
+        /** Next slot of the list holding this one: a tick's, the
+         *  overflow list or the free list. */
+        std::uint32_t next = kNil;
+        /** Empty whenever the slot is free. */
         Callback cb;
     };
 
-    /**
-     * Events for one tick, in insertion order; `head` is the next
-     * unexecuted event, so same-tick events scheduled during execution
-     * simply append behind it. clear() keeps the vector's capacity.
-     */
-    struct Bucket
+    /** A FIFO of slab slots, linked through Event::next. */
+    struct List
     {
-        std::vector<Event> events;
-        std::uint32_t head = 0;
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
     };
 
+    Event &
+    slot(std::uint32_t i)
+    {
+        return blocks_[i >> kBlockBits][i & kBlockMask];
+    }
+
+    /** Link slot `i` (whose `next` is kNil) behind `l`'s tail. */
+    void
+    append(List &l, std::uint32_t i)
+    {
+        if (l.tail == kNil)
+            l.head = i;
+        else
+            slot(l.tail).next = i;
+        l.tail = i;
+    }
+
+    /** Unlink and return `l`'s head; `l` must not be empty. */
+    std::uint32_t
+    popFront(List &l)
+    {
+        const std::uint32_t i = l.head;
+        l.head = slot(i).next;
+        if (l.head == kNil)
+            l.tail = kNil;
+        return i;
+    }
+
+    /** Take the most recently freed slot, growing the slab if none. */
+    std::uint32_t
+    allocSlot()
+    {
+        if (free_ == kNil)
+            growSlab();
+        const std::uint32_t i = free_;
+        free_ = slot(i).next;
+        return i;
+    }
+
+    /** Return slot `i`, whose callback has been consumed. */
+    void
+    freeSlot(std::uint32_t i)
+    {
+        slot(i).next = free_;
+        free_ = i;
+    }
+
+    /** Add one block of slots to the free list. */
+    void growSlab();
+
+    /** Link slot `i` behind tick list `b`, which is in the window. */
+    void
+    linkWheel(std::size_t b, std::uint32_t i)
+    {
+        append(wheel_[b], i);
+        occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+        ++wheel_count_;
+    }
+
     /**
-     * Common schedule path; the callable is emplaced straight into its
-     * bucket or overflow slot. Defined here so scheduling inlines into
-     * the protocol engines' hot loops (it is a handful of instructions
-     * plus an append).
+     * Common schedule path; the callable is constructed straight into a
+     * free slab slot, which is then linked onto its tick's list or the
+     * overflow list. Defined here so scheduling inlines into the
+     * protocol engines' hot loops (it is a handful of instructions plus
+     * the closure's construction).
      */
     template <typename F>
     void
@@ -212,13 +289,17 @@ class Engine
         // wheel while its worker thread may be running (see
         // setAffinityChecking).
         hmg_assert(!affine_ || tl_current == nullptr || tl_current == this);
-        Event *slot;
+        const std::uint32_t i = allocSlot();
+        Event &ev = slot(i);
+        ev.when = when;
+        ev.seq = (*seq_src_)++;
+        ev.next = kNil;
+        // A free slot's callback is empty, so the closure is built in
+        // its place with no intermediate Callback move.
+        ::new (&ev.cb) Callback(std::forward<F>(f));
+        hmg_assert(ev.cb);
         if (when < wheel_limit_ && when >= wheel_limit_ - kWheelSize) {
-            const std::size_t b = when & kWheelMask;
-            slot = &buckets_[b].events.emplace_back(when, (*seq_src_)++,
-                                                    std::forward<F>(f));
-            occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-            ++wheel_count_;
+            linkWheel(when & kWheelMask, i);
             // An LP whose own schedule is sparse can have its scan
             // cursor far ahead of merged time when a boundary delivery
             // lands; pull the cursor back so the bitmap scan visits the
@@ -228,42 +309,37 @@ class Engine
                 search_from_ = when;
         } else {
             overflow_min_ = std::min(overflow_min_, when);
-            slot = &overflow_.emplace_back(when, (*seq_src_)++,
-                                           std::forward<F>(f));
+            append(overflow_, i);
         }
-        hmg_assert(slot->cb);
         ++size_;
-    }
-
-    /** Re-home one already-queued event during an overflow sweep. */
-    void
-    insertWheel(Tick when, std::uint64_t seq, Callback &&cb)
-    {
-        const std::size_t b = when & kWheelMask;
-        buckets_[b].events.emplace_back(when, seq, std::move(cb));
-        occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-        ++wheel_count_;
     }
 
     /**
      * Move every wheel event back to the overflow list, preserving
-     * per-bucket (per-tick) order. Taken only when a boundary delivery
-     * lands below the whole resident window (the LP idled far ahead);
-     * the next sweep re-anchors the window at the early event.
+     * per-tick order. Taken only when a boundary delivery lands below
+     * the whole resident window (the LP idled far ahead); the next
+     * sweep re-anchors the window at the early event.
      */
     void spillWheelToOverflow();
 
     /**
-     * Index of the bucket holding the earliest pending event, advancing
-     * the window / sweeping the overflow list as needed. Returns -1 when
-     * no events remain.
+     * Index of the tick list holding the earliest pending event,
+     * advancing the window / sweeping the overflow list as needed.
+     * Returns -1 when no events remain.
      */
     std::ptrdiff_t findNextBucket();
 
-    /** Pop and run the front event of bucket `b` (found by findNextBucket). */
+    /** Unlink the front event of tick list `b` (found by
+     *  findNextBucket), run it in place, then free its slot. */
     void executeFront(std::ptrdiff_t b);
 
-    std::vector<Bucket> buckets_;
+    /** The slab: fixed-size blocks that never move once allocated. */
+    std::vector<std::unique_ptr<Event[]>> blocks_;
+    /** Head of the LIFO free list of slots. */
+    std::uint32_t free_ = kNil;
+
+    /** One list per tick of the window, indexed by `tick & kWheelMask`. */
+    std::vector<List> wheel_;
     std::array<std::uint64_t, kBitmapWords> occupied_{};
 
     /** Wheel residency window is [search_from_, wheel_limit_), <= kWheelSize
@@ -273,18 +349,9 @@ class Engine
     Tick search_from_ = 0;
     std::size_t wheel_count_ = 0;
 
-    /** Events at or beyond wheel_limit_, in insertion order. */
-    std::vector<Event> overflow_;
+    /** Events outside the window; each tick's in insertion order. */
+    List overflow_;
     Tick overflow_min_ = kTickMax;
-
-    /**
-     * Scratch storage for run()'s bucket drain: the current bucket's
-     * events are swapped here and consumed in place, so a callback that
-     * schedules into the (now empty) bucket can never reallocate the
-     * vector being executed. Capacities circulate between buckets
-     * through this vector, keeping the steady state allocation-free.
-     */
-    std::vector<Event> draining_;
 
     Tick now_ = 0;
     std::size_t size_ = 0;

@@ -4,23 +4,28 @@
 # atoi()-style zero or a default silently substituted (the old
 # --placement behaviour).
 # Run as: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmglint]
+#                    [path-to-bench_engine_microbench]
 set -u
 
-HMGSIM=${1:?usage: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmglint]}
+HMGSIM=${1:?usage: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmglint] [path-to-bench_engine_microbench]}
 # Topology example files live relative to the repo root; default to the
 # directory above this script so the test runs standalone too.
 ROOT=${2:-$(cd "$(dirname "$0")/.." && pwd)}
-# hmglint shares hmgsim's flag contract; its checks run only when the
-# binary's path is supplied (ctest passes it, standalone may not).
+# hmglint and the engine microbench share hmgsim's flag contract; their
+# checks run only when the binary's path is supplied (ctest passes it,
+# standalone may not).
 HMGLINT=${3:-}
+MICROBENCH=${4:-}
 fails=0
 
-# expect_reject <description> <args...>: nonzero exit + an error line.
-expect_reject() {
-    local desc=$1
-    shift
+# reject_by <binary> <description> <args...>: nonzero exit + an error
+# line.
+reject_by() {
+    local bin=$1
+    local desc=$2
+    shift 2
     local out
-    out=$("$HMGSIM" "$@" 2>&1)
+    out=$("$bin" "$@" 2>&1)
     local rc=$?
     if [ "$rc" -eq 0 ]; then
         echo "FAIL: $desc: exit 0, expected rejection ($*)"
@@ -39,6 +44,9 @@ expect_reject() {
     fi
     echo "ok:   $desc"
 }
+
+# expect_reject <description> <args...>: reject_by for hmgsim.
+expect_reject() { reject_by "$HMGSIM" "$@"; }
 
 # expect_accept <description> <args...>: exit 0.
 expect_accept() {
@@ -80,6 +88,12 @@ expect_reject "corrupt prob > 1" --workload bfs --fault-corrupt 1.5
 expect_reject "non-numeric delay prob" --workload bfs --fault-delay often
 expect_reject "zero delay cycles" --workload bfs --fault-delay-cycles 0
 expect_reject "zero retry timeout" --workload bfs --fault-timeout 0
+# now + delay and now + (timeout << backoff) must not wrap: both are
+# capped well below the engine's schedule horizon.
+expect_reject "delay cycles past the cap" --workload bfs --scale 0.01 \
+    --fault-delay 0.01 --fault-delay-cycles 18446744073709551615
+expect_reject "retry timeout past the cap" --workload bfs --scale 0.01 \
+    --fault-drop 0.01 --fault-timeout 288230376151711744
 expect_reject "zero watchdog" --workload bfs --watchdog 0
 expect_reject "malformed flap" --workload bfs --fault-flap 1:egress:0
 expect_reject "bad flap direction" --workload bfs --fault-flap 1:both:0:0
@@ -129,24 +143,7 @@ expect_accept "topology + non-geometry flags compose" \
 # by flag name (not silently shadowed), strict numeric parsing applies,
 # and the two machine output formats are mutually exclusive.
 if [ -n "$HMGLINT" ]; then
-    lint_reject() {
-        local desc=$1
-        shift
-        local out
-        out=$("$HMGLINT" "$@" 2>&1)
-        local rc=$?
-        if [ "$rc" -eq 0 ]; then
-            echo "FAIL: $desc: exit 0, expected rejection ($*)"
-            fails=$((fails + 1))
-            return
-        fi
-        if ! printf '%s' "$out" | grep -q "fatal:"; then
-            echo "FAIL: $desc: no error line on stderr ($*)"
-            fails=$((fails + 1))
-            return
-        fi
-        echo "ok:   $desc"
-    }
+    lint_reject() { reject_by "$HMGLINT" "$@"; }
     lint_accept() {
         local desc=$1
         shift
@@ -182,6 +179,20 @@ if [ -n "$HMGLINT" ]; then
         lint_reject "hmglint $flag is unknown" "$flag"
     done
     lint_reject "hmglint --root is unknown" --root .
+fi
+
+# The engine microbench parses the same way: a malformed, zero or
+# out-of-range number and a misspelt flag are fatal, never a silent
+# default (perf_smoke reads its output).
+if [ -n "$MICROBENCH" ]; then
+    bench_reject() { reject_by "$MICROBENCH" "$@"; }
+    bench_reject "microbench non-numeric events" --kernel-only --events abc
+    bench_reject "microbench zero events" --kernel-only --events 0
+    bench_reject "microbench misspelt flag" --kernel-only --evnts 5
+    bench_reject "microbench missing value" --kernel-only --events
+    bench_reject "microbench zero scale" --kernel-only --sweep-scale 0
+    bench_reject "microbench trailing garbage" --kernel-only --pdes-scale 1x
+    bench_reject "microbench zero jobs" --kernel-only --jobs 0
 fi
 
 # The baseline file must be a no-op: identical statistics to the

@@ -5,14 +5,17 @@
  * The (tick, insertion-order) determinism contract is exercised three
  * ways: directly (SameTickFifo and the overflow-boundary tests), across
  * the timing wheel's window-advance machinery (far-future events take
- * the overflow path), and differentially — a randomized dynamically
- * scheduling program is run on the Engine and on a reference
- * priority-queue implementation and must produce identical execution
- * sequences.
+ * the overflow path; peekNext jumps followed by earlier schedules take
+ * the PDES-only spill and cursor pull-back), and differentially —
+ * randomized programs, free-running and peek-driven, run on the Engine
+ * and on a reference priority-queue implementation and must produce
+ * identical execution sequences. SlabCapacityFollowsPeakLiveEvents
+ * checks that event storage tracks live events, not the window.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -36,11 +39,23 @@ class ReferenceEngine
     Tick now() const { return now_; }
     void schedule(Tick delay, Callback cb)
     {
-        queue_.push(Event{now_ + delay, seq_++, std::move(cb)});
+        scheduleAt(now_ + delay, std::move(cb));
     }
-    void run()
+    void scheduleAt(Tick when, Callback cb)
     {
-        while (!queue_.empty()) {
+        queue_.push(Event{when, seq_++, std::move(cb)});
+    }
+    bool peekNext(Tick &when, std::uint64_t &seq) const
+    {
+        if (queue_.empty())
+            return false;
+        when = queue_.top().when;
+        seq = queue_.top().seq;
+        return true;
+    }
+    void run(Tick until = kTickMax)
+    {
+        while (!queue_.empty() && queue_.top().when <= until) {
             auto &top = const_cast<Event &>(queue_.top());
             now_ = top.when;
             Callback cb = std::move(top.cb);
@@ -100,6 +115,55 @@ runRandomProgram(std::uint64_t seed)
         e.schedule(rng.below(50'000), [&fire, id]() { fire(id); });
     }
     e.run();
+    return log;
+}
+
+/** What a peek-driven program observed: every peek and every execution. */
+struct PeekRunLog
+{
+    std::vector<std::pair<Tick, std::uint64_t>> peeked;
+    std::vector<std::pair<Tick, int>> ran;
+    bool operator==(const PeekRunLog &) const = default;
+};
+
+/**
+ * A sparse schedule driven the way the PDES merge and the LP windows
+ * drive an engine: peekNext looks at the next pending event without
+ * running it — which jumps the wheel window onto a far event — then
+ * events land *before* that event, and a slice runs up to a random
+ * bound. An early event below the jumped window makes the wheel spill
+ * back to overflow; one inside the window but below the scan cursor
+ * pulls the cursor back.
+ */
+template <typename EngineT>
+PeekRunLog
+runPeekJumpProgram(std::uint64_t seed)
+{
+    EngineT e;
+    Rng rng(seed);
+    PeekRunLog log;
+    int next_id = 0;
+    auto add = [&](Tick when) {
+        const int id = next_id++;
+        e.scheduleAt(when, [&log, &e, id]() {
+            log.ran.emplace_back(e.now(), id);
+        });
+    };
+    for (int i = 0; i < 32; ++i)
+        add(rng.below(600'000));
+    Tick when;
+    std::uint64_t seq;
+    while (e.peekNext(when, seq)) {
+        log.peeked.emplace_back(when, seq);
+        if (next_id < 800) {
+            const Tick gap = when - e.now();
+            for (std::uint64_t k = rng.below(4); k > 0 && gap > 0; --k)
+                add(e.now() + rng.below(gap));
+            if (rng.chance(0.3))
+                add(when + rng.below(60'000));
+        }
+        e.run(e.now() + rng.below(2 * (when - e.now()) + 2));
+    }
     return log;
 }
 
@@ -247,6 +311,51 @@ TEST(Engine, SparseFarJumps)
     EXPECT_TRUE(e.empty());
 }
 
+// peekNext jumps the window onto a far event without running it (as
+// the PDES merge does); an event then scheduled below that window must
+// still run first. The wheel spills back to overflow and the window
+// re-anchors at the early event.
+TEST(Engine, PeekJumpThenEarlierScheduleSpillsWheel)
+{
+    Engine e;
+    std::vector<int> order;
+    e.scheduleAt(100'000, [&order]() { order.push_back(0); });
+    e.scheduleAt(100'005, [&order]() { order.push_back(1); });
+    Tick when;
+    std::uint64_t seq;
+    ASSERT_TRUE(e.peekNext(when, seq));
+    EXPECT_EQ(when, 100'000u);
+    EXPECT_EQ(seq, 0u);
+    e.scheduleAt(50, [&order]() { order.push_back(2); });
+    e.scheduleAt(100'005, [&order]() { order.push_back(3); });
+    ASSERT_TRUE(e.peekNext(when, seq));
+    EXPECT_EQ(when, 50u);
+    EXPECT_EQ(seq, 2u);
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 3}));
+    EXPECT_EQ(e.now(), 100'005u);
+}
+
+// peekNext moves the scan cursor up to the next event; an event then
+// scheduled inside the window but below the cursor must pull the
+// cursor back instead of being found only after the later one.
+TEST(Engine, EarlierScheduleAfterPeekRewindsCursor)
+{
+    Engine e;
+    std::vector<int> order;
+    e.scheduleAt(5'000, [&order]() { order.push_back(0); });
+    Tick when;
+    std::uint64_t seq;
+    ASSERT_TRUE(e.peekNext(when, seq));
+    EXPECT_EQ(when, 5'000u);
+    e.scheduleAt(1'000, [&order]() { order.push_back(1); });
+    ASSERT_TRUE(e.peekNext(when, seq));
+    EXPECT_EQ(when, 1'000u);
+    EXPECT_EQ(seq, 1u);
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 0}));
+}
+
 TEST(Engine, RunUntilAcrossOverflowWindow)
 {
     Engine e;
@@ -258,6 +367,45 @@ TEST(Engine, RunUntilAcrossOverflowWindow)
     EXPECT_EQ(e.pending(), 1u);
     e.run();
     EXPECT_EQ(fired, 2);
+}
+
+// Event storage follows the number of live events, not the window or
+// the per-tick bursts: bursts at every tick of three wheel windows, then
+// a far jump through the overflow list, never grow the slab past the
+// peak of live events rounded up to one block.
+TEST(Engine, SlabCapacityFollowsPeakLiveEvents)
+{
+    constexpr Tick kWindow = Tick{1} << 14; // the wheel's window
+    constexpr Tick kFar = Tick{1} << 30;
+    constexpr std::size_t kBlock = Engine::kSlabBlockEvents;
+    Engine e;
+    std::size_t peak_live = 0;
+    std::size_t max_capacity = 0;
+    std::uint64_t scheduled = 0;
+    auto note = [&]() {
+        // The executing event keeps its slot until it returns.
+        peak_live = std::max(peak_live, e.pending() + 1);
+        max_capacity = std::max(max_capacity, e.slabCapacity());
+    };
+    std::function<void()> tick = [&]() {
+        const Tick t = e.now();
+        const Tick burst_at = t < 3 * kWindow ? t + 40 + t % 23 : t + kFar;
+        const std::uint64_t burst = t < 3 * kWindow ? 1 + t % 17 : 600;
+        for (std::uint64_t k = 0; k < burst; ++k) {
+            e.scheduleAt(burst_at, [&note]() { note(); });
+            ++scheduled;
+            note();
+        }
+        if (t < 3 * kWindow)
+            e.scheduleAt(t + 1, [&tick]() { tick(); });
+    };
+    e.scheduleAt(0, [&tick]() { tick(); });
+    e.run();
+    EXPECT_EQ(e.eventsExecuted(), scheduled + 3 * kWindow + 1);
+    EXPECT_GE(e.now(), 3 * kWindow + kFar);
+    EXPECT_EQ(max_capacity, e.slabCapacity());
+    EXPECT_GE(e.slabCapacity(), peak_live);
+    EXPECT_LE(e.slabCapacity(), (peak_live + kBlock - 1) / kBlock * kBlock);
 }
 
 // Closures up to Engine::Callback's inline capacity must not touch the
@@ -281,7 +429,8 @@ TEST(Engine, CallbackInlineStorage)
 
 // The differential check: Engine must replay the exact execution
 // sequence of the reference (tick, seq) priority queue on randomized
-// dynamically scheduling programs.
+// dynamically scheduling programs, and on peek-driven programs that
+// schedule below a jumped window (spill) or below the scan cursor.
 TEST(Engine, MatchesReferenceEngineOnRandomPrograms)
 {
     for (std::uint64_t seed : {1ull, 42ull, 0xfeedu * 1ull}) {
@@ -289,6 +438,11 @@ TEST(Engine, MatchesReferenceEngineOnRandomPrograms)
         const auto actual = runRandomProgram<Engine>(seed);
         ASSERT_FALSE(expected.empty());
         EXPECT_EQ(actual, expected) << "seed " << seed;
+
+        const auto peek_expected = runPeekJumpProgram<ReferenceEngine>(seed);
+        const auto peek_actual = runPeekJumpProgram<Engine>(seed);
+        ASSERT_GT(peek_expected.ran.size(), 100u);
+        EXPECT_EQ(peek_actual, peek_expected) << "seed " << seed;
     }
 }
 

@@ -214,6 +214,29 @@ TEST(ConfigValidation, RejectsInconsistentConfigs)
         c.numGpus = 4;
         c.interNodeHopLatency = 1;
     });
+    // ---- fault timing: now + delay and now + backoff must not wrap ----
+    dies([](SystemConfig &c) { c.fault.delayCycles = ~Tick{0}; },
+         "fault delayCycles");
+    dies([](SystemConfig &c) { c.fault.delayCycles = kMaxFaultCycles + 1; },
+         "fault delayCycles");
+    dies([](SystemConfig &c) { c.fault.retryTimeout = Tick{1} << 58; },
+         "fault retryTimeout");
+    dies(
+        [](SystemConfig &c) {
+            c.fault.retryTimeout = (kMaxFaultCycles >> c.fault.backoffCap) + 1;
+        },
+        "fault retryTimeout");
+}
+
+TEST(ConfigValidation, AcceptsFaultTimingAtTheCap)
+{
+    SystemConfig cfg;
+    cfg.fault.delayCycles = kMaxFaultCycles;
+    cfg.fault.retryTimeout = kMaxFaultCycles >> cfg.fault.backoffCap;
+    cfg.validate();
+    cfg.fault.backoffCap = 0;
+    cfg.fault.retryTimeout = kMaxFaultCycles;
+    cfg.validate();
 }
 
 TEST(ConfigValidation, AcceptsMultiNodeShapes)

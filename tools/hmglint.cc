@@ -38,13 +38,13 @@
  * too (the same escalation contract as tools/run_lint.sh).
  */
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "common/topology.hh"
 #include "verify/lint/cdg.hh"
@@ -56,6 +56,7 @@ namespace
 {
 
 using namespace hmg::verify;
+using hmg::parseU64;
 
 struct Options
 {
@@ -102,25 +103,6 @@ usage()
         "                    transient; the liveness analysis must\n"
         "                    print the livelock cycle and the composed\n"
         "                    proof must print the transport cycle\n");
-}
-
-/** Strict numeric flag parsing, mirroring tools/hmgsim.cc. */
-std::uint64_t
-parseU64(const char *flag, const char *s, std::uint64_t lo = 0,
-         std::uint64_t hi = UINT64_MAX)
-{
-    if (*s == '\0' || *s == '-')
-        hmg_fatal("%s wants an unsigned integer, got '%s'", flag, s);
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno == ERANGE || end == s || *end != '\0')
-        hmg_fatal("%s wants an unsigned integer, got '%s'", flag, s);
-    if (v < lo || v > hi)
-        hmg_fatal("%s wants a value in [%llu, %llu], got '%s'", flag,
-                  static_cast<unsigned long long>(lo),
-                  static_cast<unsigned long long>(hi), s);
-    return v;
 }
 
 Options

@@ -18,8 +18,6 @@
  *   hmgsim --workload bfs --trace bfs.hmgtrace --csv
  */
 
-#include <cerrno>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "common/topology.hh"
 #include "gpu/simulator.hh"
@@ -38,6 +37,9 @@
 
 namespace
 {
+
+using hmg::parseF64;
+using hmg::parseU64;
 
 struct Options
 {
@@ -53,43 +55,6 @@ struct Options
     std::string load_trace;
     hmg::SystemConfig cfg;
 };
-
-/**
- * Strict numeric flag parsing: the whole string must be consumed, the
- * value must be in range, and failures are a one-line error plus a
- * nonzero exit — never a silent 0 the way atoi() would have it.
- */
-std::uint64_t
-parseU64(const char *flag, const char *s, std::uint64_t lo = 0,
-         std::uint64_t hi = UINT64_MAX)
-{
-    if (*s == '\0' || *s == '-')
-        hmg_fatal("%s wants an unsigned integer, got '%s'", flag, s);
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno == ERANGE || end == s || *end != '\0')
-        hmg_fatal("%s wants an unsigned integer, got '%s'", flag, s);
-    if (v < lo || v > hi)
-        hmg_fatal("%s wants a value in [%llu, %llu], got '%s'", flag,
-                  static_cast<unsigned long long>(lo),
-                  static_cast<unsigned long long>(hi), s);
-    return v;
-}
-
-double
-parseF64(const char *flag, const char *s, double lo, double hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (errno == ERANGE || end == s || *end != '\0' || !std::isfinite(v))
-        hmg_fatal("%s wants a finite number, got '%s'", flag, s);
-    if (v < lo || v > hi)
-        hmg_fatal("%s wants a value in [%g, %g], got '%s'", flag, lo, hi,
-                  s);
-    return v;
-}
 
 /** Parse a `--fault-flap GPU:DIR:DOWN:UP` schedule entry. */
 hmg::LinkFlap

@@ -11,6 +11,8 @@
 # is a best-of-three over one second — but it still catches the class of
 # regression that matters: an accidental O(n) scan in the hot schedule
 # path, a debug assert left on, a closure that started heap-allocating.
+# The baseline's `engine` section records the host it was measured on
+# (host_cores, compiler, build type).
 #
 # Usage: perf_smoke.sh [path-to-bench_engine_microbench]
 # Runs as the `perf_smoke` ctest (default preset only, not tier1).
