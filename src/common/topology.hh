@@ -12,7 +12,7 @@
  * file.json` (and any test or bench) loads one, applies it onto a
  * SystemConfig, and every downstream layer — the NoC port graph and its
  * credit pools, the home-hierarchy routing, the LP partitioner's cut
- * tiers, hmglint's channel-dependency graph — derives its shape from
+ * tiers, hmgcheck's channel-dependency graph — derives its shape from
  * the config, never from baked-in constants.
  *
  * The default-constructed Topology reproduces the paper's Table II

@@ -86,8 +86,13 @@ poolSizes(const SystemConfig &cfg)
             pool(node_bpc, inter_half), pool(node_bpc, node_half)};
 }
 
+/**
+ * The credit-pool graph over the shape in `opts`. `boundedNic` keeps
+ * every emission edge blocking (the cdg family's seed); otherwise only
+ * the emissions of a stalled class do.
+ */
 Graph
-buildGraph(const CdgOptions &opts,
+buildGraph(const LintOptions &opts, bool boundedNic,
            const std::vector<ProtocolStall> &stalls,
            const char *family, LintReport &report)
 {
@@ -193,8 +198,8 @@ buildGraph(const CdgOptions &opts,
     // the real transport the NIC is unbounded and every handler
     // consumes unconditionally, so these dependencies terminate in a
     // pool that can always accept — they are the escape that makes the
-    // rest of the graph acyclic. seedCdgCycle models a bounded,
-    // blocking injection queue by keeping them.
+    // rest of the graph acyclic. boundedNic models a bounded, blocking
+    // injection queue by keeping them.
     std::size_t depCount = 0;
     const MsgDep *deps = msgDeps(depCount);
     for (std::size_t d = 0; d < depCount; ++d) {
@@ -202,7 +207,7 @@ buildGraph(const CdgOptions &opts,
             Finding f;
             f.family = family;
             f.check = "bad-dep";
-            f.file = "src/verify/tables.cc";
+            f.file = kTablesFile;
             f.message = "msgDeps()[" + std::to_string(d) +
                         "] references a message class out of range";
             report.add(std::move(f));
@@ -224,7 +229,7 @@ buildGraph(const CdgOptions &opts,
                 label += "; ingress held by transient " +
                          stall->transient + " awaiting " + stall->awaits;
             Edge e{gpmI[m], nic[m], std::move(label)};
-            if (opts.seedCdgCycle || stall)
+            if (boundedNic || stall)
                 g.edges.push_back(std::move(e));
             else
                 g.escapes.push_back(std::move(e));
@@ -313,7 +318,57 @@ reportCycle(const Graph &g, const char *family,
 } // namespace
 
 void
-analyzeCdg(const CdgOptions &opts, LintReport &report)
+analyzeMsgDeps(std::span<const MsgDep> deps, LintReport &report)
+{
+    // Iterative DFS colouring: an edge into a Grey class (one still on
+    // the current path) closes a cycle.
+    std::size_t count = 0;
+    const MsgClass *classes = msgClasses(count);
+    enum Colour : std::uint8_t { White, Grey, Black };
+    std::vector<Colour> colour(count, White);
+    std::vector<std::uint8_t> stack;
+    for (std::size_t root = 0; root < count; ++root) {
+        if (colour[root] != White)
+            continue;
+        stack.assign(1, static_cast<std::uint8_t>(root));
+        while (!stack.empty()) {
+            const std::uint8_t n = stack.back();
+            if (colour[n] != White) {
+                colour[n] = Black;
+                stack.pop_back();
+                continue;
+            }
+            colour[n] = Grey;
+            for (const MsgDep &d : deps) {
+                if (d.from != n || d.to >= count)
+                    continue;
+                if (colour[d.to] == White) {
+                    stack.push_back(d.to);
+                    continue;
+                }
+                if (colour[d.to] != Grey)
+                    continue;
+                Finding f;
+                f.family = "cdg";
+                f.check = "msg-class-cycle";
+                f.file = kTablesFile;
+                f.message = std::string("message-class dependency cycle "
+                                        "through ") +
+                            classes[d.to].name +
+                            ": a handler chain can wait on its own "
+                            "emission";
+                f.counterexample.push_back(
+                    std::string("closing edge: handling ") +
+                    classes[d.from].name + " emits " + classes[d.to].name +
+                    " (" + d.why + ")");
+                report.add(std::move(f));
+            }
+        }
+    }
+}
+
+void
+analyzeCdg(const LintOptions &opts, LintReport &report)
 {
     // The escape argument requires guaranteed consumption: a handler
     // that could block would hold its ingress slot forever.
@@ -325,15 +380,18 @@ analyzeCdg(const CdgOptions &opts, LintReport &report)
         Finding f;
         f.family = "cdg";
         f.check = "blocking-handler";
-        f.file = "src/verify/tables.cc";
+        f.file = kTablesFile;
         f.message = std::string(classes[i].name) +
                     ": handler may block on consumption, invalidating "
                     "the unbounded-NIC escape the acyclicity proof "
                     "rests on";
         report.add(std::move(f));
     }
+    std::size_t depCount = 0;
+    const MsgDep *deps = msgDeps(depCount);
+    analyzeMsgDeps({deps, depCount}, report);
 
-    Graph g = buildGraph(opts, {}, "cdg", report);
+    Graph g = buildGraph(opts, opts.seedCdgCycle, {}, "cdg", report);
     report.stat("cdg.nodes", g.nodes.size());
     report.stat("cdg.edges", g.edges.size());
     report.stat("cdg.escape_edges", g.escapes.size());
@@ -349,11 +407,11 @@ analyzeCdg(const CdgOptions &opts, LintReport &report)
 }
 
 void
-analyzeComposedCdg(const CdgOptions &opts,
+analyzeComposedCdg(const LintOptions &opts,
                    const std::vector<ProtocolStall> &stalls,
                    LintReport &report)
 {
-    Graph g = buildGraph(opts, stalls, "composed", report);
+    Graph g = buildGraph(opts, false, stalls, "composed", report);
     report.stat("composed.nodes", g.nodes.size());
     report.stat("composed.edges", g.edges.size());
     report.stat("composed.escape_edges", g.escapes.size());

@@ -2,12 +2,17 @@
  * @file
  * Family (b): static message-class deadlock freedom over the transport.
  *
- * Builds the Duato-style channel-dependency graph of the NoC: one node
- * per physical credit pool of a concrete (numNodes x numGpus x
- * gpmsPerGpu) instance — each GPM's NIC backlog, GPM egress/ingress
- * port, each GPU's switch egress/ingress port and (multi-node) each
- * node's uplink egress/ingress port — and one edge wherever a message
- * *holding* space in one pool may *wait* for space in another:
+ * First the protocol layer: every message class's handler must consume
+ * unconditionally, and the "handling class X may emit class Y" graph
+ * over the hop-level classes (msgDeps(), spec.hh) must be acyclic.
+ *
+ * Then the transport: the Duato-style channel-dependency graph of the
+ * NoC, with one node per physical credit pool of a concrete (numNodes
+ * x numGpus x gpmsPerGpu) instance — each GPM's NIC backlog, GPM
+ * egress/ingress port, each GPU's switch egress/ingress port and
+ * (multi-node) each node's uplink egress/ingress port — and one edge
+ * wherever a message *holding* space in one pool may *wait* for space
+ * in another:
  *
  *   - route progression: a queued head waits for the next hop's credit
  *     while occupying its own slot (gpmEgress -> gpuEgress ->
@@ -35,27 +40,15 @@
 #define HMG_VERIFY_LINT_CDG_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "verify/lint/lint.hh"
+#include "verify/spec.hh"
 
 namespace hmg::verify::lint
 {
-
-struct CdgOptions
-{
-    /** Topology instance the graph is built over. The graph shape is
-     *  instance-generic; a small instance keeps diagnostics short. */
-    std::uint32_t numGpus = 2;
-    std::uint32_t gpmsPerGpu = 2;
-    /** > 1 adds the node-switch tier (mirrors Network::init, which
-     *  builds no node ports at all when single-node). */
-    std::uint32_t numNodes = 1;
-    /** Test hook: model a bounded/blocking NIC injection queue (the
-     *  escape hatch removed); the analysis must report the cycle. */
-    bool seedCdgCycle = false;
-};
 
 /**
  * One protocol-side stall edge, derived by the liveness family
@@ -76,8 +69,20 @@ struct ProtocolStall
     std::string awaits;
 };
 
-/** Build the channel-dependency graph and prove acyclicity. */
-void analyzeCdg(const CdgOptions &opts, LintReport &report);
+/**
+ * Prove the message-class graph and then the channel-dependency graph
+ * over the shape in `opts` acyclic; `opts.seedCdgCycle` keeps the
+ * emission edges blocking.
+ */
+void analyzeCdg(const LintOptions &opts, LintReport &report);
+
+/**
+ * The message-class check over `deps` (analyzeCdg passes msgDeps()):
+ * one cdg/msg-class-cycle finding per dependency that closes a cycle,
+ * with that closing edge as the counterexample. Dependencies naming a
+ * class outside msgClasses() are skipped; the graph build reports them.
+ */
+void analyzeMsgDeps(std::span<const MsgDep> deps, LintReport &report);
 
 /**
  * The composed protocol∘transport proof: rebuild the CDG with each
@@ -86,9 +91,10 @@ void analyzeCdg(const CdgOptions &opts, LintReport &report);
  * invalid for those classes) and prove the composed graph acyclic.
  * With an empty stall list this degenerates to the pure transport CDG
  * — exactly HMG's compositional deadlock argument, now derived from
- * the tables instead of asserted. Findings use family "composed".
+ * the tables instead of asserted. Findings use family "composed"; the
+ * cdg family's seed does not apply.
  */
-void analyzeComposedCdg(const CdgOptions &opts,
+void analyzeComposedCdg(const LintOptions &opts,
                         const std::vector<ProtocolStall> &stalls,
                         LintReport &report);
 

@@ -5,38 +5,6 @@
 namespace hmg::verify::lint
 {
 
-const char *
-toString(Severity s)
-{
-    return s == Severity::Error ? "error" : "warning";
-}
-
-std::size_t
-LintReport::errors() const
-{
-    std::size_t n = 0;
-    for (const Finding &f : findings_)
-        if (f.severity == Severity::Error)
-            ++n;
-    return n;
-}
-
-std::size_t
-LintReport::warnings() const
-{
-    return findings_.size() - errors();
-}
-
-std::size_t
-LintReport::count(const std::string &family) const
-{
-    std::size_t n = 0;
-    for (const Finding &f : findings_)
-        if (f.family == family)
-            ++n;
-    return n;
-}
-
 std::string
 jsonEscape(const std::string &s)
 {
@@ -71,8 +39,6 @@ LintReport::toJson() const
         out += i ? ",\n    {" : "\n    {";
         out += "\"family\": \"" + jsonEscape(f.family) + "\", ";
         out += "\"check\": \"" + jsonEscape(f.check) + "\", ";
-        out += "\"severity\": \"" + std::string(toString(f.severity)) +
-               "\", ";
         out += "\"file\": \"" + jsonEscape(f.file) + "\", ";
         out += "\"table\": \"" + jsonEscape(f.table) + "\", ";
         out += "\"row\": " + std::to_string(f.row) + ", ";
@@ -93,8 +59,7 @@ LintReport::toJson() const
         out += "\"" + jsonEscape(k) + "\": " + std::to_string(v);
     }
     out += stats_.empty() ? "},\n" : "\n  },\n";
-    out += "  \"errors\": " + std::to_string(errors()) + ",\n";
-    out += "  \"warnings\": " + std::to_string(warnings()) + "\n}\n";
+    out += "  \"errors\": " + std::to_string(findings_.size()) + "\n}\n";
     return out;
 }
 
@@ -125,7 +90,7 @@ LintReport::toSarif() const
         "    {\n"
         "      \"tool\": {\n"
         "        \"driver\": {\n"
-        "          \"name\": \"hmglint\",\n"
+        "          \"name\": \"hmgcheck\",\n"
         "          \"informationUri\": "
         "\"https://example.invalid/hmg\",\n"
         "          \"rules\": [";
@@ -143,8 +108,7 @@ LintReport::toSarif() const
         out += "\"ruleId\": \"" + jsonEscape(f.family) + "/" +
                jsonEscape(f.check) + "\", ";
         out += "\"ruleIndex\": " + std::to_string(ruleOf[i]) + ", ";
-        out += std::string("\"level\": \"") + toString(f.severity) +
-               "\", ";
+        out += "\"level\": \"error\", ";
         out += "\"message\": {\"text\": \"" + jsonEscape(f.message) +
                "\"}, ";
         out += "\"locations\": [{\"physicalLocation\": "
@@ -183,9 +147,7 @@ LintReport::toText() const
 {
     std::string out;
     for (const Finding &f : findings_) {
-        out += f.file + ": ";
-        out += toString(f.severity);
-        out += ": [" + f.family + "/" + f.check + "] ";
+        out += f.file + ": error: [" + f.family + "/" + f.check + "] ";
         if (!f.table.empty()) {
             out += f.table;
             if (f.row >= 0)

@@ -1,8 +1,9 @@
 /**
  * @file
- * hmglint core: the finding model shared by every analysis family.
+ * The static stage's core: the finding model shared by every analysis
+ * family.
  *
- * hmglint (tools/hmglint.cc) is the static complement to hmgcheck's
+ * hmgcheck's static stage (tools/hmgcheck.cc) complements its
  * exhaustive exploration: where the model checker enumerates reachable
  * protocol states (and therefore stops scaling past small instances),
  * the lint families prove *structural* properties — of the transition
@@ -10,18 +11,18 @@
  * transient-state wait-for graph — in milliseconds, independent of
  * state-space size.
  *
- * Every family appends Findings to a shared LintReport. A Finding
- * carries machine-readable provenance (the file it is attributed to,
- * plus table/row for spec findings) and an optional counterexample:
- * the minimal dependency cycle, the masking row, the livelock cycle.
- * The report serializes to JSON (`hmglint --json`) so CI and editors
- * can consume findings without scraping diagnostics.
+ * Every family reads one LintOptions and appends Findings to a shared
+ * LintReport. A Finding carries machine-readable provenance (the file
+ * it is attributed to, plus table/row for spec findings) and an
+ * optional counterexample: the minimal dependency cycle, the masking
+ * row, the livelock cycle. Every finding is an error. The report
+ * serializes to text, JSON (`hmgcheck --static --json`) and SARIF so CI
+ * and editors can consume findings without scraping diagnostics.
  */
 
 #ifndef HMG_VERIFY_LINT_LINT_HH
 #define HMG_VERIFY_LINT_LINT_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -30,14 +31,29 @@
 namespace hmg::verify::lint
 {
 
-/** Severity of a finding. Errors gate CI; warnings inform. */
-enum class Severity : std::uint8_t
-{
-    Error,
-    Warning,
-};
+/** Where the tables live; row indices attribute findings into it. */
+inline constexpr const char *kTablesFile = "src/verify/tables.cc";
 
-const char *toString(Severity s);
+/**
+ * What one static pass analyzes: the machine shape the cdg and
+ * composed graphs are built over, and each family's test hook. A
+ * family applies only its own seed.
+ */
+struct LintOptions
+{
+    std::uint32_t numGpus = 2;    //!< total GPUs
+    std::uint32_t gpmsPerGpu = 2;
+    /** > 1 adds the node-switch tier (mirrors Network::init, which
+     *  builds no node ports at all when single-node). */
+    std::uint32_t numNodes = 1;
+    /** table: append a guard-shadowed row (TableSeed::DeadRow). */
+    bool seedDeadRow = false;
+    /** cdg: model a bounded, blocking NIC injection queue. */
+    bool seedCdgCycle = false;
+    /** liveness: mark the GPU home's re-fan row transient
+     *  (TableSeed::Livelock). */
+    bool seedLivelock = false;
+};
 
 /** One machine-readable diagnostic with provenance. */
 struct Finding
@@ -46,7 +62,6 @@ struct Finding
     std::string family;
     /** Specific check within the family, e.g. "dead-row". */
     std::string check;
-    Severity severity = Severity::Error;
     /** Source provenance: the file that defines what the finding is
      *  about. For spec-table findings this is the file the tables live
      *  in; `row` then indexes the table. */
@@ -60,7 +75,7 @@ struct Finding
     std::vector<std::string> counterexample;
 };
 
-/** The accumulated result of one hmglint run. */
+/** The accumulated result of one static pass. */
 class LintReport
 {
   public:
@@ -78,11 +93,7 @@ class LintReport
         return stats_;
     }
 
-    bool clean() const { return errors() == 0; }
-    std::size_t errors() const;
-    std::size_t warnings() const;
-    /** Findings belonging to `family`. */
-    std::size_t count(const std::string &family) const;
+    bool clean() const { return findings_.empty(); }
 
     /** The whole report as a JSON object (findings + stats). */
     std::string toJson() const;
@@ -91,7 +102,9 @@ class LintReport
      * finding, one reportingDescriptor per family/check pair), so CI
      * systems and editors with SARIF ingestion consume findings
      * without a bespoke parser. Carries the same findings as toJson()
-     * — counterexamples ride in each result's property bag.
+     * — counterexamples ride in each result's property bag. Every
+     * result says `"level": "error"`, because SARIF's default level is
+     * `warning`.
      */
     std::string toSarif() const;
     /** Human-readable diagnostics, one finding per paragraph. */

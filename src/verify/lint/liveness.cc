@@ -14,23 +14,6 @@ namespace hmg::verify::lint
 namespace
 {
 
-/** Where the tables live; row indices attribute findings into it. */
-constexpr const char *kTablesFile = "src/verify/tables.cc";
-
-std::string
-rowName(const TransitionTable &t, const Transition &r)
-{
-    std::string s = t.name;
-    s += '[';
-    s += toString(r.state);
-    s += ',';
-    s += toString(r.event);
-    s += ',';
-    s += toString(r.guard);
-    s += ']';
-    return s;
-}
-
 /** msgClasses() index of the class named `name` (asserted to exist). */
 std::uint8_t
 classIndex(const char *name)
@@ -132,47 +115,6 @@ struct Stall
     std::vector<std::uint8_t> triggers; //!< ingress classes firing it
 };
 
-/** The tables under analysis (possibly with a seeded defect). */
-struct TableSet
-{
-    std::vector<TransitionTable> tables;
-    /** Backing rows of a mutated table (stable address). */
-    std::vector<Transition> seededRows;
-};
-
-TableSet
-loadTables(const LivenessOptions &opts)
-{
-    TableSet set;
-    std::size_t count = 0;
-    const TransitionTable *all = allTables(count);
-    for (std::size_t i = 0; i < count; ++i)
-        set.tables.push_back(all[i]);
-
-    if (opts.seedLivelock) {
-        for (TransitionTable &t : set.tables) {
-            if (t.role != Role::GpuHome)
-                continue;
-            set.seededRows.assign(t.rows, t.rows + t.numRows);
-            // The canonical regression toward an ack-collecting
-            // protocol: the GPU home's re-fan row holds the entry in a
-            // transient state until the re-fanned wave completes.
-            for (Transition &r : set.seededRows) {
-                if (r.state == DirState::Valid &&
-                    r.event == DirEvent::InvRecv &&
-                    r.emit == EmitMsg::RefanGpm) {
-                    r.transientNext = true;
-                    r.note = "seeded transient re-fan (hmglint "
-                             "--seed-livelock test hook)";
-                }
-            }
-            t.rows = set.seededRows.data();
-            t.numRows = set.seededRows.size();
-        }
-    }
-    return set;
-}
-
 Finding
 livenessFinding(const Stall &s, const std::string &check,
                 std::string message)
@@ -245,16 +187,17 @@ reportStall(const Stall &s, bool fromAck, LintReport &report)
 } // namespace
 
 void
-analyzeLiveness(const LivenessOptions &opts, LintReport &report)
+analyzeLiveness(const LintOptions &opts, LintReport &report)
 {
-    TableSet set = loadTables(opts);
+    const TableSet tables(opts.seedLivelock ? TableSeed::Livelock
+                                            : TableSeed::None);
 
     // L1: derive the stall set — rows whose next state is transient or
     // that would collect acknowledgments. On the shipped tables this
     // set is empty; the stats record the proof obligations discharged.
     std::vector<Stall> stalls;
     std::uint64_t transientRows = 0, ackRows = 0, stableRows = 0;
-    for (const TransitionTable &t : set.tables) {
+    for (const TransitionTable &t : tables) {
         for (std::size_t i = 0; i < t.numRows; ++i) {
             const Transition &r = t.rows[i];
             if (!r.transientNext && !r.needsAck) {
@@ -298,11 +241,7 @@ analyzeLiveness(const LivenessOptions &opts, LintReport &report)
     // composed graph is the pure transport CDG and HMG's compositional
     // argument holds by derivation; with stalls, the invalidated
     // escape edges re-enter the cycle check and any loop is printed.
-    CdgOptions copts;
-    copts.numGpus = opts.numGpus;
-    copts.gpmsPerGpu = opts.gpmsPerGpu;
-    copts.numNodes = opts.numNodes;
-    analyzeComposedCdg(copts, protoStalls, report);
+    analyzeComposedCdg(opts, protoStalls, report);
 }
 
 } // namespace hmg::verify::lint

@@ -30,42 +30,28 @@
  *    concrete topology instance. With zero stalls the composed graph
  *    is the pure transport CDG — the compositional argument, derived.
  *
- * This is the mandatory gate a new protocol table (ROADMAP item 3's
- * zoo) must pass before hmgcheck's state explosion: a table that
- * introduces a transient or an ack fails here, in microseconds, with
- * a named cycle — or ships alongside a transport that grants the
- * completion a dedicated escape path.
+ * This is the mandatory gate a new protocol table must pass before
+ * hmgcheck's exploration stage: a table that introduces a transient or
+ * an ack fails here, in microseconds, with a named cycle — or ships
+ * alongside a transport that grants the completion a dedicated escape
+ * path.
  *
- * `seedLivelock` plants the canonical defect: the GPU home's re-fan
- * row marked transient, holding its ingress while awaiting re-fan
- * completions that must arrive through that same ingress.
+ * `seedLivelock` plants the canonical defect (TableSeed::Livelock):
+ * the GPU home's re-fan row marked transient, holding its ingress
+ * while awaiting re-fan completions that must arrive through that same
+ * ingress.
  */
 
 #ifndef HMG_VERIFY_LINT_LIVENESS_HH
 #define HMG_VERIFY_LINT_LIVENESS_HH
-
-#include <cstdint>
 
 #include "verify/lint/lint.hh"
 
 namespace hmg::verify::lint
 {
 
-struct LivenessOptions
-{
-    /** Topology instance the composed proof runs over (matches
-     *  CdgOptions; hmglint --topology feeds the file's shape here). */
-    std::uint32_t numGpus = 2;
-    std::uint32_t gpmsPerGpu = 2;
-    std::uint32_t numNodes = 1;
-    /** Test hook: mark the GPU home's re-fan row transient; the
-     *  analysis must report the livelock cycle and the composed
-     *  proof must report the transport cycle it induces. */
-    bool seedLivelock = false;
-};
-
-/** Run the liveness + composed-deadlock analysis. */
-void analyzeLiveness(const LivenessOptions &opts, LintReport &report);
+/** Run the liveness + composed-deadlock analysis over `opts`' shape. */
+void analyzeLiveness(const LintOptions &opts, LintReport &report);
 
 } // namespace hmg::verify::lint
 

@@ -13,9 +13,6 @@ namespace hmg::verify::lint
 namespace
 {
 
-/** Where the tables live; row indices attribute findings into it. */
-constexpr const char *kTablesFile = "src/verify/tables.cc";
-
 std::string
 rowLabel(const TransitionTable &t, std::size_t i)
 {
@@ -55,42 +52,6 @@ bool
 guardCovers(Guard a, Guard b)
 {
     return a == Guard::Always || a == b;
-}
-
-/** The set of tables under analysis (possibly with a seeded defect). */
-struct TableSet
-{
-    std::vector<TransitionTable> tables;
-    /** Backing rows of a mutated table (stable address). */
-    std::vector<Transition> seededRows;
-};
-
-TableSet
-loadTables(const TableLintOptions &opts)
-{
-    TableSet set;
-    std::size_t count = 0;
-    const TransitionTable *all = allTables(count);
-    for (std::size_t i = 0; i < count; ++i)
-        set.tables.push_back(all[i]);
-
-    if (opts.seedDeadRow) {
-        for (TransitionTable &t : set.tables) {
-            if (t.role != Role::GpuHome)
-                continue;
-            set.seededRows.assign(t.rows, t.rows + t.numRows);
-            // Shadowed by the (Valid, LoadMiss, Always) row above it:
-            // findTransition can never reach this row.
-            set.seededRows.push_back(
-                {DirState::Valid, DirEvent::LoadMiss,
-                 Guard::WriterTracked, DirState::Valid,
-                 DirUpdate::SetSoleSharer, EmitMsg::None, false, false,
-                 "seeded dead row (hmglint --seed-dead-row test hook)"});
-            t.rows = set.seededRows.data();
-            t.numRows = set.seededRows.size();
-        }
-    }
-    return set;
 }
 
 // ------------------------------------------------------------------
@@ -188,16 +149,8 @@ passReachability(const TransitionTable &t, LintReport &report)
  * this pass catches it without any state exploration.
  */
 void
-passEmitBudget(const std::vector<TransitionTable> &tables,
-               LintReport &report)
+passEmitBudget(const TableSet &tables, LintReport &report)
 {
-    auto tableOf = [&](Role role) -> const TransitionTable * {
-        for (const TransitionTable &t : tables)
-            if (t.role == role)
-                return &t;
-        return nullptr;
-    };
-
     for (const TransitionTable &t : tables) {
         for (std::size_t i = 0; i < t.numRows; ++i) {
             const Transition &r = t.rows[i];
@@ -237,24 +190,16 @@ passEmitBudget(const std::vector<TransitionTable> &tables,
             if (sink)
                 continue; // terminal: consumed outside the tables
             for (Role role : consumerRoles) {
-                const TransitionTable *consumer = tableOf(role);
-                if (!consumer) {
-                    report.add(tableFinding(
-                        t, i, "missing-consumer",
-                        std::string("row emits ") + toString(r.emit) +
-                            " but no table exists for consuming role " +
-                            toString(role)));
-                    continue;
-                }
+                const TransitionTable &consumer = tables[role];
                 for (DirState s : {DirState::Invalid, DirState::Valid}) {
                     for (bool tracked : {false, true}) {
-                        if (findTransition(*consumer, s, consumerEvent,
+                        if (findTransition(consumer, s, consumerEvent,
                                            tracked))
                             continue;
                         Finding f = tableFinding(
                             t, i, "missing-consumer",
                             std::string("row emits ") + toString(r.emit) +
-                                " toward " + consumer->name +
+                                " toward " + consumer.name +
                                 ", which has no row consuming (" +
                                 toString(s) + ", " +
                                 toString(consumerEvent) +
@@ -279,13 +224,13 @@ passEmitBudget(const std::vector<TransitionTable> &tables,
  * must be loud, not silent.
  */
 void
-passProtocolDiff(const std::vector<TransitionTable> &tables,
-                 LintReport &report)
+passProtocolDiff(const TableSet &tables, LintReport &report)
 {
-    for (std::size_t a = 0; a < tables.size(); ++a) {
-        for (std::size_t b = a + 1; b < tables.size(); ++b) {
-            const TransitionTable &ta = tables[a];
-            const TransitionTable &tb = tables[b];
+    for (const TransitionTable *pa = tables.begin(); pa != tables.end();
+         ++pa) {
+        for (const TransitionTable *pb = pa + 1; pb != tables.end(); ++pb) {
+            const TransitionTable &ta = *pa;
+            const TransitionTable &tb = *pb;
             for (DirState s : {DirState::Invalid, DirState::Valid}) {
                 for (std::size_t e = 0;
                      e < static_cast<std::size_t>(DirEvent::NumEvents);
@@ -311,7 +256,6 @@ passProtocolDiff(const std::vector<TransitionTable> &tables,
                                 ", " + toString(ev) + ", tracked=" +
                                 (tracked ? "1" : "0") +
                                 ") answered differently by " + tb.name);
-                        f.severity = Severity::Error;
                         f.counterexample.push_back(
                             std::string(ta.name) + ": " +
                             rowLabel(ta, ra - ta.rows));
@@ -329,19 +273,21 @@ passProtocolDiff(const std::vector<TransitionTable> &tables,
 } // namespace
 
 void
-analyzeTables(const TableLintOptions &opts, LintReport &report)
+analyzeTables(const LintOptions &opts, LintReport &report)
 {
-    TableSet set = loadTables(opts);
-    std::uint64_t rows = 0;
-    for (const TransitionTable &t : set.tables) {
+    const TableSet tables(opts.seedDeadRow ? TableSeed::DeadRow
+                                           : TableSeed::None);
+    std::uint64_t count = 0, rows = 0;
+    for (const TransitionTable &t : tables) {
+        ++count;
         rows += t.numRows;
         passCore(t, report);
         passDeadRows(t, report);
         passReachability(t, report);
     }
-    passEmitBudget(set.tables, report);
-    passProtocolDiff(set.tables, report);
-    report.stat("table.tables", set.tables.size());
+    passEmitBudget(tables, report);
+    passProtocolDiff(tables, report);
+    report.stat("table.tables", count);
     report.stat("table.rows", rows);
 }
 

@@ -20,9 +20,9 @@
  *  - everything checkTable() already proves (ack-/transient-freedom,
  *    determinism, completeness), folded into the same report.
  *
- * `seedDeadRow` injects a shadowed row into the hmg-gpu-home table (a
- * test hook mirroring hmgcheck --seed-bad-row): the analysis must
- * produce a row-attributed counterexample naming the masking row.
+ * `seedDeadRow` analyzes a TableSet seeded with TableSeed::DeadRow,
+ * which appends a shadowed row to the hmg-gpu-home table: the analysis
+ * must produce a row-attributed counterexample naming the masking row.
  */
 
 #ifndef HMG_VERIFY_LINT_TABLE_LINT_HH
@@ -33,15 +33,8 @@
 namespace hmg::verify::lint
 {
 
-struct TableLintOptions
-{
-    /** Test hook: append a row to hmg-gpu-home that an earlier
-     *  Guard::Always row shadows; the lint must catch it. */
-    bool seedDeadRow = false;
-};
-
 /** Run every spec-table check, appending findings to `report`. */
-void analyzeTables(const TableLintOptions &opts, LintReport &report);
+void analyzeTables(const LintOptions &opts, LintReport &report);
 
 } // namespace hmg::verify::lint
 

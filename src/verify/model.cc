@@ -57,7 +57,6 @@ namespace
 constexpr std::uint32_t kMaxNodes = 2;
 constexpr std::uint32_t kMaxGpus = 4;
 constexpr std::uint32_t kMaxGpms = 8;
-constexpr std::uint32_t kMaxLines = 3;
 constexpr std::uint32_t kMaxThreads = 4;
 constexpr std::uint32_t kMaxRegs = 3;
 constexpr std::uint32_t kChanCap = 6;
@@ -210,7 +209,6 @@ class Explorer
         return h;
     }
 
-    void setupTables();
     void setupWorkload();
 
     const TransitionTable &tableAt(GpmId node, std::uint8_t l) const;
@@ -248,12 +246,15 @@ class Explorer
     std::uint8_t homeOf_[kMaxLines] = {};
     std::vector<Program> progs_;
     int thrAt_[kMaxGpms] = {};
-    std::vector<Transition> rowStore_[std::size_t(Role::NumRoles)];
-    TransitionTable tabs_[std::size_t(Role::NumRoles)] = {};
+    /** Private copy, so the bad-row test hook never touches the
+     *  shared tables the simulator dispatches through. */
+    const TableSet tables_;
     std::string pendingErr_;
 };
 
-Explorer::Explorer(const MckConfig &cfg) : cfg_(cfg)
+Explorer::Explorer(const MckConfig &cfg)
+    : cfg_(cfg),
+      tables_(cfg.seedBadRow ? TableSeed::BadStoreRow : TableSeed::None)
 {
     hmg_assert(cfg_.numNodes >= 1 && cfg_.numNodes <= kMaxNodes);
     hmg_assert(cfg_.numGpus % cfg_.numNodes == 0);
@@ -264,8 +265,8 @@ Explorer::Explorer(const MckConfig &cfg) : cfg_(cfg)
     topo_ = {cfg_.numGpus, cfg_.gpmsPerGpu, cfg_.numNodes};
     numGpms_ = cfg_.numGpus * cfg_.gpmsPerGpu;
     hmg_assert(cfg_.numGpus <= kMaxGpus && numGpms_ <= kMaxGpms);
-    hmg_assert(cfg_.dirEntriesPerNode >= 1);
-    setupTables();
+    hmg_assert(cfg_.dirEntriesPerNode >= 1 &&
+               cfg_.dirEntriesPerNode <= kMaxLines);
     setupWorkload();
     hmg_assert(cfg_.numLines <= kMaxLines);
     hmg_assert(progs_.size() <= kMaxThreads);
@@ -274,31 +275,6 @@ Explorer::Explorer(const MckConfig &cfg) : cfg_(cfg)
     for (std::size_t t = 0; t < progs_.size(); ++t) {
         hmg_assert(thrAt_[progs_[t].gpm] < 0); // one thread per GPM
         thrAt_[progs_[t].gpm] = static_cast<int>(t);
-    }
-}
-
-void
-Explorer::setupTables()
-{
-    // Private copies so the bad-row test hook never touches the shared
-    // tables the simulator dispatches through.
-    for (std::size_t r = 0; r < std::size_t(Role::NumRoles); ++r) {
-        const TransitionTable &src = tableFor(static_cast<Role>(r));
-        rowStore_[r].assign(src.rows, src.rows + src.numRows);
-        tabs_[r] = {src.role, src.name, rowStore_[r].data(),
-                    rowStore_[r].size()};
-    }
-    if (cfg_.seedBadRow) {
-        // Corrupt the home's tracked-store row to emit no
-        // invalidations: stale sharers survive a write, which must
-        // surface as a sharer-tracking or litmus counterexample.
-        auto &rows = rowStore_[std::size_t(
-            cfg_.hier ? Role::SysHome : Role::FlatHome)];
-        for (Transition &row : rows)
-            if (row.state == DirState::Valid &&
-                row.event == DirEvent::Store &&
-                row.guard == Guard::WriterTracked)
-                row.emit = EmitMsg::None;
     }
 }
 
@@ -463,14 +439,14 @@ Explorer::tableAt(GpmId node, std::uint8_t l) const
 {
     if (!cfg_.hier) {
         hmg_assert(node == hOf(l));
-        return tabs_[std::size_t(Role::FlatHome)];
+        return tables_[Role::FlatHome];
     }
     if (node == hOf(l))
-        return tabs_[std::size_t(Role::SysHome)];
+        return tables_[Role::SysHome];
     if (isNodeHome(node, l))
-        return tabs_[std::size_t(Role::NodeHome)];
+        return tables_[Role::NodeHome];
     hmg_assert(ghOfLine(topo_.gpuOf(node), l) == node);
-    return tabs_[std::size_t(Role::GpuHome)];
+    return tables_[Role::GpuHome];
 }
 
 DirSnapshot

@@ -22,8 +22,9 @@
  *      bounded channel overflows.
  *
  * (Invariant family 1 — no acks, no transient states, determinism,
- * completeness — is the static checkTable() / checkMsgClassGraph()
- * pass; tools/hmgcheck runs both.)
+ * completeness, an acyclic message-class graph — is proven statically
+ * by the lint families, src/verify/lint/; hmgcheck runs that static
+ * stage before this exploration stage.)
  *
  * Deliberate abstractions, chosen to keep the state space finite while
  * preserving the protocol decisions under test:
@@ -68,6 +69,12 @@ enum class Workload : std::uint8_t
 
 const char *toString(Workload w);
 
+/**
+ * Most cache lines a model workload uses. A directory with this many
+ * entries per node never replaces, so it caps dirEntriesPerNode.
+ */
+constexpr std::uint32_t kMaxLines = 3;
+
 /** Model-checker configuration (the "small config" of the issue). */
 struct MckConfig
 {
@@ -82,13 +89,14 @@ struct MckConfig
     std::uint32_t numGpus = 2;
     std::uint32_t gpmsPerGpu = 2;
     std::uint32_t numLines = 2;
-    /** Directory entries per GPM node; 1 forces Replace transitions. */
+    /** Directory entries per GPM node, 1..kMaxLines; 1 forces Replace
+     *  transitions. */
     std::uint32_t dirEntriesPerNode = 1;
     Workload workload = Workload::Free;
     /**
-     * Test hook (tests/verify_test.cc): corrupt the home-store row to
-     * emit no invalidations, proving the checker produces a
-     * counterexample trace for a bad table row.
+     * Test hook: explore tables seeded with TableSeed::BadStoreRow, a
+     * home-store row that emits no invalidations, proving the checker
+     * produces a counterexample trace for a bad table row.
      */
     bool seedBadRow = false;
 };

@@ -244,6 +244,7 @@ exploreRetry(const RetryMckConfig &cfg)
 {
     hmg_assert(cfg.numMsgs >= 1 && cfg.numMsgs <= 8); // bitmask width
     hmg_assert(cfg.window >= 1);
+    hmg_assert(cfg.lossBudget <= kMaxLossBudget);
     RetryExplorer ex(cfg);
     return ex.run();
 }

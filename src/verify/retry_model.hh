@@ -40,12 +40,16 @@
 namespace hmg::verify
 {
 
+/** Largest loss budget: the budget is one byte of the packed state. */
+constexpr std::uint32_t kMaxLossBudget = 255;
+
 /** Parameters of the abstract retry-sublayer instance. */
 struct RetryMckConfig
 {
     std::uint32_t numMsgs = 3;    //!< sequence numbers 0..N-1
     std::uint32_t window = 2;     //!< max unacked frames outstanding
-    std::uint32_t lossBudget = 3; //!< total frame+ack losses explored
+    /** Total frame+ack losses explored, 0..kMaxLossBudget. */
+    std::uint32_t lossBudget = 3;
     /** Bug hook: receiver accepts any sequence number (no in-order
      *  filter). The explorer must find duplicate delivery. */
     bool seedAcceptAnySeq = false;

@@ -23,6 +23,10 @@
  * checkTable() statically proves every row keeps both false, alongside
  * determinism (no two rows match the same state/event/guard) and
  * completeness (every reachable state/event pair has a row).
+ *
+ * A verifier that plants a defect does so in a TableSet, a private copy
+ * of every table with one named TableSeed applied, so a test hook never
+ * touches the rows the simulator dispatches through.
  */
 
 #ifndef HMG_VERIFY_SPEC_HH
@@ -138,8 +142,50 @@ const char *toString(Role r);
 /** The table governing directories of `role`. */
 const TransitionTable &tableFor(Role role);
 
-/** All tables (for static checking / dumping). */
-const TransitionTable *allTables(std::size_t &count);
+/** "table[state,event,guard]": a row's name in findings and problems. */
+std::string rowName(const TransitionTable &t, const Transition &r);
+
+/** A defect a verifier's test hook plants in its TableSet. */
+enum class TableSeed : std::uint8_t
+{
+    None,
+    /** The top home of each protocol (NHCC's flat home, HMG's system
+     *  home) stops invalidating on a tracked store (--seed-bad-row). */
+    BadStoreRow,
+    /** The GPU home gains a row a Guard::Always row shadows
+     *  (--seed-dead-row). */
+    DeadRow,
+    /** The GPU home's re-fan row enters a transient state
+     *  (--seed-livelock). */
+    Livelock,
+};
+
+/**
+ * A private copy of every table, indexed by Role, with one seed
+ * applied. Row storage is owned and never moves, so the set is not
+ * copyable.
+ */
+class TableSet
+{
+  public:
+    explicit TableSet(TableSeed seed = TableSeed::None);
+    TableSet(const TableSet &) = delete;
+    TableSet &operator=(const TableSet &) = delete;
+
+    const TransitionTable &
+    operator[](Role role) const
+    {
+        return tables_[static_cast<std::size_t>(role)];
+    }
+    const TransitionTable *begin() const { return tables_; }
+    const TransitionTable *end() const { return tables_ + kNumRoles; }
+
+  private:
+    static constexpr std::size_t kNumRoles =
+        static_cast<std::size_t>(Role::NumRoles);
+    std::vector<Transition> rows_[kNumRoles];
+    TransitionTable tables_[kNumRoles] = {};
+};
 
 /** Does guard `g` accept a writer-tracked flag of `tracked`? */
 constexpr bool
@@ -150,8 +196,8 @@ guardHolds(Guard g, bool tracked)
 
 /**
  * Which events a directory of `role` can actually receive in state `s`.
- * Shared by checkTable()'s completeness pass and hmglint's table
- * analyses so "covered" means the same thing everywhere.
+ * Shared by checkTable()'s completeness pass and the table lint family
+ * so "covered" means the same thing everywhere.
  */
 bool receivable(Role role, DirState s, DirEvent e);
 
@@ -178,10 +224,11 @@ std::vector<std::string> checkTable(const TransitionTable &t);
 // (SystemConfig::nocInjectionBacklogLimit only throttles SM issue), so
 // a handler never blocks consuming its message. Deadlock freedom then
 // reduces to: the "handling class X may synchronously emit class Y"
-// graph over hop-level message classes is acyclic. The classes below
-// split MsgType by hierarchy position (requester -> GPU home -> system
-// home), because e.g. a ReadReq forwarded gh->h is a *different*
-// resource class than the requester's ReadReq.
+// graph over hop-level message classes is acyclic (the cdg lint
+// family proves it, lint/cdg.hh). The classes below split MsgType by
+// hierarchy position (requester -> GPU home -> system home), because
+// e.g. a ReadReq forwarded gh->h is a *different* resource class than
+// the requester's ReadReq.
 // ------------------------------------------------------------------
 
 /** One hop-level message class. */
@@ -203,12 +250,6 @@ struct MsgDep
 
 const MsgClass *msgClasses(std::size_t &count);
 const MsgDep *msgDeps(std::size_t &count);
-
-/**
- * Verify the message-class graph: every handler is non-blocking and
- * the dependency graph is acyclic (reported with the cycle if not).
- */
-std::vector<std::string> checkMsgClassGraph();
 
 } // namespace hmg::verify
 

@@ -105,20 +105,6 @@ constexpr TransitionTable kTables[] = {
      sizeof(kSysHomeRows) / sizeof(kSysHomeRows[0])},
 };
 
-std::string
-rowName(const TransitionTable &t, const Transition &r)
-{
-    std::string s = t.name;
-    s += '[';
-    s += toString(r.state);
-    s += ',';
-    s += toString(r.event);
-    s += ',';
-    s += toString(r.guard);
-    s += ']';
-    return s;
-}
-
 } // namespace
 
 bool
@@ -219,11 +205,65 @@ tableFor(Role role)
     return kTables[static_cast<std::size_t>(role)];
 }
 
-const TransitionTable *
-allTables(std::size_t &count)
+std::string
+rowName(const TransitionTable &t, const Transition &r)
 {
-    count = sizeof(kTables) / sizeof(kTables[0]);
-    return kTables;
+    std::string s = t.name;
+    s += '[';
+    s += toString(r.state);
+    s += ',';
+    s += toString(r.event);
+    s += ',';
+    s += toString(r.guard);
+    s += ']';
+    return s;
+}
+
+TableSet::TableSet(TableSeed seed)
+{
+    for (std::size_t r = 0; r < kNumRoles; ++r)
+        rows_[r].assign(kTables[r].rows, kTables[r].rows + kTables[r].numRows);
+    auto &gpuHome = rows_[static_cast<std::size_t>(Role::GpuHome)];
+    switch (seed) {
+      case TableSeed::None:
+        break;
+      case TableSeed::BadStoreRow:
+        // Stale sharers survive a write, which exploration must surface
+        // as a sharer-tracking or litmus counterexample.
+        for (Role role : {Role::FlatHome, Role::SysHome})
+            for (Transition &row : rows_[static_cast<std::size_t>(role)])
+                if (row.state == DirState::Valid &&
+                    row.event == DirEvent::Store &&
+                    row.guard == Guard::WriterTracked)
+                    row.emit = EmitMsg::None;
+        break;
+      case TableSeed::DeadRow:
+        // Shadowed by the (Valid, LoadMiss, Always) row above it:
+        // findTransition can never reach this row.
+        gpuHome.push_back({DirState::Valid, DirEvent::LoadMiss,
+                           Guard::WriterTracked, DirState::Valid,
+                           DirUpdate::SetSoleSharer, EmitMsg::None, false,
+                           false,
+                           "seeded dead row (--seed-dead-row test hook)"});
+        break;
+      case TableSeed::Livelock:
+        // The canonical regression toward an ack-collecting protocol:
+        // the re-fan row holds the entry in a transient state until the
+        // re-fanned wave completes.
+        for (Transition &row : gpuHome) {
+            if (row.state == DirState::Valid &&
+                row.event == DirEvent::InvRecv &&
+                row.emit == EmitMsg::RefanGpm) {
+                row.transientNext = true;
+                row.note = "seeded transient re-fan (--seed-livelock "
+                           "test hook)";
+            }
+        }
+        break;
+    }
+    for (std::size_t r = 0; r < kNumRoles; ++r)
+        tables_[r] = {kTables[r].role, kTables[r].name, rows_[r].data(),
+                      rows_[r].size()};
 }
 
 const Transition *
@@ -414,51 +454,6 @@ msgDeps(std::size_t &count)
 {
     count = sizeof(kMsgDeps) / sizeof(kMsgDeps[0]);
     return kMsgDeps;
-}
-
-std::vector<std::string>
-checkMsgClassGraph()
-{
-    std::vector<std::string> problems;
-    for (std::size_t i = 0; i < kNumMsgClasses; ++i)
-        if (!kMsgClasses[i].nonBlockingHandler)
-            problems.push_back(std::string(kMsgClasses[i].name) +
-                               ": handler may block on consumption; "
-                               "guaranteed consumption is required for "
-                               "the acyclicity argument to hold");
-
-    // Cycle detection by iterative DFS coloring.
-    enum { White, Grey, Black };
-    int color[kNumMsgClasses] = {};
-    std::vector<std::uint8_t> stack;
-    for (std::uint8_t root = 0; root < kNumMsgClasses; ++root) {
-        if (color[root] != White)
-            continue;
-        stack.assign(1, root);
-        while (!stack.empty()) {
-            std::uint8_t n = stack.back();
-            if (color[n] == White) {
-                color[n] = Grey;
-                for (const MsgDep &d : kMsgDeps) {
-                    if (d.from != n)
-                        continue;
-                    if (color[d.to] == Grey) {
-                        problems.push_back(
-                            std::string("message-class cycle: ") +
-                            kMsgClasses[d.from].name + " -> " +
-                            kMsgClasses[d.to].name + " (" + d.why +
-                            ") closes a dependency loop");
-                    } else if (color[d.to] == White) {
-                        stack.push_back(d.to);
-                    }
-                }
-            } else {
-                color[n] = Black;
-                stack.pop_back();
-            }
-        }
-    }
-    return problems;
 }
 
 } // namespace hmg::verify

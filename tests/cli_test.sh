@@ -3,18 +3,18 @@
 # rejected with a one-line error and a nonzero exit, never a silent
 # atoi()-style zero or a default silently substituted (the old
 # --placement behaviour).
-# Run as: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmglint]
+# Run as: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmgcheck]
 #                    [path-to-bench_engine_microbench]
 set -u
 
-HMGSIM=${1:?usage: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmglint] [path-to-bench_engine_microbench]}
+HMGSIM=${1:?usage: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmgcheck] [path-to-bench_engine_microbench]}
 # Topology example files live relative to the repo root; default to the
 # directory above this script so the test runs standalone too.
 ROOT=${2:-$(cd "$(dirname "$0")/.." && pwd)}
-# hmglint and the engine microbench share hmgsim's flag contract; their
+# hmgcheck and the engine microbench share hmgsim's flag contract; their
 # checks run only when the binary's path is supplied (ctest passes it,
 # standalone may not).
-HMGLINT=${3:-}
+HMGCHECK=${3:-}
 MICROBENCH=${4:-}
 fails=0
 
@@ -45,20 +45,22 @@ reject_by() {
     echo "ok:   $desc"
 }
 
-# expect_reject <description> <args...>: reject_by for hmgsim.
-expect_reject() { reject_by "$HMGSIM" "$@"; }
-
-# expect_accept <description> <args...>: exit 0.
-expect_accept() {
-    local desc=$1
-    shift
-    if ! "$HMGSIM" "$@" > /dev/null 2>&1; then
+# accept_by <binary> <description> <args...>: exit 0.
+accept_by() {
+    local bin=$1
+    local desc=$2
+    shift 2
+    if ! "$bin" "$@" > /dev/null 2>&1; then
         echo "FAIL: $desc: nonzero exit ($*)"
         fails=$((fails + 1))
         return
     fi
     echo "ok:   $desc"
 }
+
+# expect_reject / expect_accept <description> <args...>: for hmgsim.
+expect_reject() { reject_by "$HMGSIM" "$@"; }
+expect_accept() { accept_by "$HMGSIM" "$@"; }
 
 expect_accept "--help exits 0" --help
 
@@ -138,47 +140,79 @@ expect_accept "topology + non-geometry flags compose" \
     --topology "$TOPO_DIR/two_node_2x2x2.json" --protocol hmg \
     --workload bfs --scale 0.05 --seed 7
 
-# hmglint holds the same contract as hmgsim: a topology file owns the
-# geometry knobs, so mixing it with a legacy geometry flag is rejected
-# by flag name (not silently shadowed), strict numeric parsing applies,
-# and the two machine output formats are mutually exclusive.
-if [ -n "$HMGLINT" ]; then
-    lint_reject() { reject_by "$HMGLINT" "$@"; }
-    lint_accept() {
+# hmgcheck holds the same contract as hmgsim: a topology file owns the
+# geometry knobs, so mixing it with a geometry flag is rejected by flag
+# name (not silently shadowed), numbers parse strictly (never atoi), a
+# flag only the retry and explore stages read is fatal under --static,
+# and the two machine output formats need --static and exclude each
+# other.
+if [ -n "$HMGCHECK" ]; then
+    check_reject() { reject_by "$HMGCHECK" "$@"; }
+    check_accept() { accept_by "$HMGCHECK" "$@"; }
+    # check_reject_first <description> <args...>: rejected before any
+    # stage ran, so the fatal line is the whole output.
+    check_reject_first() {
         local desc=$1
         shift
-        if ! "$HMGLINT" "$@" > /dev/null 2>&1; then
-            echo "FAIL: $desc: nonzero exit ($*)"
+        local out
+        if out=$("$HMGCHECK" "$@" 2>&1) ||
+           [ "$(printf '%s\n' "$out" | wc -l)" -ne 1 ] ||
+           ! printf '%s' "$out" | grep -q "^fatal:"; then
+            echo "FAIL: $desc: expected one fatal line and no stage ($*)"
             fails=$((fails + 1))
             return
         fi
         echo "ok:   $desc"
     }
 
-    lint_accept "hmglint --help exits 0" --help
-    lint_reject "hmglint unknown option" --frobnicate
-    lint_reject "hmglint missing value" --cdg --gpus
-    lint_reject "hmglint zero gpus" --cdg --gpus 0
-    lint_reject "hmglint non-numeric gpms" --cdg --gpms many
-    lint_reject "hmglint huge nodes" --cdg --nodes 99999999999999999999
-    lint_reject "hmglint topology + --gpus conflict" \
-        --cdg --topology "$TOPO_DIR/dgx_4x4.json" --gpus 8
-    lint_reject "hmglint topology + --nodes conflict" \
-        --cdg --topology "$TOPO_DIR/scaleout_8x8x4.json" --nodes 2
-    lint_reject "hmglint missing topology file" \
-        --cdg --topology /nonexistent/t.json
-    lint_reject "hmglint --json + --sarif conflict" \
-        --tables --json --sarif
-    lint_accept "hmglint --cdg with explicit geometry" \
-        --cdg --gpus 4 --gpms 2 --nodes 2
-    lint_accept "hmglint --liveness over a topology file" \
-        --liveness --topology "$TOPO_DIR/dgx_4x4.json"
-    # These name no hmglint family or mode: rejected, never ignored.
-    for flag in --determinism --lockset --seed-lockset --incremental \
-                --cache-file --statkeys; do
-        lint_reject "hmglint $flag is unknown" "$flag"
+    check_accept "hmgcheck --help exits 0" --help
+    check_reject "hmgcheck unknown option" --frobnicate
+    check_reject "hmgcheck missing value" --static --gpus
+    check_reject "hmgcheck zero gpus" --static --gpus 0
+    check_reject "hmgcheck non-numeric gpms" --static --gpms many
+    check_reject "hmgcheck huge nodes" --static --nodes 99999999999999999999
+    check_reject "hmgcheck nodes not dividing gpus" --static --gpus 3 --nodes 2
+    check_reject "hmgcheck more nodes than gpus" --static --gpus 2 --nodes 4
+    check_reject "hmgcheck topology + --gpus conflict" \
+        --static --topology "$TOPO_DIR/dgx_4x4.json" --gpus 8
+    check_reject "hmgcheck topology + --nodes conflict" \
+        --static --topology "$TOPO_DIR/scaleout_8x8x4.json" --nodes 2
+    check_reject "hmgcheck missing topology file" \
+        --static --topology /nonexistent/t.json
+    check_reject "hmgcheck --json + --sarif conflict" \
+        --static --json --sarif
+    check_reject "hmgcheck --json without --static" --json
+    check_reject "hmgcheck --static + --seed-bad-row conflict" \
+        --static --seed-bad-row
+    check_reject "hmgcheck --static + --protocol conflict" \
+        --static --protocol nhcc
+    check_reject "hmgcheck exploration at the scale-out shape" \
+        --topology "$TOPO_DIR/scaleout_8x8x4.json"
+    check_reject "hmgcheck --nodes 2 alone is no exploration shape" \
+        --protocol hmg --nodes 2
+    check_reject "hmgcheck nhcc at the 2-node shape" --protocol nhcc \
+        --topology "$TOPO_DIR/two_node_2x2x2.json"
+    check_accept "hmgcheck --static with explicit geometry" \
+        --static --gpus 4 --gpms 2 --nodes 2
+    check_accept "hmgcheck --static over a topology file" \
+        --static --topology "$TOPO_DIR/dgx_4x4.json"
+    # Exploration-stage numbers: strict, range-checked, and checked
+    # before any stage runs.
+    check_reject_first "hmgcheck non-numeric dir-cap" --dir-cap abc
+    check_reject_first "hmgcheck zero dir-cap" --dir-cap 0
+    check_reject_first "hmgcheck dir-cap past int range" \
+        --dir-cap 99999999999
+    check_reject_first "hmgcheck retry-losses past the state byte" \
+        --retry-losses 256
+    check_reject_first "hmgcheck negative retry-losses" --retry-losses -1
+    check_reject_first "hmgcheck trailing garbage in nodes" --nodes 1x
+    check_reject_first "hmgcheck unknown workload" --workload bogus
+    # These name no hmgcheck stage or mode: rejected, never ignored.
+    for flag in --tables --cdg --liveness --determinism --lockset \
+                --seed-lockset --incremental --cache-file --statkeys; do
+        check_reject "hmgcheck $flag is unknown" "$flag"
     done
-    lint_reject "hmglint --root is unknown" --root .
+    check_reject "hmgcheck --root is unknown" --root .
 fi
 
 # The engine microbench parses the same way: a malformed, zero or

@@ -1,6 +1,6 @@
 /**
  * @file
- * hmglint's analysis families, positive and negative.
+ * The static stage's analysis families, positive and negative.
  *
  * Mirrors the retry_model_test pattern: each family must (a) run clean
  * on the real artifact — the shipped transition tables and the real NoC
@@ -16,8 +16,10 @@
 #include "verify/lint/lint.hh"
 #include "verify/lint/liveness.hh"
 #include "verify/lint/table_lint.hh"
+#include "verify/spec.hh"
 
 using namespace hmg::verify::lint;
+using hmg::verify::MsgDep;
 
 namespace
 {
@@ -40,7 +42,7 @@ findCheck(const LintReport &r, const std::string &check)
 TEST(TableLint, CleanOnShippedTables)
 {
     LintReport r;
-    analyzeTables(TableLintOptions{}, r);
+    analyzeTables(LintOptions{}, r);
     for (const Finding &f : r.findings())
         ADD_FAILURE() << f.table << " row " << f.row << " ["
                       << f.check << "]: " << f.message;
@@ -51,7 +53,7 @@ TEST(TableLint, CleanOnShippedTables)
 
 TEST(TableLint, SeededDeadRowCaughtWithMaskingRow)
 {
-    TableLintOptions o;
+    LintOptions o;
     o.seedDeadRow = true;
     LintReport r;
     analyzeTables(o, r);
@@ -69,7 +71,7 @@ TEST(TableLint, SeededDeadRowCaughtWithMaskingRow)
 
 TEST(TableLint, SeededRunIsDeterministic)
 {
-    TableLintOptions o;
+    LintOptions o;
     o.seedDeadRow = true;
     LintReport a, b;
     analyzeTables(o, a);
@@ -83,8 +85,11 @@ TEST(TableLint, SeededRunIsDeterministic)
 
 TEST(CdgLint, RealTransportIsAcyclic)
 {
+    // Clean means every handler consumes unconditionally, the
+    // message-class dependency graph is acyclic (no msg-class-cycle
+    // finding) and so is the credit-pool graph.
     LintReport r;
-    analyzeCdg(CdgOptions{}, r);
+    analyzeCdg(LintOptions{}, r);
     for (const Finding &f : r.findings())
         ADD_FAILURE() << "[" << f.check << "] " << f.message;
     EXPECT_TRUE(r.clean());
@@ -98,7 +103,7 @@ TEST(CdgLint, RealTransportIsAcyclic)
 
 TEST(CdgLint, LargerInstanceStillAcyclic)
 {
-    CdgOptions o;
+    LintOptions o;
     o.numGpus = 4;
     o.gpmsPerGpu = 4;
     LintReport r;
@@ -106,9 +111,30 @@ TEST(CdgLint, LargerInstanceStillAcyclic)
     EXPECT_TRUE(r.clean());
 }
 
+TEST(CdgLint, MessageClassCycleCaughtWithClosingEdge)
+{
+    // Two classes that emit each other: the DFS from class 0 reaches
+    // class 1, whose emission back to 0 closes the loop.
+    const MsgDep deps[] = {
+        {0, 1, "forward"},
+        {1, 0, "answer back"},
+    };
+    LintReport r;
+    analyzeMsgDeps(deps, r);
+    ASSERT_EQ(r.findings().size(), 1u);
+    const Finding &f = r.findings().front();
+    EXPECT_EQ(f.family, std::string("cdg"));
+    EXPECT_EQ(f.check, std::string("msg-class-cycle"));
+    EXPECT_EQ(f.file, std::string("src/verify/tables.cc"));
+    ASSERT_EQ(f.counterexample.size(), 1u);
+    EXPECT_EQ(f.counterexample[0],
+              "closing edge: handling ReadReq.fwd emits ReadReq.req "
+              "(answer back)");
+}
+
 TEST(CdgLint, SeededBoundedNicCycleCaught)
 {
-    CdgOptions o;
+    LintOptions o;
     o.seedCdgCycle = true;
     LintReport r;
     analyzeCdg(o, r);
@@ -135,7 +161,7 @@ TEST(CdgLint, SeededBoundedNicCycleCaught)
 TEST(LivenessLint, ShippedTablesHaveNoTransientStalls)
 {
     LintReport r;
-    analyzeLiveness(LivenessOptions{}, r);
+    analyzeLiveness(LintOptions{}, r);
     for (const Finding &f : r.findings())
         ADD_FAILURE() << "[" << f.check << "] " << f.message;
     EXPECT_TRUE(r.clean());
@@ -152,7 +178,7 @@ TEST(LivenessLint, ShippedTablesHaveNoTransientStalls)
 TEST(LivenessLint, ScaleoutShapeComposedProofAcyclic)
 {
     // The largest example topology's shape: 8 nodes x 8 GPUs x 4 GPMs.
-    LivenessOptions o;
+    LintOptions o;
     o.numGpus = 64;
     o.gpmsPerGpu = 4;
     o.numNodes = 8;
@@ -163,7 +189,7 @@ TEST(LivenessLint, ScaleoutShapeComposedProofAcyclic)
 
 TEST(LivenessLint, SeededTransientRowCaughtAsLivelock)
 {
-    LivenessOptions o;
+    LintOptions o;
     o.seedLivelock = true;
     LintReport r;
     analyzeLiveness(o, r);
@@ -188,7 +214,7 @@ TEST(LivenessLint, SeededStallClosesComposedTransportCycle)
     // The same seeded stall must also surface in the composed proof:
     // the protocol edge invalidates the unbounded-NIC escape and the
     // credit pools close a full-system deadlock loop.
-    LivenessOptions o;
+    LintOptions o;
     o.seedLivelock = true;
     LintReport r;
     analyzeLiveness(o, r);
@@ -211,7 +237,7 @@ TEST(LivenessLint, SeededStallClosesComposedTransportCycle)
 
 TEST(LivenessLint, OutputIsDeterministic)
 {
-    LivenessOptions o;
+    LintOptions o;
     o.seedLivelock = true;
     LintReport a, b;
     analyzeLiveness(o, a);
@@ -226,23 +252,18 @@ TEST(LivenessLint, OutputIsDeterministic)
 TEST(LintReport, JsonEscapesAndCounts)
 {
     LintReport r;
+    EXPECT_TRUE(r.clean());
     Finding f;
     f.family = "test";
     f.check = "quote";
     f.file = "a\"b.cc";
     f.message = "line1\nline2\ttab";
     r.add(std::move(f));
-    Finding w;
-    w.family = "test";
-    w.check = "warn";
-    w.severity = Severity::Warning;
-    r.add(std::move(w));
-    EXPECT_EQ(r.errors(), 1u);
-    EXPECT_EQ(r.warnings(), 1u);
     EXPECT_FALSE(r.clean());
     const std::string j = r.toJson();
     EXPECT_NE(j.find("a\\\"b.cc"), std::string::npos);
     EXPECT_NE(j.find("line1\\nline2\\ttab"), std::string::npos);
+    EXPECT_NE(j.find("\"errors\": 1"), std::string::npos);
 }
 
 TEST(LintReport, SarifCarriesSameFindingsAsJson)
@@ -258,7 +279,6 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     Finding w;
     w.family = "liveness";
     w.check = "ack-stall";
-    w.severity = Severity::Warning;
     w.file = "src/verify/tables.cc";
     w.table = "hmg-gpu-home";
     w.row = 9;
@@ -270,7 +290,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     // SARIF 2.1.0 skeleton.
     EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
     EXPECT_NE(sarif.find("sarif-schema-2.1.0.json"), std::string::npos);
-    EXPECT_NE(sarif.find("\"name\": \"hmglint\""), std::string::npos);
+    EXPECT_NE(sarif.find("\"name\": \"hmgcheck\""), std::string::npos);
     // One reportingDescriptor per family/check, results referencing
     // them by id and index.
     EXPECT_NE(sarif.find("\"id\": \"cdg/cycle\""), std::string::npos);
@@ -278,9 +298,15 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
               std::string::npos);
     EXPECT_NE(sarif.find("\"ruleIndex\": 0"), std::string::npos);
     EXPECT_NE(sarif.find("\"ruleIndex\": 1"), std::string::npos);
-    // Severity mapping and locations.
-    EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
-    EXPECT_NE(sarif.find("\"level\": \"warning\""), std::string::npos);
+    // Every result is an error (SARIF's default level is warning), and
+    // carries its location.
+    std::size_t errors = 0;
+    for (std::size_t at = sarif.find("\"level\": \"error\"");
+         at != std::string::npos;
+         at = sarif.find("\"level\": \"error\"", at + 1))
+        ++errors;
+    EXPECT_EQ(errors, 2u);
+    EXPECT_EQ(sarif.find("\"level\": \"warning\""), std::string::npos);
     EXPECT_NE(sarif.find("\"uri\": \"src/noc/network.cc\""),
               std::string::npos);
     // Round-trip: every message, file and counterexample line of the
@@ -297,7 +323,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
 
 TEST(LintReport, SarifIsByteDeterministic)
 {
-    LivenessOptions o;
+    LintOptions o;
     o.seedLivelock = true;
     LintReport a, b;
     analyzeLiveness(o, a);

@@ -35,14 +35,4 @@ fi
 
 echo "run_lint: ${#FILES[@]} files under $TIDY"
 "$TIDY" -p "$BUILD_DIR" --quiet ${WERROR[@]+"${WERROR[@]}"} "$@" "${FILES[@]}"
-
-# hmglint rides the same wall (and the same LINT_WERROR escalation,
-# which it reads from the environment) whenever a built binary exists.
-HMGLINT="${HMGLINT:-$BUILD_DIR/tools/hmglint}"
-if [ -x "$HMGLINT" ]; then
-    echo "run_lint: hmglint ($HMGLINT)"
-    "$HMGLINT"
-else
-    echo "run_lint: $HMGLINT not built; skipping hmglint" >&2
-fi
 echo "run_lint: clean"
