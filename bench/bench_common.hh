@@ -23,18 +23,24 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "gpu/simulator.hh"
 #include "trace/workloads.hh"
 
 namespace hmgbench
 {
 
+/** HMG_BENCH_SCALE, parsed as strictly as hmgsim's --scale. */
 inline double
 benchScale()
 {
-    if (const char *s = std::getenv("HMG_BENCH_SCALE"))
-        return std::atof(s) > 0 ? std::atof(s) : 1.0;
-    return 1.0;
+    const char *s = std::getenv("HMG_BENCH_SCALE");
+    if (!s)
+        return 1.0;
+    const double scale = hmg::parseF64("HMG_BENCH_SCALE", s, 0.0, 1e6);
+    if (scale <= 0.0)
+        hmg_fatal("HMG_BENCH_SCALE wants a positive factor");
+    return scale;
 }
 
 /** The five cached configurations of Figs. 2/8, plus the baseline. */

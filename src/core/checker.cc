@@ -687,9 +687,9 @@ CoherenceChecker::drainForBoundary(DoneCb done)
 }
 
 bool
-CoherenceChecker::mayCacheInL1(GpmId gpm, Addr line_addr) const
+CoherenceChecker::mayCache(GpmId gpm, Addr line_addr) const
 {
-    return inner_->mayCacheInL1(gpm, line_addr);
+    return inner_->mayCache(gpm, line_addr);
 }
 
 bool

@@ -77,7 +77,7 @@ class CoherenceChecker : public CoherenceModel
     void release(const MemAccess &acc, DoneCb done) override;
     void kernelBoundary() override;
     void drainForBoundary(DoneCb done) override;
-    bool mayCacheInL1(GpmId gpm, Addr line_addr) const override;
+    bool mayCache(GpmId gpm, Addr line_addr) const override;
     bool invalidatesL1OnAcquire() const override;
     const char *name() const override;
     void reportStats(StatRecorder &r) const override;

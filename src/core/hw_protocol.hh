@@ -10,53 +10,40 @@
  * per-L2 release markers that drain the in-flight invalidation channels
  * (Section IV-B, "Release").
  *
- * NHCC mode treats the whole machine as one flat GPU of M*N GPMs: one
- * home (the system home) per address, flat sharer bits, `.gpu` releases
- * pay full-system cost.
+ * Loads, stores and atomics take the shared walk of core/home_chain.hh.
+ * NHCC's chain is flat: one home (the system home) per address, flat
+ * sharer bits, and `.gpu` releases pay full-system cost. HMG's chain
+ * has a GPU home inside each GPU (same local GPM index as the system
+ * home); the GPU home's directory tracks GPM sharers of its GPU, the
+ * system home's tracks GPU-level sharers, and invalidations received by
+ * a GPU home are re-fanned to its GPM sharers (the HMG-only transition
+ * of Table I). With numNodes > 1 the chain gains a node home per node;
+ * its directory tracks the GPU homes of its node, the system home's
+ * tracks node-level sharers, and it re-fans invalidations one tier down
+ * as a GPU home does.
  *
- * HMG mode adds the second level of Section V: every address has a GPU
- * home inside each GPU (same local GPM index as the system home); loads
- * and write-throughs route requester -> GPU home -> system home; the GPU
- * home's directory tracks GPM sharers of its GPU, the system home's
- * directory tracks GPU-level sharers; and invalidations received by a
- * GPU home are re-fanned to its GPM sharers (the HMG-only transition of
- * Table I).
- *
- * With numNodes > 1 the same recursion adds a third level: every
- * address has a *node home* inside each node (the GPU home of the
- * node's GPU whose local index matches the system home GPU's local
- * index). Cross-node loads and write-throughs route requester -> GPU
- * home -> node home -> system home; the node home's directory tracks
- * the GPU homes of its node, the system home's tracks node-level
- * sharers; invalidations received by a node home re-fan one tier down
- * (to its GPM sharers and its tracked GPU homes). On a single-node
- * machine every node-tier branch is dead and the engine is bit-
- * identical to the two-level protocol above.
+ * This class supplies the walk's directory hook and everything else:
+ * the directory plumbing, invalidation and re-fan, release markers,
+ * write-back flushes and clean-eviction downgrades.
  */
 
 #ifndef HMG_CORE_HW_PROTOCOL_HH
 #define HMG_CORE_HW_PROTOCOL_HH
 
 #include <cstdint>
+#include <vector>
 
-#include "core/protocol.hh"
-#include "core/sharer_ops.hh"
-#include "verify/spec.hh"
+#include "core/home_chain.hh"
 
 namespace hmg
 {
 
 /** NHCC / HMG protocol engine. */
-class HwProtocol : public CoherenceModel
+class HwProtocol : public HomeChainModel
 {
   public:
     HwProtocol(SystemContext &ctx, bool hierarchical);
 
-    void load(const MemAccess &acc, LoadDoneCb done) override;
-    void store(const MemAccess &acc, Version v, DoneCb accepted,
-               DoneCb sys_done) override;
-    void atomic(const MemAccess &acc, Version v, LoadDoneCb done,
-                DoneCb sys_done) override;
     void acquire(const MemAccess &acc, DoneCb done) override;
     void release(const MemAccess &acc, DoneCb done) override;
     void kernelBoundary() override;
@@ -66,143 +53,47 @@ class HwProtocol : public CoherenceModel
 
     void reportStats(StatRecorder &r) const override;
 
-    bool hierarchical() const { return hier_; }
-
-    // Per-level load-service counters (where loads found their data).
-    std::uint64_t loadsLocalHit() const { return loads_local_hit_.total(); }
-    std::uint64_t
-    loadsGpuHomeHit() const
-    {
-        return loads_gpu_home_hit_.total();
-    }
-    std::uint64_t
-    loadsSysHomeHit() const
-    {
-        return loads_sys_home_hit_.total();
-    }
-    std::uint64_t
-    loadsNodeHomeHit() const
-    {
-        return loads_node_home_hit_.total();
-    }
-    std::uint64_t loadsDram() const { return loads_dram_.total(); }
-
   private:
-    // --- routing helpers ---
-
-    /** System home GPM of a line (touches the page on first access). */
-    GpmId sysHome(Addr line) const { return ctx_.amap.systemHome(line); }
-
-    /** GPU home of `line` within `gpu` (== sysHome in flat mode). */
-    GpmId gpuHomeFor(GpuId gpu, Addr line) const;
-
-    /** Node home of `line` within `node` (multi-node HMG only). */
-    GpmId nodeHomeFor(NodeId node, Addr line) const;
-
-    /** Does the home chain have a live node tier? */
-    bool multiNode() const { return hier_ && ctx_.cfg.numNodes > 1; }
-
-    /**
-     * The node home standing strictly between a same-node hop `from`
-     * and the system home `h` for `line`, or kInvalidGpm when the
-     * chain collapses (single node, or `from`/`h` already is the node
-     * home). Cross-node request legs must route through it so every
-     * tier of the home chain records the sharer below it.
-     */
-    GpmId nodeHopBetween(GpmId from, GpmId h, Addr line) const;
-
-    Tick l2Lat() const { return ctx_.cfg.l2HitLatency; }
-    /** Tag-check cost (misses); hits additionally pay dataLat(). */
-    Tick tagLat() const { return ctx_.cfg.l2TagLatency; }
-    Tick dataLat() const
-    {
-        return ctx_.cfg.l2HitLatency - ctx_.cfg.l2TagLatency;
-    }
-
-    // --- load flow stages (each runs as an engine event) ---
-    void loadAtGpuHome(MemAccess acc, GpmId gh, GpmId h, LoadDoneCb done);
-    void loadAtNodeHome(MemAccess acc, GpmId via, GpmId nh, GpmId h,
-                        LoadDoneCb done);
-    void loadAtSysHome(MemAccess acc, GpmId via, GpmId h,
-                       LoadDoneCb respond);
-
-    // --- store flow stages ---
-
-    /** State threaded through a write-through chain. */
-    struct StoreFlow
-    {
-        MemAccess acc;
-        Version v = 0;
-        DoneCb sysDone;         //!< per-op completion for the SM
-        bool gpuCleared = false; //!< GPU-level tracker already released
-        bool recordWriter = true; //!< writer caches the line (not atomics)
-        bool tracked = true;     //!< counts against the ReleaseTracker
-        bool serialized = true;  //!< ordered by home arrival; false for
-                                 //!< write-back flushes of older data
-    };
-
-    void storeAtGpuHome(StoreFlow f, GpmId gh, GpmId h);
-    void storeAtNodeHome(StoreFlow f, GpmId via, GpmId nh, GpmId h);
-    void storeAtSysHome(StoreFlow f, GpmId via, GpmId h);
-
-    /**
-     * Forward a write-through from intermediate home `from` to the next
-     * home up the chain (the node home when one stands strictly between
-     * `from` and `h`, else `h` itself).
-     */
-    void forwardStoreUp(StoreFlow f, GpmId from, GpmId h);
-
-    // --- atomic flow ---
-    void atomicAtHome(MemAccess acc, GpmId target, GpmId h, Version v,
-                      LoadDoneCb done, DoneCb sys_done);
-    void atomicPerform(MemAccess acc, GpmId target, GpmId h, Version v,
-                       Version old_v, LoadDoneCb done, DoneCb sys_done);
+    /** The walk's directory hook: one Table I row per event. */
+    void dirEvent(verify::DirEvent ev, GpmId at, GpmId via, Addr line,
+                  GpmId h) override;
 
     // --- release machinery ---
+
+    /** The GPMs of `g`'s GPU other than `g`, in local order. */
+    std::vector<GpmId> gpuPeersOf(GpmId g) const;
 
     /**
      * One round of release markers from `r` to `targets`: each target
      * acknowledges once its previously-sent invalidations have landed;
      * `done` runs at `r` when all acks (plus r's own drain) are in.
+     * With `relay`, a target on another GPU relays: it runs its own
+     * round over its GPU's other GPMs and acknowledges once that round
+     * completes (cfg.hierarchicalReleaseFanout: same drain guarantees,
+     * fewer inter-GPU messages).
      */
     void markerRound(GpmId r, const std::vector<GpmId> &targets,
-                     DoneCb done);
-
-    /**
-     * Hierarchical variant (cfg.hierarchicalReleaseFanout): one marker
-     * per remote GPU to a relay GPM, which drains itself, fans markers
-     * to its GPU's other GPMs, collects their acknowledgments, and
-     * acknowledges back to `r`. Same drain guarantees, fewer inter-GPU
-     * messages.
-     */
-    void markerRoundRelayed(GpmId r, DoneCb done);
+                     bool relay, DoneCb done);
 
     // --- directory maintenance (table-driven; see src/verify/spec.hh) ---
 
-    /** Topology view handed to the shared sharer-routing helpers. */
-    SharerTopology topo() const
-    {
-        return {ctx_.cfg.numGpus, ctx_.cfg.gpmsPerGpu,
-                ctx_.cfg.numNodes};
-    }
-
-    /** The transition table governing home `h` for `line`'s sector. */
-    const verify::TransitionTable &dirTableFor(GpmId h, Addr line) const;
+    /** The transition table governing home `at` for system home `h`. */
+    const verify::TransitionTable &dirTableFor(GpmId at, GpmId h) const;
 
     /**
-     * Apply the unique Table I row for (entry state at `h`, `ev`,
-     * writer-tracked guard of `via`): emit the row's invalidations
-     * (charged to `job`) and commit the directory update. All
-     * directory maintenance — sharer recording, store/atomic
-     * invalidation fans, HMG re-fans, downgrades — funnels through
-     * here, so the rows hmgcheck verifies are the rows executed.
+     * Apply the unique Table I row for (entry state at `at`, `ev`,
+     * writer-tracked guard of `via`) for a line whose system home is
+     * `h`: emit the row's invalidations (charged to `job`) and commit
+     * the directory update. All directory maintenance — sharer
+     * recording, store/atomic invalidation fans, HMG re-fans,
+     * downgrades — funnels through here, so the rows hmgcheck verifies
+     * are the rows executed.
      */
-    const verify::Transition *applyDirEventAt(
-        const verify::TransitionTable &t, GpmId h, GpmId via, Addr line,
-        verify::DirEvent ev, const InvJobPtr &job);
+    void applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
+                         verify::DirEvent ev, const InvJobPtr &job);
 
     /** Table I "Replace Dir Entry" on a displaced (detached) victim. */
-    void replaceVictim(GpmId h, const DirEntry &victim);
+    void replaceVictim(GpmId at, const DirEntry &victim);
 
     /** Send one invalidation and process it at the destination. */
     void sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job);
@@ -210,9 +101,9 @@ class HwProtocol : public CoherenceModel
     /** Invalidation arriving at `at` (may re-fan at a GPU home). */
     void handleInv(GpmId at, Addr sector, InvJobPtr job);
 
-    /** Optional clean-eviction downgrade (Section IV-B, off by
-     *  default; exact only at 1-line directory granularity). */
-    void handleDowngrade(GpmId h, GpmId from, Addr line);
+    /** Clean-eviction downgrades (Section IV-B, off by default; exact
+     *  only at 1-line directory granularity) and write-back of dirty
+     *  victims. */
     void installEvictionHooks();
 
     // --- write-back mode (Section IV-B design alternative) ---
@@ -231,14 +122,7 @@ class HwProtocol : public CoherenceModel
     /** Flush every dirty line of `g`'s L2 toward its home. */
     std::uint64_t flushDirty(GpmId g);
 
-    bool hier_;
-
     // LP-sharded: these count on whichever LP serves the access.
-    LpCounter loads_local_hit_;
-    LpCounter loads_gpu_home_hit_;
-    LpCounter loads_node_home_hit_;
-    LpCounter loads_sys_home_hit_;
-    LpCounter loads_dram_;
     LpCounter releases_;
     LpCounter rel_markers_;
     LpCounter downgrades_;

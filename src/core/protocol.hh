@@ -12,6 +12,11 @@
  *   SwProtocol          — non-hierarchical / hierarchical SW coherence
  *   HwProtocol          — NHCC (flat) and HMG (hierarchical)
  *   IdealModel          — caching everywhere, no coherence enforcement
+ *
+ * All four take their loads, stores and atomics from one walk up the
+ * home chain, HomeChainModel (core/home_chain.hh); they differ in its
+ * shape, its may-cache predicate and its directory hook. The runtime
+ * checker (core/checker.hh) is a decorator around any of them.
  */
 
 #ifndef HMG_CORE_PROTOCOL_HH
@@ -155,14 +160,9 @@ class CoherenceModel
         ctx_.tracker.waitAllDrained(std::move(done));
     }
 
-    /** May the SM's L1 keep a copy of this line? */
-    virtual bool
-    mayCacheInL1(GpmId gpm, Addr line_addr) const
-    {
-        (void)gpm;
-        (void)line_addr;
-        return true;
-    }
+    /** May GPM `gpm` (its L2 and its SMs' L1s) keep a copy of this
+     *  line? */
+    virtual bool mayCache(GpmId gpm, Addr line_addr) const = 0;
 
     /**
      * Do acquires (and kernel boundaries) invalidate the issuing SM's
@@ -223,19 +223,18 @@ std::unique_ptr<CoherenceModel> makeCoherenceModel(SystemContext &ctx);
 
 // --- shared scope helpers ---
 
-/** Where in the hierarchy a cache sits relative to an address. */
+/** Where below the system home a cache sits relative to an address. */
 enum class CacheRole : std::uint8_t
 {
-    NonHome,   //!< any L2 that is neither home level
-    GpuHome,   //!< the requester-GPU home (hierarchical protocols)
-    SysHome,   //!< the system home
+    NonHome,   //!< any L2 that is not a home
+    GpuHome,   //!< a GPU or node home (hierarchical protocols)
 };
 
 /**
  * May a load of scope `s` hit in a cache playing `role`? Implements the
  * forward-progress miss rules of Sections IV-B and V-B: `.gpu` loads
  * must miss below the GPU home; `.sys` loads may hit only at the system
- * home.
+ * home, which may always answer.
  */
 constexpr bool
 loadMayHit(Scope s, CacheRole role)
@@ -245,8 +244,6 @@ loadMayHit(Scope s, CacheRole role)
         return s <= Scope::Cta;
       case CacheRole::GpuHome:
         return s <= Scope::Gpu;
-      case CacheRole::SysHome:
-        return true;
     }
     return false;
 }

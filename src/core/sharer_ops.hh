@@ -1,7 +1,16 @@
 /**
  * @file
- * Pure sharer-set routing logic shared by the live hardware protocols
- * (core/hw_protocol.cc) and the exhaustive model checker (src/verify/).
+ * Pure home-chain and sharer-set routing logic shared by the live
+ * protocols (core/home_chain.cc walks the chain, core/hw_protocol.cc
+ * maintains the directories) and the exhaustive model checker
+ * (src/verify/).
+ *
+ * The chain step: every line has one system home; a GPU's home for it
+ * is the GPM of that GPU with the system home's local index, and a
+ * node's home is the GPU home of the node's GPU with the system home
+ * GPU's local index (SharerTopology::gpuHome/nodeHome). nextHome() takes
+ * one step up requester -> GPU home -> node home -> system home, merging
+ * tiers that land on the same GPM.
  *
  * Table I's directory transitions boil down to three deterministic
  * decisions, all functions of the home node, the acting node ("via")
@@ -22,9 +31,9 @@
  * (node home -> GPU home -> GPM) without per-role special cases.
  *
  * Keeping them here, side-effect free and parameterized only on the
- * topology, means the model checker steps *the same* routing code the
- * simulator executes — a transition verified exhaustively in the model
- * is the transition the timing simulation performs.
+ * topology, means the model checker steps *the same* chain and routing
+ * code the simulator executes — a transition verified exhaustively in
+ * the model is the transition the timing simulation performs.
  */
 
 #ifndef HMG_CORE_SHARER_OPS_HH
@@ -77,7 +86,42 @@ struct SharerTopology
     {
         return node * gpusPerNode() + local;
     }
+    /** GPU `gpu`'s home for a line whose system home is `sys`. */
+    GpmId gpuHome(GpuId gpu, GpmId sys) const
+    {
+        return gpmId(gpu, localGpmOf(sys));
+    }
+    /** Node `node`'s home for a line whose system home is `sys`. */
+    GpmId nodeHome(NodeId node, GpmId sys) const
+    {
+        return gpuHome(gpuId(node, localGpuOf(gpuOf(sys))), sys);
+    }
 };
+
+/**
+ * One step up the home chain: the next home above GPM `g` for a line
+ * whose system home is `h`. `gpu_tier` and `node_tier` give the chain
+ * its shape (a flat chain goes straight to `h`). A tier that lands on
+ * `g` itself is skipped, and one that lands on `h` is `h`, so a GPM in
+ * the system home's GPU steps straight to `h`, and so does a GPU home
+ * in the system home's node. At `g == h` it returns `h`.
+ */
+inline GpmId
+nextHome(const SharerTopology &topo, bool gpu_tier, bool node_tier,
+         GpmId g, GpmId h)
+{
+    if (gpu_tier) {
+        const GpmId gh = topo.gpuHome(topo.gpuOf(g), h);
+        if (gh != g)
+            return gh;
+    }
+    if (node_tier) {
+        const GpmId nh = topo.nodeHome(topo.nodeOfGpm(g), h);
+        if (nh != g)
+            return nh;
+    }
+    return h;
+}
 
 /**
  * Record node `via` as a sharer in home `h`'s entry bits: flat (NHCC)

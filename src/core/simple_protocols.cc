@@ -12,7 +12,7 @@ IdealModel::load(const MemAccess &acc, LoadDoneCb done)
     // ignores those constraints entirely.
     MemAccess relaxed = acc;
     relaxed.scope = Scope::None;
-    SwProtocol::load(relaxed, std::move(done));
+    HomeChainModel::load(relaxed, std::move(done));
 }
 
 void

@@ -30,6 +30,8 @@ class NoRemoteCacheModel : public SwProtocol
         : SwProtocol(ctx, /*hierarchical=*/false, /*cache_remote=*/false)
     {
     }
+
+    const char *name() const override { return "NoRemoteCache"; }
 };
 
 /** Idealized caching with zero coherence enforcement. */
@@ -41,7 +43,8 @@ class IdealModel : public SwProtocol
     {
     }
 
-    /** Loads of any scope may hit in any cache. */
+    /** Loads of any scope may hit in any cache: the shared walk with
+     *  the scope relaxed to none. */
     void load(const MemAccess &acc, LoadDoneCb done) override;
 
     /** No invalidation, no fence cost. */

@@ -2,454 +2,13 @@
 
 #include <utility>
 
-#include "common/log.hh"
-
 namespace hmg
 {
 
 SwProtocol::SwProtocol(SystemContext &ctx, bool hierarchical,
                        bool cache_remote)
-    : CoherenceModel(ctx), hier_(hierarchical), cache_remote_(cache_remote)
+    : HomeChainModel(ctx, hierarchical, /*node_tier=*/false, cache_remote)
 {
-}
-
-bool
-SwProtocol::mayCacheAt(GpmId node, Addr line) const
-{
-    if (cache_remote_)
-        return true;
-    return ctx_.cfg.gpuOf(node) ==
-           ctx_.cfg.gpuOf(ctx_.amap.systemHome(line));
-}
-
-bool
-SwProtocol::mayCacheInL1(GpmId gpm, Addr line_addr) const
-{
-    return mayCacheAt(gpm, line_addr);
-}
-
-// ---------------------------------------------------------------- loads
-
-void
-SwProtocol::load(const MemAccess &acc, LoadDoneCb done)
-{
-    ctx_.pages.touch(acc.lineAddr, acc.gpm);
-    const GpmId h = ctx_.amap.systemHome(acc.lineAddr);
-    const GpmId gh =
-        hier_ ? ctx_.amap.gpuHome(ctx_.cfg.gpuOf(acc.gpm), acc.lineAddr)
-              : h;
-
-    ctx_.engine().schedule(tagLat(), [this, acc, gh, h,
-                                   done = std::move(done)]() mutable {
-        if (acc.gpm == h) {
-            loadAtSysHome(acc, h, std::move(done));
-            return;
-        }
-        if (hier_ && acc.gpm == gh) {
-            loadAtGpuHome(acc, gh, h, std::move(done));
-            return;
-        }
-        GpmNode &local = ctx_.gpm(acc.gpm);
-        const bool mergeable = loadMayHit(acc.scope, CacheRole::NonHome) &&
-                               mayCacheAt(acc.gpm, acc.lineAddr);
-        if (mergeable) {
-            auto res = local.l2().load(acc.lineAddr);
-            if (res.hit) {
-                ++loads_local_hit_;
-                ctx_.engine().schedule(dataLat(),
-                                     [done = std::move(done),
-                                      v = res.version]() mutable {
-                    done(v);
-                });
-                return;
-            }
-            if (!local.mshrRegister(acc.lineAddr, std::move(done)))
-                return;
-        }
-        LoadDoneCb finish;
-        if (mergeable) {
-            finish = [this, acc](Version v) {
-                GpmNode &n = ctx_.gpm(acc.gpm);
-                n.l2().fill(acc.lineAddr, v);
-                n.mshrComplete(acc.lineAddr, v);
-            };
-        } else {
-            finish = [this, acc, done = std::move(done)](Version v) mutable {
-                if (mayCacheAt(acc.gpm, acc.lineAddr))
-                    ctx_.gpm(acc.gpm).l2().fill(acc.lineAddr, v);
-                done(v);
-            };
-        }
-
-        const GpmId next = hier_ ? gh : h;
-        ctx_.net.inject(
-            {.src = acc.gpm,
-             .dst = next,
-             .type = MsgType::ReadReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, gh, h,
-                           finish = std::move(finish)]() mutable {
-                 if (hier_ && gh != h) {
-                     loadAtGpuHome(acc, gh, h, std::move(finish));
-                 } else {
-                     loadAtSysHome(
-                         acc, h,
-                         [this, acc, h,
-                          finish = std::move(finish)](Version v) mutable {
-                             ctx_.net.inject(
-                                 {.src = h,
-                                  .dst = acc.gpm,
-                                  .type = MsgType::ReadResp,
-                                  .addr = acc.lineAddr,
-                                  .onArrival =
-                                      [v, finish = std::move(finish)]()
-                                          mutable { finish(v); }});
-                         });
-                 }
-             }});
-    });
-}
-
-void
-SwProtocol::loadAtGpuHome(MemAccess acc, GpmId gh, GpmId h, LoadDoneCb done)
-{
-    hmg_assert(hier_ && gh != h);
-
-    auto respond = [this, acc, gh,
-                    done = std::move(done)](Version v) mutable {
-        if (acc.gpm == gh) {
-            done(v);
-            return;
-        }
-        ctx_.net.inject({.src = gh,
-                         .dst = acc.gpm,
-                         .type = MsgType::ReadResp,
-                         .addr = acc.lineAddr,
-                         .onArrival = [v, done = std::move(done)]() mutable {
-                             done(v);
-                         }});
-    };
-
-    ctx_.engine().schedule(tagLat(), [this, acc, gh, h,
-                                   respond = std::move(respond)]() mutable {
-        GpmNode &home = ctx_.gpm(gh);
-        const bool mergeable = loadMayHit(acc.scope, CacheRole::GpuHome) &&
-                               mayCacheAt(gh, acc.lineAddr);
-        if (mergeable) {
-            auto res = home.l2().load(acc.lineAddr);
-            if (res.hit) {
-                ++loads_gpu_home_hit_;
-                ctx_.engine().schedule(dataLat(),
-                                     [respond = std::move(respond),
-                                      v = res.version]() mutable {
-                    respond(v);
-                });
-                return;
-            }
-            if (!home.mshrRegister(acc.lineAddr, std::move(respond)))
-                return;
-        }
-        ctx_.net.inject(
-            {.src = gh,
-             .dst = h,
-             .type = MsgType::ReadReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, gh, h, mergeable,
-                           respond = std::move(respond)]() mutable {
-                 loadAtSysHome(
-                     acc, h,
-                     [this, acc, gh, h, mergeable,
-                      respond = std::move(respond)](Version v) mutable {
-                         ctx_.net.inject(
-                             {.src = h,
-                              .dst = gh,
-                              .type = MsgType::ReadResp,
-                              .addr = acc.lineAddr,
-                              .onArrival =
-                                  [this, acc, gh, v, mergeable,
-                                   respond =
-                                       std::move(respond)]() mutable {
-                                      GpmNode &home = ctx_.gpm(gh);
-                                      if (mayCacheAt(gh, acc.lineAddr))
-                                          home.l2().fill(acc.lineAddr, v);
-                                      if (mergeable)
-                                          home.mshrComplete(acc.lineAddr,
-                                                            v);
-                                      else
-                                          respond(v);
-                                  }});
-                     });
-             }});
-    });
-}
-
-void
-SwProtocol::loadAtSysHome(MemAccess acc, GpmId h, LoadDoneCb respond)
-{
-    ctx_.engine().schedule(tagLat(), [this, acc, h,
-                                   respond = std::move(respond)]() mutable {
-        GpmNode &home = ctx_.gpm(h);
-        auto res = home.l2().load(acc.lineAddr);
-        if (res.hit) {
-            ++loads_sys_home_hit_;
-            ctx_.engine().schedule(dataLat(),
-                                 [respond = std::move(respond),
-                                  v = res.version]() mutable {
-                respond(v);
-            });
-            return;
-        }
-        if (!home.mshrRegister(acc.lineAddr, std::move(respond)))
-            return;
-        ++loads_dram_;
-        Tick ready = home.dram().read(ctx_.cfg.cacheLineBytes);
-        ctx_.engine().scheduleAt(ready, [this, acc, h]() {
-            Version v = ctx_.mem.read(acc.lineAddr);
-            GpmNode &home = ctx_.gpm(h);
-            home.l2().fill(acc.lineAddr, v);
-            home.mshrComplete(acc.lineAddr, v);
-        });
-    });
-}
-
-// ---------------------------------------------------------------- stores
-
-void
-SwProtocol::store(const MemAccess &acc, Version v, DoneCb accepted,
-                  DoneCb sys_done)
-{
-    ctx_.pages.touch(acc.lineAddr, acc.gpm);
-    const GpmId h = ctx_.amap.systemHome(acc.lineAddr);
-    const GpmId gh =
-        hier_ ? ctx_.amap.gpuHome(ctx_.cfg.gpuOf(acc.gpm), acc.lineAddr)
-              : h;
-
-    StoreFlow f{acc, v, std::move(sys_done), false};
-
-    ctx_.engine().schedule(tagLat(), [this, f = std::move(f), gh, h,
-                                   accepted =
-                                       std::move(accepted)]() mutable {
-        if (mayCacheAt(f.acc.gpm, f.acc.lineAddr))
-            ctx_.gpm(f.acc.gpm).l2().store(f.acc.lineAddr, f.v);
-        accepted();
-        const GpmId src = f.acc.gpm;
-        const Addr line = f.acc.lineAddr;
-        if (hier_) {
-            if (src == gh) {
-                storeAtGpuHome(std::move(f), gh, h);
-            } else {
-                ctx_.net.inject(
-                    {.src = src,
-                     .dst = gh,
-                     .type = MsgType::WriteThrough,
-                     .addr = line,
-                     .onArrival = [this, f = std::move(f), gh,
-                                   h]() mutable {
-                         storeAtGpuHome(std::move(f), gh, h);
-                     }});
-            }
-        } else {
-            if (src == h) {
-                storeAtSysHome(std::move(f), h);
-            } else {
-                ctx_.net.inject(
-                    {.src = src,
-                     .dst = h,
-                     .type = MsgType::WriteThrough,
-                     .addr = line,
-                     .onArrival = [this, f = std::move(f), h]() mutable {
-                         storeAtSysHome(std::move(f), h);
-                     }});
-            }
-        }
-    });
-}
-
-void
-SwProtocol::storeAtGpuHome(StoreFlow f, GpmId gh, GpmId h)
-{
-    hmg_assert(hier_);
-    if (gh == h) {
-        storeAtSysHome(std::move(f), h);
-        return;
-    }
-    if (mayCacheAt(gh, f.acc.lineAddr))
-        ctx_.gpm(gh).l2().store(f.acc.lineAddr, f.v,
-                                /*mark_dirty=*/false, /*serialized=*/true);
-    ctx_.tracker.reachedGpuLevel(f.acc.sm);
-    f.gpuCleared = true;
-    const Addr line = f.acc.lineAddr;
-    ctx_.net.inject({.src = gh,
-                     .dst = h,
-                     .type = MsgType::WriteThrough,
-                     .addr = line,
-                     .onArrival = [this, f = std::move(f), h]() mutable {
-                         storeAtSysHome(std::move(f), h);
-                     }});
-}
-
-void
-SwProtocol::storeAtSysHome(StoreFlow f, GpmId h)
-{
-    GpmNode &home = ctx_.gpm(h);
-    home.l2().store(f.acc.lineAddr, f.v, /*mark_dirty=*/false,
-                    /*serialized=*/true);
-    ctx_.mem.write(f.acc.lineAddr, f.v);
-    home.dram().write(ctx_.cfg.cacheLineBytes);
-    // Tracker state and the sys-done continuation belong to the
-    // requester's SM; hand them back to its LP (immediate when local).
-    ctx_.lps.post(ctx_.lps.lpOfGpm(f.acc.gpm),
-                  [this, gpu_cleared = f.gpuCleared, sm = f.acc.sm,
-                   sys_done = std::move(f.sysDone)]() mutable {
-                      if (!gpu_cleared)
-                          ctx_.tracker.reachedGpuLevel(sm);
-                      ctx_.tracker.reachedSysLevel(sm);
-                      if (sys_done)
-                          sys_done();
-                  });
-}
-
-// --------------------------------------------------------------- atomics
-
-void
-SwProtocol::atomic(const MemAccess &acc, Version v, LoadDoneCb done,
-                   DoneCb sys_done)
-{
-    ctx_.pages.touch(acc.lineAddr, acc.gpm);
-    const GpmId h = ctx_.amap.systemHome(acc.lineAddr);
-    const GpmId gh =
-        hier_ ? ctx_.amap.gpuHome(ctx_.cfg.gpuOf(acc.gpm), acc.lineAddr)
-              : h;
-    const GpmId target = (hier_ && acc.scope <= Scope::Gpu) ? gh : h;
-
-    if (target == acc.gpm) {
-        atomicAtHome(acc, target, h, v, std::move(done),
-                     std::move(sys_done));
-    } else {
-        ctx_.net.inject(
-            {.src = acc.gpm,
-             .dst = target,
-             .type = MsgType::AtomicReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, target, h, v,
-                           done = std::move(done),
-                           sys_done = std::move(sys_done)]() mutable {
-                 atomicAtHome(acc, target, h, v, std::move(done),
-                              std::move(sys_done));
-             }});
-    }
-}
-
-void
-SwProtocol::atomicAtHome(MemAccess acc, GpmId target, GpmId h, Version v,
-                         LoadDoneCb done, DoneCb sys_done)
-{
-    ctx_.engine().schedule(tagLat(), [this, acc, target, h, v,
-                                   done = std::move(done),
-                                   sys_done = std::move(sys_done)]() mutable {
-        GpmNode &node = ctx_.gpm(target);
-        auto res = node.l2().load(acc.lineAddr);
-        if (res.hit) {
-            atomicPerform(acc, target, h, v, res.version, std::move(done),
-                          std::move(sys_done));
-            return;
-        }
-        if (target == h) {
-            Tick ready = node.dram().read(ctx_.cfg.cacheLineBytes);
-            ctx_.engine().scheduleAt(ready, [this, acc, target, h, v,
-                                           done = std::move(done),
-                                           sys_done =
-                                               std::move(sys_done)]() mutable {
-                Version old_v = ctx_.mem.read(acc.lineAddr);
-                atomicPerform(acc, target, h, v, old_v, std::move(done),
-                              std::move(sys_done));
-            });
-            return;
-        }
-        // GPU-home atomic without the line: fetch from the system home.
-        ctx_.net.inject(
-            {.src = target,
-             .dst = h,
-             .type = MsgType::ReadReq,
-             .addr = acc.lineAddr,
-             .onArrival = [this, acc, target, h, v,
-                           done = std::move(done),
-                           sys_done = std::move(sys_done)]() mutable {
-                 loadAtSysHome(
-                     acc, h,
-                     [this, acc, target, h, v, done = std::move(done),
-                      sys_done =
-                          std::move(sys_done)](Version old_v) mutable {
-                         ctx_.net.inject(
-                             {.src = h,
-                              .dst = target,
-                              .type = MsgType::ReadResp,
-                              .addr = acc.lineAddr,
-                              .onArrival =
-                                  [this, acc, target, h, v, old_v,
-                                   done = std::move(done),
-                                   sys_done =
-                                       std::move(sys_done)]() mutable {
-                                      if (mayCacheAt(target, acc.lineAddr))
-                                          ctx_.gpm(target).l2().fill(
-                                              acc.lineAddr, old_v);
-                                      atomicPerform(acc, target, h, v,
-                                                    old_v,
-                                                    std::move(done),
-                                                    std::move(sys_done));
-                                  }});
-                     });
-             }});
-    });
-}
-
-void
-SwProtocol::atomicPerform(MemAccess acc, GpmId target, GpmId h, Version v,
-                          Version old_v, LoadDoneCb done, DoneCb sys_done)
-{
-    // The RMW serializes at `target`: its copy takes the arrival order.
-    if (target == h || mayCacheAt(target, acc.lineAddr))
-        ctx_.gpm(target).l2().store(acc.lineAddr, v, /*mark_dirty=*/false,
-                                    /*serialized=*/true);
-
-    if (target == acc.gpm) {
-        done(old_v);
-    } else {
-        ctx_.net.inject({.src = target,
-                         .dst = acc.gpm,
-                         .type = MsgType::AtomicResp,
-                         .addr = acc.lineAddr,
-                         .onArrival = [done = std::move(done),
-                                       old_v]() mutable {
-                             done(old_v);
-                         }});
-    }
-
-    StoreFlow f{acc, v, std::move(sys_done), false};
-    if (target == h) {
-        ctx_.mem.write(acc.lineAddr, v);
-        ctx_.gpm(h).dram().write(ctx_.cfg.cacheLineBytes);
-        // Tracker and sys-done run in the requester's LP (see
-        // storeAtSysHome).
-        ctx_.lps.post(ctx_.lps.lpOfGpm(acc.gpm),
-                      [this, sm = acc.sm,
-                       sys_done = std::move(f.sysDone)]() mutable {
-                          ctx_.tracker.reachedGpuLevel(sm);
-                          ctx_.tracker.reachedSysLevel(sm);
-                          if (sys_done)
-                              sys_done();
-                      });
-        return;
-    }
-    ctx_.tracker.reachedGpuLevel(acc.sm);
-    f.gpuCleared = true;
-    ctx_.net.inject({.src = target,
-                     .dst = h,
-                     .type = MsgType::WriteThrough,
-                     .addr = acc.lineAddr,
-                     .onArrival = [this, f = std::move(f), h]() mutable {
-                         storeAtSysHome(std::move(f), h);
-                     }});
 }
 
 // -------------------------------------------------------- acquire/release
@@ -505,15 +64,7 @@ SwProtocol::kernelBoundary()
 void
 SwProtocol::reportStats(StatRecorder &r) const
 {
-    CoherenceModel::reportStats(r);
-    r.record("protocol.loads_local_hit",
-             static_cast<double>(loads_local_hit_.total()));
-    r.record("protocol.loads_gpu_home_hit",
-             static_cast<double>(loads_gpu_home_hit_.total()));
-    r.record("protocol.loads_sys_home_hit",
-             static_cast<double>(loads_sys_home_hit_.total()));
-    r.record("protocol.loads_dram",
-             static_cast<double>(loads_dram_.total()));
+    HomeChainModel::reportStats(r);
     r.record("protocol.acquire_l2_inv_lines",
              static_cast<double>(acquire_l2_invs_.total()));
     r.record("protocol.kernel_boundary_inv_lines",

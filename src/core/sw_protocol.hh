@@ -23,93 +23,49 @@
  * Store-releases stall until the home node for the scope has absorbed
  * all of the SM's pending writes; with write-through caches and FIFO
  * channels no marker/ack traffic is needed.
+ *
+ * Loads, stores and atomics take the shared walk of core/home_chain.hh
+ * with no directory: a flat chain, or one with a GPU-home tier when
+ * hierarchical. This class adds only the acquire, release and
+ * kernel-boundary rules above.
  */
 
 #ifndef HMG_CORE_SW_PROTOCOL_HH
 #define HMG_CORE_SW_PROTOCOL_HH
 
-#include <cstdint>
-
-#include "core/protocol.hh"
+#include "core/home_chain.hh"
 
 namespace hmg
 {
 
 /** Scoped software coherence (bulk invalidation based). */
-class SwProtocol : public CoherenceModel
+class SwProtocol : public HomeChainModel
 {
   public:
     /**
      * @param hierarchical route and cache through a GPU home node
      * @param cache_remote when false, data homed on a remote GPU is
-     *        never cached outside its home GPM — this yields the
-     *        "no caching of remote GPU data" normalization baseline
+     *        never cached outside its home GPU
      */
     SwProtocol(SystemContext &ctx, bool hierarchical,
                bool cache_remote = true);
 
-    void load(const MemAccess &acc, LoadDoneCb done) override;
-    void store(const MemAccess &acc, Version v, DoneCb accepted,
-               DoneCb sys_done) override;
-    void atomic(const MemAccess &acc, Version v, LoadDoneCb done,
-                DoneCb sys_done) override;
     void acquire(const MemAccess &acc, DoneCb done) override;
     void release(const MemAccess &acc, DoneCb done) override;
     void kernelBoundary() override;
 
-    bool mayCacheInL1(GpmId gpm, Addr line_addr) const override;
-
     const char *
     name() const override
     {
-        if (!cache_remote_)
-            return "NoRemoteCache";
         return hier_ ? "SW-Hier" : "SW-NonHier";
     }
 
     void reportStats(StatRecorder &r) const override;
 
-  protected:
-    /** May GPM `node` keep a copy of `line` in its L2? */
-    bool mayCacheAt(GpmId node, Addr line) const;
-
-    Tick l2Lat() const { return ctx_.cfg.l2HitLatency; }
-    /** Tag-check cost (misses); hits additionally pay dataLat(). */
-    Tick tagLat() const { return ctx_.cfg.l2TagLatency; }
-    Tick dataLat() const
-    {
-        return ctx_.cfg.l2HitLatency - ctx_.cfg.l2TagLatency;
-    }
-
-    void loadAtGpuHome(MemAccess acc, GpmId gh, GpmId h, LoadDoneCb done);
-    void loadAtSysHome(MemAccess acc, GpmId h, LoadDoneCb respond);
-
-    struct StoreFlow
-    {
-        MemAccess acc;
-        Version v = 0;
-        DoneCb sysDone;
-        bool gpuCleared = false;
-    };
-
-    void storeAtGpuHome(StoreFlow f, GpmId gh, GpmId h);
-    void storeAtSysHome(StoreFlow f, GpmId h);
-
-    void atomicAtHome(MemAccess acc, GpmId target, GpmId h, Version v,
-                      LoadDoneCb done, DoneCb sys_done);
-    void atomicPerform(MemAccess acc, GpmId target, GpmId h, Version v,
-                       Version old_v, LoadDoneCb done, DoneCb sys_done);
-
-    bool hier_;
-    bool cache_remote_;
-
+  private:
     // LP-sharded: these count on whichever LP serves the access.
     LpCounter acquire_l2_invs_;
     LpCounter kernel_boundary_invs_;
-    LpCounter loads_local_hit_;
-    LpCounter loads_gpu_home_hit_;
-    LpCounter loads_sys_home_hit_;
-    LpCounter loads_dram_;
 };
 
 } // namespace hmg

@@ -185,7 +185,7 @@ Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
             ctx_.engine().schedule(ctx_.cfg.l1HitLatency,
                                  [this, w, acc, &op]() {
                 model_.load(acc, [this, w, acc, &op](Version v) {
-                    if (model_.mayCacheInL1(gpm_, acc.lineAddr))
+                    if (model_.mayCache(gpm_, acc.lineAddr))
                         l1_.fill(acc.lineAddr, v);
                     releaseSlot();
                     (void)v;
@@ -202,7 +202,7 @@ Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
     withSlot([this, w, acc]() {
         ctx_.engine().schedule(ctx_.cfg.l1HitLatency, [this, w, acc]() {
             model_.load(acc, [this, w, acc](Version v) {
-                if (model_.mayCacheInL1(gpm_, acc.lineAddr))
+                if (model_.mayCache(gpm_, acc.lineAddr))
                     l1_.fill(acc.lineAddr, v);
                 releaseSlot();
                 loadCompleted(w);

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "sim/watchdog.hh"
 #include "trace/workloads.hh"
@@ -18,12 +19,8 @@ namespace hmg
 unsigned
 SweepRunner::defaultJobs()
 {
-    if (const char *s = std::getenv("HMG_JOBS")) {
-        const int v = std::atoi(s);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-        warnImpl("ignoring HMG_JOBS='%s' (want a positive integer)", s);
-    }
+    if (const char *s = std::getenv("HMG_JOBS"))
+        return static_cast<unsigned>(parseU64("HMG_JOBS", s, 1, 4096));
     // The host core count picks the worker count, never a result.
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
@@ -117,23 +114,16 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
 unsigned
 parseJobsFlag(int argc, char **argv)
 {
+    unsigned jobs = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            const int v = std::atoi(argv[i + 1]);
-            if (v > 0)
-                return static_cast<unsigned>(v);
-            hmg_fatal("--jobs wants a positive integer, got '%s'",
-                      argv[i + 1]);
-        }
-        if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            const int v = std::atoi(argv[i] + 7);
-            if (v > 0)
-                return static_cast<unsigned>(v);
-            hmg_fatal("--jobs wants a positive integer, got '%s'",
-                      argv[i] + 7);
-        }
+        if (std::strcmp(argv[i], "--jobs") != 0)
+            hmg_fatal("unknown argument '%s' (only --jobs N is accepted)",
+                      argv[i]);
+        if (i + 1 == argc)
+            hmg_fatal("--jobs wants a value");
+        jobs = static_cast<unsigned>(parseU64("--jobs", argv[++i], 1, 4096));
     }
-    return 0;
+    return jobs;
 }
 
 } // namespace hmg

@@ -86,9 +86,10 @@ class SweepRunner
 };
 
 /**
- * Scan argv for `--jobs N` (or `--jobs=N`). Returns 0 — meaning "use
- * SweepRunner's default" — when absent. Shared by the bench binaries and
- * the hmgsim front-end.
+ * Parse a sweep bench's command line, which takes only `--jobs N` (N in
+ * [1, 4096], strictly parsed as hmgsim's flag is). Any other argument,
+ * a missing value or a malformed one is a one-line fatal. Returns 0 —
+ * meaning "use SweepRunner's default" — when `--jobs` is absent.
  */
 unsigned parseJobsFlag(int argc, char **argv);
 

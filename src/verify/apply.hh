@@ -7,7 +7,10 @@
  *
  * Both consumers step through here:
  *   - core/hw_protocol.cc adapts its Directory entries to DirSnapshot
- *     and commits the outcome to the live directory;
+ *     and commits the outcome to the live directory, for the events the
+ *     shared walk's directory hook raises (core/home_chain.cc: sharer
+ *     recording, write-through and atomic fans) and for its own
+ *     invalidation, re-fan, replacement and downgrade handlers;
  *   - verify/model.cc adapts its packed model state and commits to the
  *     successor state vector.
  * Neither re-implements a transition, so hmgcheck verifies the rows the

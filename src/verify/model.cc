@@ -8,7 +8,8 @@
  * simulator executes, and breadth-first search with a hashed visited
  * set — so the first violation found is a minimal-depth counterexample.
  *
- * Protocol fidelity notes (mirroring core/hw_protocol.cc):
+ * Protocol fidelity notes (mirroring the walk in core/home_chain.cc;
+ * upFrom() takes its chain step):
  *  - sharers are recorded at the home in the same atomic step that
  *    emits the data response, never at request arrival;
  *  - every requester fills its local L2 from the response, and the GPU
@@ -171,19 +172,18 @@ class Explorer
         std::string err; //!< model-capacity problem while generating
     };
 
+    // Line `l`'s homes and chain step, from the helpers the
+    // simulator's walk uses (core/sharer_ops.hh).
     GpmId hOf(std::uint8_t l) const { return homeOf_[l]; }
     GpmId
     ghOfLine(GpuId g, std::uint8_t l) const
     {
-        return topo_.gpmId(g, topo_.localGpmOf(hOf(l)));
+        return topo_.gpuHome(g, hOf(l));
     }
     GpmId
     nhOfLine(NodeId n, std::uint8_t l) const
     {
-        const GpmId h = hOf(l);
-        const GpuId g =
-            topo_.gpuId(n, topo_.localGpuOf(topo_.gpuOf(h)));
-        return topo_.gpmId(g, topo_.localGpmOf(h));
+        return topo_.nodeHome(n, hOf(l));
     }
     bool multiNode() const { return cfg_.hier && cfg_.numNodes > 1; }
     bool
@@ -191,22 +191,11 @@ class Explorer
     {
         return multiNode() && nhOfLine(topo_.nodeOfGpm(g), l) == g;
     }
-    /**
-     * The next home up the chain from intermediate home `from`: its
-     * node home when one stands strictly between `from` and the system
-     * home, else the system home itself (cf. HwProtocol::
-     * nodeHopBetween).
-     */
+    /** The next home up the chain from home `from`. */
     GpmId
     upFrom(GpmId from, std::uint8_t l) const
     {
-        const GpmId h = hOf(l);
-        if (multiNode()) {
-            const GpmId nh = nhOfLine(topo_.nodeOfGpm(from), l);
-            if (nh != from && nh != h)
-                return nh;
-        }
-        return h;
+        return nextHome(topo_, cfg_.hier, multiNode(), from, hOf(l));
     }
 
     void setupWorkload();
@@ -825,7 +814,7 @@ Explorer::deliver(MState &s, GpmId src, GpmId dst, const Msg &m)
             // serialize same-node write-throughs in arrival order, and
             // the order it forwards them to the system home is the
             // order they land there — so, as at the GPU home, the fill
-            // is unconditional (mirrors storeAtNodeHome).
+            // is unconditional (core/home_chain.cc's storeAt).
             s.cache[dst][l] = std::uint8_t(m.ver + 1);
             applyAt(s, dst, src, l, DirEvent::Store); // via = GPU home
             send(s, dst, h, Msg{MWtF, l, m.ver, m.a});

@@ -9,10 +9,13 @@
  *     (line state, incoming event, guard)
  *         -> (next state, directory update, emitted messages)
  *
- * The simulator (core/hw_protocol.cc) dispatches its directory
- * maintenance through these rows via verify::applyDirEvent (apply.hh),
- * and the exhaustive model checker (verify/model.cc, tools/hmgcheck)
- * steps the *same* rows — so a transition proven safe in the model is
+ * The simulator dispatches its directory maintenance through these rows
+ * via verify::applyDirEvent (apply.hh): core/hw_protocol.cc applies one
+ * row per event of the shared load/store/atomic walk's directory hook
+ * (core/home_chain.cc) and of its own invalidation, replacement and
+ * downgrade handlers. The exhaustive model checker (verify/model.cc,
+ * tools/hmgcheck) steps the *same* rows, and the same chain step
+ * (core/sharer_ops.hh) — so a transition proven safe in the model is
  * the transition the timing simulation performs, and a row edit shows
  * up in both or neither.
  *

@@ -5,17 +5,19 @@
 # --placement behaviour).
 # Run as: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmgcheck]
 #                    [path-to-bench_engine_microbench]
+#                    [path-to-bench_table3_workloads]
 set -u
 
-HMGSIM=${1:?usage: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmgcheck] [path-to-bench_engine_microbench]}
+HMGSIM=${1:?usage: cli_test.sh <path-to-hmgsim> [repo-root] [path-to-hmgcheck] [path-to-bench_engine_microbench] [path-to-bench_table3_workloads]}
 # Topology example files live relative to the repo root; default to the
 # directory above this script so the test runs standalone too.
 ROOT=${2:-$(cd "$(dirname "$0")/.." && pwd)}
-# hmgcheck and the engine microbench share hmgsim's flag contract; their
-# checks run only when the binary's path is supplied (ctest passes it,
-# standalone may not).
+# hmgcheck, the engine microbench and the sweep benches share hmgsim's
+# flag contract; their checks run only when the binary's path is
+# supplied (ctest passes it, standalone may not).
 HMGCHECK=${3:-}
 MICROBENCH=${4:-}
+TABLE3=${5:-}
 fails=0
 
 # reject_by <binary> <description> <args...>: nonzero exit + an error
@@ -227,6 +229,27 @@ if [ -n "$MICROBENCH" ]; then
     bench_reject "microbench zero scale" --kernel-only --sweep-scale 0
     bench_reject "microbench trailing garbage" --kernel-only --pdes-scale 1x
     bench_reject "microbench zero jobs" --kernel-only --jobs 0
+fi
+
+# The sweep benches (bench_table3_workloads stands for them) take only
+# --jobs N, and read HMG_JOBS and HMG_BENCH_SCALE as strictly as hmgsim
+# reads --jobs and --scale.
+if [ -n "$TABLE3" ]; then
+    sweep_reject() { reject_by env "$@"; }
+    sweep_reject "sweep bench trailing garbage in --jobs" "$TABLE3" --jobs 2x
+    sweep_reject "sweep bench --jobs without a value" "$TABLE3" --jobs
+    sweep_reject "sweep bench --jobs past int range" \
+        "$TABLE3" --jobs 99999999999
+    sweep_reject "sweep bench --jobs=N form" "$TABLE3" --jobs=2
+    sweep_reject "sweep bench unknown argument" "$TABLE3" --scale 0.01
+    sweep_reject "sweep bench trailing garbage in HMG_JOBS" \
+        HMG_JOBS=3junk "$TABLE3"
+    sweep_reject "sweep bench non-numeric HMG_BENCH_SCALE" \
+        HMG_BENCH_SCALE=abc "$TABLE3"
+    sweep_reject "sweep bench trailing garbage in HMG_BENCH_SCALE" \
+        HMG_BENCH_SCALE=0.05x "$TABLE3"
+    accept_by env "sweep bench small scale with two jobs" \
+        HMG_BENCH_SCALE=0.01 "$TABLE3" --jobs 2
 fi
 
 # The baseline file must be a no-op: identical statistics to the

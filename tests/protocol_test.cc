@@ -348,12 +348,12 @@ TEST(NoRemoteCache, RemoteGpuDataNeverCachedLocally)
     d.place(kA, 3); // homed on GPU1
     d.load(0, kA);  // GPM0 (GPU0) reads
     EXPECT_FALSE(d.l2Has(0, kA));
-    EXPECT_FALSE(d.model().mayCacheInL1(0, kA));
+    EXPECT_FALSE(d.model().mayCache(0, kA));
     // Same-GPU data is cacheable.
     d.place(kB, 1);
     d.load(0, kB);
     EXPECT_TRUE(d.l2Has(0, kB));
-    EXPECT_TRUE(d.model().mayCacheInL1(0, kB));
+    EXPECT_TRUE(d.model().mayCache(0, kB));
 }
 
 TEST(NoRemoteCache, RemoteReadsAlwaysCrossTheSwitch)
