@@ -25,6 +25,7 @@
 
 #include "common/cli.hh"
 #include "gpu/simulator.hh"
+#include "sim/sweep.hh"
 #include "trace/workloads.hh"
 
 namespace hmgbench
@@ -61,6 +62,26 @@ fullSuite()
     for (const auto &i : hmg::trace::workloads::list())
         names.push_back(i.name);
     return names;
+}
+
+/**
+ * The Fig. 8 grid at HMG_BENCH_SCALE: per workload, the baseline cell
+ * followed by the five cached configurations, in Fig. 8 column order.
+ */
+inline std::vector<hmg::SweepCell>
+fig8Cells()
+{
+    std::vector<hmg::SweepCell> cells;
+    for (const auto &name : fullSuite()) {
+        hmg::SystemConfig cfg;
+        cfg.protocol = hmg::Protocol::NoRemoteCache;
+        cells.push_back({name, cfg, benchScale(), 1});
+        for (auto p : allProtocols()) {
+            cfg.protocol = p;
+            cells.push_back({name, cfg, benchScale(), 1});
+        }
+    }
+    return cells;
 }
 
 /**

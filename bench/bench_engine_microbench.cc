@@ -27,17 +27,29 @@
  *     tiers), so the cost of growing the machine model is tracked from
  *     PR to PR alongside the sensitivity results in bench_scaleout.
  *
+ *  5. end-to-end simulated memory ops per host second of one serial
+ *     cell — cuSolver under SW-NonHier at scale 0.25, best of three,
+ *     trace generated outside the timing — the cell perf_smoke gates.
+ *
+ *  6. wall-clock of the whole Fig. 8 suite (the 20 x 6 cells
+ *     bench_fig8_main runs, at HMG_BENCH_SCALE like it) with one worker
+ *     and with four, plus the process CPU seconds of the four-worker
+ *     run.
+ *
  * Flags: --events N, --jobs N, --sweep-scale X, --pdes-scale X,
  * --scaleout-scale X, --kernel-only (event-kernel throughput only, for
  * tools/perf_smoke.sh), --invalidate-only (bulk tag-array invalidation
- * cost at L1 and L2 size only, for tools/perf_smoke.sh), --out FILE.
+ * cost at L1 and L2 size only, for tools/perf_smoke.sh), --cell-only
+ * (the serial cell's op/s only, for tools/perf_smoke.sh), --out FILE.
  * Numbers parse strictly, as in hmgsim: a malformed or out-of-range
  * value, or an unknown flag, is a one-line fatal and exit 1.
  *
- * The JSON's `engine` section records the host it was measured on
- * (host_cores, compiler, build type), since perf_smoke's floor is a
- * fraction of its wheel_events_per_sec.
+ * The JSON's `engine` and `cell` sections record the host they were
+ * measured on (host_cores, compiler, build type), since perf_smoke's
+ * floors are fractions of their wheel_events_per_sec and ops_per_sec.
  */
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -395,6 +407,74 @@ measureScaleout(const std::string &workload, double scale)
     return points;
 }
 
+/** The perf_smoke cell: cuSolver under SW-NonHier, serial. */
+struct CellTiming
+{
+    const char *workload = "cusolver";
+    const char *protocol = "swnh";
+    double scale = 0.25;
+    std::uint64_t mem_ops = 0;
+    double ops_per_sec = 0;
+};
+
+CellTiming
+measureCell()
+{
+    CellTiming t;
+    const auto trace = hmg::trace::workloads::make(t.workload, t.scale);
+    hmg::SystemConfig cfg;
+    cfg.protocol = hmg::Protocol::SwNonHier;
+    t.mem_ops = trace.memOps();
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto res = hmg::Simulator(cfg).run(trace);
+        const double secs = secondsSince(t0);
+        hmg_assert(res.memOps == t.mem_ops);
+        t.ops_per_sec = std::max(t.ops_per_sec,
+                                 static_cast<double>(t.mem_ops) / secs);
+    }
+    return t;
+}
+
+double
+processCpuSeconds()
+{
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return static_cast<double>(u.ru_utime.tv_sec + u.ru_stime.tv_sec) +
+           static_cast<double>(u.ru_utime.tv_usec + u.ru_stime.tv_usec) *
+               1e-6;
+}
+
+/** The Fig. 8 suite, timed with one worker and with four. */
+struct Fig8Timing
+{
+    std::size_t cells = 0;
+    double scale = 1.0;
+    double serial_seconds = 0;
+    unsigned jobs = 4;
+    double parallel_seconds = 0;
+    double parallel_cpu_seconds = 0;
+};
+
+Fig8Timing
+measureFig8()
+{
+    const std::vector<hmg::SweepCell> cells = hmgbench::fig8Cells();
+    Fig8Timing t;
+    t.cells = cells.size();
+    t.scale = hmgbench::benchScale();
+    auto t0 = std::chrono::steady_clock::now();
+    hmg::SweepRunner(1).run(cells);
+    t.serial_seconds = secondsSince(t0);
+    const double cpu0 = processCpuSeconds();
+    t0 = std::chrono::steady_clock::now();
+    hmg::SweepRunner(t.jobs).run(cells);
+    t.parallel_seconds = secondsSince(t0);
+    t.parallel_cpu_seconds = processCpuSeconds() - cpu0;
+    return t;
+}
+
 } // namespace
 
 int
@@ -407,6 +487,7 @@ main(int argc, char **argv)
     unsigned jobs = 0; // SweepRunner default: HMG_JOBS, else every core
     bool kernel_only = false;
     bool invalidate_only = false;
+    bool cell_only = false;
     std::string out_path = "BENCH_engine.json";
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
@@ -436,6 +517,8 @@ main(int argc, char **argv)
             kernel_only = true;
         else if (a == "--invalidate-only")
             invalidate_only = true;
+        else if (a == "--cell-only")
+            cell_only = true;
         else if (a == "--out")
             out_path = need(i);
         else
@@ -452,6 +535,12 @@ main(int argc, char **argv)
                     bulkInvalidateNs(128 * 1024, 8, 20'000));
         std::printf("bulk_invalidate_l2_ns %.1f\n",
                     bulkInvalidateNs(3 * 1024 * 1024, 16, 20'000));
+        return 0;
+    }
+
+    if (cell_only) {
+        // Machine-greppable line for tools/perf_smoke.sh.
+        std::printf("cell_ops_per_sec %.0f\n", measureCell().ops_per_sec);
         return 0;
     }
 
@@ -516,6 +605,16 @@ main(int argc, char **argv)
                     pt.inter_gpu_util, pt.inter_node_util,
                     pt.nhcc_trackable ? "trackable" : "mask overflow");
 
+    const CellTiming cell = measureCell();
+    std::printf("cell, %s under %s at scale %.2f: %.0f op/s (best of 3)\n",
+                cell.workload, cell.protocol, cell.scale, cell.ops_per_sec);
+
+    const Fig8Timing f8 = measureFig8();
+    std::printf("fig8 suite, %zu cells at scale %.2f: 1 job %.2fs | "
+                "%u jobs %.2fs (%.2f CPU-s)\n",
+                f8.cells, f8.scale, f8.serial_seconds, f8.jobs,
+                f8.parallel_seconds, f8.parallel_cpu_seconds);
+
     if (std::FILE *f = std::fopen(out_path.c_str(), "w")) {
         std::fprintf(f,
                      "{\n"
@@ -559,6 +658,24 @@ main(int argc, char **argv)
                      "    \"cross_lp_posts\": %.0f,\n"
                      "    \"lookahead_util\": %.3f\n"
                      "  },\n"
+                     "  \"cell\": {\n"
+                     "    \"host_cores\": %u,\n"
+                     "    \"compiler\": \"%s\",\n"
+                     "    \"build_type\": \"%s\",\n"
+                     "    \"workload\": \"%s\",\n"
+                     "    \"protocol\": \"%s\",\n"
+                     "    \"scale\": %.3f,\n"
+                     "    \"mem_ops\": %llu,\n"
+                     "    \"ops_per_sec\": %.0f\n"
+                     "  },\n"
+                     "  \"fig8_suite\": {\n"
+                     "    \"cells\": %zu,\n"
+                     "    \"scale\": %.3f,\n"
+                     "    \"serial_seconds\": %.3f,\n"
+                     "    \"jobs\": %u,\n"
+                     "    \"parallel_seconds\": %.3f,\n"
+                     "    \"parallel_cpu_seconds\": %.3f\n"
+                     "  },\n"
                      "  \"scaleout\": {\n"
                      "    \"workload\": \"bfs\",\n"
                      "    \"scale\": %.3f,\n"
@@ -580,7 +697,13 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(pd.tw_cycles),
                      pd.windows, pd.boundary_msgs, pd.null_msgs,
                      pd.window_stalls, pd.cross_lp_posts,
-                     pd.lookahead_util, scaleout_scale);
+                     pd.lookahead_util, std::thread::hardware_concurrency(),
+                     HMG_BENCH_COMPILER, HMG_BENCH_BUILD_TYPE, cell.workload,
+                     cell.protocol, cell.scale,
+                     static_cast<unsigned long long>(cell.mem_ops),
+                     cell.ops_per_sec, f8.cells, f8.scale,
+                     f8.serial_seconds, f8.jobs, f8.parallel_seconds,
+                     f8.parallel_cpu_seconds, scaleout_scale);
         for (std::size_t i = 0; i < sc.size(); ++i) {
             const auto &pt = sc[i];
             std::fprintf(

@@ -22,7 +22,6 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "sim/sweep.hh"
 
 int
 main(int argc, char **argv)
@@ -35,22 +34,8 @@ main(int argc, char **argv)
     const auto &protos = allProtocols();
     const std::size_t stride = 1 + protos.size();
 
-    // Per workload: the baseline cell followed by the five cached
-    // configurations, in Fig. 8 column order.
-    std::vector<hmg::SweepCell> cells;
-    cells.reserve(names.size() * stride);
-    for (const auto &name : names) {
-        hmg::SystemConfig cfg;
-        cfg.protocol = hmg::Protocol::NoRemoteCache;
-        cells.push_back({name, cfg, benchScale(), 1});
-        for (auto p : protos) {
-            cfg.protocol = p;
-            cells.push_back({name, cfg, benchScale(), 1});
-        }
-    }
-
     hmg::SweepRunner runner(hmg::parseJobsFlag(argc, argv));
-    const auto results = runner.run(cells);
+    const auto results = runner.run(fig8Cells());
 
     std::printf("%-12s | %9s %9s %9s %9s %9s\n", "workload", "SW-NonH",
                 "NHCC", "SW-Hier", "HMG", "Ideal");

@@ -2,16 +2,19 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's own building
  * blocks (not a paper figure): event-queue throughput, link
- * serialization, cache and directory operations, and end-to-end
- * simulated-ops-per-second. These guard the "significantly faster"
- * property the paper claims for its simulator (Fig. 7's right panel).
+ * serialization, one message across the fabric, cache, tag-array and
+ * directory operations, and end-to-end simulated-ops-per-second. These
+ * guard the "significantly faster" property the paper claims for its
+ * simulator (Fig. 7's right panel).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hh"
+#include "cache/tag_array.hh"
 #include "core/directory.hh"
 #include "gpu/simulator.hh"
+#include "noc/network.hh"
 #include "sim/engine.hh"
 #include "sim/serializer.hh"
 #include "trace/workloads.hh"
@@ -42,6 +45,54 @@ BM_ChannelSend(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChannelSend);
+
+static void
+BM_PortHop(benchmark::State &state)
+{
+    // One message GPM 0 -> GPM 4 (cross GPU: four ports) per iteration,
+    // carrying a closure the size of the protocols' fattest (184 bytes,
+    // see Engine::Callback), run to delivery.
+    struct Fat
+    {
+        std::uint64_t *sum;
+        unsigned char pad[176];
+        void operator()() const { ++*sum; }
+    };
+    static_assert(sizeof(Fat) == 184);
+    SystemConfig cfg;
+    Engine e;
+    Network net(e, cfg);
+    std::uint64_t sum = 0;
+    for (auto _ : state) {
+        net.inject({.src = 0,
+                    .dst = 4,
+                    .type = MsgType::ReadResp,
+                    .onArrival = Fat{&sum, {}}});
+        e.run();
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PortHop);
+
+static void
+BM_TagProbeEmptySet(benchmark::State &state)
+{
+    // An L1 (128 KB, 8-way) filled, then bulk-invalidated: every probe
+    // lands in a set with nothing live, as after each acquire.
+    TagArray tags = TagArray::fromCapacity(128 * 1024, 8, 128);
+    const Addr span = 1024 * 128;
+    for (Addr a = 0; a < span; a += 128)
+        tags.insert(a);
+    tags.invalidateAll();
+    Addr a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tags.lookup(a));
+        a = (a + 128) % span;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TagProbeEmptySet);
 
 static void
 BM_CacheLoadHit(benchmark::State &state)
@@ -87,5 +138,25 @@ BM_EndToEndSimulation(benchmark::State &state)
     state.SetLabel("items = simulated memory ops");
 }
 BENCHMARK(BM_EndToEndSimulation)->Unit(benchmark::kMillisecond);
+
+static void
+BM_SmWarpStep(benchmark::State &state)
+{
+    // A warp step cannot be timed apart from the engine and the memory
+    // below it, so this times the cell whose events are almost all
+    // SM-side: cuSolver under SW-NonHier (few messages, no directory).
+    auto t = trace::workloads::make("cusolver", 0.25);
+    for (auto _ : state) {
+        SystemConfig cfg;
+        cfg.protocol = Protocol::SwNonHier;
+        Simulator sim(cfg);
+        auto res = sim.run(t);
+        benchmark::DoNotOptimize(res.cycles);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(t.memOps()));
+    state.SetLabel("items = simulated memory ops, cusolver-swnh cell");
+}
+BENCHMARK(BM_SmWarpStep)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -33,7 +34,10 @@ Cache::store(Addr line_addr, Version version, bool mark_dirty,
         ++store_hits_;
         if (serialized || line->version < version)
             line->version = version;
-        line->dirty = line->dirty || mark_dirty;
+        if (mark_dirty && !line->dirty) {
+            line->dirty = true;
+            recordDirty(line_addr);
+        }
         return true;
     }
     if (!write_allocate_)
@@ -47,26 +51,49 @@ Cache::store(Addr line_addr, Version version, bool mark_dirty,
     }
     line->version = version;
     line->dirty = mark_dirty;
+    if (mark_dirty)
+        recordDirty(line_addr);
     return true;
+}
+
+void
+Cache::recordDirty(Addr line)
+{
+    if (dirty_lines_.size() >= 2 * tags_.numSets() * tags_.ways()) {
+        // Keep one entry per line still dirty (a line turns dirty again
+        // each time it is refilled and stored to between flushes).
+        std::vector<Addr> live;
+        for (Addr a : dirty_lines_)
+            if (const CacheLine *l = tags_.peek(a); l && l->dirty)
+                live.push_back(a);
+        std::sort(live.begin(), live.end());
+        live.erase(std::unique(live.begin(), live.end()), live.end());
+        dirty_lines_ = std::move(live);
+    }
+    dirty_lines_.push_back(line);
 }
 
 std::uint64_t
 Cache::flushDirty(const std::function<void(CacheLine)> &fn)
 {
-    std::uint64_t n = 0;
+    // Array position is set-then-way order, the order of a full walk.
+    std::vector<CacheLine *> live;
+    for (Addr a : dirty_lines_)
+        if (CacheLine *l = tags_.peek(a); l && l->dirty)
+            live.push_back(l);
+    dirty_lines_.clear();
+    std::sort(live.begin(), live.end());
+    live.erase(std::unique(live.begin(), live.end()), live.end());
     // Collect first: the callback may touch the cache.
     std::vector<CacheLine> dirty;
-    tags_.forEachValidMutable([&](CacheLine &line) {
-        if (line.dirty) {
-            dirty.push_back(line);
-            line.dirty = false;
-        }
-    });
-    for (auto &line : dirty) {
-        fn(line);
-        ++n;
+    dirty.reserve(live.size());
+    for (CacheLine *l : live) {
+        dirty.push_back(*l);
+        l->dirty = false;
     }
-    return n;
+    for (auto &line : dirty)
+        fn(line);
+    return dirty.size();
 }
 
 std::uint64_t
@@ -134,6 +161,7 @@ std::uint64_t
 Cache::invalidateAll()
 {
     ++bulk_invalidations_;
+    dirty_lines_.clear();
     std::uint64_t n = tags_.invalidateAll();
     invalidated_lines_ += n;
     return n;

@@ -72,13 +72,16 @@ class Cache
                bool serialized = false);
 
     /**
-     * Visit every dirty line and clear its dirty flag (release /
-     * kernel-boundary flush in write-back mode). The callback receives
-     * a copy of the line as it was.
+     * Visit every dirty line, in set-then-way order, and clear its
+     * dirty flag (release / kernel-boundary flush in write-back mode).
+     * The callback receives a copy of the line as it was. Only lines
+     * recorded as turning dirty since the last flush are probed, not
+     * the whole array.
      * @return number of lines flushed.
      */
     std::uint64_t flushDirty(const std::function<void(CacheLine)> &fn);
 
+    /** Dirty lines, counted by walking the array (tests). */
     std::uint64_t dirtyLines() const;
 
     /** Install a line fetched from below (load fill). */
@@ -133,9 +136,21 @@ class Cache
     }
 
   private:
+    /** Note that `line` just turned dirty (see dirty_lines_). */
+    void recordDirty(Addr line);
+
     TagArray tags_;
     bool write_allocate_;
     std::function<void(const CacheLine &)> eviction_hook_;
+
+    /**
+     * Addresses of lines that turned dirty since the last flush. An
+     * entry goes stale when its line is evicted, invalidated or
+     * flushed; flushDirty() probes each and skips the stale ones, and a
+     * bulk invalidation empties the list. Compacted when it outgrows
+     * twice the array, so it stays bounded between flushes.
+     */
+    std::vector<Addr> dirty_lines_;
 
     std::uint64_t loads_ = 0;
     std::uint64_t load_hits_ = 0;

@@ -13,6 +13,16 @@
  * calloc'd array are empty entries and construction writes nothing.
  * When the generation would wrap to 0, every stamp is reset first: an
  * entry dropped 2^32 bulk invalidations earlier must not match again.
+ *
+ * Each set also keeps a 32-bit summary word: the generation of the last
+ * insert into that set. A set whose word differs from the current
+ * generation holds no live entry, so a probe of it misses without
+ * reading the set's ways (256–512 bytes of host memory), and an insert
+ * into it takes way 0 without a scan, the way a full scan would pick.
+ * A bulk invalidation leaves every word stale for free; the wrap resets
+ * the words with the stamps. Software coherence empties whole arrays at
+ * every acquire and kernel boundary, so most probes in those runs land
+ * in such sets.
  */
 
 #ifndef HMG_CACHE_SET_ASSOC_HH
@@ -72,7 +82,9 @@ class SetAssoc
         hmg_assert(num_sets > 0 && ways > 0 && first_generation != 0);
         entries_.reset(static_cast<Entry *>(
             std::calloc(num_sets * ways, sizeof(Entry))));
-        if (!entries_)
+        set_gen_.reset(static_cast<std::uint32_t *>(
+            std::calloc(num_sets, sizeof(std::uint32_t))));
+        if (!entries_ || !set_gen_)
             throw std::bad_alloc();
     }
 
@@ -88,6 +100,7 @@ class SetAssoc
 
     /** Find without touching LRU state. */
     const Entry *peek(Addr key) const { return probe(key); }
+    Entry *peek(Addr key) { return probe(key); }
 
     /**
      * Make `key` live and most recently used. A key already present is
@@ -101,25 +114,32 @@ class SetAssoc
     {
         if (evicted)
             evicted->reset();
-        Entry *base = setBase(key);
+        const std::uint64_t set = setOf(key);
+        Entry *base = &entries_[set * ways_];
         Entry *victim = nullptr;
         bool victim_live = false;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            Entry &e = base[w];
-            if (e.stamp != gen_) {
-                if (!victim || victim_live) {
-                    victim = &e;
-                    victim_live = false;
+        if (set_gen_[set] != gen_) {
+            // Nothing live in the set: its first way is the first empty.
+            set_gen_[set] = gen_;
+            victim = base;
+        } else {
+            for (std::uint32_t w = 0; w < ways_; ++w) {
+                Entry &e = base[w];
+                if (e.stamp != gen_) {
+                    if (!victim || victim_live) {
+                        victim = &e;
+                        victim_live = false;
+                    }
+                    continue;
                 }
-                continue;
-            }
-            if (e.*Key == key) {
-                e.lru = next_lru_++;
-                return {&e, false, false};
-            }
-            if (!victim || (victim_live && e.lru < victim->lru)) {
-                victim = &e;
-                victim_live = true;
+                if (e.*Key == key) {
+                    e.lru = next_lru_++;
+                    return {&e, false, false};
+                }
+                if (!victim || (victim_live && e.lru < victim->lru)) {
+                    victim = &e;
+                    victim_live = true;
+                }
             }
         }
         if (victim_live) {
@@ -162,6 +182,8 @@ class SetAssoc
         if (++gen_ == 0) {
             for (std::uint64_t i = 0; i < num_sets_ * ways_; ++i)
                 entries_[i].stamp = 0;
+            for (std::uint64_t i = 0; i < num_sets_; ++i)
+                set_gen_[i] = 0;
             gen_ = 1;
         }
         return dropped;
@@ -179,41 +201,35 @@ class SetAssoc
     void
     forEach(Fn &&fn) const
     {
-        for (std::uint64_t i = 0; i < num_sets_ * ways_; ++i) {
-            const Entry &e = entries_[i];
-            if (e.stamp == gen_)
-                fn(e);
-        }
-    }
-
-    /** Visit every live entry mutably; `fn` must not change `stamp`. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        for (std::uint64_t i = 0; i < num_sets_ * ways_; ++i) {
-            Entry &e = entries_[i];
-            if (e.stamp == gen_)
-                fn(e);
+        for (std::uint64_t set = 0; set < num_sets_; ++set) {
+            if (set_gen_[set] != gen_)
+                continue;
+            const Entry *base = &entries_[set * ways_];
+            for (std::uint32_t w = 0; w < ways_; ++w)
+                if (base[w].stamp == gen_)
+                    fn(base[w]);
         }
     }
 
   private:
     struct Free
     {
-        void operator()(Entry *p) const { std::free(p); }
+        void operator()(void *p) const { std::free(p); }
     };
 
-    Entry *
-    setBase(Addr key) const
+    std::uint64_t
+    setOf(Addr key) const
     {
-        return &entries_[((key >> key_shift_) % num_sets_) * ways_];
+        return (key >> key_shift_) % num_sets_;
     }
 
     Entry *
     probe(Addr key) const
     {
-        Entry *base = setBase(key);
+        const std::uint64_t set = setOf(key);
+        if (set_gen_[set] != gen_)
+            return nullptr;
+        Entry *base = &entries_[set * ways_];
         for (std::uint32_t w = 0; w < ways_; ++w)
             if (base[w].stamp == gen_ && base[w].*Key == key)
                 return &base[w];
@@ -227,6 +243,8 @@ class SetAssoc
     std::uint64_t live_ = 0;
     std::uint64_t next_lru_ = 1;
     std::unique_ptr<Entry[], Free> entries_;
+    /** Per set: the generation of its last insert (see file comment). */
+    std::unique_ptr<std::uint32_t[], Free> set_gen_;
 };
 
 } // namespace hmg

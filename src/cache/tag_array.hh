@@ -58,6 +58,7 @@ class TagArray
     {
         return lines_.peek(line_addr);
     }
+    CacheLine *peek(Addr line_addr) { return lines_.peek(line_addr); }
 
     /**
      * Allocate a slot for `line_addr`, evicting the set's LRU victim if
@@ -99,18 +100,11 @@ class TagArray
     std::uint32_t ways() const { return lines_.ways(); }
     std::uint32_t lineBytes() const { return line_bytes_; }
 
-    /** Visit every valid line (tests and diagnostics). */
+    /** Visit every valid line, in set-then-way order (tests and
+     *  diagnostics). */
     template <typename Fn>
     void
     forEachValid(Fn &&fn) const
-    {
-        lines_.forEach(fn);
-    }
-
-    /** Visit every valid line mutably (dirty-flush bookkeeping). */
-    template <typename Fn>
-    void
-    forEachValidMutable(Fn &&fn)
     {
         lines_.forEach(fn);
     }

@@ -32,25 +32,39 @@ Sm::accessFor(const trace::MemOp &op) const
 
 // ------------------------------------------------------------ CTA entry
 
+namespace
+{
+
+/** Take a free slot of `pool`, growing it by one when none is free. */
+template <typename T>
+std::uint32_t
+takeSlot(std::vector<T> &pool, std::vector<std::uint32_t> &free)
+{
+    if (free.empty()) {
+        pool.emplace_back();
+        return static_cast<std::uint32_t>(pool.size() - 1);
+    }
+    const std::uint32_t i = free.back();
+    free.pop_back();
+    return i;
+}
+
+} // namespace
+
 void
-Sm::runCta(const trace::Cta &cta, std::function<void()> on_done)
+Sm::runCta(const trace::Cta &cta, DoneCb on_done)
 {
     hmg_assert(canAccept(cta));
     hmg_assert(!cta.warps.empty());
 
-    auto remaining = std::make_shared<std::uint32_t>(
-        static_cast<std::uint32_t>(cta.warps.size()));
-    auto cta_done = [this, remaining, on_done = std::move(on_done)]() {
-        if (--*remaining == 0)
-            on_done();
-    };
+    const std::uint32_t c = takeSlot(ctas_, free_ctas_);
+    ctas_[c].remaining = static_cast<std::uint32_t>(cta.warps.size());
+    ctas_[c].onDone = std::move(on_done);
 
     active_warps_ += static_cast<std::uint32_t>(cta.warps.size());
     for (const auto &warp : cta.warps) {
-        auto w = std::make_shared<WarpCtx>();
-        w->warp = &warp;
-        w->pc = 0;
-        w->onDone = cta_done;
+        const WarpSlot w = takeSlot(warps_, free_warps_);
+        warps_[w] = WarpCtx{&warp, 0, c, 0, Park::None};
         warpStep(w);
     }
 }
@@ -58,29 +72,19 @@ Sm::runCta(const trace::Cta &cta, std::function<void()> on_done)
 // ------------------------------------------------------- warp scheduling
 
 void
-Sm::warpStep(const WarpPtr &w)
+Sm::warpStep(WarpSlot w)
 {
-    if (w->pc >= w->warp->ops.size()) {
-        if (w->inflight > 0) {
-            // Retire only once every posted load has returned. The
-            // parked continuation lives *inside* the WarpCtx, so it
-            // must not own it: a strong self-capture is a cycle that
-            // leaks every warp abandoned by a SimHang unwind. While
-            // parked, inflight > 0 — each in-flight load's completion
-            // callback holds the strong reference that keeps the
-            // context alive, so the lock below cannot fail in a live
-            // simulation.
-            w->resume = [this, wp = std::weak_ptr<WarpCtx>(w)]() {
-                auto s = wp.lock();
-                hmg_assert(s);
-                warpStep(s);
-            };
+    WarpCtx &ctx = warps_[w];
+    if (ctx.pc >= ctx.warp->ops.size()) {
+        // Retire only once every posted load has returned.
+        if (ctx.inflight > 0) {
+            ctx.park = Park::Retire;
             return;
         }
         finishWarp(w);
         return;
     }
-    const trace::MemOp &op = w->warp->ops[w->pc];
+    const trace::MemOp &op = ctx.warp->ops[ctx.pc];
     // Abstract compute before the op, then the shared issue port.
     Tick after_compute = ctx_.engine().now() + op.delay;
     Tick issued = issue_port_.serialize(after_compute, 1);
@@ -88,50 +92,47 @@ Sm::warpStep(const WarpPtr &w)
 }
 
 void
-Sm::advance(const WarpPtr &w)
+Sm::advance(WarpSlot w)
 {
-    ++w->pc;
+    ++warps_[w].pc;
     warpStep(w);
 }
 
 void
-Sm::finishWarp(const WarpPtr &w)
+Sm::finishWarp(WarpSlot w)
 {
     hmg_assert(active_warps_ > 0);
     --active_warps_;
-    w->onDone();
+    const std::uint32_t c = warps_[w].cta;
+    warps_[w] = WarpCtx{};
+    free_warps_.push_back(w);
+    if (--ctas_[c].remaining == 0) {
+        // on_done may place the next CTA here and grow the pools.
+        DoneCb done = std::move(ctas_[c].onDone);
+        free_ctas_.push_back(c);
+        done.consume();
+    }
 }
 
 void
-Sm::execute(const WarpPtr &w, const trace::MemOp &op)
+Sm::execute(WarpSlot w, const trace::MemOp &op)
 {
     // Structural hazards. Synchronizing ops (atomics, fences,
     // acquire-loads, release-stores) drain the warp's posted loads
-    // first; plain loads stall at the per-warp in-flight limit.
+    // first; plain loads stall at the per-warp in-flight limit. Either
+    // way the warp parks on this op, and the next of its loads to
+    // return runs it again (loadCompleted), which may park it anew.
+    WarpCtx &ctx = warps_[w];
     const bool needs_drain =
         op.type == MemOpType::Atomic || op.type == MemOpType::AcqFence ||
         op.type == MemOpType::RelFence ||
         (op.type == MemOpType::Load && op.acq &&
          op.scope > Scope::Cta) ||
         (op.type == MemOpType::Store && op.rel && op.scope > Scope::Cta);
-    // Both park sites require inflight > 0, so the weak self-capture
-    // (cycle avoidance, see warpStep) is safe: outstanding load
-    // completions own the context until the warp is unparked.
-    if (needs_drain && w->inflight > 0) {
-        w->resume = [this, wp = std::weak_ptr<WarpCtx>(w), &op]() {
-            auto s = wp.lock();
-            hmg_assert(s);
-            execute(s, op);
-        };
-        return;
-    }
-    if (op.type == MemOpType::Load && !needs_drain &&
-        w->inflight >= ctx_.cfg.warpMaxInflightLoads) {
-        w->resume = [this, wp = std::weak_ptr<WarpCtx>(w), &op]() {
-            auto s = wp.lock();
-            hmg_assert(s);
-            execute(s, op);
-        };
+    if (needs_drain ? ctx.inflight > 0
+                    : op.type == MemOpType::Load &&
+                          ctx.inflight >= ctx_.cfg.warpMaxInflightLoads) {
+        ctx.park = Park::Rerun;
         return;
     }
 
@@ -147,10 +148,10 @@ Sm::execute(const WarpPtr &w, const trace::MemOp &op)
         doAtomic(w, op);
         break;
       case MemOpType::AcqFence:
-        doAcquire(w, op);
+        acquireThenAdvance(w, op);
         break;
       case MemOpType::RelFence:
-        doRelease(w, op, [this, w]() { advance(w); });
+        doRelease(op, [this, w]() { advance(w); });
         break;
     }
 }
@@ -158,7 +159,7 @@ Sm::execute(const WarpPtr &w, const trace::MemOp &op)
 // ------------------------------------------------------------------ loads
 
 void
-Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
+Sm::doLoad(WarpSlot w, const trace::MemOp &op)
 {
     ++loads_;
     const MemAccess acc = accessFor(op);
@@ -188,7 +189,6 @@ Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
                     if (model_.mayCache(gpm_, acc.lineAddr))
                         l1_.fill(acc.lineAddr, v);
                     releaseSlot();
-                    (void)v;
                     acquireThenAdvance(w, op);
                 });
             });
@@ -198,7 +198,7 @@ Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
 
     // Posted load: the warp continues immediately and only stalls at
     // the in-flight limit or at the next synchronizing op.
-    ++w->inflight;
+    ++warps_[w].inflight;
     withSlot([this, w, acc]() {
         ctx_.engine().schedule(ctx_.cfg.l1HitLatency, [this, w, acc]() {
             model_.load(acc, [this, w, acc](Version v) {
@@ -213,21 +213,23 @@ Sm::doLoad(const WarpPtr &w, const trace::MemOp &op)
 }
 
 void
-Sm::loadCompleted(const WarpPtr &w)
+Sm::loadCompleted(WarpSlot w)
 {
-    hmg_assert(w->inflight > 0);
-    --w->inflight;
-    if (w->resume) {
-        auto r = std::move(w->resume);
-        w->resume = nullptr;
-        r();
-    }
+    WarpCtx &ctx = warps_[w];
+    hmg_assert(ctx.inflight > 0);
+    --ctx.inflight;
+    const Park park = ctx.park;
+    ctx.park = Park::None;
+    if (park == Park::Retire)
+        warpStep(w);
+    else if (park == Park::Rerun)
+        execute(w, ctx.warp->ops[ctx.pc]);
 }
 
 // ----------------------------------------------------------------- stores
 
 void
-Sm::doStore(const WarpPtr &w, const trace::MemOp &op)
+Sm::doStore(WarpSlot w, const trace::MemOp &op)
 {
     ++stores_;
     auto body = [this, w, &op]() {
@@ -257,7 +259,7 @@ Sm::doStore(const WarpPtr &w, const trace::MemOp &op)
     };
 
     if (op.rel && op.scope > Scope::Cta)
-        doRelease(w, op, std::move(body));
+        doRelease(op, std::move(body));
     else
         body();
 }
@@ -265,7 +267,7 @@ Sm::doStore(const WarpPtr &w, const trace::MemOp &op)
 // ---------------------------------------------------------------- atomics
 
 void
-Sm::doAtomic(const WarpPtr &w, const trace::MemOp &op)
+Sm::doAtomic(WarpSlot w, const trace::MemOp &op)
 {
     ++atomics_;
     auto body = [this, w, &op]() {
@@ -290,7 +292,7 @@ Sm::doAtomic(const WarpPtr &w, const trace::MemOp &op)
     };
 
     if (op.rel && op.scope > Scope::Cta)
-        doRelease(w, op, std::move(body));
+        doRelease(op, std::move(body));
     else
         body();
 }
@@ -298,13 +300,7 @@ Sm::doAtomic(const WarpPtr &w, const trace::MemOp &op)
 // ----------------------------------------------------------------- fences
 
 void
-Sm::doAcquire(const WarpPtr &w, const trace::MemOp &op)
-{
-    acquireThenAdvance(w, op);
-}
-
-void
-Sm::acquireThenAdvance(const WarpPtr &w, const trace::MemOp &op)
+Sm::acquireThenAdvance(WarpSlot w, const trace::MemOp &op)
 {
     if (op.scope > Scope::Cta && model_.invalidatesL1OnAcquire())
         l1_.invalidateAll();
@@ -312,21 +308,19 @@ Sm::acquireThenAdvance(const WarpPtr &w, const trace::MemOp &op)
 }
 
 void
-Sm::doRelease(const WarpPtr &w, const trace::MemOp &op,
-              std::function<void()> then)
+Sm::doRelease(const trace::MemOp &op, DoneCb then)
 {
-    (void)w;
     model_.release(accessFor(op), std::move(then));
 }
 
 // ------------------------------------------------------------ MSHR budget
 
 void
-Sm::withSlot(std::function<void()> fn)
+Sm::withSlot(SlotWaiter fn)
 {
     if (outstanding_ < ctx_.cfg.smMaxOutstanding) {
         ++outstanding_;
-        fn();
+        fn.consume();
     } else {
         slot_waiters_.push_back(std::move(fn));
     }
@@ -337,9 +331,9 @@ Sm::releaseSlot()
 {
     hmg_assert(outstanding_ > 0);
     if (!slot_waiters_.empty()) {
-        auto fn = std::move(slot_waiters_.front());
+        SlotWaiter fn = std::move(slot_waiters_.front());
         slot_waiters_.pop_front();
-        fn();
+        fn.consume();
     } else {
         --outstanding_;
     }

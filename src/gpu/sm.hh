@@ -17,6 +17,17 @@
  * II-C/IV-B). A small store buffer forwards a warp's own in-flight
  * writes so per-thread per-location coherence holds even while a
  * write-through is still crossing the machine.
+ *
+ * Warp contexts and per-CTA counters live in per-SM pools indexed by
+ * slot; a pool grows on demand to the SM's peak number of resident
+ * warps (or CTAs) and reuses freed slots, so nothing is allocated at
+ * construction and nothing per op. Continuations capture `this` and a
+ * slot index. A warp stalled on a structural hazard parks with a tag
+ * (retire, or re-run the op at its pc) that the next of its in-flight
+ * loads to return acts on. The MSHR waiters and release continuations
+ * are SmallCallbacks whose inline buffers hold every closure the SM
+ * builds, so no load, store or atomic heap-allocates a closure or
+ * touches a reference count.
  */
 
 #ifndef HMG_GPU_SM_HH
@@ -24,8 +35,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -66,7 +75,10 @@ class Sm
      * Start executing `cta` (must fit). `on_done` runs when every warp
      * of the CTA has retired its last op. The Cta must outlive the run.
      */
-    void runCta(const trace::Cta &cta, std::function<void()> on_done);
+    void runCta(const trace::Cta &cta, DoneCb on_done);
+
+    /** Warp contexts in this SM's pool: its peak of resident warps. */
+    std::size_t warpSlots() const { return warps_.size(); }
 
     /** Bulk-invalidate the L1 (acquires and kernel boundaries). */
     std::uint64_t invalidateL1() { return l1_.invalidateAll(); }
@@ -85,40 +97,61 @@ class Sm
     void reportStats(StatRecorder &r) const;
 
   private:
+    /** Index of a warp context in warps_. */
+    using WarpSlot = std::uint32_t;
+
+    /** What a parked warp does when one of its loads returns. */
+    enum class Park : std::uint8_t
+    {
+        None,   //!< not parked
+        Retire, //!< past its last op: retire (or park again)
+        Rerun,  //!< stalled on a hazard: re-run the op at pc
+    };
+
     struct WarpCtx
     {
+        /** Null while the slot is free. */
         const trace::Warp *warp = nullptr;
         std::size_t pc = 0;
-        std::function<void()> onDone;
+        /** The CTA's slot in ctas_. */
+        std::uint32_t cta = 0;
         /** Non-blocking loads currently in flight for this warp. */
         std::uint32_t inflight = 0;
-        /** Continuation parked on a structural hazard (load limit,
-         *  drain before fence/atomic, or warp retirement). */
-        std::function<void()> resume;
+        /** Set on a structural hazard (load limit, drain before a
+         *  fence or atomic) or at retirement with loads in flight. */
+        Park park = Park::None;
     };
-    using WarpPtr = std::shared_ptr<WarpCtx>;
 
-    // Warp state machine.
-    void warpStep(const WarpPtr &w);
-    void execute(const WarpPtr &w, const trace::MemOp &op);
-    void advance(const WarpPtr &w);
-    void finishWarp(const WarpPtr &w);
+    struct CtaCtx
+    {
+        std::uint32_t remaining = 0; //!< warps not yet retired
+        DoneCb onDone;
+    };
 
-    void doLoad(const WarpPtr &w, const trace::MemOp &op);
-    void doStore(const WarpPtr &w, const trace::MemOp &op);
-    void doAtomic(const WarpPtr &w, const trace::MemOp &op);
-    void doAcquire(const WarpPtr &w, const trace::MemOp &op);
-    void doRelease(const WarpPtr &w, const trace::MemOp &op,
-                   std::function<void()> then);
+    /** A continuation waiting for an MSHR slot. */
+    using SlotWaiter = SmallCallback<kCompletionCbBytes>;
+
+    // Warp state machine. Continuations hold a WarpSlot, never a
+    // WarpCtx reference: retiring a warp can start a new CTA on this SM,
+    // which may grow the pool.
+    void warpStep(WarpSlot w);
+    void execute(WarpSlot w, const trace::MemOp &op);
+    void advance(WarpSlot w);
+    void finishWarp(WarpSlot w);
+
+    void doLoad(WarpSlot w, const trace::MemOp &op);
+    void doStore(WarpSlot w, const trace::MemOp &op);
+    void doAtomic(WarpSlot w, const trace::MemOp &op);
+    void doRelease(const trace::MemOp &op, DoneCb then);
 
     /** Post-load acquire actions, then advance the warp. */
-    void acquireThenAdvance(const WarpPtr &w, const trace::MemOp &op);
+    void acquireThenAdvance(WarpSlot w, const trace::MemOp &op);
 
     /** A non-blocking load returned: update inflight, unpark the warp. */
-    void loadCompleted(const WarpPtr &w);
+    void loadCompleted(WarpSlot w);
 
     // MSHR budget.
-    void withSlot(std::function<void()> fn);
+    void withSlot(SlotWaiter fn);
     void releaseSlot();
 
     // Store buffer (own in-flight write forwarding).
@@ -139,7 +172,13 @@ class Sm
 
     std::uint32_t active_warps_ = 0;
     std::uint32_t outstanding_ = 0;
-    std::deque<std::function<void()>> slot_waiters_;
+    std::deque<SlotWaiter> slot_waiters_;
+
+    /** Warp and CTA pools, with their free slots (LIFO). */
+    std::vector<WarpCtx> warps_;
+    std::vector<WarpSlot> free_warps_;
+    std::vector<CtaCtx> ctas_;
+    std::vector<std::uint32_t> free_ctas_;
 
     struct SbEntry
     {

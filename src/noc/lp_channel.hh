@@ -9,7 +9,9 @@
  * drained only by the main thread inside the window barrier, which
  * delivers each message into the destination port at its true arrival
  * tick (>= the next window start, by the lookahead argument — the
- * channel's latency IS the lookahead).
+ * channel's latency IS the lookahead). Each LP keeps message bodies in
+ * its own MessageSlab, so the drain also moves every body from the
+ * source LP's slab into the destination's and re-issues its handle.
  *
  * Flow control mirrors the serial credit scheme with a shadow counter:
  * the source side charges every sent message against the destination
@@ -49,9 +51,16 @@ class LpChannel
      * @param dst the destination LP's ingress port
      * @param dst_input the input slot this channel feeds
      * @param capacity byte credit pool (== the real pool of that input)
+     * @param src_slab the source LP's message bodies
+     * @param dst_slab the destination LP's message bodies
      */
-    LpChannel(Port &dst, std::uint32_t dst_input, std::uint64_t capacity)
-        : dst_(dst), dst_input_(dst_input), capacity_(capacity)
+    LpChannel(Port &dst, std::uint32_t dst_input, std::uint64_t capacity,
+              MessageSlab &src_slab, MessageSlab &dst_slab)
+        : dst_(dst),
+          dst_input_(dst_input),
+          capacity_(capacity),
+          src_slab_(src_slab),
+          dst_slab_(dst_slab)
     {
     }
 
@@ -60,13 +69,13 @@ class LpChannel
     /** Same overshoot-by-one-message rule as Port::canAccept. */
     bool canSend() const { return in_flight_bytes_ < capacity_; }
 
-    /** Queue a message that arrives at absolute tick `arrival`. */
+    /** Queue a message that arrives at absolute tick `m.ready`. */
     void
-    send(Tick arrival, Message &&m)
+    send(MsgRef m)
     {
         hmg_assert(in_flight_bytes_ < capacity_);
         in_flight_bytes_ += m.bytes;
-        outbox_.push_back(Parcel{arrival, std::move(m)});
+        outbox_.push_back(m);
     }
 
     // ---- destination-LP thread, during a window ----
@@ -92,10 +101,13 @@ class LpChannel
     {
         std::uint64_t delivered = 0;
         while (!outbox_.empty()) {
-            Parcel p = std::move(outbox_.front());
+            MsgRef m = outbox_.front();
             outbox_.pop_front();
-            pending_credit_bytes_.push_back(p.msg.bytes);
-            dst_.push(dst_input_, p.arrival, std::move(p.msg));
+            const MsgHandle src_handle = m.handle;
+            m.handle = dst_slab_.put(std::move(src_slab_.at(src_handle)));
+            src_slab_.release(src_handle);
+            pending_credit_bytes_.push_back(m.bytes);
+            dst_.push(dst_input_, m);
             ++delivered;
         }
         const std::uint64_t credits = returned_bytes_;
@@ -108,20 +120,17 @@ class LpChannel
     std::uint64_t capacityBytes() const { return capacity_; }
 
   private:
-    struct Parcel
-    {
-        Tick arrival = 0;
-        Message msg;
-    };
-
     Port &dst_;
     std::uint32_t dst_input_;
     std::uint64_t capacity_;
+    MessageSlab &src_slab_;
+    MessageSlab &dst_slab_;
 
     /** Source side: bytes sent and not yet credited back. */
     std::uint64_t in_flight_bytes_ = 0;
-    /** Source side: messages awaiting the barrier hand-off. */
-    std::deque<Parcel> outbox_;
+    /** Source side: messages awaiting the barrier hand-off (handles
+     *  into the source slab). */
+    std::deque<MsgRef> outbox_;
 
     /** Destination side: sizes of delivered-but-unpopped messages
      *  (filled by the main thread at delivery, consumed FIFO by the

@@ -38,4 +38,14 @@ msgBytes(const SystemConfig &cfg, MsgType t)
     }
 }
 
+void
+MessageSlab::grow()
+{
+    const auto base = static_cast<MsgHandle>(blocks_.size() << kBlockBits);
+    blocks_.push_back(std::make_unique<Message[]>(MsgHandle{1} << kBlockBits));
+    // Pushed in reverse so the block's slots are handed out in order.
+    for (MsgHandle i = kBlockMask + 1; i-- > 0;)
+        free_.push_back(base + i);
+}
+
 } // namespace hmg

@@ -1,6 +1,7 @@
 /**
  * @file
- * Message classification and sizing for the interconnect.
+ * Message classification and sizing for the interconnect, and the slab
+ * that holds message bodies while they cross it.
  *
  * Control messages (requests, invalidations, acks, release markers) are
  * small (16 B by default — the paper notes "The size of each invalidation
@@ -13,6 +14,8 @@
 #define HMG_NOC_MESSAGE_HH
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/types.hh"
@@ -61,11 +64,13 @@ using MsgCallback = Engine::Callback;
  * size is derived from `type` by msgBytes(), so Fig. 9–11 byte
  * accounting and per-link occupancy always agree with one definition.
  *
- * The struct is move-only (the continuation is a SmallCallback) and
- * lives *inside* the port queues while in flight: forwarding a message
- * moves it from one hop's bounded queue to the next, and final delivery
- * moves `onArrival` straight into the engine's event wheel. No per-hop
- * heap allocation, no per-hop fat-closure copies.
+ * The struct is move-only (the continuation is a SmallCallback) and is
+ * moved once, into its LP's MessageSlab, at injection. The NIC and port
+ * queues then carry a 16-byte MsgRef, and final delivery moves
+ * `onArrival` from the slab straight into the engine's event wheel: on
+ * any route the closure moves three times from its construction, with
+ * no per-hop heap allocation and no per-hop closure copy. A message
+ * crossing LPs moves once more, between slabs, at the window barrier.
  */
 struct Message
 {
@@ -78,6 +83,69 @@ struct Message
     std::uint32_t bytes = 0;
     /** Runs at the delivery tick, after the last hop's latency. */
     MsgCallback onArrival;
+};
+
+/** Index of a Message body in a MessageSlab. */
+using MsgHandle = std::uint32_t;
+
+/**
+ * What a transport queue holds for one message: its body's handle, its
+ * wire size (so credit accounting never reads the body) and the tick it
+ * becomes eligible at the stage holding it.
+ */
+struct MsgRef
+{
+    Tick ready = 0;
+    MsgHandle handle = 0;
+    std::uint32_t bytes = 0;
+};
+
+/**
+ * Bodies of the messages in flight, addressed by handle. Bodies live in
+ * fixed blocks that never move, so a handle stays valid from put() to
+ * release(); freed slots are reused LIFO. Storage tracks the peak number
+ * of messages in flight and is never allocated before the first put().
+ * A slab belongs to one LP: only that LP's thread touches it during a
+ * window (the barrier moves bodies between slabs).
+ */
+class MessageSlab
+{
+  public:
+    /** Store `m`; the body is moved once. */
+    MsgHandle
+    put(Message &&m)
+    {
+        if (free_.empty())
+            grow();
+        const MsgHandle h = free_.back();
+        free_.pop_back();
+        at(h) = std::move(m);
+        return h;
+    }
+
+    Message &
+    at(MsgHandle h)
+    {
+        return blocks_[h >> kBlockBits][h & kBlockMask];
+    }
+
+    const Message &
+    at(MsgHandle h) const
+    {
+        return blocks_[h >> kBlockBits][h & kBlockMask];
+    }
+
+    /** Free `h`'s slot; its callback has been moved out. */
+    void release(MsgHandle h) { free_.push_back(h); }
+
+  private:
+    static constexpr unsigned kBlockBits = 7;
+    static constexpr MsgHandle kBlockMask = (MsgHandle{1} << kBlockBits) - 1;
+
+    void grow();
+
+    std::vector<std::unique_ptr<Message[]>> blocks_;
+    std::vector<MsgHandle> free_;
 };
 
 } // namespace hmg

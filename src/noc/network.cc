@@ -45,9 +45,15 @@ Network::engOfNode(NodeId n)
 }
 
 std::uint32_t
+Network::lpOfGpm(GpmId g) const
+{
+    return lps_ ? lps_->lpOfGpm(g) : 0;
+}
+
+std::uint32_t
 Network::lpOfGpu(GpuId u) const
 {
-    return lps_ ? lps_->lpOfGpm(cfg_.gpmId(u, 0)) : 0;
+    return lpOfGpm(cfg_.gpmId(u, 0));
 }
 
 std::uint32_t
@@ -86,6 +92,7 @@ Network::init()
     const Tick node_half = cfg.interNodeHopLatency / 2;
     const Tick node_rest = cfg.interNodeHopLatency - node_half;
     const std::uint32_t locals = cfg.gpmsPerGpu;
+    slabs_.resize(concurrent() ? lps_->numLps() : 1);
 
     // In TimeWindow mode a multi-node machine must be cut at node
     // boundaries (sim/lp.cc clamps its plans accordingly): the node
@@ -120,11 +127,12 @@ Network::init()
     // inter-GPU switch (fed across the long switch->GPM hop). Every
     // port is bound to the engine of the LP that owns its GPM/GPU.
     for (std::uint32_t g = 0; g < cfg.totalGpms(); ++g) {
+        MessageSlab &slab = slabOfLp(lpOfGpm(g));
         gpm_egress_.push_back(std::make_unique<Port>(
-            engOfGpm(g), gpm_bpc, intra_half, /*num_inputs=*/1,
+            engOfGpm(g), slab, gpm_bpc, intra_half, /*num_inputs=*/1,
             pool(gpm_bpc, 0)));
         gpm_ingress_.push_back(std::make_unique<Port>(
-            engOfGpm(g), gpm_bpc, intra_rest, locals + 1,
+            engOfGpm(g), slab, gpm_bpc, intra_rest, locals + 1,
             pool(gpm_bpc, inter_rest)));
     }
     // A GPU's switch egress is fed by its local GPMs; its switch ingress
@@ -144,11 +152,12 @@ Network::init()
     const std::uint32_t gpu_in_slots =
         multiNode() ? cfg.numGpus + cfg.numNodes : cfg.numGpus;
     for (std::uint32_t u = 0; u < cfg.numGpus; ++u) {
+        MessageSlab &slab = slabOfLp(lpOfGpu(u));
         gpu_egress_.push_back(std::make_unique<Port>(
-            engOfGpu(u), gpu_bpc, inter_half, locals,
+            engOfGpu(u), slab, gpu_bpc, inter_half, locals,
             pool(gpu_bpc, intra_half)));
         gpu_ingress_.push_back(std::make_unique<Port>(
-            engOfGpu(u), gpu_bpc, inter_rest, gpu_in_slots,
+            engOfGpu(u), slab, gpu_bpc, inter_rest, gpu_in_slots,
             pool(gpu_bpc, inter_half + xlp_slack)));
     }
 
@@ -159,11 +168,12 @@ Network::init()
     // interNodeHopLatency of wire on top of queueing.
     if (multiNode()) {
         for (std::uint32_t n = 0; n < cfg.numNodes; ++n) {
+            MessageSlab &slab = slabOfLp(lpOfNode(n));
             node_egress_.push_back(std::make_unique<Port>(
-                engOfNode(n), node_bpc, node_half, cfg.gpusPerNode(),
-                pool(node_bpc, inter_half)));
+                engOfNode(n), slab, node_bpc, node_half,
+                cfg.gpusPerNode(), pool(node_bpc, inter_half)));
             node_ingress_.push_back(std::make_unique<Port>(
-                engOfNode(n), node_bpc, node_rest, cfg.numNodes,
+                engOfNode(n), slab, node_bpc, node_rest, cfg.numNodes,
                 pool(node_bpc, node_half + xlp_node_slack)));
         }
     }
@@ -181,7 +191,8 @@ Network::init()
                 xlp_[std::size_t{su} * cfg.numGpus + du] =
                     std::make_unique<LpChannel>(
                         *gpu_ingress_[du], su,
-                        gpu_ingress_[du]->capacityBytes());
+                        gpu_ingress_[du]->capacityBytes(),
+                        slabOfLp(lpOfGpu(su)), slabOfLp(lpOfGpu(du)));
             }
         }
     }
@@ -194,7 +205,8 @@ Network::init()
                 xlp_node_[std::size_t{sn} * cfg.numNodes + dn] =
                     std::make_unique<LpChannel>(
                         *node_ingress_[dn], sn,
-                        node_ingress_[dn]->capacityBytes());
+                        node_ingress_[dn]->capacityBytes(),
+                        slabOfLp(lpOfNode(sn)), slabOfLp(lpOfNode(dn)));
             }
         }
     }
@@ -211,9 +223,10 @@ Network::init()
         });
         gpm_egress_[g]->setUpstream(0, [this, g]() { feedNic(g); });
 
-        gpm_ingress_[g]->setDeliver([this](Message &&m, Tick at) {
-            deliver(std::move(m), at);
-        });
+        gpm_ingress_[g]->setDeliver(
+            [this, slab = &slabOfLp(lpOfGpm(g))](MsgHandle h, Tick at) {
+                deliver(*slab, h, at);
+            });
         const GpuId u = cfg.gpuOf(g);
         for (std::uint32_t l = 0; l < locals; ++l) {
             const GpmId sib = cfg.gpmId(u, l);
@@ -353,7 +366,9 @@ Network::inject(Message m)
         inter_node_bytes_[ti] += m.bytes;
 
     const GpmId src = m.src;
-    nic_[src].push_back(std::move(m));
+    const std::uint32_t bytes = m.bytes;
+    const MsgHandle h = slabOfLp(lpOfGpm(src)).put(std::move(m));
+    nic_[src].push_back(MsgRef{0, h, bytes});
     feedNic(src);
 }
 
@@ -364,9 +379,10 @@ Network::feedNic(GpmId src)
     Port &egress = *gpm_egress_[src];
     const Tick now = engOfGpm(src).now();
     while (!nic.empty() && egress.canAccept(0)) {
-        Message m = std::move(nic.front());
+        MsgRef m = nic.front();
         nic.pop_front();
-        egress.push(0, now, std::move(m));
+        m.ready = now;
+        egress.push(0, m);
     }
     drainInjectWaiters(src);
 }
@@ -398,9 +414,10 @@ Network::drainInjectWaiters(GpmId src)
 }
 
 void
-Network::deliver(Message &&m, Tick arrival)
+Network::deliver(MessageSlab &slab, MsgHandle h, Tick arrival)
 {
     ++delivered_;
+    Message &m = slab.at(h);
     if (delivery_hook_)
         delivery_hook_(m, arrival);
     if (m.onArrival) {
@@ -410,6 +427,7 @@ Network::deliver(Message &&m, Tick arrival)
         Engine *e = Engine::current();
         (e ? *e : engine_).scheduleAt(arrival, std::move(m.onArrival));
     }
+    slab.release(h);
 }
 
 LpDrainResult

@@ -35,11 +35,15 @@
  * stays FIFO, which the protocols' release/invalidation-drain logic
  * requires.
  *
- * Producers construct typed Messages and inject() them. Injection
- * lands in an unbounded per-GPM NIC queue (so protocol logic can never
+ * Producers construct typed Messages and inject() them. Injection moves
+ * the body into the source LP's MessageSlab (one slab per LP in
+ * time-window runs, a single one otherwise) and queues its 16-byte
+ * MsgRef in an unbounded per-GPM NIC queue (so protocol logic can never
  * deadlock against the fabric); the NIC feeds the GPM's egress port as
  * credits free up, and the SM store path observes the NIC backlog via
- * whenInjectable() to throttle issue under congestion.
+ * whenInjectable() to throttle issue under congestion. Delivery moves
+ * the arrival closure out of the slab into the engine and frees the
+ * slot.
  */
 
 #ifndef HMG_NOC_NETWORK_HH
@@ -212,15 +216,22 @@ class Network
     void feedNic(GpmId src);
     void drainInjectWaiters(GpmId src);
 
-    /** Final-hop dispatch: account, observe, schedule the arrival. */
-    void deliver(Message &&m, Tick arrival);
+    /** Final-hop dispatch: account, observe, schedule the arrival,
+     *  free the body's slot in `slab`. */
+    void deliver(MessageSlab &slab, MsgHandle h, Tick arrival);
 
     // --- per-LP engine resolution (all return engine_ when unpartitioned)
     Engine &engOfGpm(GpmId g);
     Engine &engOfGpu(GpuId u);
     Engine &engOfNode(NodeId n);
+    std::uint32_t lpOfGpm(GpmId g) const;
     std::uint32_t lpOfGpu(GpuId u) const;
     std::uint32_t lpOfNode(NodeId n) const;
+    /** The message slab of LP `lp` (the only one when not concurrent). */
+    MessageSlab &slabOfLp(std::uint32_t lp)
+    {
+        return slabs_[concurrent() ? lp : 0];
+    }
     bool concurrent() const { return lps_ && lps_->concurrent(); }
     bool multiNode() const { return cfg_.numNodes > 1; }
 
@@ -232,6 +243,11 @@ class Network
     Engine &engine_;
     LpDomain *lps_ = nullptr;
     const SystemConfig &cfg_;
+
+    /** Bodies of the messages in flight, one slab per LP in time-window
+     *  runs (see slabOfLp); sized once, before the ports that hold
+     *  references to them. */
+    std::vector<MessageSlab> slabs_;
 
     // Ports are non-movable (they hold an Engine&), hence unique_ptr.
     std::vector<std::unique_ptr<Port>> gpm_egress_;
@@ -256,7 +272,7 @@ class Network
 
     /** Per-GPM injection queues (unbounded; see file comment). Each is
      *  touched only by its owning LP's thread. */
-    std::vector<std::deque<Message>> nic_;
+    std::vector<std::deque<MsgRef>> nic_;
     std::vector<std::deque<InjectWaiter>> inject_waiters_;
     /** Not vector<bool>: per-GPM flags must not share packed bits when
      *  neighbouring GPMs live on different LP threads. */

@@ -9,9 +9,11 @@
 namespace hmg
 {
 
-Port::Port(Engine &engine, double bytes_per_cycle, Tick latency,
-           std::uint32_t num_inputs, std::uint64_t capacity_bytes)
+Port::Port(Engine &engine, const MessageSlab &slab, double bytes_per_cycle,
+           Tick latency, std::uint32_t num_inputs,
+           std::uint64_t capacity_bytes)
     : engine_(engine),
+      slab_(slab),
       wire_(bytes_per_cycle),
       latency_(latency),
       capacity_(capacity_bytes),
@@ -28,35 +30,34 @@ Port::setUpstream(std::uint32_t input, NotifyFn notify)
 }
 
 void
-Port::push(std::uint32_t input, Tick ready, Message &&m)
+Port::push(std::uint32_t input, MsgRef m)
 {
     Input &in = inputs_.at(input);
     hmg_assert(in.arrived_bytes < capacity_);
-    hmg_assert(ready >= engine_.now());
+    hmg_assert(m.ready >= engine_.now());
     hmg_assert(m.bytes > 0);
-    if (ready <= engine_.now()) {
+    if (m.ready <= engine_.now()) {
         ++in.arrived;
         in.arrived_bytes += m.bytes;
     }
-    in.q.push_back(Transit{ready, std::move(m)});
+    in.q.push_back(m);
     ++depth_;
-    schedulePump(ready);
+    schedulePump(m.ready);
 }
 
 void
-Port::requeueFront(std::uint32_t input, Tick ready, Message &&m)
+Port::requeueFront(std::uint32_t input, MsgRef m)
 {
     Input &in = inputs_[input];
     // The head never left: it still holds its credits (no upstream
     // notification either) and goes back in front of everything that
     // queued behind it, so per-(src,dst) FIFO order survives the loss.
-    const std::uint32_t bytes = m.bytes;
-    in.q.push_front(Transit{ready, std::move(m)});
+    in.q.push_front(m);
     ++in.arrived;
-    in.arrived_bytes += bytes;
+    in.arrived_bytes += m.bytes;
     ++depth_;
-    hmg_assert(ready > engine_.now()); // retry ticks are always future
-    schedulePump(ready);
+    hmg_assert(m.ready > engine_.now()); // retry ticks are always future
+    schedulePump(m.ready);
 }
 
 void
@@ -97,7 +98,7 @@ Port::noteArrivals(Tick now)
     for (Input &in : inputs_) {
         while (in.arrived < in.q.size() &&
                in.q[in.arrived].ready <= now) {
-            in.arrived_bytes += in.q[in.arrived].msg.bytes;
+            in.arrived_bytes += in.q[in.arrived].bytes;
             ++in.arrived;
         }
         backlog += in.arrived;
@@ -133,7 +134,7 @@ Port::pump()
             if (q.empty() || q.front().ready > now)
                 continue;
             if (route_) {
-                Route r = route_(q.front().msg);
+                Route r = route_(slab_.at(q.front().handle));
                 if (r.xlp) {
                     // Cross-LP hop: flow control against the boundary
                     // channel's shadow credit pool.
@@ -160,11 +161,11 @@ Port::pump()
 
         Input &in = inputs_[pick];
         hmg_assert(in.arrived > 0); // eligibility required ready <= now
-        Transit t = std::move(in.q.front());
+        MsgRef t = in.q.front();
         in.q.pop_front();
         --in.arrived;
-        hmg_assert(in.arrived_bytes >= t.msg.bytes);
-        in.arrived_bytes -= t.msg.bytes;
+        hmg_assert(in.arrived_bytes >= t.bytes);
+        in.arrived_bytes -= t.bytes;
         --depth_;
         ++msgs_;
         qdelay_sum_ += now - t.ready;
@@ -175,24 +176,26 @@ Port::pump()
         // tagged with its arrival tick; it waits out the flight time
         // inside the downstream queue (or the event wheel, at the last
         // hop).
-        Tick arrival = wire_.serialize(now, t.msg.bytes) + latency_;
+        Tick arrival = wire_.serialize(now, t.bytes) + latency_;
         if (fault_ &&
-            fault_->onTransmit(t.msg.bytes, now, arrival) ==
+            fault_->onTransmit(t.bytes, now, arrival) ==
                 FaultVerdict::Lost) {
             // The wire time is spent but the transmission failed
             // (drop/CRC/flap). Go-back-N: the message returns to the
             // head of its input and re-arbitrates at the injector's
             // backoff tick. Nothing downstream or upstream observes
             // the attempt.
-            requeueFront(pick, fault_->retryAt(), std::move(t.msg));
+            t.ready = fault_->retryAt();
+            requeueFront(pick, t);
             continue;
         }
+        t.ready = arrival;
         if (route.xlp)
-            route.xlp->send(arrival, std::move(t.msg));
+            route.xlp->send(t);
         else if (route.next)
-            route.next->push(route.input, arrival, std::move(t.msg));
+            route.next->push(route.input, t);
         else
-            deliver_(std::move(t.msg), arrival);
+            deliver_(t.handle, arrival);
 
         // The freed slot is this hop's credit return: let the upstream
         // stage re-arbitrate immediately (same tick, deterministic).
@@ -222,14 +225,14 @@ Port::dumpState(std::string &out, const std::string &name) const
         const Input &in = inputs_[i];
         if (in.q.empty())
             continue;
-        const Transit &head = in.q.front();
+        const MsgRef &head = in.q.front();
+        const Message &body = slab_.at(head.handle);
         out += "    input " + std::to_string(i) + ": " +
                std::to_string(in.q.size()) + " msgs, credits " +
                std::to_string(in.arrived_bytes) + "/" +
                std::to_string(capacity_) + "B, head " +
-               toString(head.msg.type) + " gpm" +
-               std::to_string(head.msg.src) + "->gpm" +
-               std::to_string(head.msg.dst) +
+               toString(body.type) + " gpm" + std::to_string(body.src) +
+               "->gpm" + std::to_string(body.dst) +
                (head.ready > now
                     ? " ready at " + std::to_string(head.ready)
                     : " BLOCKED since " + std::to_string(head.ready)) +

@@ -11,9 +11,12 @@
  * input head in deterministic round-robin order, occupies the wire for
  * bytes/bandwidth cycles, and moves the message into the downstream
  * port's input queue tagged with its future arrival tick (serialization
- * end + propagation latency). In-transit messages therefore live inside
- * the next hop's queue — pump events capture only a port pointer, never
- * the message.
+ * end + propagation latency). The queues hold 16-byte MsgRefs — a
+ * handle to the body in the LP's MessageSlab (noc/message.hh), the wire
+ * size and the ready tick — so a hop moves two words, never the body or
+ * its closure; the port reads the body only to route its head. In-transit
+ * messages therefore live inside the next hop's queue — pump events
+ * capture only a port pointer, never the message.
  *
  * Backpressure is credit-style with the bounded queue itself as the
  * credit pool, counted in BYTES: a head whose downstream pool is
@@ -78,18 +81,22 @@ class Port
     };
 
     using RouteFn = std::function<Route(const Message &)>;
-    using DeliverFn = std::function<void(Message &&, Tick)>;
+    /** Takes the delivered body's handle and its arrival tick. */
+    using DeliverFn = std::function<void(MsgHandle, Tick)>;
     using NotifyFn = std::function<void()>;
 
     /**
      * @param engine the simulation engine
+     * @param slab where the bodies of queued messages live (the slab of
+     *        the LP owning `engine`)
      * @param bytes_per_cycle serialization bandwidth of the output wire
      * @param latency propagation delay to the next hop (or to delivery)
      * @param num_inputs one bounded queue per upstream source
      * @param capacity_bytes credit pool per input queue, in bytes
      */
-    Port(Engine &engine, double bytes_per_cycle, Tick latency,
-         std::uint32_t num_inputs, std::uint64_t capacity_bytes);
+    Port(Engine &engine, const MessageSlab &slab, double bytes_per_cycle,
+         Tick latency, std::uint32_t num_inputs,
+         std::uint64_t capacity_bytes);
 
     /** Resolve a message's next hop (set once, at network wiring). */
     void setRoute(RouteFn route) { route_ = std::move(route); }
@@ -123,10 +130,11 @@ class Port
 
     /**
      * Hand a message to this hop; it becomes eligible for arbitration
-     * at the absolute tick `ready` (>= now). The caller must have
-     * checked canAccept() — a full queue is a protocol error upstream.
+     * at the absolute tick `m.ready` (>= now). Its body must be in this
+     * port's slab. The caller must have checked canAccept() — a full
+     * queue is a protocol error upstream.
      */
-    void push(std::uint32_t input, Tick ready, Message &&m);
+    void push(std::uint32_t input, MsgRef m);
 
     /**
      * The dispatch loop. Runs as an engine event (scheduled by push and
@@ -161,16 +169,13 @@ class Port
     void dumpState(std::string &out, const std::string &name) const;
 
   private:
-    /** A queued (possibly still in-flight) message. */
-    struct Transit
-    {
-        Tick ready = 0;
-        Message msg;
-    };
+    static_assert(sizeof(MsgRef) == 16,
+                  "port queues hold two-word entries, not bodies");
 
     struct Input
     {
-        std::deque<Transit> q;
+        /** Queued (possibly still in-flight) messages. */
+        std::deque<MsgRef> q;
         /** Prefix of `q` whose ready tick has passed (holds credits). */
         std::uint32_t arrived = 0;
         /** Bytes of that prefix, charged against the credit pool. */
@@ -183,11 +188,11 @@ class Port
 
     /**
      * Put a just-popped message back at the head of `input`, eligible
-     * again at the (future) tick `ready`. Used only by the fault retry
-     * path: the message never left this hop, so it keeps its credits
-     * and no upstream notification fires.
+     * again at the (future) tick `m.ready`. Used only by the fault retry
+     * path: the message never left this hop, so it keeps its handle and
+     * its credits, and no upstream notification fires.
      */
-    void requeueFront(std::uint32_t input, Tick ready, Message &&m);
+    void requeueFront(std::uint32_t input, MsgRef m);
 
     /**
      * Arrange for pump() to run at tick `at`, coalescing with an
@@ -203,6 +208,7 @@ class Port
     Tick nextHeadArrival(Tick now) const;
 
     Engine &engine_;
+    const MessageSlab &slab_;
     RateSerializer wire_;
     Tick latency_;
     std::uint64_t capacity_;

@@ -33,9 +33,10 @@ namespace hmg
 /**
  * Inline capacity shared by the protocol completion callbacks
  * (core/protocol.hh's LoadDoneCb/DoneCb and GpmNode's parked
- * continuations). Sized for the SM front-end's fattest completion
- * capture (`this` + a shared_ptr warp handle + a MemAccess = 48–56
- * bytes); anything larger spills to the heap gracefully.
+ * continuations) and the SM front-end's MSHR waiters. Sized for the
+ * SM's fattest capture (`this` + a warp slot index + a MemAccess + a
+ * Version + an op pointer = 56 bytes); anything larger spills to the
+ * heap gracefully.
  */
 constexpr std::size_t kCompletionCbBytes = 56;
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the set-associative tag array and the write-through
- * cache model (L1/L2 storage behaviour).
+ * cache model (L1/L2 storage behaviour), including a property check of
+ * the write-back flush against a full walk of the array.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "cache/cache.hh"
 #include "cache/tag_array.hh"
+#include "common/rng.hh"
 
 namespace hmg
 {
@@ -159,6 +161,87 @@ TEST(Cache, StatsReport)
     EXPECT_DOUBLE_EQ(r.get("l2.loads"), 2);
     EXPECT_DOUBLE_EQ(r.get("l2.load_hits"), 1);
     EXPECT_DOUBLE_EQ(r.get("l2.fills"), 1);
+}
+
+/** Every dirty line in set-then-way order: the full walk flushDirty
+ *  replaced, kept as the reference. */
+std::vector<CacheLine>
+dirtyByWalk(const Cache &c)
+{
+    std::vector<CacheLine> dirty;
+    c.tags().forEachValid([&](const CacheLine &l) {
+        if (l.dirty)
+            dirty.push_back(l);
+    });
+    return dirty;
+}
+
+std::vector<Addr>
+liveLines(const Cache &c)
+{
+    std::vector<Addr> lines;
+    c.tags().forEachValid([&](const CacheLine &l) { lines.push_back(l.addr); });
+    return lines;
+}
+
+TEST(Cache, FlushDirtyMatchesFullWalk)
+{
+    // 8 sets x 4 ways over 96 lines: stores and fills evict often, and
+    // long flush-free stretches make the dirty-line record compact.
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        Cache c(32 * 128, 4, 128, /*write_allocate=*/true);
+        Rng rng(seed);
+        Version v = 0;
+        std::uint64_t flushed = 0;
+        auto line = [&] { return rng.below(96) * 128; };
+        for (int step = 0; step < 20000; ++step) {
+            const std::uint64_t op = rng.below(1000);
+            if (op < 450) {
+                c.store(line(), ++v, /*mark_dirty=*/rng.chance(0.8),
+                        /*serialized=*/rng.chance(0.5));
+            } else if (op < 700) {
+                c.fill(line(), ++v);
+            } else if (op < 850) {
+                c.load(line());
+            } else if (op < 930) {
+                c.invalidateLine(line());
+            } else if (op < 960) {
+                c.invalidateRange(line(), rng.range(1, 8) * 128);
+            } else if (op < 963) {
+                c.invalidateAll();
+            } else if (step % 4000 < 2000) {
+                // (The other half of each 4000 steps never flushes.)
+                // Flush; sometimes the callback re-dirties the line it
+                // is handed, which the next flush must write back.
+                const std::vector<CacheLine> want = dirtyByWalk(c);
+                const std::vector<Addr> live = liveLines(c);
+                const bool redirty = rng.chance(0.2);
+                std::vector<CacheLine> got;
+                const std::uint64_t n = c.flushDirty([&](CacheLine l) {
+                    got.push_back(l);
+                    if (redirty)
+                        c.store(l.addr, l.version, /*mark_dirty=*/true);
+                });
+                ASSERT_EQ(n, want.size()) << "step " << step;
+                ASSERT_EQ(got.size(), want.size()) << "step " << step;
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    EXPECT_EQ(got[i].addr, want[i].addr) << "step " << step;
+                    EXPECT_EQ(got[i].version, want[i].version)
+                        << "step " << step;
+                    EXPECT_TRUE(got[i].dirty) << "step " << step;
+                }
+                EXPECT_EQ(liveLines(c), live) << "step " << step;
+                EXPECT_EQ(c.dirtyLines(), redirty ? want.size() : 0u)
+                    << "step " << step;
+                flushed += n;
+            }
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        EXPECT_GT(flushed, 1000u);
+        EXPECT_GT(c.evictions(), 1000u);
+    }
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for message sizing and the per-hop transport layer: routing
- * latency, per-tier byte accounting, FIFO ordering, backpressure, and
- * bandwidth saturation of the inter-GPU links.
+ * latency, per-tier byte accounting, FIFO ordering, backpressure,
+ * bandwidth saturation of the inter-GPU links, and how often a
+ * message's closure is moved on its way.
  */
 
 #include <gtest/gtest.h>
@@ -78,6 +79,46 @@ TEST(Network, InterGpuLatency)
     e.run();
     EXPECT_GE(a, cfg.intraGpuHopLatency + cfg.interGpuHopLatency);
     EXPECT_LE(a, cfg.intraGpuHopLatency + cfg.interGpuHopLatency + 6);
+}
+
+/** Arrival closure that counts its own moves and stamps the tick. */
+struct MoveCounter
+{
+    Engine *e;
+    int *moves;
+    Tick *at;
+
+    MoveCounter(Engine *e_, int *moves_, Tick *at_)
+        : e(e_), moves(moves_), at(at_)
+    {
+    }
+    MoveCounter(MoveCounter &&o) noexcept : e(o.e), moves(o.moves), at(o.at)
+    {
+        ++*moves;
+    }
+    MoveCounter(const MoveCounter &) = delete;
+
+    void operator()() const { *at = e->now(); }
+};
+
+TEST(Network, ArrivalClosureMovesThreeTimesOnAnyRoute)
+{
+    // Into the Message's callback, into the slab at injection, into the
+    // engine at delivery: the queues in between carry only a handle.
+    SystemConfig cfg;
+    for (GpmId dst : {GpmId{1}, GpmId{4}}) { // same GPU, cross GPU
+        Engine e;
+        Network net(e, cfg);
+        int moves = 0;
+        Tick at = 0;
+        net.inject({.src = 0,
+                    .dst = dst,
+                    .type = MsgType::ReadResp,
+                    .onArrival = MoveCounter(&e, &moves, &at)});
+        e.run();
+        EXPECT_GT(at, 0u) << "dst " << dst;
+        EXPECT_EQ(moves, 3) << "dst " << dst;
+    }
 }
 
 TEST(Network, ByteAccountingPerTier)

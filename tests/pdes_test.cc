@@ -12,7 +12,9 @@
  * The relaxed TimeWindow mode only promises delay-bounded behaviour:
  * those runs execute under the runtime coherence checker and must
  * complete without a violation. They are also the threaded tests the
- * tsan CI preset exercises.
+ * tsan CI preset exercises, together with a transport-level case whose
+ * messages cross LPs, and so the per-LP message slabs, in both
+ * directions.
  *
  * Partition-time validation (the zero-lookahead rejection rules) is
  * unit-tested against LpPlan directly.
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "gpu/simulator.hh"
+#include "noc/network.hh"
 #include "sim/lp.hh"
 #include "trace/workloads.hh"
 
@@ -218,6 +221,86 @@ TEST(PdesTimeWindow, WorkloadRunsCleanUnderChecker)
     const SimResult tw = runMode(cfg, t, 4, false);
     EXPECT_GT(tw.cycles, 0u);
     EXPECT_GT(tw.stats.get("pdes.boundary_msgs"), 0.0);
+}
+
+/**
+ * Ping-pong traffic on a time-window Network: every arrival records
+ * where it ran and sends the message back until its hops run out. Each
+ * receiver's log is written only by its own LP's thread.
+ */
+struct CrossLpTraffic
+{
+    struct Arrival
+    {
+        GpmId src;
+        std::uint32_t seq;
+        std::uint32_t hops;
+    };
+
+    CrossLpTraffic(LpDomain &l, Network &n, std::uint32_t gpms)
+        : lps(l), net(n), seen(gpms), wrong_lp(gpms, 0)
+    {
+    }
+
+    void
+    send(GpmId src, GpmId dst, std::uint32_t seq, std::uint32_t hops)
+    {
+        net.inject({.src = src,
+                    .dst = dst,
+                    .type = hops % 2 ? MsgType::ReadResp : MsgType::ReadReq,
+                    .addr = seq,
+                    .onArrival = [this, src, dst, seq, hops]() {
+                        if (LpDomain::currentLp() != lps.lpOfGpm(dst))
+                            wrong_lp[dst] = 1;
+                        seen[dst].push_back({src, seq, hops});
+                        if (hops > 1)
+                            send(dst, src, seq, hops - 1);
+                    }});
+    }
+
+    LpDomain &lps;
+    Network &net;
+    std::vector<std::vector<Arrival>> seen;
+    std::vector<std::uint8_t> wrong_lp;
+};
+
+TEST(PdesTimeWindow, MessagesCrossPerLpSlabs)
+{
+    SystemConfig cfg; // 4 GPUs x 4 GPMs, one LP per GPU
+    cfg.lpJobs = 4;
+    LpDomain lps(cfg);
+    ASSERT_TRUE(lps.concurrent());
+    Network net(lps, cfg);
+    const std::uint32_t n = cfg.totalGpms();
+    constexpr std::uint32_t kSeqs = 6;
+    constexpr std::uint32_t kHops = 3;
+    CrossLpTraffic traffic(lps, net, n);
+    // Every GPM sends to every other, from its own LP's thread.
+    for (GpmId src = 0; src < n; ++src)
+        lps.engineOfGpm(src).schedule(0, [&traffic, src, n]() {
+            for (std::uint32_t seq = 0; seq < kSeqs; ++seq)
+                for (GpmId dst = 0; dst < n; ++dst)
+                    if (dst != src)
+                        traffic.send(src, dst, seq, kHops);
+        });
+    lps.run();
+
+    EXPECT_EQ(net.messagesDelivered(), std::uint64_t{n} * (n - 1) * kSeqs * kHops);
+    EXPECT_GT(lps.boundaryMsgs(), 0u);
+    for (GpmId dst = 0; dst < n; ++dst) {
+        EXPECT_EQ(traffic.wrong_lp[dst], 0) << "gpm " << dst;
+        EXPECT_EQ(traffic.seen[dst].size(), std::size_t{n - 1} * kSeqs * kHops)
+            << "gpm " << dst;
+        // First-leg messages from one source arrive in sequence order.
+        std::vector<std::int64_t> last(n, -1);
+        for (const auto &a : traffic.seen[dst]) {
+            if (a.hops != kHops)
+                continue;
+            EXPECT_GT(static_cast<std::int64_t>(a.seq), last[a.src])
+                << "gpm " << a.src << " -> gpm " << dst;
+            last[a.src] = a.seq;
+        }
+    }
 }
 
 // ------------------------------------------------ partition rules

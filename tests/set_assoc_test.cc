@@ -6,7 +6,9 @@
  * as the reference: stored valid flags, first-empty-way-else-LRU victim
  * choice, and a bulk invalidation that walks the array. Every step must
  * agree on return values, evicted and dropped copies, LRU stamps and
- * live counts, and the live contents must match entry for entry.
+ * live counts, and the live contents must match entry for entry. A
+ * directed case drives the per-set summary's fast paths (a probe of, or
+ * an insert into, a set with nothing live) against the same reference.
  */
 
 #include <gtest/gtest.h>
@@ -523,6 +525,134 @@ TEST(SetAssocDifferential, DirEntriesAcrossGenerationWrap)
     runDifferential(s, 4, 2, 9, 4000, 5, 0.03, counts);
     EXPECT_GT(counts.clears, 41u);
     EXPECT_LT(s.core.generation(), kNearWrap);
+}
+
+/**
+ * The core and the reference driven in lockstep by explicit steps; every
+ * step is checked like a runDifferential() step, and the contents after
+ * it entry for entry (so a way chosen differently shows up as order).
+ */
+class Lockstep
+{
+  public:
+    static constexpr std::uint64_t kSets = 4;
+    static constexpr std::uint32_t kWays = 4;
+    static constexpr unsigned kShift = 7;
+
+    explicit Lockstep(std::uint32_t first_generation)
+        : s{{kSets, kWays, kShift, first_generation}},
+          ref(kSets, kWays, kShift)
+    {
+    }
+
+    static Addr key(std::uint64_t set, std::uint64_t tag)
+    {
+        return (set + tag * kSets) << kShift;
+    }
+
+    void
+    insert(Addr a)
+    {
+        std::optional<CacheLine> evicted;
+        CacheLine *got = s.insert(a, &evicted);
+        RefEntry<LinePayload> ref_evicted;
+        RefEntry<LinePayload> *want = ref.insert(a, &ref_evicted).first;
+        expectSame(got, want, step);
+        ASSERT_EQ(evicted.has_value(), ref_evicted.valid) << "step " << step;
+        if (evicted)
+            expectSame(&*evicted, &ref_evicted, step);
+        want->payload = {true, step};
+        setPayload(*got, want->payload);
+        check();
+    }
+
+    void
+    probe(Addr a)
+    {
+        expectSame(s.peek(a), ref.peek(a), step);
+        expectSame(s.find(a), ref.lookup(a), step);
+        check();
+    }
+
+    void
+    erase(Addr a)
+    {
+        CacheLine dropped{};
+        ASSERT_EQ(s.erase(a, &dropped), ref.invalidate(a)) << "step " << step;
+        check();
+    }
+
+    void
+    clear()
+    {
+        ASSERT_EQ(s.clear(), ref.invalidateAll()) << "step " << step;
+        check();
+    }
+
+    CoreSubject<CacheLine, &CacheLine::addr> s;
+    RefArray<LinePayload> ref;
+
+  private:
+    void
+    check()
+    {
+        expectSameContents(s, ref, step);
+        ++step;
+    }
+
+    std::uint64_t step = 0;
+};
+
+TEST(SetAssocSummary, EmptySetFastPathMatchesReference)
+{
+    const std::uint32_t max = std::numeric_limits<std::uint32_t>::max();
+    // From the first generation, and from two clears before the wrap.
+    for (std::uint32_t first : {1u, max - 1}) {
+        SCOPED_TRACE(first);
+        Lockstep t(first);
+        // A fresh array: every set is empty, probes miss, an insert
+        // takes way 0 and the next one way 1.
+        for (std::uint64_t set = 0; set < Lockstep::kSets; ++set)
+            t.probe(Lockstep::key(set, 0));
+        t.insert(Lockstep::key(0, 0));
+        t.insert(Lockstep::key(0, 1));
+        // Overfill sets 0 and 1 so the clear drops full, evicted sets.
+        for (std::uint64_t tag = 0; tag < 2 * Lockstep::kWays; ++tag) {
+            t.insert(Lockstep::key(0, tag));
+            t.insert(Lockstep::key(1, tag));
+        }
+        for (int round = 0; round < 3; ++round) {
+            // After a clear (the second and third cross the wrap for
+            // the near-wrap array) no set has anything live: the old
+            // keys miss and refill from way 0 in reference order.
+            t.clear();
+            for (std::uint64_t tag = 0; tag < 2 * Lockstep::kWays; ++tag)
+                t.probe(Lockstep::key(0, tag));
+            t.insert(Lockstep::key(0, 5));
+            t.insert(Lockstep::key(0, 2));
+            t.probe(Lockstep::key(0, 5));
+            t.probe(Lockstep::key(1, 5));
+            t.insert(Lockstep::key(1, 7));
+        }
+        // An erase that empties a set leaves its summary current: the
+        // probe scans and misses, the insert takes the first empty way.
+        t.erase(Lockstep::key(0, 5));
+        t.erase(Lockstep::key(0, 2));
+        t.probe(Lockstep::key(0, 5));
+        t.probe(Lockstep::key(0, 2));
+        t.insert(Lockstep::key(0, 3));
+        t.insert(Lockstep::key(0, 2));
+        // A set emptied by erases, then cleared, then refilled.
+        t.erase(Lockstep::key(1, 7));
+        t.clear();
+        t.insert(Lockstep::key(1, 7));
+        t.insert(Lockstep::key(1, 6));
+        t.probe(Lockstep::key(1, 7));
+        EXPECT_EQ(t.s.size(), 2u);
+        if (first != 1) {
+            EXPECT_LT(t.s.core.generation(), 8u); // it did wrap
+        }
+    }
 }
 
 TEST(SetAssoc, WrapResetsEveryStampAndReusedWaysStartClean)

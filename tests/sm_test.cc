@@ -2,8 +2,8 @@
  * @file
  * SM front-end tests: warp execution order, L1 behaviour (hit/miss,
  * scoped-load bypass, acquire invalidation), store-buffer forwarding,
- * and MSHR throttling — driven through the real scheduler with
- * hand-built single-kernel traces.
+ * MSHR throttling, parked warps and the warp-context pool — driven
+ * through the real scheduler with hand-built single-kernel traces.
  */
 
 #include <gtest/gtest.h>
@@ -177,6 +177,58 @@ TEST(Sm, LatencyHidingAcrossWarps)
     Tick one = serial(1);
     Tick eight = serial(8);
     EXPECT_LT(eight, 3 * one);
+}
+
+TEST(Sm, ParkedWarpResumesAtTheSameOp)
+{
+    // One in-flight load per warp: the second load parks at the limit,
+    // the atomic parks at its drain, and the last loads park the warp's
+    // retirement. Each resumes exactly the op it parked on, so every op
+    // runs once, by type.
+    SystemConfig cfg = testing::smallConfig(Protocol::Hmg);
+    cfg.warpMaxInflightLoads = 1;
+    cfg.checkCoherence = true;
+    Warp w;
+    w.ld(0x0000, 0);
+    w.ld(0x1000, 0);             // parks at the load limit
+    w.atom(0x2000, Scope::Gpu, 0); // parks at the drain
+    w.st(0x3000, 0);
+    w.ld(0x4000, 0);
+    w.acqFence(Scope::Gpu, 0);   // parks at the drain
+    w.ld(0x5000, 0);             // retirement waits for it
+    Simulator sim(cfg);
+    const SimResult res = sim.run(oneCtaTrace(std::move(w)));
+    EXPECT_DOUBLE_EQ(res.stats.get("sm_total.ops"), 7);
+    EXPECT_DOUBLE_EQ(res.stats.get("sm_total.loads"), 4);
+    EXPECT_DOUBLE_EQ(res.stats.get("sm_total.atomics"), 1);
+    EXPECT_DOUBLE_EQ(res.stats.get("sm_total.stores"), 1);
+}
+
+TEST(Sm, WarpPoolStaysAtResidentPeak)
+{
+    // 64 CTAs of 4 warps on 8 SMs of 8 warp slots: each SM hosts two
+    // CTAs at once and runs eight in turn, reusing the same 8 contexts.
+    SystemConfig cfg = testing::smallConfig(Protocol::Hmg);
+    Trace t;
+    Kernel k;
+    for (int c = 0; c < 64; ++c) {
+        Cta cta;
+        for (int wi = 0; wi < 4; ++wi) {
+            Warp w;
+            for (int i = 0; i < 4; ++i)
+                w.ld(((c * 4 + wi) * 4 + i) * 128, 1);
+            cta.warps.push_back(std::move(w));
+        }
+        k.ctas.push_back(std::move(cta));
+    }
+    t.kernels.push_back(std::move(k));
+    Simulator sim(cfg);
+    const SimResult res = sim.run(t);
+    EXPECT_DOUBLE_EQ(res.stats.get("sm_total.ops"), 64 * 4 * 4);
+    ASSERT_EQ(sim.system().numSms(), 8u);
+    for (SmId s = 0; s < sim.system().numSms(); ++s)
+        EXPECT_EQ(sim.system().sm(s).warpSlots(), cfg.maxWarpsPerSm)
+            << "sm " << s;
 }
 
 } // namespace

@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
-# Perf-regression smoke, two legs:
+# Perf-regression smoke, three legs:
 #  1. re-measure the timing-wheel event-kernel throughput and fail if it
 #     drops below 50% of the committed BENCH_engine.json baseline;
 #  2. time a bulk tag-array invalidation at L1 size (128 KB, 8-way) and
 #     at L2-slice size (3 MB, 16-way, 24x the lines) holding the same
 #     ten lines, and fail if the L2 call costs more than 4x the L1 one.
-#     It is relative to itself, so it needs no committed baseline.
+#     It is relative to itself, so it needs no committed baseline;
+#  3. time one serial cell end to end (cuSolver under SW-NonHier at scale
+#     0.25, simulated memory ops per host second, best of three) and
+#     fail if it drops below 50% of the baseline's `cell` section.
 #
-# The 50% bar is deliberately loose — CI hosts vary and the measurement
-# is a best-of-three over one second — but it still catches the class of
-# regression that matters: an accidental O(n) scan in the hot schedule
-# path, a debug assert left on, a closure that started heap-allocating.
-# The baseline's `engine` section records the host it was measured on
+# The 50% bar is deliberately loose — CI hosts vary and each measurement
+# is a best-of-three — but it still catches the class of regression that
+# matters: an accidental O(n) scan in the hot schedule path, a debug
+# assert left on, a closure that started heap-allocating. The baseline's
+# `engine` and `cell` sections record the host they were measured on
 # (host_cores, compiler, build type).
 #
 # Usage: perf_smoke.sh [path-to-bench_engine_microbench]
@@ -66,6 +69,25 @@ echo "perf_smoke: bulk invalidation $l1_ns ns at L1 size," \
     "$l2_ns ns at L2 size"
 if awk -v a="$l1_ns" -v b="$l2_ns" 'BEGIN { exit !(b > 4 * a) }'; then
     echo "perf_smoke: FAIL — bulk invalidation scales with capacity" >&2
+    exit 1
+fi
+cell_baseline=$(grep -o '"ops_per_sec": *[0-9]*' "$BASELINE_JSON" |
+    grep -o '[0-9]*$')
+if [ -z "$cell_baseline" ]; then
+    echo "perf_smoke: no cell ops_per_sec in $BASELINE_JSON" >&2
+    exit 1
+fi
+cell_measured=$(timeout --kill-after=30 300 "$BIN" --cell-only |
+    awk '/^cell_ops_per_sec/ { print $2 }')
+if [ -z "$cell_measured" ]; then
+    echo "perf_smoke: could not parse --cell-only output" >&2
+    exit 1
+fi
+cell_floor=$((cell_baseline / 2))
+echo "perf_smoke: cell $cell_measured op/s, baseline $cell_baseline op/s," \
+    "floor $cell_floor op/s"
+if [ "${cell_measured%.*}" -lt "$cell_floor" ]; then
+    echo "perf_smoke: FAIL — serial cell below 50% of committed baseline" >&2
     exit 1
 fi
 echo "perf_smoke: PASS"
