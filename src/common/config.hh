@@ -90,9 +90,9 @@ struct SystemConfig
     // ---- transport-layer queueing (noc/port.hh) ----
     /**
      * Floor of a port input queue's credit pool, in max-size-message
-     * slots. The Network grows each pool to >= 2x the feeding link's
+     * slots. The fabric grows each pool to >= 2x the feeding link's
      * bandwidth-delay product so credit-return latency never idles a
-     * wire (noc/network.cc); this floor only binds on short hops.
+     * wire (common/fabric.hh); this floor only binds on short hops.
      */
     std::uint32_t nocPortQueueCapacity = 8;
     /**
@@ -189,10 +189,11 @@ struct SystemConfig
     // ---- parallel (PDES) execution of one simulation ----
     /**
      * Logical processes (`--lp-jobs N`): the simulation is partitioned
-     * at GPU granularity into up to N LPs, each with its own event
-     * wheel, synchronized conservatively at the inter-GPU links (whose
-     * latency is the lookahead; sim/lp.hh). 1 = the classic serial
-     * engine. Clamped to the GPU count.
+     * into up to N LPs at the fabric's cut tier (GPUs single-node,
+     * nodes multi-node), each with its own event wheel, synchronized
+     * conservatively at the cut tier's links (whose egress latency is
+     * the lookahead; sim/lp.hh). 1 = the classic serial engine. Clamped
+     * to the cut unit count.
      */
     std::uint32_t lpJobs = 1;
     /**

@@ -1,9 +1,11 @@
 #include "common/topology.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "common/log.hh"
 
@@ -17,7 +19,9 @@ namespace
  * Minimal strict JSON reader for the topology format: objects of
  * number / string members plus the two nested sections ("link",
  * "memory"). No external dependency, no silent recovery — every
- * deviation is fatal with the 1-based line it occurred on.
+ * deviation is fatal with the 1-based line it occurred on. The scan
+ * stops at the terminating NUL of the text, so a NUL byte inside it is
+ * refused up front instead of ending the file early.
  */
 class JsonScanner
 {
@@ -25,6 +29,12 @@ class JsonScanner
     JsonScanner(const std::string &text, const std::string &origin)
         : p_(text.c_str()), origin_(origin)
     {
+        const std::size_t nul = text.find('\0');
+        if (nul != std::string::npos) {
+            line_ += static_cast<int>(
+                std::count(text.begin(), text.begin() + nul, '\n'));
+            fail("NUL byte in the topology text");
+        }
     }
 
     [[noreturn]] void
@@ -122,7 +132,9 @@ class JsonScanner
 
     /**
      * Iterate the members of one JSON object, calling handle(key) with
-     * the scanner positioned at the value. handle must consume it.
+     * the scanner positioned at the value. handle must consume it. A
+     * key repeated within one object is fatal: the last value would
+     * silently win.
      */
     template <typename Fn>
     void
@@ -131,8 +143,12 @@ class JsonScanner
         expect('{');
         if (eat('}'))
             return;
+        std::vector<std::string> keys;
         for (;;) {
             const std::string key = parseString();
+            if (std::find(keys.begin(), keys.end(), key) != keys.end())
+                fail("duplicate key \"" + key + "\"");
+            keys.push_back(key);
             expect(':');
             handle(key);
             if (eat(','))

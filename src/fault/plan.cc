@@ -158,57 +158,33 @@ LinkFault::describe(Tick now) const
     return s;
 }
 
-FaultPlan::FaultPlan(const SystemConfig &cfg)
-    : num_gpus_(cfg.numGpus),
-      total_gpms_(cfg.totalGpms()),
-      intra_(cfg.fault.intraGpu)
+FaultPlan::FaultPlan(const SystemConfig &cfg, const Fabric &fabric)
+    : fabric_(fabric), links_(fabric.links().size())
 {
     const FaultConfig &fc = cfg.fault;
-    const std::uint32_t n =
-        2 * num_gpus_ + (intra_ ? 2 * total_gpms_ : 0);
-    links_.reserve(n);
-    // Ack return time is the link's one-way latency: ack flits ride the
-    // opposite direction of the same physical link.
-    for (std::uint32_t i = 0; i < 2 * num_gpus_; ++i)
-        links_.push_back(std::make_unique<LinkFault>(
-            fc, i, cfg.interGpuHopLatency / 2));
-    for (std::uint32_t i = 2 * num_gpus_; i < n; ++i)
-        links_.push_back(std::make_unique<LinkFault>(
-            fc, i, cfg.intraGpuHopLatency / 2));
+    std::vector<LinkTier> tiers = {LinkTier::Gpu};
+    if (fc.intraGpu)
+        tiers.push_back(LinkTier::Gpm);
+    // Ack return time is the link's one-way latency, half the tier's
+    // hop: ack flits ride the opposite direction of the same physical
+    // link. Seed indices count links in the stable order above.
+    std::uint32_t seed_index = 0;
+    for (const LinkTier t : tiers)
+        for (const LinkDir d : {LinkDir::Egress, LinkDir::Ingress})
+            for (std::uint32_t u = 0; u < fabric.tier(t).units; ++u)
+                links_[fabric.linkOf(t, d, u)] = std::make_unique<LinkFault>(
+                    fc, seed_index++, fabric.tier(t).egressLatency());
 
     for (const LinkFlap &f : fc.flaps) {
-        hmg_assert(f.gpu < num_gpus_);
-        LinkFault *l = f.egress ? gpuEgress(f.gpu) : gpuIngress(f.gpu);
-        l->addFlap(f.downAt, f.upAt);
+        hmg_assert(f.gpu < fabric.tier(LinkTier::Gpu).units);
+        at(fabric.linkOf(LinkTier::Gpu,
+                         f.egress ? LinkDir::Egress : LinkDir::Ingress,
+                         f.gpu))
+            ->addFlap(f.downAt, f.upAt);
     }
 }
 
 FaultPlan::~FaultPlan() = default;
-
-LinkFault *
-FaultPlan::gpmEgress(GpmId g)
-{
-    return intra_ ? links_[2 * num_gpus_ + g].get() : nullptr;
-}
-
-LinkFault *
-FaultPlan::gpmIngress(GpmId g)
-{
-    return intra_ ? links_[2 * num_gpus_ + total_gpms_ + g].get()
-                  : nullptr;
-}
-
-std::string
-FaultPlan::linkName(std::size_t i) const
-{
-    const std::size_t gpus = num_gpus_;
-    if (i < 2 * gpus)
-        return "gpu" + std::to_string(i % gpus) +
-               (i < gpus ? ".egress" : ".ingress");
-    i -= 2 * gpus;
-    return "gpm" + std::to_string(i % total_gpms_) +
-           (i < total_gpms_ ? ".egress" : ".ingress");
-}
 
 void
 FaultPlan::reportStats(StatRecorder &r, const std::string &prefix) const
@@ -219,6 +195,8 @@ FaultPlan::reportStats(StatRecorder &r, const std::string &prefix) const
     std::uint32_t max_losses = 0;
     std::uint64_t peak_replay = 0;
     for (std::size_t i = 0; i < links_.size(); ++i) {
+        if (!links_[i])
+            continue;
         const LinkFault &l = *links_[i];
         StatRecorder part;
         l.reportStats(part);
@@ -227,7 +205,7 @@ FaultPlan::reportStats(StatRecorder &r, const std::string &prefix) const
                     static_cast<double>(l.maxConsecutiveLosses()));
         part.record("peak_replay_bytes",
                     static_cast<double>(l.peakReplayBytes()));
-        r.record(prefix + "." + linkName(i), part);
+        r.record(prefix + "." + fabric_.links()[i].name, part);
         max_losses = std::max(max_losses, l.maxConsecutiveLosses());
         peak_replay = std::max(peak_replay, l.peakReplayBytes());
     }
@@ -240,19 +218,17 @@ FaultPlan::reportStats(StatRecorder &r, const std::string &prefix) const
 void
 FaultPlan::describe(std::string &out, Tick now) const
 {
-    auto one = [&](std::size_t i) {
-        const std::string s = links_[i]->describe(now);
-        if (!s.empty())
-            out += "  link " + linkName(i) + ": " + s + "\n";
-    };
-    for (std::uint32_t u = 0; u < num_gpus_; ++u) {
-        one(u);
-        one(num_gpus_ + u);
-    }
-    if (intra_) {
-        for (std::uint32_t g = 0; g < total_gpms_; ++g) {
-            one(2 * num_gpus_ + g);
-            one(2 * num_gpus_ + total_gpms_ + g);
+    // Switch links first, each unit's egress then ingress.
+    for (const LinkTier t : {LinkTier::Gpu, LinkTier::Gpm}) {
+        for (std::uint32_t u = 0; u < fabric_.tier(t).units; ++u) {
+            for (const LinkDir d : {LinkDir::Egress, LinkDir::Ingress}) {
+                const std::uint32_t l = fabric_.linkOf(t, d, u);
+                const std::string s =
+                    links_[l] ? links_[l]->describe(now) : std::string();
+                if (!s.empty())
+                    out += "  link " + fabric_.link(l).name + ": " + s +
+                           "\n";
+            }
         }
     }
 }

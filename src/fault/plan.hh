@@ -17,6 +17,11 @@
  * back off exponentially on consecutive loss. The protocol engines above
  * never see any of this — transient faults cost time, never messages.
  *
+ * The injected links, their names and their ack latencies are the
+ * fabric's (common/fabric.hh), so fault.<link>.* stats and the
+ * watchdog's link lines use the same names as the noc.port.<link>.*
+ * stats.
+ *
  * Determinism: each link owns a private Rng stream seeded from
  * (plan seed, link index), and draws exactly one uniform per
  * transmission attempt in the port's deterministic dispatch order, so
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/fabric.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -144,25 +150,27 @@ class LinkFault
 };
 
 /**
- * Owns one LinkFault per injected link direction. Built by the Network
- * only when cfg.fault.active(); port attachment is in noc/network.cc.
- * Link indexing (for seeding and stat names) is stable: GPU egresses,
- * then GPU ingresses, then (when intraGpu) GPM egresses and ingresses.
+ * Owns one LinkFault per injected fabric link (common/fabric.hh): the
+ * GPU switch links, plus the GPM crossbar links when
+ * cfg.fault.intraGpu. Built by the Network only when
+ * cfg.fault.active(); port attachment is in noc/network.cc. Injectors
+ * take their names (the fabric's link names) and ack latencies (half
+ * the tier's hop latency) from the fabric. The seed index of each
+ * injector is stable: GPU egresses, then GPU ingresses, then (when
+ * intraGpu) GPM egresses and ingresses.
  */
 class FaultPlan
 {
   public:
-    explicit FaultPlan(const SystemConfig &cfg);
+    /** `fabric` must outlive the plan (the Network owns both). */
+    FaultPlan(const SystemConfig &cfg, const Fabric &fabric);
     ~FaultPlan();
 
     FaultPlan(const FaultPlan &) = delete;
     FaultPlan &operator=(const FaultPlan &) = delete;
 
-    LinkFault *gpuEgress(GpuId u) { return links_[u].get(); }
-    LinkFault *gpuIngress(GpuId u) { return links_[num_gpus_ + u].get(); }
-    /** Null unless cfg.fault.intraGpu. */
-    LinkFault *gpmEgress(GpmId g);
-    LinkFault *gpmIngress(GpmId g);
+    /** The injector on fabric link `link`, or null when not injected. */
+    LinkFault *at(std::uint32_t link) const { return links_[link].get(); }
 
     /** Per-link and aggregate fault.* statistics. */
     void reportStats(StatRecorder &r, const std::string &prefix) const;
@@ -171,12 +179,8 @@ class FaultPlan
     void describe(std::string &out, Tick now) const;
 
   private:
-    /** Stat name of link `i`: "gpu<u>.egress", ..., "gpm<g>.ingress". */
-    std::string linkName(std::size_t i) const;
-
-    std::uint32_t num_gpus_;
-    std::uint32_t total_gpms_;
-    bool intra_;
+    const Fabric &fabric_;
+    /** By fabric link; null where the link is not injected. */
     std::vector<std::unique_ptr<LinkFault>> links_;
 };
 

@@ -2,7 +2,8 @@
  * @file
  * Cross-LP boundary queue for partitioned (PDES) runs.
  *
- * In relaxed TimeWindow mode the inter-GPU link between two LPs cannot
+ * In relaxed TimeWindow mode a cut-tier link between two LPs (the
+ * inter-GPU switch, or the node uplinks on a multi-node machine) cannot
  * push directly into the destination port (its worker thread owns that
  * engine). Instead the source port dispatches into an LpChannel: an
  * outbox written only by the source LP's thread during a window and
@@ -17,9 +18,9 @@
  * the source side charges every sent message against the destination
  * input's real pool capacity and the destination's pops return credits
  * through the barrier. Compared to the serial same-tick credit return
- * this adds up to one window of delay, so the Network enlarges the
+ * this adds up to one window of delay, so the fabric enlarges the
  * destination pool by the extra round trip (two windows of link
- * bandwidth) to keep a saturated link at full rate.
+ * bandwidth; common/fabric.hh) to keep a saturated link at full rate.
  *
  * No locks and no atomics: every field is owned by exactly one thread
  * in each phase (source thread / destination thread during a window,
@@ -43,7 +44,8 @@
 namespace hmg
 {
 
-/** One directed cross-LP link (src GPU's egress -> dst GPU's ingress). */
+/** One directed cross-LP link (a cut unit's egress -> another's
+ *  ingress). */
 class LpChannel
 {
   public:

@@ -1,28 +1,14 @@
 /**
  * @file
- * The two-tier interconnect: intra-GPU crossbars and the inter-GPU
- * switch (Fig. 1 / Fig. 4 of the paper) — plus an optional third tier
- * of node switches when the topology declares numNodes > 1.
- *
- * Each GPM owns a pair of directed ports (egress/ingress) into its
- * GPU's crossbar, sized so the per-GPU aggregate matches Table II's
- * 2 TB/s. Each GPU owns a pair of directed ports into the NVSwitch
- * fabric at 200 GB/s each. With multiple nodes, each node additionally
- * owns a pair of directed uplink ports into the inter-node switch
- * fabric (interNodeGBpsPerLink each way). A GPM-to-GPM transfer
- * traverses:
- *
- *   same GPM:   nothing (handled locally by the caller)
- *   same GPU:   gpmEgress[src] -> gpmIngress[dst]
- *   cross GPU:  gpmEgress[src] -> gpuEgress[srcGpu]
- *               -> gpuIngress[dstGpu] -> gpmIngress[dst]
- *   cross node: gpmEgress[src] -> gpuEgress[srcGpu]
- *               -> nodeEgress[srcNode] -> nodeIngress[dstNode]
- *               -> gpuIngress[dstGpu] -> gpmIngress[dst]
- *
- * On a single-node machine the node tier is not built at all — no
- * ports, no stats keys, no routing branches taken — so the paper's
- * 4x4 configuration is bit-identical to the pre-node-tier transport.
+ * The interconnect: one Port per link of the machine's fabric
+ * (common/fabric.hh) — the intra-GPU crossbars and the inter-GPU switch
+ * of Fig. 1 / Fig. 4 of the paper, plus the node switch tier when the
+ * topology declares numNodes > 1. The fabric owns the port graph: which
+ * links exist, their rates, latencies, inputs and credit pools, and
+ * the route and feeder of every hop. The Network binds each link to a
+ * Port on the engine of the LP that owns it and wires routes, credit
+ * returns and fault injectors from the fabric's rules; on a
+ * single-node machine no node port, stat key or route step exists.
  *
  * Every hop is a Port (noc/port.hh): a bounded queue per upstream
  * source, deterministic round-robin arbitration among contending
@@ -34,6 +20,11 @@
  * HMG's hierarchy exists to relieve; Fig. 12). Per-(src,dst) delivery
  * stays FIFO, which the protocols' release/invalidation-drain logic
  * requires.
+ *
+ * In threaded time-window PDES runs the fabric's cut tier (the GPU
+ * switch single-node, the node uplinks otherwise) is where LPs meet:
+ * each directed pair of cut units in different LPs gets one LpChannel
+ * (noc/lp_channel.hh), drained at the window barrier.
  *
  * Producers construct typed Messages and inject() them. Injection moves
  * the body into the source LP's MessageSlab (one slab per LP in
@@ -54,9 +45,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/fabric.hh"
 #include "common/stats.hh"
 #include "fault/plan.hh"
 #include "noc/message.hh"
@@ -79,10 +72,10 @@ class Network
 
     /**
      * Partitioned wiring: every port is bound to the engine of the LP
-     * owning its GPM/GPU. In TimeWindow mode the inter-GPU links that
-     * cross LPs dispatch into LpChannels drained at the window barrier
-     * (the hook is registered here); deterministic-merge and one-LP
-     * plans keep the exact serial wiring.
+     * owning its link's unit. In TimeWindow mode the cut-tier links
+     * that cross LPs dispatch into LpChannels drained at the window
+     * barrier (the hook is registered here); deterministic-merge and
+     * one-LP plans keep the exact serial wiring.
      */
     Network(LpDomain &lps, const SystemConfig &cfg);
 
@@ -111,12 +104,6 @@ class Network
     bool sameGpu(GpmId a, GpmId b) const
     {
         return cfg_.gpuOf(a) == cfg_.gpuOf(b);
-    }
-
-    /** True when both GPMs sit on the same node (always, single-node). */
-    bool sameNode(GpmId a, GpmId b) const
-    {
-        return cfg_.nodeOfGpm(a) == cfg_.nodeOfGpm(b);
     }
 
     // --- injection backpressure (SM store-issue throttle) ---
@@ -161,44 +148,15 @@ class Network
         return msg_count_[static_cast<std::size_t>(t)].total();
     }
 
-    /** Bytes of type `t` that crossed inter-node uplinks (0 when
-     *  single-node). */
-    std::uint64_t interNodeBytes(MsgType t) const
-    {
-        return inter_node_bytes_[static_cast<std::size_t>(t)].total();
-    }
-
-    std::uint64_t totalInterGpuBytes() const;
-    std::uint64_t totalIntraGpuBytes() const;
-    std::uint64_t totalInterNodeBytes() const;
+    std::uint64_t totalInterGpuBytes() const { return sum(inter_bytes_); }
 
     /** Messages fully delivered (arrival tick reached dispatch). */
     std::uint64_t messagesDelivered() const { return delivered_.total(); }
 
-    // --- per-link observability (Fig. 12's oversubscription story) ---
-
-    const Port &gpmEgressPort(GpmId g) const { return *gpm_egress_[g]; }
-    const Port &gpmIngressPort(GpmId g) const { return *gpm_ingress_[g]; }
-    const Port &gpuEgressPort(GpuId u) const { return *gpu_egress_[u]; }
-    const Port &gpuIngressPort(GpuId u) const { return *gpu_ingress_[u]; }
-    const Port &nodeEgressPort(NodeId n) const { return *node_egress_[n]; }
-    const Port &nodeIngressPort(NodeId n) const
-    {
-        return *node_ingress_[n];
-    }
-
-    /** Mean utilization across the 2N inter-GPU link directions. */
-    double interGpuUtilizationAvg() const;
-    /** Highest utilization among the inter-GPU link directions. */
-    double interGpuUtilizationPeak() const;
-    /** Same across the node uplink directions (0 when single-node). */
-    double interNodeUtilizationAvg() const;
-    double interNodeUtilizationPeak() const;
+    /** The port of fabric link `link` (Fig. 12's per-link story). */
+    const Port &port(std::uint32_t link) const { return *ports_[link]; }
 
     void reportStats(StatRecorder &r, const std::string &prefix) const;
-
-    /** The fault plan, or null when cfg.fault is inert. */
-    const FaultPlan *faultPlan() const { return faults_.get(); }
 
     /**
      * Append the transport part of a watchdog diagnostic to `out`:
@@ -220,51 +178,60 @@ class Network
      *  free the body's slot in `slab`. */
     void deliver(MessageSlab &slab, MsgHandle h, Tick arrival);
 
-    // --- per-LP engine resolution (all return engine_ when unpartitioned)
-    Engine &engOfGpm(GpmId g);
-    Engine &engOfGpu(GpuId u);
-    Engine &engOfNode(NodeId n);
-    std::uint32_t lpOfGpm(GpmId g) const;
-    std::uint32_t lpOfGpu(GpuId u) const;
-    std::uint32_t lpOfNode(NodeId n) const;
+    /** The LP owning `link`'s unit (0 when unpartitioned). */
+    std::uint32_t lpOf(std::uint32_t link) const
+    {
+        return lps_ ? lps_->lpOfGpm(fabric_.link(link).gpm) : 0;
+    }
+    Engine &engOf(std::uint32_t link)
+    {
+        return lps_ ? lps_->engine(lpOf(link)) : engine_;
+    }
     /** The message slab of LP `lp` (the only one when not concurrent). */
     MessageSlab &slabOfLp(std::uint32_t lp)
     {
         return slabs_[concurrent() ? lp : 0];
     }
     bool concurrent() const { return lps_ && lps_->concurrent(); }
-    bool multiNode() const { return cfg_.numNodes > 1; }
 
+    /** The hop after `link` for `m`: the next port's input, or the
+     *  boundary channel when the hop crosses LPs. */
+    Port::Route route(std::uint32_t link, const Message &m) const;
+    /** The boundary channel carrying the hop from link `from` to link
+     *  `to`, or null (serial, same LP, or not a cut-tier hop). */
+    LpChannel *channel(std::uint32_t from, std::uint32_t to) const;
     /** Barrier hook: deliver channel outboxes, apply credits. */
     LpDrainResult drainChannels(Tick wend);
-    LpChannel *channel(GpuId src, GpuId dst) const;
-    LpChannel *nodeChannel(NodeId src, NodeId dst) const;
+    /** Mean and peak utilization over tier `t`'s links. */
+    std::pair<double, double> utilization(LinkTier t) const;
+
+    static std::uint64_t
+    sum(const LpCounter (&by_type)[kNumMsgTypes])
+    {
+        std::uint64_t total = 0;
+        for (const LpCounter &c : by_type)
+            total += c.total();
+        return total;
+    }
 
     Engine &engine_;
     LpDomain *lps_ = nullptr;
     const SystemConfig &cfg_;
+    Fabric fabric_;
 
     /** Bodies of the messages in flight, one slab per LP in time-window
      *  runs (see slabOfLp); sized once, before the ports that hold
      *  references to them. */
     std::vector<MessageSlab> slabs_;
 
-    // Ports are non-movable (they hold an Engine&), hence unique_ptr.
-    std::vector<std::unique_ptr<Port>> gpm_egress_;
-    std::vector<std::unique_ptr<Port>> gpm_ingress_;
-    std::vector<std::unique_ptr<Port>> gpu_egress_;
-    std::vector<std::unique_ptr<Port>> gpu_ingress_;
-    /** Node uplink ports; empty on single-node machines. */
-    std::vector<std::unique_ptr<Port>> node_egress_;
-    std::vector<std::unique_ptr<Port>> node_ingress_;
+    /** One port per fabric link, by link index. Ports are non-movable
+     *  (they hold an Engine&), hence unique_ptr. */
+    std::vector<std::unique_ptr<Port>> ports_;
 
-    /** Cross-LP boundary queues, [srcGpu * numGpus + dstGpu]; null for
-     *  pairs inside one LP. TimeWindow mode, single-node only (multi-
-     *  node machines cut at node boundaries and use xlp_node_). */
-    std::vector<std::unique_ptr<LpChannel>> xlp_;
-    /** Cross-LP boundary queues at the node tier, [srcNode * numNodes +
-     *  dstNode]. TimeWindow mode, multi-node only. */
-    std::vector<std::unique_ptr<LpChannel>> xlp_node_;
+    /** Cross-LP boundary queues on the cut tier, [srcUnit * units +
+     *  dstUnit]; null for pairs inside one LP, empty unless
+     *  TimeWindow. */
+    std::vector<std::unique_ptr<LpChannel>> channels_;
 
     /** Per-link fault injectors; built only when cfg.fault.active(), so
      *  fault-free runs carry no injector state at all. */

@@ -33,10 +33,10 @@
  *    upstream serializer's rate times the link latency.
  *  - The pool must cover the credit-return round trip: after a pop
  *    unblocks the upstream, the refill takes a full hop latency to
- *    arrive, so the Network sizes each queue to at least twice the
- *    feeding link's bandwidth-delay product (with a configurable
- *    floor), the standard buffer-sizing rule of credit-based flow
- *    control.
+ *    arrive, so the fabric (common/fabric.hh) sizes each queue to at
+ *    least twice the feeding link's bandwidth-delay product (with a
+ *    configurable floor), the standard buffer-sizing rule of
+ *    credit-based flow control.
  *
  * Because a given (src, dst) pair uses the same input index at every
  * hop and an input queue is strictly FIFO, per-(src,dst) delivery order

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/fabric.hh"
 #include "common/log.hh"
 #include "sim/watchdog.hh"
 
@@ -77,64 +78,51 @@ LpPlan::validateMap(const SystemConfig &cfg,
             return false;
         }
     }
-    // Every cut edge must have positive lookahead. GPMs of one GPU are
-    // coupled synchronously (sibling-L2 scans on acquire, same-tick
-    // crossbar credit returns): a cut between them is a zero-lookahead
-    // edge and conservative windows of width zero cannot make progress.
-    // On a multi-node machine the only cross-LP boundary channels the
-    // transport builds are at the node uplinks, so cuts must follow
-    // node boundaries; their lookahead is the uplink's per-direction
-    // propagation.
-    Tick min_cut = kTickMax;
+    // Every cut edge must have positive lookahead. The fabric's cut
+    // tier is the only one whose links cross between its units, and a
+    // cut there waits out its egress latency. A cut inside a cut unit
+    // is refused: GPMs of one GPU are coupled synchronously (sibling-L2
+    // scans on acquire, same-tick crossbar credit returns), a
+    // zero-lookahead edge conservative windows cannot cross, and on a
+    // multi-node machine the GPUs of one node have no boundary channel
+    // between them.
+    const Fabric fabric(cfg);
+    const LinkTier cut = fabric.cutTier();
+    bool cuts = false;
     const auto total = static_cast<GpmId>(cfg.totalGpms());
     for (GpmId a = 0; a < total; ++a) {
         for (GpmId b = a + 1; b < total; ++b) {
             if (lp_of_gpm[a] == lp_of_gpm[b])
                 continue;
-            if (cfg.gpuOf(a) == cfg.gpuOf(b)) {
-                why = "zero-lookahead intra-GPU edge: GPMs " +
-                      std::to_string(a) + " and " + std::to_string(b) +
-                      " share GPU " + std::to_string(cfg.gpuOf(a)) +
-                      " but are mapped to LPs " +
-                      std::to_string(lp_of_gpm[a]) + " and " +
-                      std::to_string(lp_of_gpm[b]);
-                return false;
-            }
-            if (cfg.nodeOfGpm(a) != cfg.nodeOfGpm(b)) {
-                min_cut =
-                    std::min<Tick>(min_cut, cfg.interNodeHopLatency / 2);
+            if (fabric.unitOf(cut, a) != fabric.unitOf(cut, b)) {
+                cuts = true;
                 continue;
             }
-            if (cfg.numNodes > 1) {
+            const std::string lps = " but are mapped to LPs " +
+                                    std::to_string(lp_of_gpm[a]) +
+                                    " and " + std::to_string(lp_of_gpm[b]);
+            if (cfg.gpuOf(a) == cfg.gpuOf(b))
+                why = "zero-lookahead intra-GPU edge: GPMs " +
+                      std::to_string(a) + " and " + std::to_string(b) +
+                      " share GPU " + std::to_string(cfg.gpuOf(a)) + lps;
+            else
                 why = "intra-node cut: GPMs " + std::to_string(a) +
                       " and " + std::to_string(b) + " share node " +
-                      std::to_string(cfg.nodeOfGpm(a)) +
-                      " but are mapped to LPs " +
-                      std::to_string(lp_of_gpm[a]) + " and " +
-                      std::to_string(lp_of_gpm[b]) +
+                      std::to_string(cfg.nodeOfGpm(a)) + lps +
                       "; multi-node machines carry cross-LP traffic "
                       "only over the node uplinks";
-                return false;
-            }
-            // The only inter-GPU coupling is the switch link; its
-            // per-direction propagation is half the configured
-            // GPM-to-GPM inter-GPU hop latency.
-            min_cut = std::min<Tick>(min_cut, cfg.interGpuHopLatency / 2);
+            return false;
         }
     }
-    if (num_lps > 1 && (min_cut == 0 || min_cut == kTickMax)) {
-        const bool node_tier = cfg.numNodes > 1;
-        why = min_cut == 0
-                  ? std::string(node_tier ? "inter-node" : "inter-GPU") +
-                        " hop latency " +
-                        std::to_string(node_tier
-                                           ? cfg.interNodeHopLatency
-                                           : cfg.interGpuHopLatency) +
-                        " yields zero lookahead"
-                  : "partition cuts no edges (every GPM in one LP)";
+    const FabricTier &tier = fabric.tier(cut);
+    if (num_lps > 1 && (!cuts || fabric.lookahead() == 0)) {
+        why = cuts ? std::string(tier.hop) + " hop latency " +
+                         std::to_string(tier.hopLatency) +
+                         " yields zero lookahead"
+                   : "partition cuts no edges (every GPM in one LP)";
         return false;
     }
-    lookahead_out = min_cut == kTickMax ? 0 : min_cut;
+    lookahead_out = cuts ? fabric.lookahead() : 0;
     return true;
 }
 
@@ -142,22 +130,18 @@ LpPlan
 LpPlan::build(const SystemConfig &cfg)
 {
     LpPlan p;
+    // Contiguous blocks of the fabric's cut units (GPUs single-node,
+    // whole nodes multi-node): LP of unit i is floor(i * jobs / units),
+    // never splitting a unit's GPMs (see validateMap).
+    const Fabric fabric(cfg);
+    const LinkTier cut = fabric.cutTier();
+    const std::uint32_t units = fabric.tier(cut).units;
     std::uint32_t jobs = cfg.lpJobs == 0 ? 1 : cfg.lpJobs;
-    // Cut granularity: GPUs single-node, whole nodes multi-node (see
-    // validateMap — intra-node cuts have no boundary channel).
-    const std::uint32_t grains =
-        cfg.numNodes > 1 ? cfg.numNodes : cfg.numGpus;
-    jobs = std::min(jobs, grains);
-    jobs = std::min(jobs, LpCounter::kMaxLps);
+    jobs = std::min({jobs, units, LpCounter::kMaxLps});
     p.numLps = jobs;
     p.lpOfGpm.resize(cfg.totalGpms());
-    // Contiguous blocks: LP of grain i is floor(i * jobs / grains),
-    // never splitting a grain's GPMs (see validateMap).
-    for (std::uint32_t g = 0; g < cfg.totalGpms(); ++g) {
-        const std::uint32_t grain =
-            cfg.numNodes > 1 ? cfg.nodeOfGpm(g) : cfg.gpuOf(g);
-        p.lpOfGpm[g] = grain * jobs / grains;
-    }
+    for (GpmId g = 0; g < cfg.totalGpms(); ++g)
+        p.lpOfGpm[g] = fabric.unitOf(cut, g) * jobs / units;
     if (jobs <= 1) {
         p.mode = LpMode::Serial;
         return p;

@@ -3,14 +3,15 @@
  * Conservative parallel discrete-event simulation (PDES) across GPU
  * partitions.
  *
- * One simulation is split into one logical process (LP) per GPU (or per
- * contiguous group of GPUs when --lp-jobs < numGpus), each owning a
- * private timing-wheel Engine. The only simulated couplings that cross
- * GPUs are the inter-GPU switch links, whose fixed propagation latency
- * is the scheme's lookahead L: an event executed at tick t can influence
- * another LP no earlier than t + L. LPs therefore run windows of L
- * cycles in parallel and exchange boundary traffic at a barrier between
- * windows:
+ * One simulation is split into one logical process (LP) per unit of the
+ * fabric's cut tier (common/fabric.hh: a GPU on a single-node machine, a
+ * node otherwise), or per contiguous group of them when --lp-jobs is
+ * smaller, each owning a private timing-wheel Engine. The only
+ * simulated couplings that cross cut units are the cut tier's links,
+ * whose fixed egress propagation latency is the scheme's lookahead L:
+ * an event executed at tick t can influence another LP no earlier than
+ * t + L. LPs therefore run windows of L cycles in parallel and exchange
+ * boundary traffic at a barrier between windows:
  *
  *   window k:  all LPs execute their local events in [W, W+L)
  *   barrier:   posted cross-LP closures are scheduled at W+L,
@@ -34,8 +35,8 @@
  *    preserved), so the runtime coherence checker and the litmus suite
  *    still hold; cycle counts may differ slightly from serial.
  *
- * DESIGN.md §10 derives the lookahead from the link latency and spells
- * out the determinism-mode merge rule.
+ * DESIGN.md §10 derives the lookahead from the cut tier and spells out
+ * the determinism-mode merge rule.
  */
 
 #ifndef HMG_SIM_LP_HH
@@ -73,16 +74,14 @@ const char *toString(LpMode m);
 
 /**
  * The static partition: which LP owns each GPM, and the lookahead of
- * the cross-LP edges. Partitioning is at GPU granularity only — GPMs of
- * one GPU share synchronous couplings (sibling-L2 scans on acquire, the
+ * the cross-LP edges. Both are read from the fabric's cut tier
+ * (common/fabric.hh): the partition grain is a cut unit — a GPU on a
+ * single-node machine, a whole node otherwise — and the lookahead is
+ * the cut tier's egress latency (half its hop latency). GPMs of one GPU
+ * share synchronous couplings (sibling-L2 scans on acquire, the
  * intra-GPU crossbar's same-tick credit returns), i.e. zero-lookahead
- * edges, which a conservative scheme cannot cut. On a multi-node
- * machine partitioning coarsens to NODE granularity: the cross-LP
- * boundary channels live at the node uplinks (noc/network.cc builds
- * xlp_node_, not xlp_, when numNodes > 1), so a cut inside a node
- * would have no channel to carry its traffic. The lookahead of a
- * node-aligned cut is the uplink's per-direction propagation,
- * interNodeHopLatency / 2.
+ * edges, and the transport's boundary channels exist only on the cut
+ * tier (noc/network.cc), so no cut may split a cut unit.
  */
 struct LpPlan
 {
@@ -99,8 +98,7 @@ struct LpPlan
      * separates two GPUs of one node (the boundary channels exist only
      * at the node uplinks), and any topology whose cut-tier hop
      * latency yields zero lookahead. On success `lookahead_out` is the
-     * minimum latency over all cut edges (per-direction: half the
-     * inter-GPU or inter-node hop latency, per tier).
+     * cut tier's egress latency (0 when nothing is cut).
      */
     static bool validateMap(const SystemConfig &cfg,
                             const std::vector<std::uint32_t> &lp_of_gpm,
@@ -108,11 +106,11 @@ struct LpPlan
                             std::string &why);
 
     /**
-     * Build the plan for `cfg`: GPU-granularity blocks (node-
-     * granularity blocks when numNodes > 1), `cfg.lpJobs` clamped to
-     * the GPU (node) count, Serial when one LP results. Fatal when the
-     * requested partition fails validateMap (only possible when the
-     * configured cut-tier latency is < 2 cycles).
+     * Build the plan for `cfg`: contiguous blocks of cut units,
+     * `cfg.lpJobs` clamped to the cut unit count, Serial when one LP
+     * results. Fatal when the requested partition fails validateMap
+     * (only possible when the configured cut-tier latency is < 2
+     * cycles).
      */
     static LpPlan build(const SystemConfig &cfg);
 };

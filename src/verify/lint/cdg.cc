@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hh"
+#include "common/fabric.hh"
 #include "verify/spec.hh"
 
 namespace hmg::verify::lint
@@ -54,42 +54,11 @@ intraGpuOnly(const char *className)
 }
 
 /**
- * Mirror of Network::init()'s credit-pool sizing (src/noc/network.cc)
- * so the graph's nodes carry the real pool capacities in bytes.
- */
-struct Pools
-{
-    std::uint64_t gpmEgress, gpmIngress, gpuEgress, gpuIngress;
-    std::uint64_t nodeEgress, nodeIngress;
-};
-
-Pools
-poolSizes(const SystemConfig &cfg)
-{
-    const double gpm_bpc = cfg.intraGpuPortBytesPerCycle();
-    const double gpu_bpc = cfg.interGpuPortBytesPerCycle();
-    const double node_bpc = cfg.interNodePortBytesPerCycle();
-    const Tick intra_half = cfg.intraGpuHopLatency / 2;
-    const Tick inter_half = cfg.interGpuHopLatency / 2;
-    const Tick inter_rest = cfg.interGpuHopLatency - inter_half;
-    const Tick node_half = cfg.interNodeHopLatency / 2;
-    const std::uint64_t floor_bytes =
-        std::uint64_t{cfg.nocPortQueueCapacity} *
-        (cfg.msgHeaderBytes + cfg.cacheLineBytes);
-    auto pool = [&](double drain_bpc, Tick feed_latency) {
-        const auto bdp = static_cast<std::uint64_t>(
-            drain_bpc * static_cast<double>(feed_latency + 8));
-        return std::max(floor_bytes, 2 * bdp);
-    };
-    return {pool(gpm_bpc, 0),          pool(gpm_bpc, inter_rest),
-            pool(gpu_bpc, intra_half), pool(gpu_bpc, inter_half),
-            pool(node_bpc, inter_half), pool(node_bpc, node_half)};
-}
-
-/**
- * The credit-pool graph over the shape in `opts`. `boundedNic` keeps
- * every emission edge blocking (the cdg family's seed); otherwise only
- * the emissions of a stalled class do.
+ * The credit-pool graph over the machine in `opts`, drawn from its
+ * fabric: one node per link (its pool, in the fabric's bytes) and one
+ * per GPM NIC. `boundedNic` keeps every emission edge blocking (the
+ * cdg family's seed); otherwise only the emissions of a stalled class
+ * do.
  */
 Graph
 buildGraph(const LintOptions &opts, bool boundedNic,
@@ -97,13 +66,9 @@ buildGraph(const LintOptions &opts, bool boundedNic,
            const char *family, LintReport &report)
 {
     Graph g;
-    SystemConfig cfg;
-    cfg.numGpus = opts.numGpus;
-    cfg.gpmsPerGpu = opts.gpmsPerGpu;
-    cfg.numNodes = opts.numNodes;
-    const bool multiNode = cfg.numNodes > 1;
-    const Pools pools = poolSizes(cfg);
-    const std::uint32_t gpms = cfg.totalGpms();
+    const Fabric fabric(opts.cfg);
+    const std::vector<FabricLink> &links = fabric.links();
+    const std::uint32_t gpms = opts.cfg.totalGpms();
 
     std::size_t count = 0;
     const MsgClass *classes = msgClasses(count);
@@ -119,78 +84,40 @@ buildGraph(const LintOptions &opts, bool boundedNic,
         intraClasses += classes[i].name;
     }
 
-    // Nodes: per-GPM NIC/egress/ingress, per-GPU switch egress/ingress.
-    std::vector<std::size_t> nic(gpms), gpmE(gpms), gpmI(gpms);
-    std::vector<std::size_t> gpuE(cfg.numGpus), gpuI(cfg.numGpus);
-    for (std::uint32_t m = 0; m < gpms; ++m) {
-        const std::string base = "gpu" + std::to_string(cfg.gpuOf(m)) +
-                                 ".gpm" +
-                                 std::to_string(cfg.localGpmOf(m));
-        nic[m] = g.addNode(base + ".nic", /*unbounded=*/true, 0);
-        gpmE[m] = g.addNode(base + ".egress", false, pools.gpmEgress);
-        gpmI[m] = g.addNode(base + ".ingress", false, pools.gpmIngress);
-    }
-    for (std::uint32_t u = 0; u < cfg.numGpus; ++u) {
-        const std::string base = "gpu" + std::to_string(u);
-        gpuE[u] = g.addNode(base + ".switch-egress", false,
-                            pools.gpuEgress);
-        gpuI[u] = g.addNode(base + ".switch-ingress", false,
-                            pools.gpuIngress);
-    }
-    std::vector<std::size_t> nodeE, nodeI;
-    if (multiNode) {
-        for (std::uint32_t n = 0; n < cfg.numNodes; ++n) {
-            const std::string base = "node" + std::to_string(n);
-            nodeE.push_back(g.addNode(base + ".uplink-egress", false,
-                                      pools.nodeEgress));
-            nodeI.push_back(g.addNode(base + ".uplink-ingress", false,
-                                      pools.nodeIngress));
-        }
-    }
+    for (const FabricLink &k : links)
+        g.addNode(k.name, /*unbounded=*/false, k.poolBytes);
+    const std::size_t nic0 = g.nodes.size();
+    for (GpmId m = 0; m < gpms; ++m)
+        g.addNode("gpm" + std::to_string(m) + ".nic", true, 0);
 
     // Route-progression edges: a head occupying `from` waits for
-    // credit in `to` (noc/port.hh's canAccept gate).
-    for (std::uint32_t m = 0; m < gpms; ++m) {
-        g.edges.push_back({nic[m], gpmE[m],
+    // credit in `to` (noc/port.hh's canAccept gate), for every hop the
+    // fabric's route takes over all (src, dst) pairs, each edge once.
+    std::vector<std::vector<std::uint32_t>> seen(links.size());
+    for (GpmId src = 0; src < gpms; ++src) {
+        const std::uint32_t entry = fabric.entry(src).link;
+        g.edges.push_back({nic0 + src, entry,
                            "NIC backlog drains into the GPM egress as "
                            "credits free (all classes)"});
-        for (std::uint32_t d = 0; d < gpms; ++d) {
-            if (d == m || cfg.gpuOf(d) != cfg.gpuOf(m))
+        for (GpmId dst = 0; dst < gpms; ++dst) {
+            if (dst == src)
                 continue;
-            g.edges.push_back({gpmE[m], gpmI[d],
-                               "intra-GPU crossbar hop [" +
-                                   intraClasses + "]"});
+            for (std::uint32_t l = entry, n;
+                 (n = fabric.next(l, src, dst).link) != Fabric::kDeliver;
+                 l = n) {
+                if (std::find(seen[l].begin(), seen[l].end(), n) !=
+                    seen[l].end())
+                    continue;
+                seen[l].push_back(n);
+                const bool intra = links[l].tier == LinkTier::Gpm &&
+                                   links[n].tier == LinkTier::Gpm;
+                g.edges.push_back(
+                    {l, n,
+                     std::string(fabric.tier(links[l].tier).hop) +
+                         " hop [" + (intra ? intraClasses : interClasses) +
+                         "]"});
+            }
         }
-        g.edges.push_back({gpmE[m], gpuE[cfg.gpuOf(m)],
-                           "GPM egress feeds the GPU switch port [" +
-                               interClasses + "]"});
-        g.edges.push_back({gpuI[cfg.gpuOf(m)], gpmI[m],
-                           "switch ingress fans to the GPM ingress [" +
-                               interClasses + "]"});
-    }
-    // Direct switch hops serve same-node GPU pairs; cross-node traffic
-    // detours through the uplink tier (Network::init's route order).
-    for (std::uint32_t su = 0; su < cfg.numGpus; ++su)
-        for (std::uint32_t du = 0; du < cfg.numGpus; ++du)
-            if (su != du && cfg.nodeOf(su) == cfg.nodeOf(du))
-                g.edges.push_back({gpuE[su], gpuI[du],
-                                   "inter-GPU switch hop [" +
-                                       interClasses + "]"});
-    if (multiNode) {
-        for (std::uint32_t u = 0; u < cfg.numGpus; ++u) {
-            g.edges.push_back({gpuE[u], nodeE[cfg.nodeOf(u)],
-                               "GPU switch port feeds the node uplink "
-                               "[" + interClasses + "]"});
-            g.edges.push_back({nodeI[cfg.nodeOf(u)], gpuI[u],
-                               "node downlink fans to the GPU switch "
-                               "ingress [" + interClasses + "]"});
-        }
-        for (std::uint32_t sn = 0; sn < cfg.numNodes; ++sn)
-            for (std::uint32_t dn = 0; dn < cfg.numNodes; ++dn)
-                if (sn != dn)
-                    g.edges.push_back({nodeE[sn], nodeI[dn],
-                                       "inter-node switch hop [" +
-                                           interClasses + "]"});
     }
 
     // Handler-emission edges: consuming class X at a GPM ingress may
@@ -228,7 +155,8 @@ buildGraph(const LintOptions &opts, bool boundedNic,
             if (stall)
                 label += "; ingress held by transient " +
                          stall->transient + " awaiting " + stall->awaits;
-            Edge e{gpmI[m], nic[m], std::move(label)};
+            Edge e{fabric.linkOf(LinkTier::Gpm, LinkDir::Ingress, m),
+                   nic0 + m, std::move(label)};
             if (boundedNic || stall)
                 g.edges.push_back(std::move(e));
             else

@@ -7,17 +7,17 @@
  * over the hop-level classes (msgDeps(), spec.hh) must be acyclic.
  *
  * Then the transport: the Duato-style channel-dependency graph of the
- * NoC, with one node per physical credit pool of a concrete (numNodes
- * x numGpus x gpmsPerGpu) instance — each GPM's NIC backlog, GPM
- * egress/ingress port, each GPU's switch egress/ingress port and
- * (multi-node) each node's uplink egress/ingress port — and one edge
+ * NoC, drawn from the fabric (common/fabric.hh) of the machine in
+ * LintOptions::cfg. It has one node per physical credit pool — every
+ * fabric link, under its link name and with the pool size the
+ * simulator gives it, plus each GPM's NIC backlog — and one edge
  * wherever a message *holding* space in one pool may *wait* for space
  * in another:
  *
  *   - route progression: a queued head waits for the next hop's credit
- *     while occupying its own slot (gpmEgress -> gpuEgress ->
- *     gpuIngress -> gpmIngress, plus the intra-GPU shortcut), labeled
- *     with the hop-level message classes (spec.hh) that traverse it;
+ *     while occupying its own slot — every hop Fabric::next() takes
+ *     over all (src, dst) pairs, each once, labeled with the hop-level
+ *     message classes (spec.hh) that traverse it;
  *   - handler emission: consuming class X at a GPM ingress may emit
  *     class Y (msgDeps()), which enters at the local NIC.
  *

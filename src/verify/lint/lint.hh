@@ -11,8 +11,10 @@
  * transient-state wait-for graph — in milliseconds, independent of
  * state-space size.
  *
- * Every family reads one LintOptions and appends Findings to a shared
- * LintReport. A Finding carries machine-readable provenance (the file
+ * Every family reads one LintOptions — the validated SystemConfig of
+ * the machine under analysis, whose fabric the transport proofs are
+ * drawn from, plus the families' seeds — and appends Findings to a
+ * shared LintReport. A Finding carries machine-readable provenance (the file
  * it is attributed to, plus table/row for spec findings) and an
  * optional counterexample: the minimal dependency cycle, the masking
  * row, the livelock cycle. Every finding is an error. The report
@@ -28,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
+
 namespace hmg::verify::lint
 {
 
@@ -35,17 +39,25 @@ namespace hmg::verify::lint
 inline constexpr const char *kTablesFile = "src/verify/tables.cc";
 
 /**
- * What one static pass analyzes: the machine shape the cdg and
- * composed graphs are built over, and each family's test hook. A
- * family applies only its own seed.
+ * What one static pass analyzes: the machine the cdg and composed
+ * graphs are built over, and each family's test hook. A family applies
+ * only its own seed.
  */
 struct LintOptions
 {
-    std::uint32_t numGpus = 2;    //!< total GPUs
-    std::uint32_t gpmsPerGpu = 2;
-    /** > 1 adds the node-switch tier (mirrors Network::init, which
-     *  builds no node ports at all when single-node). */
-    std::uint32_t numNodes = 1;
+    /**
+     * The validated machine — shape, link rates and latencies, queue
+     * floors — whose fabric (common/fabric.hh) the transport proofs
+     * are drawn from, so their pools are the ones the simulator sizes.
+     * hmgcheck fills it from --topology or the geometry flags; the
+     * default is the 2 GPU x 2 GPM machine exploration models.
+     */
+    SystemConfig cfg = [] {
+        SystemConfig c;
+        c.numGpus = 2;
+        c.gpmsPerGpu = 2;
+        return c;
+    }();
     /** table: append a guard-shadowed row (TableSeed::DeadRow). */
     bool seedDeadRow = false;
     /** cdg: model a bounded, blocking NIC injection queue. */

@@ -215,6 +215,21 @@ if [ -n "$HMGCHECK" ]; then
         check_reject "hmgcheck $flag is unknown" "$flag"
     done
     check_reject "hmgcheck --root is unknown" --root .
+    # The static proofs are drawn from the fabric of the machine the
+    # file describes, so a seeded cycle names each pool with the size
+    # the simulator gives it: 2 x 384.6 B/cycle x (1000 + 8) cycles for
+    # a GPM ingress fed over a 2000-cycle inter-GPU hop.
+    sed 's/"interGpuHopLatency": 600,/"interGpuHopLatency": 2000,/' \
+        "$TOPO_DIR/two_node_2x2x2.json" > "$TMP_TOPO"
+    if grep -q '"interGpuHopLatency": 2000,' "$TMP_TOPO" &&
+       out=$("$HMGCHECK" --static --seed-cdg-cycle \
+                 --topology "$TMP_TOPO" 2>&1) &&
+       printf '%s' "$out" | grep -q "775384B"; then
+        echo "ok:   hmgcheck cdg pools follow the topology's latencies"
+    else
+        echo "FAIL: hmgcheck cdg pools ignore the topology's latencies"
+        fails=$((fails + 1))
+    fi
 fi
 
 # The engine microbench parses the same way: a malformed, zero or

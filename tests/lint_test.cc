@@ -8,10 +8,13 @@
  * counterexample.
  */
 
+#include <set>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/fabric.hh"
 #include "verify/lint/cdg.hh"
 #include "verify/lint/lint.hh"
 #include "verify/lint/liveness.hh"
@@ -104,8 +107,8 @@ TEST(CdgLint, RealTransportIsAcyclic)
 TEST(CdgLint, LargerInstanceStillAcyclic)
 {
     LintOptions o;
-    o.numGpus = 4;
-    o.gpmsPerGpu = 4;
+    o.cfg.numGpus = 4;
+    o.cfg.gpmsPerGpu = 4;
     LintReport r;
     analyzeCdg(o, r);
     EXPECT_TRUE(r.clean());
@@ -154,6 +157,96 @@ TEST(CdgLint, SeededBoundedNicCycleCaught)
               std::string::npos);
 }
 
+namespace
+{
+
+using EdgeSet = std::set<std::pair<std::string, std::string>>;
+
+/**
+ * The route edges the per-tier transport implies, by pool name:
+ * crossbar hops between sibling GPMs; a GPM egress into its GPU's
+ * switch egress and the switch ingress out to each GPM, when there is
+ * another GPU to reach; switch hops between GPUs of one node; and,
+ * multi-node, the uplinks: switch egress into the node egress, node
+ * hops, node ingress out to each GPU's switch ingress.
+ */
+EdgeSet
+referenceRouteEdges(const hmg::SystemConfig &c)
+{
+    auto gpm = [](std::uint32_t g, const char *dir) {
+        return "gpm" + std::to_string(g) + dir;
+    };
+    auto gpu = [](std::uint32_t u, const char *dir) {
+        return "gpu" + std::to_string(u) + dir;
+    };
+    auto node = [](std::uint32_t n, const char *dir) {
+        return "node" + std::to_string(n) + dir;
+    };
+    EdgeSet e;
+    for (std::uint32_t m = 0; m < c.totalGpms(); ++m) {
+        for (std::uint32_t d = 0; d < c.totalGpms(); ++d)
+            if (d != m && c.gpuOf(d) == c.gpuOf(m))
+                e.insert({gpm(m, ".egress"), gpm(d, ".ingress")});
+        if (c.numGpus > 1) {
+            e.insert({gpm(m, ".egress"), gpu(c.gpuOf(m), ".egress")});
+            e.insert({gpu(c.gpuOf(m), ".ingress"), gpm(m, ".ingress")});
+        }
+    }
+    for (std::uint32_t su = 0; su < c.numGpus; ++su)
+        for (std::uint32_t du = 0; du < c.numGpus; ++du)
+            if (su != du && c.nodeOf(su) == c.nodeOf(du))
+                e.insert({gpu(su, ".egress"), gpu(du, ".ingress")});
+    if (c.numNodes > 1) {
+        for (std::uint32_t u = 0; u < c.numGpus; ++u) {
+            e.insert({gpu(u, ".egress"), node(c.nodeOf(u), ".egress")});
+            e.insert({node(c.nodeOf(u), ".ingress"), gpu(u, ".ingress")});
+        }
+        for (std::uint32_t sn = 0; sn < c.numNodes; ++sn)
+            for (std::uint32_t dn = 0; dn < c.numNodes; ++dn)
+                if (sn != dn)
+                    e.insert({node(sn, ".egress"), node(dn, ".ingress")});
+    }
+    return e;
+}
+
+} // namespace
+
+TEST(CdgLint, RouteEdgesAreTheFabricsHops)
+{
+    // {nodes, GPUs, GPMs per GPU}; the one-GPU shape has no switch hop
+    // to take, so its switch ports stay unconnected.
+    const std::uint32_t shapes[][3] = {
+        {1, 2, 2}, {1, 4, 4}, {2, 4, 2}, {2, 2, 2}, {1, 1, 4},
+    };
+    for (const auto &s : shapes) {
+        LintOptions o;
+        o.cfg.numNodes = s[0];
+        o.cfg.numGpus = s[1];
+        o.cfg.gpmsPerGpu = s[2];
+        o.cfg.validate();
+        const hmg::Fabric f(o.cfg);
+        const std::uint32_t gpms = o.cfg.totalGpms();
+        EdgeSet hops;
+        for (std::uint32_t src = 0; src < gpms; ++src)
+            for (std::uint32_t dst = 0; dst < gpms; ++dst)
+                for (std::uint32_t l = f.entry(src).link, n;
+                     src != dst &&
+                     (n = f.next(l, src, dst).link) != hmg::Fabric::kDeliver;
+                     l = n)
+                    hops.insert({f.link(l).name, f.link(n).name});
+        EXPECT_EQ(hops, referenceRouteEdges(o.cfg))
+            << s[0] << "x" << s[1] << "x" << s[2];
+
+        // The cdg draws one node per link plus one NIC per GPM, and one
+        // edge per distinct hop plus each NIC's drain into its egress.
+        LintReport r;
+        analyzeCdg(o, r);
+        EXPECT_TRUE(r.clean()) << r.toText();
+        EXPECT_EQ(r.stats().at("cdg.nodes"), f.links().size() + gpms);
+        EXPECT_EQ(r.stats().at("cdg.edges"), hops.size() + gpms);
+    }
+}
+
 // ===================================================================
 // Family (c): transient-state liveness + the composed proof.
 // ===================================================================
@@ -179,9 +272,9 @@ TEST(LivenessLint, ScaleoutShapeComposedProofAcyclic)
 {
     // The largest example topology's shape: 8 nodes x 8 GPUs x 4 GPMs.
     LintOptions o;
-    o.numGpus = 64;
-    o.gpmsPerGpu = 4;
-    o.numNodes = 8;
+    o.cfg.numGpus = 64;
+    o.cfg.gpmsPerGpu = 4;
+    o.cfg.numNodes = 8;
     LintReport r;
     analyzeLiveness(o, r);
     EXPECT_TRUE(r.clean()) << r.toText();

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/fabric.hh"
 #include "noc/message.hh"
 #include "noc/network.hh"
 #include "sim/engine.hh"
@@ -19,6 +23,13 @@ namespace hmg
 {
 namespace
 {
+
+/** The fabric link of GPU `u`'s switch ingress. */
+std::uint32_t
+gpuIngress(const SystemConfig &cfg, GpuId u)
+{
+    return Fabric(cfg).linkOf(LinkTier::Gpu, LinkDir::Ingress, u);
+}
 
 /** Inject a message whose arrival stamps `*at` with the delivery tick. */
 void
@@ -220,7 +231,7 @@ TEST(Network, SaturatedLinkUtilizationCapsAtOne)
         sendProbe(e, net, 8, 5, MsgType::ReadResp, &last);   // GPU2 -> GPU1
     }
     e.run();
-    const Port &in = net.gpuIngressPort(1);
+    const Port &in = net.port(gpuIngress(cfg, 1));
     EXPECT_LE(in.utilization(), 1.0);
     EXPECT_GT(in.utilization(), 0.95);
     EXPECT_GT(in.queueingDelayCycles(), 0u);
@@ -248,7 +259,7 @@ TEST(Network, QueueingDelayGrowsWithOversubscription)
                 sendProbe(e, net, srcs[f], 4 + f % cfg.gpmsPerGpu,
                           MsgType::ReadResp, &sink);
         e.run();
-        return net.gpuIngressPort(1).queueingDelayCycles();
+        return net.port(gpuIngress(cfg, 1)).queueingDelayCycles();
     };
 
     const auto one = delay_with_flows(1);
@@ -306,6 +317,207 @@ TEST(Network, StatsReport)
     EXPECT_GT(r.get("noc.inter_gpu.util_avg"), 0.0);
     EXPECT_GE(r.get("noc.inter_gpu.util_peak"),
               r.get("noc.inter_gpu.util_avg"));
+}
+
+// ------------------------------------------------ the fabric's wiring
+
+/** A machine shape for the fabric checks. */
+struct Shape
+{
+    std::uint32_t nodes, gpus, gpms;
+};
+
+/** The five shapes the fabric is pinned on: 2x2, 4x4, 2 nodes x 2 x 2,
+ *  4 nodes x 2 x 2 and 8 nodes x 8 x 4. */
+constexpr Shape kShapes[] = {
+    {1, 2, 2}, {1, 4, 4}, {2, 4, 2}, {4, 8, 2}, {8, 64, 4},
+};
+
+/** Table II latencies, then odd ones whose halves round. */
+constexpr Tick kLatencies[][3] = {{30, 600, 1200}, {31, 601, 1201}};
+
+SystemConfig
+shapeConfig(const Shape &s, const Tick (&lat)[3])
+{
+    SystemConfig cfg;
+    cfg.numNodes = s.nodes;
+    cfg.numGpus = s.gpus;
+    cfg.gpmsPerGpu = s.gpms;
+    cfg.intraGpuHopLatency = lat[0];
+    cfg.interGpuHopLatency = lat[1];
+    cfg.interNodeHopLatency = lat[2];
+    cfg.validate();
+    return cfg;
+}
+
+using Hops = std::vector<std::pair<std::string, std::uint32_t>>;
+
+/** The (port, input) sequence of src -> dst as the per-tier transport
+ *  wires it: crossbar within a GPU, switch within a node, node uplinks
+ *  across nodes, each input numbered by the tier's rule. */
+Hops
+referenceRoute(const SystemConfig &c, GpmId s, GpmId d)
+{
+    auto port = [](const char *unit, std::uint32_t id, const char *dir) {
+        return unit + std::to_string(id) + dir;
+    };
+    const GpuId su = c.gpuOf(s);
+    const GpuId du = c.gpuOf(d);
+    Hops hops = {{port("gpm", s, ".egress"), 0}};
+    if (su == du) {
+        hops.emplace_back(port("gpm", d, ".ingress"), c.localGpmOf(s));
+        return hops;
+    }
+    hops.emplace_back(port("gpu", su, ".egress"), c.localGpmOf(s));
+    const NodeId sn = c.nodeOf(su);
+    const NodeId dn = c.nodeOf(du);
+    if (sn == dn) {
+        hops.emplace_back(port("gpu", du, ".ingress"), su);
+    } else {
+        hops.emplace_back(port("node", sn, ".egress"), c.localGpuOf(su));
+        hops.emplace_back(port("node", dn, ".ingress"), sn);
+        hops.emplace_back(port("gpu", du, ".ingress"), c.numGpus + sn);
+    }
+    hops.emplace_back(port("gpm", d, ".ingress"), c.gpmsPerGpu);
+    return hops;
+}
+
+TEST(Fabric, RoutesFollowThePerTierRules)
+{
+    for (const auto &lat : kLatencies) {
+        for (const Shape &shape : kShapes) {
+            const SystemConfig cfg = shapeConfig(shape, lat);
+            const Fabric f(cfg);
+            for (GpmId s = 0; s < cfg.totalGpms(); ++s) {
+                for (GpmId d = 0; d < cfg.totalGpms(); ++d) {
+                    if (s == d)
+                        continue;
+                    Hops hops;
+                    Tick latency = 0;
+                    std::uint32_t prev = Fabric::kNic;
+                    for (FabricHop h = f.entry(s); h.link != Fabric::kDeliver;
+                         h = f.next(h.link, s, d)) {
+                        const FabricLink &k = f.link(h.link);
+                        hops.emplace_back(k.name, h.input);
+                        latency += k.latency;
+                        // The input taken is the one the previous hop
+                        // (or the source's NIC) feeds.
+                        const FabricFeeder fd = f.feeder(h.link, h.input);
+                        ASSERT_EQ(fd.link, prev) << k.name;
+                        if (prev == Fabric::kNic) {
+                            ASSERT_EQ(fd.nic, s);
+                        }
+                        prev = h.link;
+                    }
+                    const Hops want = referenceRoute(cfg, s, d);
+                    ASSERT_EQ(hops, want) << s << " -> " << d;
+                    Tick want_latency = cfg.intraGpuHopLatency;
+                    if (cfg.gpuOf(s) != cfg.gpuOf(d))
+                        want_latency += cfg.interGpuHopLatency;
+                    if (cfg.nodeOfGpm(s) != cfg.nodeOfGpm(d))
+                        want_latency += cfg.interNodeHopLatency;
+                    ASSERT_EQ(latency, want_latency) << s << " -> " << d;
+                }
+            }
+        }
+    }
+}
+
+/** One port as the per-tier transport sizes it. */
+struct PortSpec
+{
+    std::string name;
+    double bytesPerCycle;
+    Tick latency;
+    std::uint32_t inputs;
+    std::uint64_t pool;
+};
+
+/**
+ * Every port in wiring order with its rate, latency split (floor half
+ * on the egress), inputs and credit pool: max(floor, 2 x BDP over the
+ * feeding hop + 8 cycles). `windowed` adds two lookaheads to the feed
+ * of the cut tier's ingress (the GPU switch single-node, the node
+ * uplinks otherwise).
+ */
+std::vector<PortSpec>
+referencePorts(const SystemConfig &c, bool windowed)
+{
+    const double gpm_bpc = c.intraGpuPortBytesPerCycle();
+    const double gpu_bpc = c.interGpuPortBytesPerCycle();
+    const double node_bpc = c.interNodePortBytesPerCycle();
+    const Tick intra_half = c.intraGpuHopLatency / 2;
+    const Tick intra_rest = c.intraGpuHopLatency - intra_half;
+    const Tick inter_half = c.interGpuHopLatency / 2;
+    const Tick inter_rest = c.interGpuHopLatency - inter_half;
+    const Tick node_half = c.interNodeHopLatency / 2;
+    const Tick node_rest = c.interNodeHopLatency - node_half;
+    const bool multi = c.numNodes > 1;
+    const Tick slack = windowed ? 2 * (multi ? node_half : inter_half) : 0;
+    const std::uint64_t floor_bytes =
+        std::uint64_t{c.nocPortQueueCapacity} *
+        (c.msgHeaderBytes + c.cacheLineBytes);
+    auto pool = [&](double bpc, Tick feed) {
+        return std::max(floor_bytes,
+                        2 * static_cast<std::uint64_t>(
+                                bpc * static_cast<double>(feed + 8)));
+    };
+    std::vector<PortSpec> ports;
+    for (GpmId g = 0; g < c.totalGpms(); ++g) {
+        const std::string n = "gpm" + std::to_string(g);
+        ports.push_back({n + ".egress", gpm_bpc, intra_half, 1,
+                         pool(gpm_bpc, 0)});
+        ports.push_back({n + ".ingress", gpm_bpc, intra_rest,
+                         c.gpmsPerGpu + 1, pool(gpm_bpc, inter_rest)});
+    }
+    for (GpuId u = 0; u < c.numGpus; ++u) {
+        const std::string n = "gpu" + std::to_string(u);
+        ports.push_back({n + ".egress", gpu_bpc, inter_half, c.gpmsPerGpu,
+                         pool(gpu_bpc, intra_half)});
+        ports.push_back({n + ".ingress", gpu_bpc, inter_rest,
+                         multi ? c.numGpus + c.numNodes : c.numGpus,
+                         pool(gpu_bpc, inter_half + (multi ? 0 : slack))});
+    }
+    for (NodeId nd = 0; multi && nd < c.numNodes; ++nd) {
+        const std::string n = "node" + std::to_string(nd);
+        ports.push_back({n + ".egress", node_bpc, node_half,
+                         c.gpusPerNode(), pool(node_bpc, inter_half)});
+        ports.push_back({n + ".ingress", node_bpc, node_rest, c.numNodes,
+                         pool(node_bpc, node_half + slack)});
+    }
+    return ports;
+}
+
+TEST(Fabric, PortsFollowThePerTierRules)
+{
+    for (const auto &lat : kLatencies) {
+        for (const Shape &shape : kShapes) {
+            const SystemConfig cfg = shapeConfig(shape, lat);
+            for (const bool windowed : {false, true}) {
+                const Fabric f(cfg, windowed);
+                const std::vector<PortSpec> want =
+                    referencePorts(cfg, windowed);
+                ASSERT_EQ(f.links().size(), want.size());
+                for (std::size_t l = 0; l < want.size(); ++l) {
+                    const FabricLink &k = f.links()[l];
+                    EXPECT_EQ(k.name, want[l].name);
+                    EXPECT_EQ(k.bytesPerCycle, want[l].bytesPerCycle)
+                        << k.name;
+                    EXPECT_EQ(k.latency, want[l].latency) << k.name;
+                    EXPECT_EQ(k.inputs, want[l].inputs) << k.name;
+                    EXPECT_EQ(k.poolBytes, want[l].pool) << k.name;
+                }
+            }
+            // The serial transport builds exactly the fabric's ports.
+            Engine e;
+            Network net(e, cfg);
+            const Fabric f(cfg);
+            for (std::uint32_t l = 0; l < f.links().size(); ++l) {
+                EXPECT_EQ(net.port(l).numInputs(), f.link(l).inputs);
+                EXPECT_EQ(net.port(l).capacityBytes(), f.link(l).poolBytes);
+            }
+        }
+    }
 }
 
 TEST(NetworkDeath, SelfSendIsABug)

@@ -356,6 +356,85 @@ TEST(LpPlanTest, BuildClampsToGpuCount)
         EXPECT_EQ(p.lpOfGpm[g], cfg.gpuOf(g));
 }
 
+TEST(LpPlanTest, BuildCutsAtTheCutTierWithItsLookahead)
+{
+    // Single node: contiguous GPU blocks, lookahead half the inter-GPU
+    // hop (floor, so an odd 601 gives 300).
+    SystemConfig one;
+    one.lpJobs = 2;
+    const std::vector<std::uint32_t> gpu_blocks = {0, 0, 0, 0, 0, 0, 0, 0,
+                                                   1, 1, 1, 1, 1, 1, 1, 1};
+    for (const Tick hop : {Tick{600}, Tick{601}}) {
+        one.interGpuHopLatency = hop;
+        const LpPlan p = LpPlan::build(one);
+        EXPECT_EQ(p.numLps, 2u);
+        EXPECT_EQ(p.mode, LpMode::TimeWindow);
+        EXPECT_EQ(p.lpOfGpm, gpu_blocks);
+        EXPECT_EQ(p.lookahead, 300u) << hop;
+    }
+
+    // 2 nodes x 2 GPUs x 2 GPMs: whole nodes, clamped to the node
+    // count, lookahead half the inter-node hop.
+    SystemConfig two;
+    two.numNodes = 2;
+    two.numGpus = 4;
+    two.gpmsPerGpu = 2;
+    two.lpJobs = 4;
+    const std::vector<std::uint32_t> node_blocks = {0, 0, 0, 0, 1, 1, 1, 1};
+    for (const Tick hop : {Tick{1200}, Tick{1201}}) {
+        two.interNodeHopLatency = hop;
+        for (const bool det : {false, true}) {
+            two.lpDeterministic = det;
+            const LpPlan p = LpPlan::build(two);
+            EXPECT_EQ(p.numLps, 2u);
+            EXPECT_EQ(p.mode, det ? LpMode::DeterministicMerge
+                                  : LpMode::TimeWindow);
+            EXPECT_EQ(p.lpOfGpm, node_blocks);
+            EXPECT_EQ(p.lookahead, 600u) << hop;
+        }
+        Tick la = 0;
+        std::string why;
+        EXPECT_TRUE(LpPlan::validateMap(two, node_blocks, 2, la, why)) << why;
+        EXPECT_EQ(la, 600u);
+    }
+}
+
+TEST(LpPlanTest, RejectionsNameTheOffendingEdge)
+{
+    auto reason = [](const SystemConfig &cfg,
+                     const std::vector<std::uint32_t> &map) {
+        Tick la = 0;
+        std::string why;
+        EXPECT_FALSE(LpPlan::validateMap(cfg, map, 2, la, why));
+        return why;
+    };
+    SystemConfig flat; // 4 GPUs x 4 GPMs
+    std::vector<std::uint32_t> split(flat.totalGpms(), 1);
+    split[0] = 0;
+    EXPECT_EQ(reason(flat, split),
+              "zero-lookahead intra-GPU edge: GPMs 0 and 1 share GPU 0 "
+              "but are mapped to LPs 0 and 1");
+    EXPECT_EQ(reason(flat, std::vector<std::uint32_t>(16, 0)),
+              "partition cuts no edges (every GPM in one LP)");
+    flat.interGpuHopLatency = 1;
+    std::vector<std::uint32_t> halves(16, 0);
+    std::fill(halves.begin() + 8, halves.end(), 1);
+    EXPECT_EQ(reason(flat, halves),
+              "inter-GPU hop latency 1 yields zero lookahead");
+
+    SystemConfig two;
+    two.numNodes = 2;
+    two.numGpus = 4;
+    two.gpmsPerGpu = 2;
+    EXPECT_EQ(reason(two, {0, 0, 1, 1, 1, 1, 1, 1}),
+              "intra-node cut: GPMs 0 and 2 share node 0 but are mapped "
+              "to LPs 0 and 1; multi-node machines carry cross-LP traffic "
+              "only over the node uplinks");
+    two.interNodeHopLatency = 1;
+    EXPECT_EQ(reason(two, {0, 0, 0, 0, 1, 1, 1, 1}),
+              "inter-node hop latency 1 yields zero lookahead");
+}
+
 TEST(LpPlanTest, SingleJobStaysSerial)
 {
     SystemConfig cfg;

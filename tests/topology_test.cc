@@ -293,6 +293,28 @@ TEST(TopologySpecDeath, StrictParserRejectsMalformedSpecs)
     dies("{ \"link\": { \"interGpuGBps\": \"fast\" } }"); // wrong type
 }
 
+TEST(TopologySpecDeath, NulBytesAndRepeatedKeysAreLocatedErrors)
+{
+    // A NUL byte used to end the scan, accepting whatever preceded it;
+    // a repeated key used to keep its last value silently.
+    static const char kNul[] =
+        "{\"nodes\":1,\"gpusPerNode\":2,\"gpmsPerGpu\":2,"
+        "\"smsPerGpu\":8}\0garbage";
+    const std::string nul(kNul, sizeof(kNul) - 1);
+    EXPECT_EXIT(Topology::parseJson(nul, "t.json"),
+                ::testing::ExitedWithCode(1), "t.json:1: NUL byte");
+    EXPECT_EXIT(Topology::parseJson("{ \"gpusPerNode\": 2,\n"
+                                    "  \"gpmsPerGpu\": 2,\n"
+                                    "  \"gpusPerNode\": 4 }",
+                                    "t.json"),
+                ::testing::ExitedWithCode(1),
+                "t.json:3: duplicate key \"gpusPerNode\"");
+    EXPECT_EXIT(Topology::parseJson("{ \"link\": { \"interGpuGBps\": 1,"
+                                    " \"interGpuGBps\": 2 } }",
+                                    "t.json"),
+                ::testing::ExitedWithCode(1), "t.json:1: duplicate key");
+}
+
 TEST(TopologySpecDeath, ApplyValidatesTheResultingShape)
 {
     // The parser accepts shape keys independently; applyTo runs the

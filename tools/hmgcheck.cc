@@ -70,7 +70,7 @@ using namespace hmg;
 struct Options
 {
     bool staticOnly = false;
-    /** The machine shape and the static families' seeds. */
+    /** The machine and the static families' seeds. */
     verify::lint::LintOptions lint;
     bool json = false;
     bool sarif = false;
@@ -143,7 +143,7 @@ parseWorkload(const std::string &s)
 }
 
 std::string
-shapeName(const verify::lint::LintOptions &s)
+shapeName(const SystemConfig &s)
 {
     auto count = [](std::uint32_t n, const char *unit) {
         return std::to_string(n) + " " + unit + (n == 1 ? "" : "s");
@@ -169,10 +169,7 @@ parse(int argc, char **argv)
     // two is rejected by flag name, the same contract as tools/hmgsim.cc.
     // A flag only retry and explore read is rejected under --static, so
     // a seed is never silently skipped.
-    SystemConfig shape;
-    shape.numGpus = o.lint.numGpus;
-    shape.gpmsPerGpu = o.lint.gpmsPerGpu;
-    shape.numNodes = o.lint.numNodes;
+    SystemConfig &shape = o.lint.cfg;
     std::string topology;
     const char *geometryFlag = nullptr;
     const char *exploreFlag = nullptr;
@@ -250,9 +247,6 @@ parse(int argc, char **argv)
     } else {
         shape.validate();
     }
-    o.lint.numGpus = shape.numGpus;
-    o.lint.gpmsPerGpu = shape.gpmsPerGpu;
-    o.lint.numNodes = shape.numNodes;
 
     if (o.json && o.sarif)
         hmg_fatal("--json conflicts with --sarif: pick one output "
@@ -268,7 +262,7 @@ parse(int argc, char **argv)
                       exploreFlag);
         return o;
     }
-    const auto &l = o.lint;
+    const SystemConfig &l = o.lint.cfg;
     const bool threeLevel =
         l.numGpus == 4 && l.gpmsPerGpu == 2 && l.numNodes == 2;
     if (!threeLevel &&
@@ -347,7 +341,7 @@ runStatic(const Options &o)
         const std::size_t n = report.findings().size();
         std::printf("static  table cdg liveness  %zu finding%s over %s: "
                     "%s\n",
-                    n, n == 1 ? "" : "s", shapeName(o.lint).c_str(),
+                    n, n == 1 ? "" : "s", shapeName(o.lint.cfg).c_str(),
                     verdict(report.clean(), expectFail,
                             "all invariants hold"));
     }
@@ -360,9 +354,9 @@ runWorkload(const Options &o, verify::Workload w)
 {
     verify::MckConfig cfg;
     cfg.hier = o.hier;
-    cfg.numNodes = o.lint.numNodes;
-    cfg.numGpus = o.lint.numGpus;
-    cfg.gpmsPerGpu = o.lint.gpmsPerGpu;
+    cfg.numNodes = o.lint.cfg.numNodes;
+    cfg.numGpus = o.lint.cfg.numGpus;
+    cfg.gpmsPerGpu = o.lint.cfg.gpmsPerGpu;
     cfg.dirEntriesPerNode = o.dirCap;
     cfg.workload = w;
     cfg.seedBadRow = o.seedBadRow;
@@ -406,7 +400,7 @@ main(int argc, char **argv)
         std::printf("hmgcheck: protocol %s, %s home chain, %s directory "
                     "entr%s per node\n",
                     o.hier ? "hmg" : "nhcc",
-                    o.lint.numNodes > 1 ? "three-level (2x2x2)"
+                    o.lint.cfg.numNodes > 1 ? "three-level (2x2x2)"
                                         : "two-level",
                     o.dirCap == 1 ? "one" : "N",
                     o.dirCap == 1 ? "y" : "ies");

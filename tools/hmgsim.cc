@@ -120,9 +120,10 @@ usage()
         "  --jobs N                parallel runs for --workload all\n"
         "                          (default: all cores, or HMG_JOBS)\n"
         "  --lp-jobs N             partition ONE simulation into N\n"
-        "                          logical processes (one per GPU max)\n"
+        "                          logical processes (at most one per\n"
+        "                          GPU, per node when multi-node)\n"
         "                          synchronized by conservative time\n"
-        "                          windows over the inter-GPU lookahead\n"
+        "                          windows over the cut tier's lookahead\n"
         "  --deterministic         with --lp-jobs: single-threaded\n"
         "                          (tick, insertion-order) merge that is\n"
         "                          bit-identical to the serial engine\n"
