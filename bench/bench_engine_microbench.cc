@@ -9,7 +9,10 @@
  *     (std::priority_queue of std::function closures, reproduced below
  *     verbatim as SeedPqEngine), on a self-rescheduling near-future
  *     event pattern shaped like real cache/NoC traffic — measured with
- *     both small closures and protocol-sized ~112-byte closures;
+ *     both small closures and protocol-sized ~112-byte closures, with
+ *     ~256 events live (the slab fits in the host's L1/L2), and for the
+ *     wheel also with 24,832 live (cusolver-swnh's peak: megabytes of
+ *     slots, so most pops miss the host caches);
  *
  *  2. wall-clock of a workload x protocol sweep run serially vs on the
  *     SweepRunner pool, with a bit-identical-results check. The check
@@ -37,10 +40,11 @@
  *     run.
  *
  * Flags: --events N, --jobs N, --sweep-scale X, --pdes-scale X,
- * --scaleout-scale X, --kernel-only (event-kernel throughput only, for
- * tools/perf_smoke.sh), --invalidate-only (bulk tag-array invalidation
- * cost at L1 and L2 size only, for tools/perf_smoke.sh), --cell-only
- * (the serial cell's op/s only, for tools/perf_smoke.sh), --out FILE.
+ * --scaleout-scale X, --kernel-only (the wheel's throughput with few and
+ * with many live events only, for tools/perf_smoke.sh),
+ * --invalidate-only (bulk tag-array invalidation cost at L1 and L2 size
+ * only, for tools/perf_smoke.sh), --cell-only (the serial cell's op/s
+ * only, for tools/perf_smoke.sh), --out FILE.
  * Numbers parse strictly, as in hmgsim: a malformed or out-of-range
  * value, or an unknown flag, is a one-line fatal and exit 1.
  *
@@ -148,22 +152,27 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** Live event chains of the default kernel measurement. */
+constexpr Tick kNarrowChains = 256;
+/** Peak live events of the cusolver-swnh hostbench cell (scale 1). */
+constexpr Tick kWideChains = 24'832;
+
 /**
- * Self-rescheduling event chain: each event draws a near-future delay
+ * Self-rescheduling event chains: each event draws a near-future delay
  * (1..797 cycles — the hit/hop/DRAM latency band) and schedules its
- * successor, so the engine sees a steady queue of ~256 pending events,
- * like a busy simulation.
+ * successor, so the engine sees a steady queue of `chains` pending
+ * events, like a busy simulation.
  */
 template <typename EngineT, typename PumpT>
 double
-eventsPerSec(std::uint64_t total_events)
+eventsPerSec(std::uint64_t total_events, Tick chains = kNarrowChains)
 {
     double best = 0;
     for (int rep = 0; rep < 3; ++rep) {
         EngineT e;
         std::uint64_t budget = total_events;
         std::uint32_t lcg = 0xdecafbadu;
-        for (Tick i = 0; i < 256 && budget > 0; ++i) {
+        for (Tick i = 0; i < chains && budget > 0; ++i) {
             --budget;
             e.schedule(i % 97 + 1, PumpT{&e, &budget, &lcg, {}});
         }
@@ -547,10 +556,13 @@ main(int argc, char **argv)
     using Wheel = hmg::Engine;
     const double wheel_small =
         eventsPerSec<Wheel, Pump<Wheel, 1>>(events);
+    const double wheel_wide =
+        eventsPerSec<Wheel, Pump<Wheel, 1>>(events, kWideChains);
     if (kernel_only) {
-        // Machine-greppable line for tools/perf_smoke.sh: throughput of
+        // Machine-greppable lines for tools/perf_smoke.sh: throughput of
         // the wheel alone, no sweep/PDES runs, no JSON written.
         std::printf("wheel_events_per_sec %.0f\n", wheel_small);
+        std::printf("wheel_wide_events_per_sec %.0f\n", wheel_wide);
         return 0;
     }
     const double seed_small =
@@ -568,6 +580,8 @@ main(int argc, char **argv)
     std::printf("  ~112B closures: wheel %10.0f ev/s | seed pq %10.0f "
                 "ev/s | speedup %.2fx\n",
                 wheel_fat, seed_fat, wheel_fat / seed_fat);
+    std::printf("  small closures, %llu live: wheel %10.0f ev/s\n",
+                static_cast<unsigned long long>(kWideChains), wheel_wide);
 
     const SweepTiming sw = measureSweep(sweep_scale, jobs);
     std::printf("sweep, %zu cells at scale %.2f:\n", sw.cells, sweep_scale);
@@ -628,7 +642,9 @@ main(int argc, char **argv)
                      "    \"speedup_vs_seed\": %.3f,\n"
                      "    \"wheel_fat_events_per_sec\": %.0f,\n"
                      "    \"seed_pq_fat_events_per_sec\": %.0f,\n"
-                     "    \"fat_speedup_vs_seed\": %.3f\n"
+                     "    \"fat_speedup_vs_seed\": %.3f,\n"
+                     "    \"wide_live_events\": %llu,\n"
+                     "    \"wheel_wide_events_per_sec\": %.0f\n"
                      "  },\n"
                      "  \"sweep\": {\n"
                      "    \"cells\": %zu,\n"
@@ -684,7 +700,9 @@ main(int argc, char **argv)
                      HMG_BENCH_COMPILER, HMG_BENCH_BUILD_TYPE,
                      static_cast<unsigned long long>(events), wheel_small,
                      seed_small, wheel_small / seed_small, wheel_fat,
-                     seed_fat, wheel_fat / seed_fat, sw.cells, sweep_scale,
+                     seed_fat, wheel_fat / seed_fat,
+                     static_cast<unsigned long long>(kWideChains),
+                     wheel_wide, sw.cells, sweep_scale,
                      sw.jobs, sw.serial_seconds, sw.parallel_seconds,
                      sw.serial_seconds / sw.parallel_seconds,
                      sw.bit_identical ? "true" : "false",

@@ -2,18 +2,21 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's own building
  * blocks (not a paper figure): event-queue throughput, link
- * serialization, one message across the fabric, cache, tag-array and
- * directory operations, and end-to-end simulated-ops-per-second. These
- * guard the "significantly faster" property the paper claims for its
- * simulator (Fig. 7's right panel).
+ * serialization, one message across the fabric, one protocol handler
+ * round trip, cache, tag-array and directory operations, and end-to-end
+ * simulated-ops-per-second. These guard the "significantly faster"
+ * property the paper claims for its simulator (Fig. 7's right panel).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/tag_array.hh"
 #include "core/directory.hh"
 #include "gpu/simulator.hh"
+#include "gpu/system.hh"
 #include "noc/network.hh"
 #include "sim/engine.hh"
 #include "sim/serializer.hh"
@@ -51,7 +54,7 @@ BM_PortHop(benchmark::State &state)
 {
     // One message GPM 0 -> GPM 4 (cross GPU: four ports) per iteration,
     // carrying a closure the size of the protocols' fattest (184 bytes,
-    // see Engine::Callback), run to delivery.
+    // a write-through's; see Engine::Callback), run to delivery.
     struct Fat
     {
         std::uint64_t *sum;
@@ -74,6 +77,40 @@ BM_PortHop(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PortHop);
+
+static void
+BM_RemoteLoadRoundTrip(benchmark::State &state)
+{
+    // One load from SM 0 (GPM 0) of a line homed at GPM 4, the first GPM
+    // of GPU 1, through the default System (HMG), run to completion. GPM
+    // 0 is GPU 0's home for those lines, so a load pays its tag checks,
+    // misses, parks in the MSHR, crosses the fabric as a ReadReq, is
+    // served by the remote home and returns as a ReadResp that fills
+    // GPM 0 and wakes the waiter. The lines are one L2 set apart and
+    // one more than the ways, so every load misses at GPM 0 (and reads
+    // DRAM at the home).
+    SystemConfig cfg;
+    System sys(cfg);
+    const GpmId home = cfg.gpmId(1, 0);
+    const Addr stride = cfg.l2BytesPerGpm() / cfg.l2Ways;
+    std::vector<Addr> lines;
+    for (Addr k = 0; k <= cfg.l2Ways; ++k) {
+        lines.push_back(k * stride);
+        sys.pageTable().touch(k * stride, home);
+    }
+    std::uint64_t sum = 0;
+    std::size_t k = 0;
+    for (auto _ : state) {
+        sys.model().load({.sm = 0, .gpm = 0, .lineAddr = lines[k]},
+                         [&sum](Version v) { sum += v + 1; });
+        sys.engine().run();
+        k = (k + 1) % lines.size();
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel("items = loads answered by a remote home");
+}
+BENCHMARK(BM_RemoteLoadRoundTrip);
 
 static void
 BM_TagProbeEmptySet(benchmark::State &state)

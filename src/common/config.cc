@@ -126,10 +126,32 @@ SystemConfig::validate() const
         hmg_fatal("dirLinesPerEntry must be a power of two");
     if (dirEntriesPerGpm % dirWays != 0)
         hmg_fatal("directory geometry does not divide into sets");
-    if (gpuFrequencyGhz <= 0 || interGpmGBpsPerGpu <= 0 ||
-        interGpuGBpsPerLink <= 0 || interNodeGBpsPerLink <= 0 ||
-        dramGBpsPerGpu <= 0)
-        hmg_fatal("rates must be positive");
+    // The bounds keep the fabric's pool arithmetic and the serializers'
+    // fixed-point rates exact (see kMaxRateGBps).
+    const std::pair<const char *, double> rates[] = {
+        {"interGpmGBpsPerGpu", interGpmGBpsPerGpu},
+        {"interGpuGBpsPerLink", interGpuGBpsPerLink},
+        {"interNodeGBpsPerLink", interNodeGBpsPerLink},
+        {"dramGBpsPerGpu", dramGBpsPerGpu},
+    };
+    for (const auto &[name, value] : rates)
+        if (!(value >= kMinRateGBps && value <= kMaxRateGBps))
+            hmg_fatal("%s (%g GB/s) must be in [%g, %g]", name, value,
+                      kMinRateGBps, kMaxRateGBps);
+    if (!(gpuFrequencyGhz >= kMinGpuFrequencyGhz &&
+          gpuFrequencyGhz <= kMaxGpuFrequencyGhz))
+        hmg_fatal("gpuFrequencyGhz (%g) must be in [%g, %g]",
+                  gpuFrequencyGhz, kMinGpuFrequencyGhz, kMaxGpuFrequencyGhz);
+    const std::pair<const char *, Tick> hops[] = {
+        {"intraGpuHopLatency", intraGpuHopLatency},
+        {"interGpuHopLatency", interGpuHopLatency},
+        {"interNodeHopLatency", interNodeHopLatency},
+    };
+    for (const auto &[name, value] : hops)
+        if (value > kMaxHopLatency)
+            hmg_fatal("%s (%llu) must be <= %llu cycles", name,
+                      static_cast<unsigned long long>(value),
+                      static_cast<unsigned long long>(kMaxHopLatency));
     if (numNodes > 1 && interNodeHopLatency < 2)
         hmg_fatal("interNodeHopLatency (%llu) must be >= 2 cycles so "
                   "node-tier LP cuts retain positive lookahead",

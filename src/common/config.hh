@@ -36,6 +36,22 @@ enum class PagePlacement : std::uint8_t
 const char *toString(PagePlacement p);
 
 /**
+ * Bounds validate() puts on every link and DRAM rate, the core clock and
+ * the hop latencies; they are far outside any machine worth simulating.
+ * A rate becomes bytes per cycle, which the fabric multiplies by a feed
+ * latency (at most twice kMaxHopLatency) into a 64-bit credit pool
+ * (common/fabric.cc): at most 1e9 GB/s over at least 0.5 GHz keeps that
+ * product below 2^63. The floor keeps every port's bytes per cycle above
+ * the serializers' 2^-20 resolution (sim/serializer.hh), even split over
+ * 32 GPMs at 10 GHz. hmgsim's --inter-bw takes the same ceiling.
+ */
+constexpr double kMaxRateGBps = 1e9;
+constexpr double kMinRateGBps = 1e-3;
+constexpr double kMinGpuFrequencyGhz = 0.5;
+constexpr double kMaxGpuFrequencyGhz = 10.0;
+constexpr Tick kMaxHopLatency = Tick{1} << 30;
+
+/**
  * All tunables of the simulated machine. Plain aggregate so tests and
  * benches can tweak fields directly; call validate() after editing.
  */

@@ -94,14 +94,43 @@ class JsonScanner
         return s;
     }
 
+    /**
+     * A JSON number: `-? int frac? exp?`, where int is 0 or a digit
+     * string without a leading zero. strtod alone would also take hex,
+     * a leading '+', "inf" and "nan", none of which JSON has.
+     */
     double
     parseNumber(const std::string &key)
     {
         ws();
+        const char *q = p_;
+        auto digits = [&q]() {
+            const char *from = q;
+            while (std::isdigit(static_cast<unsigned char>(*q)))
+                ++q;
+            return q != from;
+        };
+        bool ok = true;
+        if (*q == '-')
+            ++q;
+        if (*q == '0')
+            ++q;
+        else
+            ok = digits();
+        if (ok && *q == '.') {
+            ++q;
+            ok = digits();
+        }
+        if (ok && (*q == 'e' || *q == 'E')) {
+            ++q;
+            if (*q == '+' || *q == '-')
+                ++q;
+            ok = digits();
+        }
         char *end = nullptr;
-        const double v = std::strtod(p_, &end);
-        if (end == p_ || !std::isfinite(v))
-            fail("key \"" + key + "\" wants a finite number");
+        const double v = ok ? std::strtod(p_, &end) : 0.0;
+        if (!ok || end != q || !std::isfinite(v))
+            fail("key \"" + key + "\" wants a finite JSON number");
         p_ = end;
         return v;
     }
@@ -220,11 +249,11 @@ Topology::parseJson(const std::string &text, const std::string &origin)
             else if (k == "interNodeGBps")
                 t.interNodeGBps = s.parseRate(k);
             else if (k == "intraGpuHopLatency")
-                t.intraGpuHopLatency = s.parseCount(k, 1u << 30);
+                t.intraGpuHopLatency = s.parseCount(k, kMaxHopLatency);
             else if (k == "interGpuHopLatency")
-                t.interGpuHopLatency = s.parseCount(k, 1u << 30);
+                t.interGpuHopLatency = s.parseCount(k, kMaxHopLatency);
             else if (k == "interNodeHopLatency")
-                t.interNodeHopLatency = s.parseCount(k, 1u << 30);
+                t.interNodeHopLatency = s.parseCount(k, kMaxHopLatency);
             else
                 s.fail("unknown \"link\" key \"" + k + "\"");
         });

@@ -91,16 +91,9 @@ HomeChainModel::probeLoad(const MemAccess &acc, GpmId at, GpmId via,
             });
             return;
         }
-        // Coalesce with an in-flight miss on the same line.
-        const bool primary =
-            via == at
-                ? node.mshrRegister(line, std::move(below))
-                : node.mshrRegister(
-                      line, [this, line, at, via, h,
-                             below = std::move(below)](Version v) mutable {
-                          respond(line, at, via, h, std::move(below), v);
-                      });
-        if (!primary)
+        // Coalesce with an in-flight miss on the same line; each waiter
+        // is answered toward the tier it came from.
+        if (!node.mshrRegister(line, via, std::move(below)))
             return;
     }
     if (at == h) {
@@ -108,9 +101,8 @@ HomeChainModel::probeLoad(const MemAccess &acc, GpmId at, GpmId via,
         const Tick ready = node.dram().read(ctx_.cfg.cacheLineBytes);
         ctx_.engine().scheduleAt(ready, [this, line, h]() {
             const Version v = ctx_.mem.read(line);
-            GpmNode &n = ctx_.gpm(h);
-            n.l2().fill(line, v);
-            n.mshrComplete(line, v);
+            ctx_.gpm(h).l2().fill(line, v);
+            wakeMerged(line, h, h, v);
         });
         return;
     }
@@ -118,20 +110,36 @@ HomeChainModel::probeLoad(const MemAccess &acc, GpmId at, GpmId via,
     // then wake every merged request (or answer the one that could not
     // merge). Only this tier's identity travels onward (Section V-B).
     if (mergeable) {
-        fetchUp(acc, at, h, [this, line, at](Version v) {
-            GpmNode &n = ctx_.gpm(at);
-            n.l2().fill(line, v);
-            n.mshrComplete(line, v);
+        fetchUp(acc, at, h, [this, line, at, h](Version v) {
+            ctx_.gpm(at).l2().fill(line, v);
+            wakeMerged(line, at, h, v);
         });
     } else {
         fetchUp(acc, at, h,
-                [this, line, at, via, h,
-                 below = std::move(below)](Version v) mutable {
+                parked(at, [this, line, at, via, h,
+                            below = std::move(below)](Version v) mutable {
                     if (mayCache(at, line))
                         ctx_.gpm(at).l2().fill(line, v);
                     respond(line, at, via, h, std::move(below), v);
-                });
+                }));
     }
+}
+
+void
+HomeChainModel::wakeMerged(Addr line, GpmId at, GpmId h, Version v)
+{
+    ctx_.gpm(at).mshrComplete(line, [&](GpmId via, LoadDoneCb below) {
+        respond(line, at, via, h, std::move(below), v);
+    });
+}
+
+LoadDoneCb
+HomeChainModel::parked(GpmId at, GpmNode::ParkedCb then)
+{
+    const std::uint32_t ticket = ctx_.gpm(at).park(std::move(then));
+    return [this, at, ticket](Version v) {
+        ctx_.gpm(at).unpark(ticket)(v);
+    };
 }
 
 void
@@ -348,13 +356,15 @@ HomeChainModel::atomicAt(const MemAccess &acc, GpmId target, GpmId h,
         // (every tier it crosses records it as a sharer), then performs
         // the RMW itself.
         fetchUp(acc, target, h,
-                [this, acc, target, h, v, done = std::move(done),
-                 sys_done = std::move(sys_done)](Version old_v) mutable {
+                parked(target, [this, acc, target, h, v,
+                                done = std::move(done),
+                                sys_done = std::move(sys_done)](
+                                   Version old_v) mutable {
                     if (mayCache(target, acc.lineAddr))
                         ctx_.gpm(target).l2().fill(acc.lineAddr, old_v);
                     performAtomic(acc, target, h, v, old_v, std::move(done),
                                   std::move(sys_done));
-                });
+                }));
     });
 }
 

@@ -146,6 +146,13 @@ class HomeChainModel : public CoherenceModel
      *  `at` with the value. */
     void fetchUp(const MemAccess &acc, GpmId at, GpmId h, LoadDoneCb then);
 
+    /** The fill for `line` reached `at`: answer every merged waiter. */
+    void wakeMerged(Addr line, GpmId at, GpmId h, Version v);
+
+    /** A fetch continuation too fat to travel: park `then` at `at`
+     *  (where the fill returns) and travel as its ticket. */
+    LoadDoneCb parked(GpmId at, GpmNode::ParkedCb then);
+
     // --- stores ---
 
     /** A write-through lands at home `at`, sent by `via`. */

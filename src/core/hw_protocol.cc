@@ -21,16 +21,33 @@ HwProtocol::HwProtocol(SystemContext &ctx, bool hierarchical)
         hmg_assert(node->dir() != nullptr);
     if (ctx_.cfg.sharerDowngrade || ctx_.cfg.l2WriteBack)
         installEvictionHooks();
+
+    const SystemConfig &cfg = ctx_.cfg;
+    marker_targets_.resize(cfg.totalGpms());
+    for (GpmId r = 0; r < cfg.totalGpms(); ++r) {
+        MarkerTargets &t = marker_targets_[r];
+        const GpuId u = cfg.gpuOf(r);
+        for (std::uint32_t l = 0; l < cfg.gpmsPerGpu; ++l)
+            if (cfg.gpmId(u, l) != r)
+                t.gpuPeers.push_back(cfg.gpmId(u, l));
+        t.relayed = t.gpuPeers;
+        for (GpuId o = 0; o < cfg.numGpus; ++o)
+            if (o != u)
+                t.relayed.push_back(cfg.gpmId(o, cfg.localGpmOf(r)));
+        for (GpmId d = 0; d < cfg.totalGpms(); ++d)
+            if (d != r)
+                t.others.push_back(d);
+    }
 }
 
 void
 HwProtocol::dirEvent(verify::DirEvent ev, GpmId at, GpmId via, Addr line,
                      GpmId h)
 {
-    applyDirEventAt(at, h, via, line, ev,
-                    ev == verify::DirEvent::Store
-                        ? makeInvJob(/*from_store=*/true)
-                        : nullptr);
+    // A store's job is made with its first invalidation: a job that
+    // sends none is never sampled, so it would be pure overhead.
+    InvJobPtr job;
+    applyDirEventAt(at, h, via, line, ev, job);
 }
 
 // --------------------------------------------------- directory plumbing
@@ -50,7 +67,7 @@ HwProtocol::dirTableFor(GpmId at, GpmId h) const
 
 void
 HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
-                            verify::DirEvent ev, const InvJobPtr &job)
+                            verify::DirEvent ev, InvJobPtr &job)
 {
     using verify::DirEvent;
     using verify::DirUpdate;
@@ -80,7 +97,14 @@ HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
         [this, sector](NodeId n) {
             return topo_.nodeHome(n, sysHome(sector));
         },
-        [&](GpmId dst) { sendInv(at, dst, sector, job); });
+        [&](GpmId dst) {
+            if (!job) {
+                // Only a store's fan starts a job (see dirEvent).
+                hmg_assert(ev == DirEvent::Store);
+                job = makeInvJob(/*from_store=*/true);
+            }
+            sendInv(at, dst, sector, job);
+        });
 
     if (!outcome.keepEntry) {
         // An entry whose sharers were all downgraded away carries no
@@ -241,19 +265,10 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
     // A `.gpu` release reaches its own GPU's other GPMs; a relayed
     // `.sys` release reaches those plus one relay per remote GPU (the
     // GPM with r's local index); any other release reaches every GPM.
-    std::vector<GpmId> targets;
-    if ((hier_ && acc.scope == Scope::Gpu) || relayed) {
-        targets = gpuPeersOf(r);
-        if (relayed)
-            for (GpuId u = 0; u < ctx_.cfg.numGpus; ++u)
-                if (u != ctx_.cfg.gpuOf(r))
-                    targets.push_back(
-                        ctx_.cfg.gpmId(u, ctx_.cfg.localGpmOf(r)));
-    } else {
-        for (GpmId d = 0; d < ctx_.cfg.totalGpms(); ++d)
-            if (d != r)
-                targets.push_back(d);
-    }
+    const MarkerTargets &t = marker_targets_[r];
+    const std::vector<GpmId> &targets =
+        relayed ? t.relayed
+                : (hier_ && acc.scope == Scope::Gpu ? t.gpuPeers : t.others);
 
     // HMG `.sys` releases need one marker round per invalidation wave:
     // round one drains the system homes' top-level invalidations into
@@ -264,19 +279,9 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
                            ? (multiNode_ ? 3 : 2)
                            : 1;
 
-    auto one_round = [this, r, targets, relayed](DoneCb then) {
-        markerRound(r, targets, relayed, std::move(then));
-    };
-
-    auto after_drain = [one_round, rounds,
-                        done = std::move(done)]() mutable {
-        DoneCb next = std::move(done);
-        for (int i = 1; i < rounds; ++i)
-            next = [one_round, next = std::move(next)]() mutable {
-                one_round(std::move(next));
-            };
-        one_round(std::move(next));
-    };
+    auto state = std::make_shared<MarkerRounds>(
+        MarkerRounds{r, &targets, relayed, rounds, 0, std::move(done)});
+    auto after_drain = [this, state]() { markerRound(state); };
 
     // Write-back mode: "Release operations trigger a writeback of all
     // dirty data to the respective home nodes" (Section IV-B) — flush
@@ -286,10 +291,9 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
         // Only after the SM's posted stores have landed in the local L2
         // (tracker drained) is its dirty set final: flush it, then wait
         // for this GPM's in-flight write-backs.
-        auto flush_then_wait = [this, r, after_drain =
-                                             std::move(after_drain)]() mutable {
+        auto flush_then_wait = [this, r, after_drain]() {
             flushDirty(r);
-            ctx_.gpm(r).waitWbDrained(std::move(after_drain));
+            ctx_.gpm(r).waitWbDrained(after_drain);
         };
         if (hier_ && acc.scope == Scope::Gpu)
             ctx_.tracker.waitGpuLevel(acc.sm, std::move(flush_then_wait));
@@ -362,29 +366,22 @@ HwProtocol::writeBackLine(GpmId src, Addr line, Version v, bool record)
     writeThrough(std::move(f), sysHome(line));
 }
 
-std::vector<GpmId>
-HwProtocol::gpuPeersOf(GpmId g) const
-{
-    std::vector<GpmId> peers;
-    const GpuId u = ctx_.cfg.gpuOf(g);
-    for (std::uint32_t l = 0; l < ctx_.cfg.gpmsPerGpu; ++l)
-        if (ctx_.cfg.gpmId(u, l) != g)
-            peers.push_back(ctx_.cfg.gpmId(u, l));
-    return peers;
-}
-
 void
-HwProtocol::markerRound(GpmId r, const std::vector<GpmId> &targets,
-                        bool relay, DoneCb done)
+HwProtocol::markerRound(const std::shared_ptr<MarkerRounds> &rounds)
 {
-    // `done` fans into many continuations, so it moves into shared
-    // storage and the per-target completion stays copyable.
-    auto pending = std::make_shared<std::uint32_t>(
-        static_cast<std::uint32_t>(targets.size()) + 1);
-    auto done_p = std::make_shared<DoneCb>(std::move(done));
-    auto one_done = [pending, done_p]() {
-        if (--*pending == 0)
-            (*done_p)();
+    const GpmId r = rounds->r;
+    const bool relay = rounds->relay;
+    const std::vector<GpmId> &targets = *rounds->targets;
+    rounds->pending = static_cast<std::uint32_t>(targets.size()) + 1;
+    // Every completion below runs exactly once, at `r`; the last of a
+    // round starts the next one in the same event, or finishes.
+    auto one_done = [this, rounds]() {
+        if (--rounds->pending != 0)
+            return;
+        if (--rounds->left > 0)
+            markerRound(rounds);
+        else
+            rounds->done();
     };
 
     // The releasing GPM's own outbound invalidations must land too.
@@ -408,8 +405,10 @@ HwProtocol::markerRound(GpmId r, const std::vector<GpmId> &targets,
                  // ledger wait covers the ones `dst` itself still has
                  // in flight. A relay also drains its GPU's other GPMs.
                  if (relay && ctx_.cfg.gpuOf(dst) != ctx_.cfg.gpuOf(r))
-                     markerRound(dst, gpuPeersOf(dst), false,
-                                 std::move(ack));
+                     markerRound(std::make_shared<MarkerRounds>(
+                         MarkerRounds{dst,
+                                      &marker_targets_[dst].gpuPeers,
+                                      false, 1, 0, std::move(ack)}));
                  else
                      ctx_.gpm(dst).waitInvDrained(std::move(ack));
              }});
@@ -464,8 +463,9 @@ HwProtocol::installEvictionHooks()
                  .type = MsgType::Downgrade,
                  .addr = line,
                  .onArrival = [this, home, h, id, line]() {
+                     InvJobPtr none;
                      applyDirEventAt(home, h, id, line,
-                                     verify::DirEvent::Downgrade, nullptr);
+                                     verify::DirEvent::Downgrade, none);
                  }});
         });
     }

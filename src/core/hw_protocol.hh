@@ -31,6 +31,7 @@
 #define HMG_CORE_HW_PROTOCOL_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/home_chain.hh"
@@ -60,20 +61,37 @@ class HwProtocol : public HomeChainModel
 
     // --- release machinery ---
 
-    /** The GPMs of `g`'s GPU other than `g`, in local order. */
-    std::vector<GpmId> gpuPeersOf(GpmId g) const;
+    /** The GPMs a release from one GPM sends markers to (release()). */
+    struct MarkerTargets
+    {
+        std::vector<GpmId> gpuPeers; //!< its GPU's other GPMs, in order
+        std::vector<GpmId> relayed;  //!< gpuPeers, then one relay (same
+                                     //!< local index) per remote GPU
+        std::vector<GpmId> others;   //!< every other GPM of the machine
+    };
 
     /**
-     * One round of release markers from `r` to `targets`: each target
-     * acknowledges once its previously-sent invalidations have landed;
-     * `done` runs at `r` when all acks (plus r's own drain) are in.
+     * The marker rounds of one release, run one after another from `r`
+     * to `targets`: each target acknowledges once its previously-sent
+     * invalidations have landed, and a round ends at `r` when all acks
+     * (plus r's own drain) are in; `done` runs at `r` after the last.
      * With `relay`, a target on another GPU relays: it runs its own
      * round over its GPU's other GPMs and acknowledges once that round
      * completes (cfg.hierarchicalReleaseFanout: same drain guarantees,
      * fewer inter-GPU messages).
      */
-    void markerRound(GpmId r, const std::vector<GpmId> &targets,
-                     bool relay, DoneCb done);
+    struct MarkerRounds
+    {
+        GpmId r = 0;
+        const std::vector<GpmId> *targets = nullptr;
+        bool relay = false;
+        int left = 1;              //!< rounds not yet completed
+        std::uint32_t pending = 0; //!< acks the current round awaits
+        DoneCb done;
+    };
+
+    /** Start the next round of `rounds`. */
+    void markerRound(const std::shared_ptr<MarkerRounds> &rounds);
 
     // --- directory maintenance (table-driven; see src/verify/spec.hh) ---
 
@@ -90,7 +108,7 @@ class HwProtocol : public HomeChainModel
      * are the rows executed.
      */
     void applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
-                         verify::DirEvent ev, const InvJobPtr &job);
+                         verify::DirEvent ev, InvJobPtr &job);
 
     /** Table I "Replace Dir Entry" on a displaced (detached) victim. */
     void replaceVictim(GpmId at, const DirEntry &victim);
@@ -121,6 +139,9 @@ class HwProtocol : public HomeChainModel
 
     /** Flush every dirty line of `g`'s L2 toward its home. */
     std::uint64_t flushDirty(GpmId g);
+
+    /** Release marker targets, by releasing GPM. */
+    std::vector<MarkerTargets> marker_targets_;
 
     // LP-sharded: these count on whichever LP serves the access.
     LpCounter releases_;

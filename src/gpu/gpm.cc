@@ -49,28 +49,58 @@ GpmNode::waitInvDrained(Callback cb)
         inv_waiters_.push_back(std::move(cb));
 }
 
-bool
-GpmNode::mshrRegister(Addr line, MissCb cb)
+template <typename Slot>
+std::uint32_t
+GpmNode::takeSlot(std::vector<Slot> &pool, std::uint32_t &free)
 {
-    auto [waiters, first] = mshr_.tryEmplace(line);
-    waiters->push_back(std::move(cb));
+    std::uint32_t i = free;
+    if (i == kNoWaiter) {
+        hmg_assert(pool.size() < kNoWaiter);
+        i = static_cast<std::uint32_t>(pool.size());
+        pool.emplace_back();
+    } else {
+        free = pool[i].next;
+    }
+    return i;
+}
+
+bool
+GpmNode::mshrRegister(Addr line, GpmId via, MissCb cb)
+{
+    const std::uint32_t w = takeSlot(waiters_, free_waiter_);
+    Waiter &slot = waiters_[w];
+    slot.cb = std::move(cb);
+    slot.via = via;
+    slot.next = kNoWaiter;
+
+    auto [list, first] = mshr_.tryEmplace(line);
+    if (first)
+        list->head = w;
+    else
+        waiters_[list->tail].next = w;
+    list->tail = w;
     if (!first)
         ++mshr_merges_;
     return first;
 }
 
-void
-GpmNode::mshrComplete(Addr line, Version v)
+std::uint32_t
+GpmNode::park(ParkedCb cb)
 {
-    auto *parked = mshr_.find(line);
-    if (!parked)
-        return;
-    // Move the list out before the erase invalidates `parked`; a
-    // callback may also register a new miss on this line.
-    auto waiters = std::move(*parked);
-    mshr_.erase(line);
-    for (auto &cb : waiters)
-        cb(v);
+    const std::uint32_t t = takeSlot(parked_, free_parked_);
+    parked_[t].cb = std::move(cb);
+    return t;
+}
+
+GpmNode::ParkedCb
+GpmNode::unpark(std::uint32_t ticket)
+{
+    Parked &p = parked_[ticket];
+    hmg_assert(p.cb);
+    ParkedCb cb = std::move(p.cb);
+    p.next = free_parked_;
+    free_parked_ = ticket;
+    return cb;
 }
 
 void

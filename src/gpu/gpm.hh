@@ -86,20 +86,69 @@ class GpmNode
     // attributes to the hierarchy ("multiple cache requests from
     // individual GPMs to be coalesced and/or cached within a single
     // GPU").
+    //
+    // Waiters live in a per-node pool that grows to its peak and then
+    // recycles, linked per line in arrival order; the map holds only
+    // each line's first and last waiter. A miss allocates nothing.
 
     using MissCb = SmallCallback<kCompletionCbBytes, void(Version)>;
 
     /**
-     * Join the miss on `line`. @return true if the caller is the
-     * primary and must perform the fetch (its own continuation is
-     * already parked); false if it merged behind an in-flight fetch.
+     * Join the miss on `line`, parking `cb` to be answered toward the
+     * requesting tier `via`. @return true if the caller is the primary
+     * and must perform the fetch (its own continuation is already
+     * parked); false if it merged behind an in-flight fetch.
      */
-    bool mshrRegister(Addr line, MissCb cb);
+    bool mshrRegister(Addr line, GpmId via, MissCb cb);
 
-    /** The fill for `line` landed: fire every parked continuation. */
-    void mshrComplete(Addr line, Version v);
+    /**
+     * The fill for `line` landed: hand every parked waiter, in arrival
+     * order, to `wake(via, cb)`. The line's entry is gone before the
+     * first call, so a waiter may register a new miss on the line.
+     */
+    template <typename Wake>
+    void
+    mshrComplete(Addr line, Wake &&wake)
+    {
+        const MissList *parked = mshr_.find(line);
+        if (!parked)
+            return;
+        std::uint32_t w = parked->head;
+        mshr_.erase(line);
+        while (w != kNoWaiter) {
+            // Move the waiter out before its callback runs: the callback
+            // may park new waiters and grow the pool under it.
+            Waiter &slot = waiters_[w];
+            MissCb cb = std::move(slot.cb);
+            const GpmId via = slot.via;
+            const std::uint32_t next = slot.next;
+            slot.next = free_waiter_;
+            free_waiter_ = w;
+            wake(via, std::move(cb));
+            w = next;
+        }
+    }
 
     std::uint64_t mshrMerges() const { return mshr_merges_; }
+
+    // --- parked fetch continuations ---
+    //
+    // A fetch's continuation travels up the home chain as a completion
+    // callback, whose inline buffer holds a few ids and one completion.
+    // A tier that must resume more than that (a load it may not merge,
+    // an atomic it performs itself) parks the continuation here and
+    // sends a ticket instead. The pool grows to its peak and recycles.
+
+    // Sized for the fattest, an atomic performed at a GPU home: `this`,
+    // a MemAccess, two ids, a Version and a load and a store completion
+    // take 176 bytes.
+    using ParkedCb = SmallCallback<176, void(Version)>;
+
+    /** Hold `cb` until unpark(); @return its ticket. */
+    std::uint32_t park(ParkedCb cb);
+
+    /** Take back the continuation parked under `ticket`. */
+    ParkedCb unpark(std::uint32_t ticket);
 
     // --- in-flight write-back ledger (cfg.l2WriteBack) ---
 
@@ -123,8 +172,40 @@ class GpmNode
     Cache l2_;
     Dram dram_;
     std::unique_ptr<Directory> dir_;
-    /** Parked continuations per missing line, in arrival order. */
-    FlatMap<Addr, std::vector<MissCb>> mshr_;
+
+    static constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
+    /** A parked continuation; `next` links its line's list or the
+     *  pool's free list. */
+    struct Waiter
+    {
+        MissCb cb;
+        GpmId via = 0;
+        std::uint32_t next = kNoWaiter;
+    };
+    /** One line's parked waiters, first to last. */
+    struct MissList
+    {
+        std::uint32_t head = kNoWaiter;
+        std::uint32_t tail = kNoWaiter;
+    };
+    FlatMap<Addr, MissList> mshr_;
+    std::vector<Waiter> waiters_;
+    std::uint32_t free_waiter_ = kNoWaiter;
+
+    /** A parked continuation, or (empty) a link of the free list. */
+    struct Parked
+    {
+        ParkedCb cb;
+        std::uint32_t next = kNoWaiter;
+    };
+    std::vector<Parked> parked_;
+    std::uint32_t free_parked_ = kNoWaiter;
+
+    /** A slot of `pool` off its free list `free` (linked through
+     *  `next`), growing the pool by one when the list is empty. */
+    template <typename Slot>
+    static std::uint32_t takeSlot(std::vector<Slot> &pool,
+                                  std::uint32_t &free);
     std::uint64_t mshr_merges_ = 0;
     std::uint64_t pending_invs_ = 0;
     std::vector<Callback> inv_waiters_;

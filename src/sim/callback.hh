@@ -5,13 +5,20 @@
  *
  * std::function's inline buffer (16 bytes on libstdc++) is smaller than
  * almost every closure the protocol engines schedule — a typical data-path
- * continuation captures `this`, a MemAccess, a couple of ids and two
- * completion callbacks, ~180 bytes — so the seed engine paid one heap
- * allocation + free per event. SmallCallback widens the inline buffer so
- * all of those captures are stored in place; only outsized or
+ * continuation captures `this`, a MemAccess, a few ids and one or two
+ * completion callbacks — so the seed engine paid one heap allocation +
+ * free per event. SmallCallback widens the inline buffer so all of those
+ * captures are stored in place; only outsized, over-aligned or
  * throwing-move callables fall back to the heap. Dispatch is a single
  * ops-table pointer (invoke / relocate / destroy), generated per closure
  * type.
+ *
+ * The buffer is aligned to a pointer, not to `std::max_align_t`: every
+ * capture the simulator makes (pointers, ids, addresses, other
+ * SmallCallbacks) needs no more, and the smaller alignment drops the
+ * padding after the ops pointer. A SmallCallback<N> is then exactly
+ * N + 8 bytes — a completion callback is one 64-byte host cache line. A
+ * closure that needs 16-byte alignment still works; it lives on the heap.
  *
  * The signature is a template parameter (`SmallCallback<N, R(Args...)>`,
  * defaulting to `void()`), so the same machinery backs the engine's
@@ -58,8 +65,7 @@ class SmallCallback<N, R(Args...)>
     SmallCallback(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= N &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
+        if constexpr (sizeof(Fn) <= N && alignof(Fn) <= kAlign &&
                       std::is_nothrow_move_constructible_v<Fn>) {
             new (buf_) Fn(std::forward<F>(f));
             ops_ = &inlineOps<Fn>;
@@ -115,6 +121,10 @@ class SmallCallback<N, R(Args...)>
     bool isInline() const { return ops_ && ops_->inline_storage; }
 
   private:
+    static constexpr std::size_t kAlign = alignof(void *);
+    static_assert(N % kAlign == 0, "inline capacity must keep the "
+                                   "callback free of tail padding");
+
     struct Ops
     {
         R (*invoke)(void *, Args...);
@@ -196,7 +206,7 @@ class SmallCallback<N, R(Args...)>
     }
 
     const Ops *ops_ = nullptr;
-    alignas(std::max_align_t) unsigned char buf_[N];
+    alignas(kAlign) unsigned char buf_[N];
 };
 
 } // namespace hmg

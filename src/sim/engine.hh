@@ -24,7 +24,10 @@
  *    schedule is sparse); the sweep relinks indices, it moves no event;
  *  - callbacks are SmallCallback (sim/callback.hh), so the common
  *    capture sizes — including the protocol engines' fattest data-path
- *    continuations — are stored inline in the slot.
+ *    continuations — are stored inline in the slot;
+ *  - a busy cell keeps more live events than the host's L2 holds, so
+ *    the drain loop prefetches the next event's slot while the current
+ *    one runs, and allocation prefetches the next free slot.
  *
  * Storage follows the number of live events, not the window: the slab
  * holds at most the peak of pending plus executing events, rounded up
@@ -59,9 +62,12 @@ class Engine
   public:
     /**
      * Inline capacity of 192 bytes covers every closure the protocol
-     * engines schedule today (the fattest captures `this` + MemAccess +
-     * two ids + a Version + two 64-byte SmallCallback completions =
-     * 184 bytes).
+     * engines schedule or send. The fattest is a store's write-through
+     * step (`this`, a StoreFlow with its completion, a home id and the
+     * accept completion: 184 bytes); an atomic's step, with its access,
+     * ids, version and two completions, is 176. Both count on a
+     * completion callback taking one 64-byte line (sim/callback.hh);
+     * tests/alloc_test.cc pins the sizes and counts what still spills.
      */
     using Callback = SmallCallback<192>;
 
@@ -203,6 +209,13 @@ class Engine
         Callback cb;
     };
 
+  public:
+    /** Bytes of one slab slot: timing fields plus the callback. */
+    static constexpr std::size_t kSlotBytes = sizeof(Event);
+
+  private:
+    static constexpr std::size_t kHostLineBytes = 64;
+
     /** A FIFO of slab slots, linked through Event::next. */
     struct List
     {
@@ -238,7 +251,25 @@ class Engine
         return i;
     }
 
-    /** Take the most recently freed slot, growing the slab if none. */
+    /**
+     * Pull every host cache line of slot `i` toward the core; `Rw` is
+     * 1 for a slot about to be written. The slot's alignment is not a
+     * line's, so its last byte is fetched too.
+     */
+    template <int Rw>
+    void
+    prefetchSlot(std::uint32_t i)
+    {
+        const char *p = reinterpret_cast<const char *>(&slot(i));
+        for (std::size_t off = 0; off < sizeof(Event); off += kHostLineBytes)
+            __builtin_prefetch(p + off, Rw, 3);
+        __builtin_prefetch(p + sizeof(Event) - 1, Rw, 3);
+    }
+
+    /**
+     * Take the most recently freed slot, growing the slab if none, and
+     * prefetch the one after it, which the next schedule will write.
+     */
     std::uint32_t
     allocSlot()
     {
@@ -246,6 +277,8 @@ class Engine
             growSlab();
         const std::uint32_t i = free_;
         free_ = slot(i).next;
+        if (free_ != kNil)
+            prefetchSlot<1>(free_);
         return i;
     }
 

@@ -14,8 +14,14 @@
  *   <op> <scope> <addr-hex> <delay> <flags>
  *
  * where <op> is one of l/s/a/F/R (load, store, atomic, acquire fence,
- * release fence), <scope> is -/c/g/s (none/cta/gpu/sys) and <flags> is
- * a combination of a (acquire) and r (release), or '-'.
+ * release fence), <scope> is -/c/g/s (none/cta/gpu/sys), <addr-hex> is
+ * hex digits with no prefix, <delay> is decimal and <flags> is a
+ * (acquire), r (release), ar, or '-'.
+ *
+ * One record per line, each with exactly its fields. The loader trusts
+ * nothing: a malformed record, a count the stream cannot back, a number
+ * out of range or a NUL byte is a fatal error naming the stream and the
+ * line (`<origin>:<line>: ...`).
  */
 
 #ifndef HMG_TRACE_IO_HH
@@ -35,8 +41,9 @@ void save(const Trace &t, std::ostream &os);
 /** Serialize `t` to `path`; fatal on I/O failure. */
 void saveFile(const Trace &t, const std::string &path);
 
-/** Parse a trace from `is`; fatal on malformed input. */
-Trace load(std::istream &is);
+/** Parse a trace from `is`, called `origin` in its errors; fatal on
+ *  malformed input. */
+Trace load(std::istream &is, const std::string &origin = "<hmgtrace>");
 
 /** Parse a trace from `path`; fatal on I/O failure. */
 Trace loadFile(const std::string &path);

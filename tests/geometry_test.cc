@@ -173,7 +173,21 @@ TEST(ConfigValidation, RejectsInconsistentConfigs)
     dies([](SystemConfig &c) { c.l2BytesPerGpu = 13 * 1024 * 1024 + 2; });
     dies([](SystemConfig &c) { c.dirLinesPerEntry = 3; });
     dies([](SystemConfig &c) { c.dirEntriesPerGpm = 12 * 1024 + 1; });
-    dies([](SystemConfig &c) { c.interGpuGBpsPerLink = -1; });
+    dies([](SystemConfig &c) { c.interGpuGBpsPerLink = -1; },
+         "interGpuGBpsPerLink");
+    // ---- rate, clock and latency bounds (the fabric's pool cast) ----
+    dies([](SystemConfig &c) { c.interGpuGBpsPerLink = 1e308; },
+         "interGpuGBpsPerLink \\(1e\\+308 GB/s\\) must be in");
+    dies([](SystemConfig &c) { c.interGpmGBpsPerGpu = 1e308; },
+         "interGpmGBpsPerGpu");
+    dies([](SystemConfig &c) { c.interNodeGBpsPerLink = 1e10; },
+         "interNodeGBpsPerLink");
+    dies([](SystemConfig &c) { c.dramGBpsPerGpu = 1e-300; },
+         "dramGBpsPerGpu");
+    dies([](SystemConfig &c) { c.gpuFrequencyGhz = 1e-9; },
+         "gpuFrequencyGhz");
+    dies([](SystemConfig &c) { c.interGpuHopLatency = Tick{1} << 40; },
+         "interGpuHopLatency");
     dies([](SystemConfig &c) { c.smIssueWidth = 0; });
     // ---- zero cache/directory geometry (each would divide by zero) ----
     dies([](SystemConfig &c) { c.l1Ways = 0; }, "l1Ways must be non-zero");

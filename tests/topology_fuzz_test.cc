@@ -9,105 +9,89 @@
  * numeric extremes and embedded NUL bytes — and every mutant is parsed
  * and applied in a forked child (a rejection exits the process). The
  * contract: the mutant either applies to a config that validate()
- * accepts (exit 0), or the child exits 1 with one fatal line that is
- * located — `<file>:<line>:` from the parser, or the source line of the
- * validate() check that refused the shape. It never dies by a signal,
- * and under the asan and ubsan presets never trips a sanitizer (whose
- * reports would not match the fatal line).
+ * accepts and whose fabric sizes every credit pool to cover twice its
+ * bandwidth-delay product (exit 0), or the child exits 1 with one fatal
+ * line that is located — `<file>:<line>:` from the parser, or the
+ * source line of the validate() check that refused the shape. It never
+ * dies by a signal, and under the asan and ubsan presets never trips a
+ * sanitizer (whose reports would not match the fatal line).
  *
  * Duplicated members must be refused as duplicates, NUL bytes as NUL
  * bytes on their own line, and reordered members must parse to the
- * same topology as the original.
+ * same topology as the original. A rate at the top of the double range
+ * must be refused by validate(), naming its field: once accepted, it
+ * overflowed the fabric's pool arithmetic (a double-to-integer cast the
+ * ubsan preset does not instrument), which the pool check catches.
  */
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/fabric.hh"
 #include "common/rng.hh"
 #include "common/topology.hh"
+#include "fuzz_harness.hh"
 
 namespace hmg
 {
 namespace
 {
 
-/** How a child run ended: its exit code (or signal) and its stderr. */
-struct Outcome
-{
-    bool exited = false;
-    int code = 0;
-    std::string err;
-};
+using fuzz::inChild;
+using fuzz::Outcome;
+using fuzz::parserLine;
 
-/** Run `body` in a forked child that exits 0 when it returns. */
-Outcome
-inChild(const std::function<void()> &body)
+/**
+ * Exit 3 unless every link of `cfg`'s fabric has a credit pool of at
+ * least twice its rate times (its fastest feeder's latency + 8 cycles):
+ * a lower bound of the sizing rule in common/fabric.hh, computed in
+ * floating point so an overflowed integer pool cannot pass.
+ */
+void
+checkPools(const SystemConfig &cfg)
 {
-    std::fflush(nullptr);
-    int fds[2];
-    if (pipe(fds) != 0)
-        ADD_FAILURE() << "pipe failed";
-    const pid_t pid = fork();
-    if (pid == 0) {
-        close(fds[0]);
-        dup2(fds[1], STDERR_FILENO);
-        close(fds[1]);
-        body();
-        std::_Exit(0);
+    const Fabric f(cfg);
+    for (std::uint32_t l = 0; l < f.links().size(); ++l) {
+        const FabricLink &k = f.link(l);
+        double feed = -1;
+        for (std::uint32_t in = 0; in < k.inputs; ++in) {
+            const FabricFeeder src = f.feeder(l, in);
+            const double lat =
+                src.link == Fabric::kNic
+                    ? 0.0
+                    : static_cast<double>(f.link(src.link).latency);
+            feed = feed < 0 ? lat : std::min(feed, lat);
+        }
+        const double bdp = k.bytesPerCycle * (feed + 8.0);
+        // The pool floors the product to an integer before doubling it.
+        if (!(static_cast<double>(k.poolBytes) + 2.0 >= 2.0 * bdp)) {
+            std::fprintf(stderr, "pool of %s (%llu B) < 2 x %g B\n",
+                         k.name.c_str(),
+                         static_cast<unsigned long long>(k.poolBytes), bdp);
+            std::_Exit(3);
+        }
     }
-    close(fds[1]);
-    Outcome o;
-    char buf[512];
-    ssize_t n;
-    while ((n = read(fds[0], buf, sizeof(buf))) > 0)
-        o.err.append(buf, static_cast<std::size_t>(n));
-    close(fds[0]);
-    int status = 0;
-    waitpid(pid, &status, 0);
-    o.exited = WIFEXITED(status);
-    o.code = o.exited ? WEXITSTATUS(status) : WTERMSIG(status);
-    return o;
 }
 
-/** Parse `text` as file `origin` and apply it to a default config. */
+/** Parse `text` as file `origin`, apply it to a default config and
+ *  check the fabric built from it. */
 Outcome
 applyText(const std::string &text, const std::string &origin)
 {
     return inChild([&]() {
         SystemConfig cfg;
         Topology::parseJson(text, origin).applyTo(cfg);
+        checkPools(cfg);
     });
-}
-
-/** The parser's location prefix "fatal: <origin>:<line>: ", with the
- *  line number, or 0 when `err` does not start with one. */
-int
-parserLine(const std::string &err, const std::string &origin)
-{
-    const std::string head = "fatal: " + origin + ":";
-    if (err.rfind(head, 0) != 0)
-        return 0;
-    std::size_t end = head.size();
-    while (end < err.size() && std::isdigit(static_cast<unsigned char>(
-                                   err[end])))
-        ++end;
-    if (end == head.size() || err.compare(end, 2, ": ") != 0)
-        return 0;
-    return std::atoi(err.c_str() + head.size());
 }
 
 /** Exit 0 quietly, or exit 1 with one located fatal line. */
@@ -191,10 +175,7 @@ class TopologyFuzz : public ::testing::TestWithParam<const char *>
     Rng
     rng(std::uint64_t cls) const
     {
-        std::uint64_t h = 0xcbf29ce484222325ull;
-        for (const char *p = GetParam(); *p; ++p)
-            h = (h ^ static_cast<unsigned char>(*p)) * 0x100000001b3ull;
-        return Rng(h ^ (cls * 0x9e3779b97f4a7c15ull));
+        return Rng(fuzz::seedOf(GetParam(), cls));
     }
 
     std::string
@@ -321,6 +302,36 @@ TEST_P(TopologyFuzz, NumericExtremes)
         const std::string o = origin("num", i);
         expectContract(applyText(m, o), o, m);
     }
+}
+
+TEST_P(TopologyFuzz, RateAtDoubleMaxIsRefused)
+{
+    // A fixed mutant per rate member: the seeded draws above are not
+    // guaranteed to put 1e308 on one.
+    static const std::pair<const char *, const char *> kRates[] = {
+        {"intraGpuGBps", "interGpmGBpsPerGpu"},
+        {"interGpuGBps", "interGpuGBpsPerLink"},
+        {"interNodeGBps", "interNodeGBpsPerLink"},
+        {"dramGBpsPerGpu", "dramGBpsPerGpu"},
+    };
+    int mutated = 0;
+    for (const auto &[key, field] : kRates) {
+        const std::string member = std::string("\"") + key + "\": ";
+        const std::size_t at = text_.find(member);
+        if (at == std::string::npos)
+            continue;
+        const std::size_t begin = at + member.size();
+        const std::size_t end = text_.find_first_of(",\n}", begin);
+        std::string m = text_;
+        m.replace(begin, end - begin, "1e308");
+        const std::string o = origin("rate", mutated++);
+        const Outcome out = applyText(m, o);
+        expectContract(out, o, m);
+        EXPECT_EQ(out.code, 1) << o;
+        EXPECT_NE(out.err.find(field), std::string::npos)
+            << o << ": " << out.err;
+    }
+    EXPECT_EQ(mutated, 4);
 }
 
 TEST_P(TopologyFuzz, EmbeddedNulIsRefusedOnItsLine)

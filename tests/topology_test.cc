@@ -293,6 +293,55 @@ TEST(TopologySpecDeath, StrictParserRejectsMalformedSpecs)
     dies("{ \"link\": { \"interGpuGBps\": \"fast\" } }"); // wrong type
 }
 
+TEST(TopologySpecDeath, NumbersFollowJsonGrammar)
+{
+    // strtod alone took hex, a leading '+', leading zeros and a bare
+    // exponent or point; JSON has none of them.
+    auto dies = [](const char *value) {
+        const std::string spec =
+            std::string("{ \"link\": {\n \"interGpuGBps\": ") + value +
+            " } }";
+        EXPECT_EXIT(Topology::parseJson(spec, "t.json"),
+                    ::testing::ExitedWithCode(1),
+                    "t.json:2: key \"interGpuGBps\" wants a finite JSON "
+                    "number");
+    };
+    dies("0x10");
+    dies("+4");
+    dies("012");
+    dies("4.");
+    dies(".5");
+    dies("1e");
+    dies("-");
+    dies("Infinity");
+    SystemConfig cfg;
+    Topology::parseJson("{ \"link\": { \"interGpuGBps\": 2.5e2,"
+                        " \"interNodeGBps\": 0.5E+2 } }",
+                        "t.json")
+        .applyTo(cfg);
+    EXPECT_DOUBLE_EQ(cfg.interGpuGBpsPerLink, 250.0);
+    EXPECT_DOUBLE_EQ(cfg.interNodeGBpsPerLink, 50.0);
+}
+
+TEST(TopologySpecDeath, RatesOutsideTheirBoundsNameTheirField)
+{
+    // A 1e308 rate parsed, validated and reached the fabric's credit-pool
+    // arithmetic, whose double-to-integer cast overflowed; a 1e-300 one
+    // quantized to zero bandwidth and panicked building its serializer.
+    SystemConfig cfg;
+    EXPECT_EXIT(Topology::parseJson("{ \"link\": { \"interGpuGBps\": "
+                                    "1e308 } }",
+                                    "t.json")
+                    .applyTo(cfg),
+                ::testing::ExitedWithCode(1),
+                "interGpuGBpsPerLink \\(1e\\+308 GB/s\\) must be in");
+    EXPECT_EXIT(Topology::parseJson("{ \"memory\": { \"dramGBpsPerGpu\": "
+                                    "1e-300 } }",
+                                    "t.json")
+                    .applyTo(cfg),
+                ::testing::ExitedWithCode(1), "dramGBpsPerGpu");
+}
+
 TEST(TopologySpecDeath, NulBytesAndRepeatedKeysAreLocatedErrors)
 {
     // A NUL byte used to end the scan, accepting whatever preceded it;

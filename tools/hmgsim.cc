@@ -227,7 +227,7 @@ parse(int argc, char **argv)
                 parseU64("--dir-lines", need(i), 1, UINT32_MAX));
         else if (a == "--inter-bw") {
             o.cfg.interGpuGBpsPerLink =
-                parseF64("--inter-bw", need(i), 0.0, 1e9);
+                parseF64("--inter-bw", need(i), 0.0, hmg::kMaxRateGBps);
             if (o.cfg.interGpuGBpsPerLink <= 0.0)
                 hmg_fatal("--inter-bw wants a positive bandwidth");
             geom(a);

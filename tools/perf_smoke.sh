@@ -13,9 +13,10 @@
 # The 50% bar is deliberately loose — CI hosts vary and each measurement
 # is a best-of-three — but it still catches the class of regression that
 # matters: an accidental O(n) scan in the hot schedule path, a debug
-# assert left on, a closure that started heap-allocating. The baseline's
-# `engine` and `cell` sections record the host they were measured on
-# (host_cores, compiler, build type).
+# assert left on. A closure that starts heap-allocating costs too little
+# for a 50% bar to see; tests/alloc_test.cc counts allocations instead.
+# The baseline's `engine` and `cell` sections record the host they were
+# measured on (host_cores, compiler, build type).
 #
 # Usage: perf_smoke.sh [path-to-bench_engine_microbench]
 # Runs as the `perf_smoke` ctest (default preset only, not tier1).
