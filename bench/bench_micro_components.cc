@@ -3,8 +3,8 @@
  * google-benchmark microbenchmarks of the simulator's own building
  * blocks (not a paper figure): event-queue throughput, link
  * serialization, one message across the fabric, one protocol handler
- * round trip, cache, tag-array and directory operations, and end-to-end
- * simulated-ops-per-second. These guard the "significantly faster"
+ * round trip, cache, tag-array, tag-store and directory operations, and
+ * end-to-end simulated-ops-per-second. These guard the "significantly faster"
  * property the paper claims for its simulator (Fig. 7's right panel).
  */
 
@@ -14,6 +14,7 @@
 
 #include "cache/cache.hh"
 #include "cache/tag_array.hh"
+#include "common/rng.hh"
 #include "core/directory.hh"
 #include "gpu/simulator.hh"
 #include "gpu/system.hh"
@@ -130,6 +131,69 @@ BM_TagProbeEmptySet(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TagProbeEmptySet);
+
+static void
+BM_TagStoreProbe(benchmark::State &state)
+{
+    // A load's tag path over a default System's arrays: its SM's L1
+    // looked up, on a miss its GPM's L2, each filled on a miss. Lines
+    // are drawn at random from a 10 MB footprint, so probes land at
+    // random across 512 L1 and 16 L2 arrays (22 MB of tags). `shared`
+    // takes the arrays from the System's one store, on huge pages where
+    // the kernel grants them; otherwise each array has its own mapping,
+    // and the difference is the TLB's share of a probe on this host.
+    const bool shared = state.range(0) != 0;
+    const SystemConfig cfg;
+    System sys(cfg);
+    std::vector<TagArray> own;
+    std::vector<TagArray *> l1, l2;
+    if (!shared) {
+        own.reserve(cfg.totalSms() + cfg.totalGpms());
+        for (SmId s = 0; s < cfg.totalSms(); ++s)
+            own.push_back(TagArray::fromCapacity(cfg.l1Bytes, cfg.l1Ways,
+                                                 cfg.cacheLineBytes));
+        for (GpmId g = 0; g < cfg.totalGpms(); ++g)
+            own.push_back(TagArray::fromCapacity(
+                cfg.l2BytesPerGpm(), cfg.l2Ways, cfg.cacheLineBytes));
+    }
+    for (SmId s = 0; s < cfg.totalSms(); ++s)
+        l1.push_back(shared ? &sys.sm(s).l1().tags() : &own[s]);
+    for (GpmId g = 0; g < cfg.totalGpms(); ++g)
+        l2.push_back(shared ? &sys.gpm(g).l2().tags()
+                            : &own[cfg.totalSms() + g]);
+
+    struct Access
+    {
+        SmId sm;
+        Addr line;
+    };
+    const std::uint64_t lines = (10u << 20) / cfg.cacheLineBytes;
+    std::vector<Access> accesses(1u << 20);
+    Rng rng(1);
+    for (Access &a : accesses)
+        a = {static_cast<SmId>(rng.below(cfg.totalSms())),
+             rng.below(lines) * cfg.cacheLineBytes};
+    auto probe = [&](const Access &a) {
+        TagArray &t1 = *l1[a.sm];
+        CacheLine *line = t1.lookup(a.line);
+        if (!line) {
+            TagArray &t2 = *l2[cfg.gpmOfSm(a.sm)];
+            if (!t2.lookup(a.line))
+                t2.insert(a.line);
+            line = t1.insert(a.line);
+        }
+        return line;
+    };
+    // One untimed pass faults every page in and fills the arrays.
+    for (const Access &a : accesses)
+        benchmark::DoNotOptimize(probe(a));
+    std::size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(probe(accesses[i++ & (accesses.size() - 1)]));
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel(shared ? "one store" : "a private store per array");
+}
+BENCHMARK(BM_TagStoreProbe)->ArgName("shared")->Arg(1)->Arg(0);
 
 static void
 BM_CacheLoadHit(benchmark::State &state)

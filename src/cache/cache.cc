@@ -14,6 +14,13 @@ Cache::Cache(std::uint64_t capacity_bytes, std::uint32_t ways,
 {
 }
 
+Cache::Cache(std::uint64_t capacity_bytes, std::uint32_t ways,
+             std::uint32_t line_bytes, bool write_allocate, TagStore &store)
+    : tags_(TagArray::fromCapacity(capacity_bytes, ways, line_bytes, store)),
+      write_allocate_(write_allocate)
+{
+}
+
 Cache::LoadResult
 Cache::load(Addr line_addr)
 {

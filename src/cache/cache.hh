@@ -40,6 +40,10 @@ class Cache
      */
     Cache(std::uint64_t capacity_bytes, std::uint32_t ways,
           std::uint32_t line_bytes, bool write_allocate);
+    /** The same, with the tags carved from `store` (which must outlive
+     *  the cache; see TagArray::storageBytes for its share). */
+    Cache(std::uint64_t capacity_bytes, std::uint32_t ways,
+          std::uint32_t line_bytes, bool write_allocate, TagStore &store);
 
     /** Result of a load lookup. */
     struct LoadResult

@@ -9,32 +9,43 @@
  * records validity. Dropping one entry zeroes its stamp; dropping every
  * entry bumps the generation, so a bulk invalidation costs O(1) however
  * large the array, and the live count it returns is maintained, not
- * counted. Generations start at 1, so the all-zero bytes of a freshly
- * calloc'd array are empty entries and construction writes nothing.
+ * counted. Generations start at 1, so the all-zero bytes of a fresh
+ * mapping are empty entries and construction writes nothing.
  * When the generation would wrap to 0, every stamp is reset first: an
  * entry dropped 2^32 bulk invalidations earlier must not match again.
  *
  * Each set also keeps a 32-bit summary word: the generation of the last
  * insert into that set. A set whose word differs from the current
  * generation holds no live entry, so a probe of it misses without
- * reading the set's ways (256–512 bytes of host memory), and an insert
+ * reading the set's ways (192–384 bytes of host memory), and an insert
  * into it takes way 0 without a scan, the way a full scan would pick.
  * A bulk invalidation leaves every word stale for free; the wrap resets
  * the words with the stamps. Software coherence empties whole arrays at
  * every acquire and kernel boundary, so most probes in those runs land
  * in such sets.
+ *
+ * The LRU counter is 32 bits, like the stamps it sits beside. Before it
+ * would pass 2^32 - 1, the live entries of each set are renumbered
+ * 1..n in their LRU order and the counter restarts above the largest
+ * set's n. Victims are only ever compared within a set, so every later
+ * victim is the one a 64-bit counter would have picked.
+ *
+ * The entries and the summary words live in a TagStore
+ * (cache/tag_store.hh): the System's one mapping, or a private one.
  */
 
 #ifndef HMG_CACHE_SET_ASSOC_HH
 #define HMG_CACHE_SET_ASSOC_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <optional>
+#include <string>
 #include <type_traits>
+#include <vector>
 
+#include "cache/tag_store.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 
@@ -46,9 +57,9 @@ namespace hmg
  * with true-LRU replacement.
  *
  * `Entry` is an aggregate whose value-initialized state is all-zero
- * bytes (so calloc'd storage holds empty entries), with members
- * `std::uint32_t stamp` (owned by this class) and `std::uint64_t lru`
- * (larger = more recently used). The set of a key is
+ * bytes (so fresh mapped storage holds empty entries), with members
+ * `std::uint32_t stamp` (owned by this class) and an unsigned `lru` of
+ * at least 32 bits (larger = more recently used). The set of a key is
  * `(key >> key_shift) % num_sets`.
  */
 template <typename Entry, Addr Entry::*Key>
@@ -57,7 +68,7 @@ class SetAssoc
     static_assert(std::is_aggregate_v<Entry> &&
                       std::is_trivially_copyable_v<Entry> &&
                       std::is_trivially_destructible_v<Entry>,
-                  "entries are created implicitly in calloc'd storage");
+                  "entries are created implicitly in zeroed storage");
 
   public:
     /** What insert() did. */
@@ -68,24 +79,44 @@ class SetAssoc
         bool evicted;  //!< a live victim was displaced to make room
     };
 
+    /** Bytes the array takes from a TagStore: its entries, then its
+     *  per-set summary words, each in a region of its own. */
+    static std::uint64_t
+    storageBytes(std::uint64_t num_sets, std::uint32_t ways)
+    {
+        return TagStore::regionBytes(num_sets * ways * sizeof(Entry)) +
+               TagStore::regionBytes(num_sets * sizeof(std::uint32_t));
+    }
+
     /**
+     * An array in a private store of its own.
      * @param first_generation generation the array starts in (tests
      *        start near the wrap); never 0, the empty stamp
+     * @param first_lru first LRU stamp handed out (tests start near the
+     *        renumbering)
      */
     SetAssoc(std::uint64_t num_sets, std::uint32_t ways, unsigned key_shift,
-             std::uint32_t first_generation = 1)
-        : num_sets_(num_sets),
+             std::uint32_t first_generation = 1, std::uint32_t first_lru = 1)
+        : own_(std::make_unique<TagStore>(
+              storageBytes(num_sets, ways),
+              "a " + std::to_string(num_sets) + "-set, " +
+                  std::to_string(ways) + "-way array of " +
+                  std::to_string(sizeof(Entry)) + "-byte entries")),
+          num_sets_(num_sets),
           ways_(ways),
           key_shift_(key_shift),
-          gen_(first_generation)
+          gen_(first_generation),
+          next_lru_(first_lru)
     {
-        hmg_assert(num_sets > 0 && ways > 0 && first_generation != 0);
-        entries_.reset(static_cast<Entry *>(
-            std::calloc(num_sets * ways, sizeof(Entry))));
-        set_gen_.reset(static_cast<std::uint32_t *>(
-            std::calloc(num_sets, sizeof(std::uint32_t))));
-        if (!entries_ || !set_gen_)
-            throw std::bad_alloc();
+        place(*own_);
+    }
+
+    /** An array carved from `store`, which must outlive it. */
+    SetAssoc(std::uint64_t num_sets, std::uint32_t ways, unsigned key_shift,
+             TagStore &store)
+        : num_sets_(num_sets), ways_(ways), key_shift_(key_shift)
+    {
+        place(store);
     }
 
     /** Find `key` and make it most recently used. */
@@ -94,7 +125,7 @@ class SetAssoc
     {
         Entry *e = probe(key);
         if (e)
-            e->lru = next_lru_++;
+            e->lru = nextLru();
         return e;
     }
 
@@ -133,7 +164,7 @@ class SetAssoc
                     continue;
                 }
                 if (e.*Key == key) {
-                    e.lru = next_lru_++;
+                    e.lru = nextLru();
                     return {&e, false, false};
                 }
                 if (!victim || (victim_live && e.lru < victim->lru)) {
@@ -151,7 +182,7 @@ class SetAssoc
         *victim = Entry{};
         victim->*Key = key;
         victim->stamp = gen_;
-        victim->lru = next_lru_++;
+        victim->lru = nextLru();
         return {victim, true, victim_live};
     }
 
@@ -196,6 +227,10 @@ class SetAssoc
     std::uint32_t ways() const { return ways_; }
     std::uint32_t generation() const { return gen_; }
 
+    /** The entry and summary-word regions (layout checks in tests). */
+    const Entry *entryData() const { return entries_; }
+    const std::uint32_t *summaryData() const { return set_gen_; }
+
     /** Visit every live entry, in set-then-way order. */
     template <typename Fn>
     void
@@ -212,10 +247,17 @@ class SetAssoc
     }
 
   private:
-    struct Free
+    void
+    place(TagStore &store)
     {
-        void operator()(void *p) const { std::free(p); }
-    };
+        hmg_assert(num_sets_ > 0 && ways_ > 0 && gen_ != 0);
+        // Renumbering restarts the counter above the ways of a set.
+        hmg_assert(ways_ < UINT32_MAX / 2);
+        entries_ = static_cast<Entry *>(
+            store.take(num_sets_ * ways_ * sizeof(Entry)));
+        set_gen_ = static_cast<std::uint32_t *>(
+            store.take(num_sets_ * sizeof(std::uint32_t)));
+    }
 
     std::uint64_t
     setOf(Addr key) const
@@ -236,15 +278,52 @@ class SetAssoc
         return nullptr;
     }
 
+    /** The next LRU stamp (see the file comment on renumbering). */
+    std::uint32_t
+    nextLru()
+    {
+        if (next_lru_ == UINT32_MAX) [[unlikely]]
+            renumberLru();
+        return next_lru_++;
+    }
+
+    /** Renumber each set's live entries 1..n in LRU order. */
+    void
+    renumberLru()
+    {
+        std::vector<Entry *> live;
+        std::uint32_t top = 0;
+        for (std::uint64_t set = 0; set < num_sets_; ++set) {
+            if (set_gen_[set] != gen_)
+                continue;
+            live.clear();
+            Entry *base = &entries_[set * ways_];
+            for (std::uint32_t w = 0; w < ways_; ++w)
+                if (base[w].stamp == gen_)
+                    live.push_back(&base[w]);
+            std::sort(live.begin(), live.end(),
+                      [](const Entry *a, const Entry *b) {
+                          return a->lru < b->lru;
+                      });
+            std::uint32_t n = 0;
+            for (Entry *e : live)
+                e->lru = ++n;
+            top = std::max(top, n);
+        }
+        next_lru_ = top + 1;
+    }
+
+    /** The array's private store; null when carved from a shared one. */
+    std::unique_ptr<TagStore> own_;
     std::uint64_t num_sets_;
     std::uint32_t ways_;
     unsigned key_shift_;
-    std::uint32_t gen_;
+    std::uint32_t gen_ = 1;
+    std::uint32_t next_lru_ = 1;
     std::uint64_t live_ = 0;
-    std::uint64_t next_lru_ = 1;
-    std::unique_ptr<Entry[], Free> entries_;
+    Entry *entries_ = nullptr;
     /** Per set: the generation of its last insert (see file comment). */
-    std::unique_ptr<std::uint32_t[], Free> set_gen_;
+    std::uint32_t *set_gen_ = nullptr;
 };
 
 } // namespace hmg

@@ -6,6 +6,20 @@
 namespace hmg
 {
 
+namespace
+{
+
+std::uint64_t
+setsOf(std::uint64_t capacity_bytes, std::uint32_t ways,
+       std::uint32_t line_bytes)
+{
+    const std::uint64_t lines = capacity_bytes / line_bytes;
+    hmg_assert(ways > 0 && lines % ways == 0);
+    return lines / ways;
+}
+
+} // namespace
+
 TagArray::TagArray(std::uint64_t num_sets, std::uint32_t ways,
                    std::uint32_t line_bytes)
     : line_bytes_(line_bytes),
@@ -14,13 +28,36 @@ TagArray::TagArray(std::uint64_t num_sets, std::uint32_t ways,
     hmg_assert(isPowerOf2(line_bytes));
 }
 
+TagArray::TagArray(std::uint64_t num_sets, std::uint32_t ways,
+                   std::uint32_t line_bytes, TagStore &store)
+    : line_bytes_(line_bytes),
+      lines_(num_sets, ways, floorLog2(line_bytes), store)
+{
+    hmg_assert(isPowerOf2(line_bytes));
+}
+
 TagArray
 TagArray::fromCapacity(std::uint64_t capacity_bytes, std::uint32_t ways,
                        std::uint32_t line_bytes)
 {
-    std::uint64_t lines = capacity_bytes / line_bytes;
-    hmg_assert(ways > 0 && lines % ways == 0);
-    return TagArray(lines / ways, ways, line_bytes);
+    return TagArray(setsOf(capacity_bytes, ways, line_bytes), ways,
+                    line_bytes);
+}
+
+TagArray
+TagArray::fromCapacity(std::uint64_t capacity_bytes, std::uint32_t ways,
+                       std::uint32_t line_bytes, TagStore &store)
+{
+    return TagArray(setsOf(capacity_bytes, ways, line_bytes), ways,
+                    line_bytes, store);
+}
+
+std::uint64_t
+TagArray::storageBytes(std::uint64_t capacity_bytes, std::uint32_t ways,
+                       std::uint32_t line_bytes)
+{
+    return SetAssoc<CacheLine, &CacheLine::addr>::storageBytes(
+        setsOf(capacity_bytes, ways, line_bytes), ways);
 }
 
 std::uint64_t

@@ -18,16 +18,20 @@
 namespace hmg
 {
 
-/** One cache line's bookkeeping. */
+/** One cache line's bookkeeping: 24 bytes. */
 struct CacheLine
 {
-    Addr addr = 0;           //!< full line address (tag + index)
-    bool dirty = false;      //!< holds a write not yet at the home (WB)
+    Addr addr = 0; //!< full line address (tag + index)
+    /** Newest store version this copy reflects. Versions come from one
+     *  counter per run and stay far below 2^63, so the dirty flag takes
+     *  the word's top bit. */
+    Version version : 63 = 0;
+    bool dirty : 1 = false;  //!< holds a write not yet at the home (WB)
     std::uint32_t stamp = 0; //!< validity; owned by SetAssoc
-    Version version = 0;     //!< newest store version this copy reflects
-    std::uint64_t lru = 0;   //!< larger = more recently used
+    std::uint32_t lru = 0;   //!< larger = more recently used
 };
-static_assert(sizeof(CacheLine) == 32, "the stamp fills padding");
+static_assert(sizeof(CacheLine) == 24,
+              "version and dirty share a word; stamp and lru another");
 
 /** Set-associative array of CacheLine with true-LRU replacement. */
 class TagArray
@@ -40,11 +44,22 @@ class TagArray
      */
     TagArray(std::uint64_t num_sets, std::uint32_t ways,
              std::uint32_t line_bytes);
+    /** The same, carved from `store` (which must outlive the array). */
+    TagArray(std::uint64_t num_sets, std::uint32_t ways,
+             std::uint32_t line_bytes, TagStore &store);
 
     /** Build geometry from a capacity in bytes. */
     static TagArray fromCapacity(std::uint64_t capacity_bytes,
                                  std::uint32_t ways,
                                  std::uint32_t line_bytes);
+    static TagArray fromCapacity(std::uint64_t capacity_bytes,
+                                 std::uint32_t ways,
+                                 std::uint32_t line_bytes, TagStore &store);
+
+    /** Bytes fromCapacity() takes from a TagStore. */
+    static std::uint64_t storageBytes(std::uint64_t capacity_bytes,
+                                      std::uint32_t ways,
+                                      std::uint32_t line_bytes);
 
     /**
      * Find `line_addr` and refresh its LRU stamp.
@@ -107,6 +122,12 @@ class TagArray
     forEachValid(Fn &&fn) const
     {
         lines_.forEach(fn);
+    }
+
+    /** The set-associative core (layout checks in tests). */
+    const SetAssoc<CacheLine, &CacheLine::addr> &core() const
+    {
+        return lines_;
     }
 
   private:

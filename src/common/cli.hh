@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/log.hh"
 
@@ -38,13 +39,16 @@ parseU64(const char *flag, const char *s, std::uint64_t lo = 0,
     return v;
 }
 
+/** A decimal number: strtod's hexadecimal floats ("0x10" is 16) are
+ *  refused like parseU64 refuses hexadecimal integers. */
 inline double
 parseF64(const char *flag, const char *s, double lo, double hi)
 {
     errno = 0;
     char *end = nullptr;
     const double v = std::strtod(s, &end);
-    if (errno == ERANGE || end == s || *end != '\0' || !std::isfinite(v))
+    if (errno == ERANGE || end == s || *end != '\0' || !std::isfinite(v) ||
+        std::strpbrk(s, "xX"))
         hmg_fatal("%s wants a finite number, got '%s'", flag, s);
     if (v < lo || v > hi)
         hmg_fatal("%s wants a value in [%g, %g], got '%s'", flag, lo, hi,

@@ -124,6 +124,11 @@ SystemConfig::validate() const
         hmg_fatal("L2 geometry does not divide into sets");
     if (!isPowerOf2(dirLinesPerEntry))
         hmg_fatal("dirLinesPerEntry must be a power of two");
+    // A directory entry's sector size is a 32-bit byte count.
+    if (std::uint64_t{dirLinesPerEntry} * cacheLineBytes > UINT32_MAX)
+        hmg_fatal("dirLinesPerEntry (%u) x cacheLineBytes (%u) must fit "
+                  "a 32-bit sector size",
+                  dirLinesPerEntry, cacheLineBytes);
     if (dirEntriesPerGpm % dirWays != 0)
         hmg_fatal("directory geometry does not divide into sets");
     // The bounds keep the fabric's pool arithmetic and the serializers'

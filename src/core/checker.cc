@@ -492,6 +492,32 @@ CoherenceChecker::checkQuiescent()
     }
 }
 
+// --------------------------------------------- parked completions
+
+std::uint32_t
+CoherenceChecker::park(Pending p)
+{
+    std::uint32_t t = free_pending_;
+    if (t == kNoPending) {
+        hmg_assert(pending_.size() < kNoPending);
+        t = static_cast<std::uint32_t>(pending_.size());
+        pending_.push_back(std::move(p));
+    } else {
+        free_pending_ = pending_[t].next;
+        pending_[t] = std::move(p);
+    }
+    return t;
+}
+
+CoherenceChecker::Pending
+CoherenceChecker::unpark(std::uint32_t ticket)
+{
+    Pending p = std::move(pending_[ticket]);
+    pending_[ticket].next = free_pending_;
+    free_pending_ = ticket;
+    return p;
+}
+
 // --------------------------------------------- CoherenceModel facade
 
 void
@@ -499,10 +525,10 @@ CoherenceChecker::load(const MemAccess &acc, LoadDoneCb done)
 {
     // Snapshot the sync obligations at issue time: an acquire completing
     // while this load is in flight must not retroactively strengthen it.
-    Version sys_floor = 0, gpu_floor = 0;
-    bool inv_at_issue;
+    std::uint32_t t;
     {
         MaybeLock lock(ctx_.lps);
+        Pending p(acc);
         const SmState &sm = sms_.at(acc.sm);
         // Floors are claimable only on the deterministic engines. In a
         // relaxed TimeWindow run the epoch counters are bumped by folds
@@ -512,27 +538,31 @@ CoherenceChecker::load(const MemAccess &acc, LoadDoneCb done)
         // version/line integrity is still verified, and the litmus
         // suite checks the ordering outcomes end to end.
         if (!ctx_.lps.concurrent()) {
-            sys_floor = floorOf(released_sys_, acc.lineAddr, sm.ackedSys);
+            p.sysFloor = floorOf(released_sys_, acc.lineAddr, sm.ackedSys);
             // System-scope loads are served at the system home, which a
             // GPU-scope release never promises to have reached: only
             // narrower scopes inherit the per-GPU floor (matching-scope
             // pairing).
-            gpu_floor =
+            p.gpuFloor =
                 acc.scope >= Scope::Sys
                     ? 0
                     : floorOf(released_gpu_[ctx_.cfg.gpuOf(acc.gpm)],
                               acc.lineAddr, sm.ackedGpu);
         }
-        inv_at_issue = invInFlightOn(acc.lineAddr);
+        p.invAtIssue = invInFlightOn(acc.lineAddr);
+        p.loadDone = std::move(done);
+        t = park(std::move(p));
     }
-    inner_->load(acc, [this, acc, sys_floor, gpu_floor, inv_at_issue,
-                       done = std::move(done)](Version v) mutable {
+    inner_->load(acc, [this, t](Version v) {
+        LoadDoneCb done;
         {
             MaybeLock lock(ctx_.lps);
-            logTx("ld", acc, v);
-            verifyObserved(acc, "load", v, sys_floor, gpu_floor,
-                           inv_at_issue);
-            checkStructural(acc.lineAddr);
+            Pending p = unpark(t);
+            logTx("ld", p.acc, v);
+            verifyObserved(p.acc, "load", v, p.sysFloor, p.gpuFloor,
+                           p.invAtIssue);
+            checkStructural(p.acc.lineAddr);
+            done = std::move(p.loadDone);
         }
         done(v);
     });
@@ -542,18 +572,23 @@ void
 CoherenceChecker::store(const MemAccess &acc, Version v, DoneCb accepted,
                         DoneCb sys_done)
 {
-    const Addr key = wtKey(ctx_.cfg.gpuOf(acc.gpm), acc.lineAddr);
+    std::uint32_t t;
     {
         MaybeLock lock(ctx_.lps);
         logTx("st", acc, v);
         recordWrite(acc, v);
-        ++writes_in_flight_[key];
+        ++writes_in_flight_[wtKey(ctx_.cfg.gpuOf(acc.gpm), acc.lineAddr)];
+        Pending p(acc, v);
+        p.done = std::move(sys_done);
+        t = park(std::move(p));
     }
-    inner_->store(acc, v, std::move(accepted),
-                  [this, acc, v, key,
-                   sys_done = std::move(sys_done)]() mutable {
+    inner_->store(acc, v, std::move(accepted), [this, t]() {
+        DoneCb sys_done;
         {
             MaybeLock lock(ctx_.lps);
+            Pending p = unpark(t);
+            const Addr key =
+                wtKey(ctx_.cfg.gpuOf(p.acc.gpm), p.acc.lineAddr);
             std::uint32_t *n = writes_in_flight_.find(key);
             if (n && --*n == 0)
                 writes_in_flight_.erase(key);
@@ -561,9 +596,10 @@ CoherenceChecker::store(const MemAccess &acc, Version v, DoneCb accepted,
             // the system home (deterministic engines) or is posted back
             // from it within a window (relaxed), so ranks record the
             // home arrival order up to a one-window skew.
-            recordArrival(acc.lineAddr, v);
-            logTx("st.sys", acc, v);
-            checkStructural(acc.lineAddr);
+            recordArrival(p.acc.lineAddr, p.v);
+            logTx("st.sys", p.acc, p.v);
+            checkStructural(p.acc.lineAddr);
+            sys_done = std::move(p.done);
         }
         if (sys_done)
             sys_done();
@@ -574,45 +610,56 @@ void
 CoherenceChecker::atomic(const MemAccess &acc, Version v, LoadDoneCb done,
                          DoneCb sys_done)
 {
-    Version sys_floor = 0, gpu_floor = 0;
-    bool inv_at_issue;
+    std::uint32_t t_resp, t_sys;
     {
         MaybeLock lock(ctx_.lps);
         logTx("atom", acc, v);
         recordWrite(acc, v);
         ++atomics_in_flight_[acc.lineAddr];
+        Pending resp(acc, v);
         const SmState &sm = sms_.at(acc.sm);
         // Same relaxed-mode floor rule as load() above.
         if (!ctx_.lps.concurrent()) {
-            sys_floor = floorOf(released_sys_, acc.lineAddr, sm.ackedSys);
-            gpu_floor =
+            resp.sysFloor =
+                floorOf(released_sys_, acc.lineAddr, sm.ackedSys);
+            resp.gpuFloor =
                 acc.scope >= Scope::Sys
                     ? 0
                     : floorOf(released_gpu_[ctx_.cfg.gpuOf(acc.gpm)],
                               acc.lineAddr, sm.ackedGpu);
         }
-        inv_at_issue = invInFlightOn(acc.lineAddr);
+        resp.invAtIssue = invInFlightOn(acc.lineAddr);
+        resp.loadDone = std::move(done);
+        t_resp = park(std::move(resp));
+        Pending sys(acc, v);
+        sys.done = std::move(sys_done);
+        t_sys = park(std::move(sys));
     }
     inner_->atomic(
         acc, v,
-        [this, acc, sys_floor, gpu_floor, inv_at_issue,
-         done = std::move(done)](Version pre) mutable {
+        [this, t_resp](Version pre) {
+            LoadDoneCb done;
             {
                 MaybeLock lock(ctx_.lps);
-                logTx("atom.resp", acc, pre);
-                verifyObserved(acc, "atomic", pre, sys_floor, gpu_floor,
-                               inv_at_issue);
+                Pending p = unpark(t_resp);
+                logTx("atom.resp", p.acc, pre);
+                verifyObserved(p.acc, "atomic", pre, p.sysFloor,
+                               p.gpuFloor, p.invAtIssue);
+                done = std::move(p.loadDone);
             }
             done(pre);
         },
-        [this, acc, v, sys_done = std::move(sys_done)]() mutable {
+        [this, t_sys]() {
+            DoneCb sys_done;
             {
                 MaybeLock lock(ctx_.lps);
-                std::uint32_t *n = atomics_in_flight_.find(acc.lineAddr);
+                Pending p = unpark(t_sys);
+                std::uint32_t *n = atomics_in_flight_.find(p.acc.lineAddr);
                 if (n && --*n == 0)
-                    atomics_in_flight_.erase(acc.lineAddr);
-                recordArrival(acc.lineAddr, v);
-                checkStructural(acc.lineAddr);
+                    atomics_in_flight_.erase(p.acc.lineAddr);
+                recordArrival(p.acc.lineAddr, p.v);
+                checkStructural(p.acc.lineAddr);
+                sys_done = std::move(p.done);
             }
             if (sys_done)
                 sys_done();
@@ -622,26 +669,33 @@ CoherenceChecker::atomic(const MemAccess &acc, Version v, LoadDoneCb done,
 void
 CoherenceChecker::acquire(const MemAccess &acc, DoneCb done)
 {
+    std::uint32_t t;
     {
         MaybeLock lock(ctx_.lps);
         logTx("acq", acc, 0);
+        Pending p(acc);
+        p.done = std::move(done);
+        t = park(std::move(p));
     }
-    inner_->acquire(acc, [this, acc, done = std::move(done)]() mutable {
+    inner_->acquire(acc, [this, t]() {
+        DoneCb done;
         {
             MaybeLock lock(ctx_.lps);
-            SmState &sm = sms_.at(acc.sm);
-            const GpuId g = ctx_.cfg.gpuOf(acc.gpm);
-            if (acc.scope >= Scope::Sys) {
+            Pending p = unpark(t);
+            SmState &sm = sms_.at(p.acc.sm);
+            const GpuId g = ctx_.cfg.gpuOf(p.acc.gpm);
+            if (p.acc.scope >= Scope::Sys) {
                 // A system acquire subsumes a GPU acquire: it
                 // invalidates at least as much, and GPU-released data
                 // is at the GPU home on the load path of every
                 // narrower-scope access.
                 sm.ackedSys = sys_epoch_;
                 sm.ackedGpu = std::max(sm.ackedGpu, gpu_epoch_[g]);
-            } else if (acc.scope == Scope::Gpu) {
+            } else if (p.acc.scope == Scope::Gpu) {
                 sm.ackedGpu = std::max(sm.ackedGpu, gpu_epoch_[g]);
             }
             ++acquires_synced_;
+            done = std::move(p.done);
         }
         done();
     });
@@ -650,18 +704,23 @@ CoherenceChecker::acquire(const MemAccess &acc, DoneCb done)
 void
 CoherenceChecker::release(const MemAccess &acc, DoneCb done)
 {
-    std::uint64_t up_to;
+    std::uint32_t t;
     {
         MaybeLock lock(ctx_.lps);
         logTx("rel", acc, 0);
-        up_to = sms_.at(acc.sm).logged;
+        Pending p(acc);
+        p.upTo = sms_.at(acc.sm).logged;
+        p.done = std::move(done);
+        t = park(std::move(p));
     }
-    inner_->release(acc,
-                    [this, acc, up_to, done = std::move(done)]() mutable {
+    inner_->release(acc, [this, t]() {
+        DoneCb done;
         {
             MaybeLock lock(ctx_.lps);
-            logTx("rel.done", acc, 0);
-            foldRelease(acc, up_to);
+            Pending p = unpark(t);
+            logTx("rel.done", p.acc, 0);
+            foldRelease(p.acc, p.upTo);
+            done = std::move(p.done);
         }
         done();
     });
@@ -676,9 +735,18 @@ CoherenceChecker::kernelBoundary()
 void
 CoherenceChecker::drainForBoundary(DoneCb done)
 {
-    inner_->drainForBoundary([this, done = std::move(done)]() mutable {
+    std::uint32_t t;
+    {
+        MaybeLock lock(ctx_.lps);
+        Pending p;
+        p.done = std::move(done);
+        t = park(std::move(p));
+    }
+    inner_->drainForBoundary([this, t]() {
+        DoneCb done;
         {
             MaybeLock lock(ctx_.lps);
+            done = std::move(unpark(t).done);
             foldBoundary();
             checkQuiescent();
         }

@@ -125,6 +125,37 @@ class CoherenceChecker : public CoherenceModel
 
     static constexpr std::size_t kTxLogEntries = 64;
 
+    /**
+     * A completion the checker wraps, parked until it fires, with what
+     * its check needs. The wrapper forwarded to the model captures only
+     * `this` and the ticket, so it fits a completion callback's inline
+     * buffer; capturing the caller's completion, the access and the
+     * floors would not, and every operation would allocate. The pool
+     * grows to its peak and recycles, like GpmNode::park.
+     */
+    struct Pending
+    {
+        explicit Pending(const MemAccess &a = {}, Version ver = 0)
+            : acc(a), v(ver)
+        {
+        }
+
+        MemAccess acc;
+        Version v;               //!< the write's version
+        Version sysFloor = 0;    //!< load/atomic floors at issue
+        Version gpuFloor = 0;
+        std::uint64_t upTo = 0;  //!< release: write log position at issue
+        bool invAtIssue = false; //!< an invalidation was in flight
+        LoadDoneCb loadDone;     //!< load and atomic responses
+        DoneCb done;             //!< every other completion
+        std::uint32_t next = 0;  //!< free-list link
+    };
+
+    /** Hold `p` until unpark() (under the checker's lock). */
+    std::uint32_t park(Pending p);
+    /** Take back what was parked under `ticket` (under the lock). */
+    Pending unpark(std::uint32_t ticket);
+
     void logTx(const char *kind, const MemAccess &acc, Version v);
     [[noreturn]] void violation(const char *fmt, ...)
         __attribute__((format(printf, 2, 3)));
@@ -190,6 +221,11 @@ class CoherenceChecker : public CoherenceModel
     FlatMap<Addr, std::uint32_t> writes_in_flight_;
     /** In-flight atomics by line (performed away from the requester). */
     FlatMap<Addr, std::uint32_t> atomics_in_flight_;
+
+    /** Parked completions (see Pending) and their free list's head. */
+    std::vector<Pending> pending_;
+    static constexpr std::uint32_t kNoPending = ~std::uint32_t{0};
+    std::uint32_t free_pending_ = kNoPending;
 
     /** Ring of the last protocol events, dumped on violation. */
     std::vector<std::string> txlog_;

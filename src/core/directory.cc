@@ -16,6 +16,24 @@ Directory::Directory(std::uint32_t num_entries, std::uint32_t ways,
     hmg_assert(isPowerOf2(sector_bytes));
 }
 
+Directory::Directory(std::uint32_t num_entries, std::uint32_t ways,
+                     std::uint32_t sector_bytes, TagStore &store)
+    : sector_bytes_(sector_bytes),
+      sector_mask_(sector_bytes - 1),
+      entries_(ways ? num_entries / ways : 0, ways, floorLog2(sector_bytes),
+               store)
+{
+    hmg_assert(num_entries % ways == 0);
+    hmg_assert(isPowerOf2(sector_bytes));
+}
+
+std::uint64_t
+Directory::storageBytes(std::uint32_t num_entries, std::uint32_t ways)
+{
+    return SetAssoc<DirEntry, &DirEntry::sector>::storageBytes(
+        num_entries / ways, ways);
+}
+
 DirEntry *
 Directory::find(Addr addr)
 {

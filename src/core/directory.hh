@@ -41,12 +41,13 @@
 namespace hmg
 {
 
-/** One coherence-directory entry (state Valid while present). */
+/** One coherence-directory entry (state Valid while present): 32
+ *  bytes, with the 64-bit fields first so nothing is padding. */
 struct DirEntry
 {
-    Addr sector = 0;             //!< sector base address
-    std::uint32_t stamp = 0;     //!< validity; owned by SetAssoc
-    std::uint64_t lru = 0;
+    Addr sector = 0;               //!< sector base address
+    std::uint64_t lru = 0;         //!< larger = more recently used
+    std::uint32_t stamp = 0;       //!< validity; owned by SetAssoc
     std::uint32_t gpmSharers = 0;  //!< bitmask of local GPM indices
     std::uint32_t gpuSharers = 0;  //!< bitmask of node-local GPU indices
     std::uint32_t nodeSharers = 0; //!< bitmask of node ids
@@ -85,7 +86,7 @@ struct DirEntry
             __builtin_popcount(nodeSharers));
     }
 };
-static_assert(sizeof(DirEntry) == 40, "the stamp fills padding");
+static_assert(sizeof(DirEntry) == 32, "no field of DirEntry is padded");
 
 /** Set-associative sharer-tracking directory for one GPM. */
 class Directory
@@ -98,6 +99,13 @@ class Directory
      */
     Directory(std::uint32_t num_entries, std::uint32_t ways,
               std::uint32_t sector_bytes);
+    /** The same, carved from `store` (which must outlive it). */
+    Directory(std::uint32_t num_entries, std::uint32_t ways,
+              std::uint32_t sector_bytes, TagStore &store);
+
+    /** Bytes the directory takes from a TagStore. */
+    static std::uint64_t storageBytes(std::uint32_t num_entries,
+                                      std::uint32_t ways);
 
     /** Find the entry covering `addr`, refreshing LRU. */
     DirEntry *find(Addr addr);
@@ -144,6 +152,12 @@ class Directory
     forEachValid(Fn &&fn) const
     {
         entries_.forEach(fn);
+    }
+
+    /** The set-associative core (layout checks in tests). */
+    const SetAssoc<DirEntry, &DirEntry::sector> &core() const
+    {
+        return entries_;
     }
 
   private:

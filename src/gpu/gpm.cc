@@ -6,16 +6,16 @@ namespace hmg
 {
 
 GpmNode::GpmNode(Engine &engine, const SystemConfig &cfg, GpmId id,
-                 bool with_directory)
+                 bool with_directory, TagStore &tags)
     : id_(id),
       l2_(cfg.l2BytesPerGpm(), cfg.l2Ways, cfg.cacheLineBytes,
-          /*write_allocate=*/true),
+          /*write_allocate=*/true, tags),
       dram_(engine, cfg)
 {
     if (with_directory) {
         dir_ = std::make_unique<Directory>(
             cfg.dirEntriesPerGpm, cfg.dirWays,
-            cfg.cacheLineBytes * cfg.dirLinesPerEntry);
+            cfg.cacheLineBytes * cfg.dirLinesPerEntry, tags);
     }
 }
 

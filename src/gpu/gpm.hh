@@ -31,8 +31,9 @@ class GpmNode
   public:
     using Callback = SmallCallback<kCompletionCbBytes, void()>;
 
+    /** The L2 tags and the directory are carved from `tags`. */
     GpmNode(Engine &engine, const SystemConfig &cfg, GpmId id,
-            bool with_directory);
+            bool with_directory, TagStore &tags);
 
     GpmId id() const { return id_; }
     Cache &l2() { return l2_; }

@@ -7,13 +7,13 @@
 namespace hmg
 {
 
-Sm::Sm(SystemContext &ctx, CoherenceModel &model, SmId id)
+Sm::Sm(SystemContext &ctx, CoherenceModel &model, SmId id, TagStore &tags)
     : ctx_(ctx),
       model_(model),
       id_(id),
       gpm_(ctx.cfg.gpmOfSm(id)),
       l1_(ctx.cfg.l1Bytes, ctx.cfg.l1Ways, ctx.cfg.cacheLineBytes,
-          /*write_allocate=*/false),
+          /*write_allocate=*/false, tags),
       issue_port_(static_cast<double>(ctx.cfg.smIssueWidth))
 {
 }

@@ -53,7 +53,8 @@ namespace hmg
 class Sm
 {
   public:
-    Sm(SystemContext &ctx, CoherenceModel &model, SmId id);
+    /** The L1 tags are carved from `tags`. */
+    Sm(SystemContext &ctx, CoherenceModel &model, SmId id, TagStore &tags);
 
     SmId id() const { return id_; }
     GpmId gpm() const { return gpm_; }

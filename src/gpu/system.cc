@@ -1,6 +1,7 @@
 #include "gpu/system.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "core/checker.hh"
@@ -8,11 +9,53 @@
 namespace hmg
 {
 
+namespace
+{
+
+/** The geometry fields behind tagStoreBytes(), for its mapping error. */
+std::string
+tagStoreGeometry(const SystemConfig &cfg)
+{
+    char buf[320];
+    std::snprintf(
+        buf, sizeof(buf),
+        "the tag store of %u L1s (l1Bytes %u, l1Ways %u), %u L2s "
+        "(l2BytesPerGpu %llu / %u GPMs, l2Ways %u) and %u directories "
+        "(dirEntriesPerGpm %u, dirWays %u) at cacheLineBytes %u",
+        cfg.totalSms(), cfg.l1Bytes, cfg.l1Ways, cfg.totalGpms(),
+        static_cast<unsigned long long>(cfg.l2BytesPerGpu), cfg.gpmsPerGpu,
+        cfg.l2Ways, isHardwareProtocol(cfg.protocol) ? cfg.totalGpms() : 0,
+        cfg.dirEntriesPerGpm, cfg.dirWays, cfg.cacheLineBytes);
+    return buf;
+}
+
+} // namespace
+
+std::uint64_t
+System::tagStoreBytes(const SystemConfig &cfg)
+{
+    const std::uint64_t l1 = TagArray::storageBytes(
+        cfg.l1Bytes, cfg.l1Ways, cfg.cacheLineBytes);
+    const std::uint64_t l2 = TagArray::storageBytes(
+        cfg.l2BytesPerGpm(), cfg.l2Ways, cfg.cacheLineBytes);
+    const std::uint64_t dir =
+        isHardwareProtocol(cfg.protocol)
+            ? Directory::storageBytes(cfg.dirEntriesPerGpm, cfg.dirWays)
+            : 0;
+    return std::uint64_t{cfg.totalSms()} * l1 +
+           std::uint64_t{cfg.totalGpms()} * (l2 + dir);
+}
+
 System::System(const SystemConfig &cfg)
     : cfg_(cfg), lps_(cfg_), pages_(cfg_),
       tracker_(lps_, cfg_.totalSms())
 {
     cfg_.validate();
+
+    // Map every tag array at once, before any cache is built (see
+    // cache/tag_store.hh); the arrays then fill it exactly.
+    tags_ = std::make_unique<TagStore>(tagStoreBytes(cfg_),
+                                       tagStoreGeometry(cfg_));
 
     // Shared maps only need their shard locks when LP workers actually
     // run concurrently; serial and deterministic runs stay lock-free.
@@ -27,7 +70,7 @@ System::System(const SystemConfig &cfg)
     const bool with_dir = isHardwareProtocol(cfg_.protocol);
     for (GpmId g = 0; g < cfg_.totalGpms(); ++g)
         gpms_.push_back(std::make_unique<GpmNode>(lps_.engineOfGpm(g),
-                                                  cfg_, g, with_dir));
+                                                  cfg_, g, with_dir, *tags_));
 
     // Every delivered message passes through the destination node's
     // ingress dispatch for per-class receive accounting.
@@ -44,7 +87,8 @@ System::System(const SystemConfig &cfg)
                                                     std::move(model_));
 
     for (SmId s = 0; s < cfg_.totalSms(); ++s)
-        sms_.push_back(std::make_unique<Sm>(*ctx_, *model_, s));
+        sms_.push_back(std::make_unique<Sm>(*ctx_, *model_, s, *tags_));
+    hmg_assert(tags_->used() == tags_->size());
 
     scheduler_ = std::make_unique<CtaScheduler>(*ctx_, *model_, sms_);
 }

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "cache/tag_store.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "core/protocol.hh"
@@ -33,6 +34,13 @@ class System
   public:
     explicit System(const SystemConfig &cfg);
 
+    /**
+     * Bytes of the tag store a System of `cfg` maps: every L1 and L2
+     * tag array and, under the hardware protocols, every directory,
+     * each region aligned (cache/tag_store.hh). `cfg` must be valid.
+     */
+    static std::uint64_t tagStoreBytes(const SystemConfig &cfg);
+
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
@@ -50,6 +58,7 @@ class System
     MemoryState &memory() { return mem_; }
     ReleaseTracker &tracker() { return tracker_; }
     CtaScheduler &scheduler() { return *scheduler_; }
+    const TagStore &tagStore() const { return *tags_; }
 
     Sm &sm(SmId id) { return *sms_.at(id); }
     GpmNode &gpm(GpmId id) { return *gpms_.at(id); }
@@ -83,6 +92,9 @@ class System
     std::unique_ptr<AddressMap> amap_;
     MemoryState mem_;
     ReleaseTracker tracker_;
+    /** Every L1, L2 and directory array. Declared before the GPMs and
+     *  SMs that own those arrays, so it is unmapped after them. */
+    std::unique_ptr<TagStore> tags_;
     std::unique_ptr<Network> net_;
     std::vector<std::unique_ptr<GpmNode>> gpms_;
     std::unique_ptr<SystemContext> ctx_;

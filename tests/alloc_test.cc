@@ -17,7 +17,8 @@
  * atomics, `.gpu` releases, invalidation fans), bfs under HMG (read
  * sharing across the fabric, merged and forwarded misses) and bfs under
  * the no-remote-caching baseline (remote loads that may not merge, whose
- * continuations park at the fetching GPM).
+ * continuations park at the fetching GPM) and mst under NHCC with the
+ * runtime coherence checker wrapping every completion (`--check`).
  *
  * The sizes below are the layout those allocation counts depend on: a
  * completion callback is one host cache line, and the engine's callback
@@ -113,25 +114,28 @@ struct RunCount
 };
 
 RunCount
-countRun(const char *workload, Protocol protocol, double scale)
+countRun(const char *workload, Protocol protocol, bool check, double scale)
 {
     const trace::Trace t = trace::workloads::make(workload, scale);
     SystemConfig cfg;
     cfg.protocol = protocol;
+    cfg.checkCoherence = check;
     Simulator sim(cfg);
     const std::uint64_t before = g_allocs.load();
     const SimResult res = sim.run(t);
     return {g_allocs.load() - before, res.memOps};
 }
 
-/** A cell, two scales whose traces differ in length (a workload's op
- *  count steps with the scale, so nearby scales can coincide) and the
- *  bound on its extra allocations per extra op. */
+/** A cell (optionally under `--check`), two scales whose traces differ
+ *  in length (a workload's op count steps with the scale, so nearby
+ *  scales can coincide) and the bound on its extra allocations per extra
+ *  op. */
 struct Cell
 {
     const char *name;
     const char *workload;
     Protocol protocol;
+    bool check;
     double lo;
     double hi;
     double maxPerOp;
@@ -144,8 +148,8 @@ class AllocTest : public ::testing::TestWithParam<Cell>
 TEST_P(AllocTest, SteadyStateAllocationsPerOpAreBounded)
 {
     const Cell c = GetParam();
-    const RunCount lo = countRun(c.workload, c.protocol, c.lo);
-    const RunCount hi = countRun(c.workload, c.protocol, c.hi);
+    const RunCount lo = countRun(c.workload, c.protocol, c.check, c.lo);
+    const RunCount hi = countRun(c.workload, c.protocol, c.check, c.hi);
     ASSERT_GT(hi.ops, lo.ops);
     const double extra = static_cast<double>(hi.allocs) -
                          static_cast<double>(lo.allocs);
@@ -170,18 +174,23 @@ TEST_P(AllocTest, SteadyStateAllocationsPerOpAreBounded)
  * remote loads take the unmerged fetch) extra allocations per extra op.
  * After it, with what is left (transport queue chunks, invalidation
  * jobs, release state), 0.015, 0.10, 0.21 and 0.26; bfs's are almost all
- * Port queue chunks. Each bound leaves about 0.04 per op of headroom: a
- * closure that spills on one op in ten breaks it.
+ * Port queue chunks. Under `--check` (mst/NHCC), the coherence checker's
+ * wrapped completions spilled their closures on every load, store,
+ * atomic, acquire and release: 1.11 per extra op. Parked in the
+ * checker's pool, 0.11. Each bound leaves about 0.04 per op of headroom:
+ * a closure that spills on one op in ten breaks it.
  */
 INSTANTIATE_TEST_SUITE_P(
     Cells, AllocTest,
     ::testing::Values(
-        Cell{"cusolver_swnh", "cusolver", Protocol::SwNonHier, 0.25, 0.5,
-             0.05},
-        Cell{"mst_hmg", "mst", Protocol::Hmg, 0.5, 0.75, 0.15},
-        Cell{"bfs_hmg", "bfs", Protocol::Hmg, 0.25, 0.5, 0.25},
-        Cell{"bfs_baseline", "bfs", Protocol::NoRemoteCache, 0.25, 0.5,
-             0.30}),
+        Cell{"cusolver_swnh", "cusolver", Protocol::SwNonHier, false, 0.25,
+             0.5, 0.05},
+        Cell{"mst_hmg", "mst", Protocol::Hmg, false, 0.5, 0.75, 0.15},
+        Cell{"bfs_hmg", "bfs", Protocol::Hmg, false, 0.25, 0.5, 0.25},
+        Cell{"bfs_baseline", "bfs", Protocol::NoRemoteCache, false, 0.25,
+             0.5, 0.30},
+        Cell{"mst_nhcc_check", "mst", Protocol::Nhcc, true, 0.5, 0.75,
+             0.15}),
     [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace

@@ -109,6 +109,16 @@ expect_reject "flap gpu out of range" --workload bfs --fault-flap 64:egress:0:0
 expect_reject "prob sum > 1" --workload bfs \
     --fault-drop 0.5 --fault-corrupt 0.4 --fault-delay 0.2
 
+# A geometry that parses but whose tag store cannot be mapped (about
+# 2.2 TB of directory entries, or 0.8 TB of L2 tags; Linux's default
+# overcommit heuristic refuses a writable private mapping larger than
+# RAM plus swap) is a located fatal naming the bytes and the fields
+# behind them, not an uncaught std::bad_alloc.
+expect_reject "directory too large to map" --workload bfs --scale 0.01 \
+    --dir-entries 4294967288
+expect_reject "L2 too large to map" --workload bfs --scale 0.01 \
+    --l2-mb 1048576
+
 # --topology: the file owns every geometry knob; mixing it with a
 # legacy geometry flag must be rejected by flag name, a missing or
 # malformed file must be a one-line fatal, and node counts that don't

@@ -3,30 +3,45 @@
  * Differential test of the set-associative core (cache/set_assoc.hh)
  * behind TagArray and Directory. Seeded random operation sequences run
  * against the linear-scan implementation the core replaced, kept here
- * as the reference: stored valid flags, first-empty-way-else-LRU victim
- * choice, and a bulk invalidation that walks the array. Every step must
- * agree on return values, evicted and dropped copies, LRU stamps and
- * live counts, and the live contents must match entry for entry. A
+ * as the reference: stored valid flags, a 64-bit LRU counter,
+ * first-empty-way-else-LRU victim choice, and a bulk invalidation that
+ * walks the array. Every step must agree on return values, evicted and
+ * dropped copies, LRU stamps and live counts, and the live contents must
+ * match entry for entry. Across the 32-bit LRU counter's renumbering the
+ * stamps differ by design, and everything else must still agree. A
  * directed case drives the per-set summary's fast paths (a probe of, or
  * an insert into, a set with nothing live) against the same reference.
+ *
+ * The tag store (cache/tag_store.hh) is checked on whole Systems: every
+ * array lies in the one mapping, on a 64-byte boundary, and the arrays
+ * fill exactly the size the System computed. In AddressSanitizer builds
+ * a read past an array's end must report.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cache/set_assoc.hh"
 #include "cache/tag_array.hh"
+#include "cache/tag_store.hh"
 #include "common/rng.hh"
+#include "common/topology.hh"
 #include "core/directory.hh"
+#include "gpu/system.hh"
 
 namespace hmg
 {
 namespace
 {
+
+static_assert(sizeof(CacheLine) == 24);
+static_assert(sizeof(DirEntry) == 32);
 
 // ------------------------------------------------------------ reference
 
@@ -335,22 +350,27 @@ struct RefCounts
     std::uint64_t clears = 0;
 };
 
+/** @param exact_lru compare the LRU stamps too (not across the core's
+ *         renumbering, which changes them by design) */
 template <typename Entry, typename Payload>
 void
-expectSame(const Entry *got, const RefEntry<Payload> *want, std::uint64_t step)
+expectSame(const Entry *got, const RefEntry<Payload> *want, std::uint64_t step,
+           bool exact_lru = true)
 {
     ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
     if (!got)
         return;
     EXPECT_EQ(keyOf(*got), want->key) << "step " << step;
-    EXPECT_EQ(got->lru, want->lru) << "step " << step;
+    if (exact_lru) {
+        EXPECT_EQ(got->lru, want->lru) << "step " << step;
+    }
     EXPECT_TRUE(payloadOf(*got) == want->payload) << "step " << step;
 }
 
 template <typename Subject, typename Payload>
 void
 expectSameContents(const Subject &s, const RefArray<Payload> &ref,
-                   std::uint64_t step)
+                   std::uint64_t step, bool exact_lru = true)
 {
     std::vector<RefEntry<Payload>> got;
     s.forEach([&](const typename Subject::Entry &e) {
@@ -364,7 +384,9 @@ expectSameContents(const Subject &s, const RefArray<Payload> &ref,
     ASSERT_EQ(s.size(), want.size()) << "step " << step;
     for (std::size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(got[i].key, want[i].key) << "step " << step;
-        ASSERT_EQ(got[i].lru, want[i].lru) << "step " << step;
+        if (exact_lru) {
+            ASSERT_EQ(got[i].lru, want[i].lru) << "step " << step;
+        }
         ASSERT_TRUE(got[i].payload == want[i].payload) << "step " << step;
     }
 }
@@ -379,7 +401,7 @@ template <typename Subject>
 void
 runDifferential(Subject &s, std::uint64_t num_sets, std::uint32_t ways,
                 unsigned shift, std::uint64_t steps, std::uint64_t seed,
-                double clear_prob, RefCounts &counts)
+                double clear_prob, RefCounts &counts, bool exact_lru = true)
 {
     using Entry = typename Subject::Entry;
     using Payload = decltype(payloadOf(std::declval<const Entry &>()));
@@ -403,7 +425,7 @@ runDifferential(Subject &s, std::uint64_t num_sets, std::uint32_t ways,
             if constexpr (Subject::kHasClear) {
                 ++counts.clears;
                 ASSERT_EQ(s.clear(), ref.invalidateAll()) << "step " << step;
-                expectSameContents(s, ref, step);
+                expectSameContents(s, ref, step, exact_lru);
             }
         } else if (op < 30) {
             ++counts.finds;
@@ -411,24 +433,24 @@ runDifferential(Subject &s, std::uint64_t num_sets, std::uint32_t ways,
             RefEntry<Payload> *want = ref.lookup(key);
             if (want)
                 ++counts.findHits;
-            expectSame(got, want, step);
+            expectSame(got, want, step, exact_lru);
             if (got && want && rng.chance(0.5)) {
                 want->payload = randomPayload(rng, Payload{});
                 setPayload(*got, want->payload);
             }
         } else if (op < 40) {
-            expectSame(s.peek(key), ref.peek(key), step);
+            expectSame(s.peek(key), ref.peek(key), step, exact_lru);
         } else if (op < 78) {
             std::optional<Entry> evicted;
             Entry *got = s.insert(key, &evicted);
             RefEntry<Payload> ref_evicted;
             auto [want, fresh] = ref.insert(key, &ref_evicted);
             ASSERT_NE(got, nullptr);
-            expectSame(got, want, step);
+            expectSame(got, want, step, exact_lru);
             ASSERT_EQ(evicted.has_value(), ref_evicted.valid)
                 << "step " << step;
             if (evicted)
-                expectSame(&*evicted, &ref_evicted, step);
+                expectSame(&*evicted, &ref_evicted, step, exact_lru);
             if (fresh) {
                 ++counts.allocations;
                 if (ref_evicted.valid)
@@ -444,7 +466,7 @@ runDifferential(Subject &s, std::uint64_t num_sets, std::uint32_t ways,
             const bool got = s.erase(key, &dropped);
             ASSERT_EQ(got, ref.invalidate(key)) << "step " << step;
             if (got)
-                expectSame(&dropped, &*before, step);
+                expectSame(&dropped, &*before, step, exact_lru);
         } else {
             if constexpr (Subject::kHasRange) {
                 const std::uint64_t lines = rng.range(1, 8);
@@ -460,11 +482,11 @@ runDifferential(Subject &s, std::uint64_t num_sets, std::uint32_t ways,
             ASSERT_EQ(s.size(), ref.validCount()) << "step " << step;
         }
         if (step % 4096 == 0)
-            expectSameContents(s, ref, step);
+            expectSameContents(s, ref, step, exact_lru);
         if (::testing::Test::HasFatalFailure())
             return;
     }
-    expectSameContents(s, ref, steps);
+    expectSameContents(s, ref, steps, exact_lru);
 }
 
 // ---------------------------------------------------------------- tests
@@ -703,6 +725,177 @@ TEST(SetAssoc, WrapResetsEveryStampAndReusedWaysStartClean)
     EXPECT_EQ(lines.size(), 4u);
     EXPECT_EQ(dir.size(), 4u);
 }
+
+constexpr std::uint32_t kNearLruRenumber =
+    std::numeric_limits<std::uint32_t>::max() - 2000;
+
+/** The largest LRU stamp live in `core`. */
+template <typename Core>
+std::uint64_t
+maxLru(const Core &core)
+{
+    std::uint64_t top = 0;
+    core.forEach([&](const auto &e) {
+        top = std::max<std::uint64_t>(top, e.lru);
+    });
+    return top;
+}
+
+TEST(SetAssocDifferential, CacheLinesAcrossLruRenumbering)
+{
+    // Finds and inserts take an LRU stamp on about every other step, so
+    // the counter passes 2^32 - 1 (2,000 stamps in) well inside the run;
+    // victims and the forEach order must match the 64-bit reference on
+    // both sides of the renumbering.
+    CoreSubject<CacheLine, &CacheLine::addr> s{{16, 4, 7, 1,
+                                                kNearLruRenumber}};
+    RefCounts counts;
+    runDifferential(s, 16, 4, 7, 6000, 6, 0.002, counts,
+                    /*exact_lru=*/false);
+    EXPECT_GT(counts.evictions, 300u);
+    EXPECT_LT(maxLru(s.core), 4000u); // it did renumber
+}
+
+TEST(SetAssocDifferential, DirEntriesAcrossLruRenumbering)
+{
+    CoreSubject<DirEntry, &DirEntry::sector> s{{16, 4, 9, 1,
+                                                kNearLruRenumber}};
+    RefCounts counts;
+    runDifferential(s, 16, 4, 9, 6000, 7, 0, counts, /*exact_lru=*/false);
+    EXPECT_GT(counts.evictions, 300u);
+    EXPECT_LT(maxLru(s.core), 4000u);
+}
+
+TEST(SetAssoc, RenumberingKeepsEachSetsLruOrder)
+{
+    // Two sets at the counter's last stamps, filled in different orders.
+    SetAssoc<CacheLine, &CacheLine::addr> lines(
+        2, 3, 7, 1, std::numeric_limits<std::uint32_t>::max() - 5);
+    auto key = [](Addr set, Addr tag) { return (set + 2 * tag) << 7; };
+    for (Addr tag : {0, 1, 2})
+        lines.insert(key(0, tag));
+    lines.insert(key(1, 2));
+    lines.insert(key(1, 0));
+    // The next stamp would pass 2^32 - 1: set 0 renumbers to 1..3 and
+    // set 1 to 1..2, then the find takes 4 (above every set's top).
+    ASSERT_NE(lines.find(key(0, 0)), nullptr);
+    EXPECT_EQ(lines.peek(key(0, 1))->lru, 2u);
+    EXPECT_EQ(lines.peek(key(0, 2))->lru, 3u);
+    EXPECT_EQ(lines.peek(key(0, 0))->lru, 4u);
+    EXPECT_EQ(lines.peek(key(1, 2))->lru, 1u);
+    EXPECT_EQ(lines.peek(key(1, 0))->lru, 2u);
+    // So the victims are the ones a 64-bit counter would pick.
+    std::optional<CacheLine> evicted;
+    lines.insert(key(0, 3), &evicted);
+    ASSERT_TRUE(evicted);
+    EXPECT_EQ(evicted->addr, key(0, 1));
+    lines.insert(key(1, 1));
+    lines.insert(key(1, 3), &evicted);
+    ASSERT_TRUE(evicted);
+    EXPECT_EQ(evicted->addr, key(1, 2));
+}
+
+// ------------------------------------------------------------ tag store
+
+/** One region an array took from its store: entries or summary words. */
+struct Region
+{
+    const std::byte *begin;
+    std::uint64_t bytes;
+};
+
+template <typename Core>
+void
+addRegions(std::vector<Region> &out, const Core &core)
+{
+    out.push_back({reinterpret_cast<const std::byte *>(core.entryData()),
+                   core.numSets() * core.ways() *
+                       sizeof(*core.entryData())});
+    out.push_back({reinterpret_cast<const std::byte *>(core.summaryData()),
+                   core.numSets() * sizeof(std::uint32_t)});
+}
+
+/** Every array of a System built from `cfg` lies in its one store, on a
+ *  64-byte boundary, and the arrays fill the store exactly. */
+void
+expectOneStore(const SystemConfig &cfg)
+{
+    System sys(cfg);
+    const TagStore &store = sys.tagStore();
+    std::vector<Region> regions;
+    for (SmId s = 0; s < sys.numSms(); ++s)
+        addRegions(regions, sys.sm(s).l1().tags().core());
+    for (GpmId g = 0; g < cfg.totalGpms(); ++g) {
+        addRegions(regions, sys.gpm(g).l2().tags().core());
+        const Directory *dir = sys.gpm(g).dir();
+        EXPECT_EQ(dir != nullptr, isHardwareProtocol(cfg.protocol));
+        if (dir)
+            addRegions(regions, dir->core());
+    }
+    EXPECT_EQ(store.size(), System::tagStoreBytes(cfg));
+    EXPECT_EQ(store.used(), store.size());
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(store.base()) %
+                  TagStore::kHugePage,
+              0u);
+    std::sort(regions.begin(), regions.end(),
+              [](const Region &a, const Region &b) {
+                  return a.begin < b.begin;
+              });
+    // Sorted by address, each region starts where the one before it
+    // (with its padding and guard) ended: none lies outside the store,
+    // none overlaps another, and no byte of the store is left over.
+    const std::byte *next = store.base();
+    for (const Region &r : regions) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(r.begin) %
+                      TagStore::kAlign,
+                  0u);
+        ASSERT_EQ(r.begin, next);
+        next = r.begin + TagStore::regionBytes(r.bytes);
+    }
+    EXPECT_EQ(next, store.base() + store.size());
+}
+
+TEST(TagStore, DefaultMachineFillsOneStore)
+{
+    for (Protocol p : {Protocol::Hmg, Protocol::SwNonHier}) {
+        SCOPED_TRACE(toString(p));
+        SystemConfig cfg;
+        cfg.protocol = p;
+        expectOneStore(cfg);
+    }
+}
+
+TEST(TagStore, TwoNodeMachineFillsOneStore)
+{
+    for (Protocol p : {Protocol::Hmg, Protocol::SwNonHier}) {
+        SCOPED_TRACE(toString(p));
+        SystemConfig cfg;
+        Topology::loadFile(std::string(HMG_TOPOLOGY_DIR) +
+                           "/two_node_2x2x2.json")
+            .applyTo(cfg);
+        cfg.protocol = p;
+        expectOneStore(cfg);
+    }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(TagStoreDeathTest, ReadPastAnArrayReports)
+{
+    // Two arrays side by side in one store: the guard between them
+    // makes a read one entry past the first array's end a report, as
+    // a separate heap block's redzone did.
+    using Lines = SetAssoc<CacheLine, &CacheLine::addr>;
+    EXPECT_DEATH(
+        {
+            TagStore store(2 * Lines::storageBytes(4, 2), "two arrays");
+            Lines first(4, 2, 7, store);
+            Lines second(4, 2, 7, store);
+            const volatile CacheLine *past = first.entryData() + 4 * 2;
+            (void)past->addr;
+        },
+        "use-after-poison");
+}
+#endif
 
 } // namespace
 } // namespace hmg
