@@ -116,7 +116,6 @@ class Cache
     std::uint64_t loads() const { return loads_; }
     std::uint64_t loadHits() const { return load_hits_; }
     std::uint64_t stores() const { return stores_; }
-    std::uint64_t storeHits() const { return store_hits_; }
     std::uint64_t fills() const { return fills_; }
     std::uint64_t evictions() const { return evictions_; }
     std::uint64_t invalidatedLines() const { return invalidated_lines_; }

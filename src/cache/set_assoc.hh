@@ -89,7 +89,7 @@ class SetAssoc
     }
 
     /**
-     * An array in a private store of its own.
+     * An array in a private store of its own, faulted in at once.
      * @param first_generation generation the array starts in (tests
      *        start near the wrap); never 0, the empty stamp
      * @param first_lru first LRU stamp handed out (tests start near the
@@ -108,6 +108,7 @@ class SetAssoc
           gen_(first_generation),
           next_lru_(first_lru)
     {
+        own_->populate();
         place(*own_);
     }
 

@@ -62,6 +62,17 @@ TagStore::TagStore(std::uint64_t bytes, const std::string &what)
     }
 }
 
+void
+TagStore::populate()
+{
+#ifdef MADV_POPULATE_WRITE
+    // Advice only, after the huge-page advice so the faults take huge
+    // pages too; a kernel without it leaves the store to fault lazily.
+    if (base_)
+        madvise(base_, mapped_, MADV_POPULATE_WRITE);
+#endif
+}
+
 TagStore::~TagStore()
 {
     if (!base_)

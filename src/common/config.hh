@@ -9,8 +9,9 @@
  * bandwidth per GPU.
  *
  * Latency parameters are not given in the paper; the defaults are
- * documented engineering estimates for a Volta-class part and are swept in
- * the sensitivity benchmarks.
+ * documented engineering estimates for a Volta-class part, and no bench
+ * varies them. A topology file can set the three hop latencies; the
+ * rest are set only through SystemConfig.
  */
 
 #ifndef HMG_COMMON_CONFIG_HH
@@ -118,7 +119,7 @@ struct SystemConfig
      */
     std::uint32_t nocInjectionBacklogLimit = 32;
 
-    // ---- fixed latencies (documented estimates; swept in benches) ----
+    // ---- fixed latencies (estimates; hops settable by topology) ----
     Tick intraGpuHopLatency = 30;    //!< GPM <-> crossbar <-> GPM
     Tick interGpuHopLatency = 600;   //!< GPU <-> switch <-> GPU one-way
     Tick interNodeHopLatency = 1200; //!< GPU <-> node switches <-> GPU

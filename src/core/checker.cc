@@ -497,15 +497,8 @@ CoherenceChecker::checkQuiescent()
 std::uint32_t
 CoherenceChecker::park(Pending p)
 {
-    std::uint32_t t = free_pending_;
-    if (t == kNoPending) {
-        hmg_assert(pending_.size() < kNoPending);
-        t = static_cast<std::uint32_t>(pending_.size());
-        pending_.push_back(std::move(p));
-    } else {
-        free_pending_ = pending_[t].next;
-        pending_[t] = std::move(p);
-    }
+    const std::uint32_t t = pending_.take();
+    pending_[t] = std::move(p);
     return t;
 }
 
@@ -513,8 +506,7 @@ CoherenceChecker::Pending
 CoherenceChecker::unpark(std::uint32_t ticket)
 {
     Pending p = std::move(pending_[ticket]);
-    pending_[ticket].next = free_pending_;
-    free_pending_ = ticket;
+    pending_.free(ticket);
     return p;
 }
 

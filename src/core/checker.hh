@@ -55,6 +55,7 @@
 
 #include "common/flat_map.hh"
 #include "core/protocol.hh"
+#include "sim/pool.hh"
 
 namespace hmg
 {
@@ -130,8 +131,8 @@ class CoherenceChecker : public CoherenceModel
      * its check needs. The wrapper forwarded to the model captures only
      * `this` and the ticket, so it fits a completion callback's inline
      * buffer; capturing the caller's completion, the access and the
-     * floors would not, and every operation would allocate. The pool
-     * grows to its peak and recycles, like GpmNode::park.
+     * floors would not, and every operation would allocate. They wait
+     * in a SlotPool, like GpmNode::park's continuations.
      */
     struct Pending
     {
@@ -148,7 +149,6 @@ class CoherenceChecker : public CoherenceModel
         bool invAtIssue = false; //!< an invalidation was in flight
         LoadDoneCb loadDone;     //!< load and atomic responses
         DoneCb done;             //!< every other completion
-        std::uint32_t next = 0;  //!< free-list link
     };
 
     /** Hold `p` until unpark() (under the checker's lock). */
@@ -222,10 +222,8 @@ class CoherenceChecker : public CoherenceModel
     /** In-flight atomics by line (performed away from the requester). */
     FlatMap<Addr, std::uint32_t> atomics_in_flight_;
 
-    /** Parked completions (see Pending) and their free list's head. */
-    std::vector<Pending> pending_;
-    static constexpr std::uint32_t kNoPending = ~std::uint32_t{0};
-    std::uint32_t free_pending_ = kNoPending;
+    /** Parked completions (see Pending). */
+    SlotPool<Pending> pending_;
 
     /** Ring of the last protocol events, dumped on violation. */
     std::vector<std::string> txlog_;

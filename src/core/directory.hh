@@ -68,7 +68,6 @@ struct DirEntry
     {
         gpuSharers &= ~(1u << local_gpu);
     }
-    void dropNode(NodeId node) { nodeSharers &= ~(1u << node); }
     bool hasGpm(std::uint32_t local_gpm) const
     {
         return gpmSharers & (1u << local_gpm);

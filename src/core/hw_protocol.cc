@@ -88,16 +88,10 @@ HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
                                   snap ? snap->nodeSharers : 0};
 
     // The entry covers the whole sector, so its fan goes to the homes
-    // of the sector's base address.
+    // of the sector's base address. A flat fan names no home.
     auto outcome = verify::applyDirEvent(
         dirTableFor(at, h), topo_, hier_, at, via, ev, pre,
-        [this, sector](GpuId g) {
-            return topo_.gpuHome(g, sysHome(sector));
-        },
-        [this, sector](NodeId n) {
-            return topo_.nodeHome(n, sysHome(sector));
-        },
-        [&](GpmId dst) {
+        hier_ ? sysHome(sector) : h, [&](GpmId dst) {
             if (!job) {
                 // Only a store's fan starts a job (see dirEvent).
                 hmg_assert(ev == DirEvent::Store);
@@ -156,9 +150,7 @@ HwProtocol::replaceVictim(GpmId at, const DirEntry &victim)
     const GpmId h = hier_ ? sysHome(sector) : at;
     verify::applyDirEvent(
         dirTableFor(at, h), topo_, hier_, at, kInvalidGpm,
-        verify::DirEvent::Replace, pre,
-        [this, h](GpuId g) { return topo_.gpuHome(g, h); },
-        [this, h](NodeId n) { return topo_.nodeHome(n, h); },
+        verify::DirEvent::Replace, pre, h,
         [&](GpmId dst) { sendInv(at, dst, sector, job); });
 }
 
@@ -172,12 +164,12 @@ HwProtocol::sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job)
         ++job->pending;
     }
     // The sender's in-flight-invalidation ledger gates release-marker
-    // acknowledgment (GpmNode::waitInvDrained); the landing is counted
+    // acknowledgment (GpmNode::invs()); the landing is counted
     // before handleInv so a re-fanned invalidation issued there can
     // never observe its trigger as still in flight. The checker's
     // delivery note comes after handleInv for the same reason: a
     // re-fanned wave must overlap its trigger in the per-sector count.
-    ctx_.gpm(from).invIssued();
+    ctx_.gpm(from).invs().issue();
     if (ctx_.checker)
         ctx_.checker->noteInvSent(sector);
     ctx_.net.inject({.src = from,
@@ -190,7 +182,7 @@ HwProtocol::sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job)
                          // waits (delay-only relaxation).
                          ctx_.lps.post(ctx_.lps.lpOfGpm(from),
                                        [this, from]() {
-                                           ctx_.gpm(from).invLanded();
+                                           ctx_.gpm(from).invs().land();
                                        });
                          handleInv(to, sector, job);
                          if (ctx_.checker)
@@ -293,7 +285,7 @@ HwProtocol::release(const MemAccess &acc, DoneCb done)
         // for this GPM's in-flight write-backs.
         auto flush_then_wait = [this, r, after_drain]() {
             flushDirty(r);
-            ctx_.gpm(r).waitWbDrained(after_drain);
+            ctx_.gpm(r).writebacks().wait(after_drain);
         };
         if (hier_ && acc.scope == Scope::Gpu)
             ctx_.tracker.waitGpuLevel(acc.sm, std::move(flush_then_wait));
@@ -332,7 +324,7 @@ HwProtocol::drainForBoundary(DoneCb done)
             ctx_.lps.post(ctx_.lps.lpOfGpm(g),
                           [this, g, pending, done_p]() {
                 flushDirty(g);
-                ctx_.gpm(g).waitWbDrained([this, pending, done_p]() {
+                ctx_.gpm(g).writebacks().wait([this, pending, done_p]() {
                     ctx_.lps.post(0, [pending, done_p]() {
                         if (--*pending == 0)
                             (*done_p)();
@@ -354,9 +346,9 @@ HwProtocol::flushDirty(GpmId g)
 void
 HwProtocol::writeBackLine(GpmId src, Addr line, Version v, bool record)
 {
-    ctx_.gpm(src).wbIssued();
+    ctx_.gpm(src).writebacks().issue();
     StoreFlow f{MemAccess{0, src, line, Scope::None}, v,
-                [this, src]() { ctx_.gpm(src).wbLanded(); }};
+                [this, src]() { ctx_.gpm(src).writebacks().land(); }};
     f.recordWriter = record;
     // A dirty victim was coherence-ordered by its original local store,
     // not by this flush's arrival at the home: never clobber newer data.
@@ -385,7 +377,7 @@ HwProtocol::markerRound(const std::shared_ptr<MarkerRounds> &rounds)
     };
 
     // The releasing GPM's own outbound invalidations must land too.
-    ctx_.gpm(r).waitInvDrained(one_done);
+    ctx_.gpm(r).invs().wait(one_done);
 
     for (GpmId dst : targets) {
         ++rel_markers_;
@@ -410,7 +402,7 @@ HwProtocol::markerRound(const std::shared_ptr<MarkerRounds> &rounds)
                                       &marker_targets_[dst].gpuPeers,
                                       false, 1, 0, std::move(ack)}));
                  else
-                     ctx_.gpm(dst).waitInvDrained(std::move(ack));
+                     ctx_.gpm(dst).invs().wait(std::move(ack));
              }});
     }
 }

@@ -84,10 +84,6 @@ struct SystemContext
         Engine *e = Engine::current();
         return e ? *e : lps.engine(0);
     }
-
-    /** The engine owning GPM `g`'s state (for construction-time
-     *  bindings of per-GPM machinery). */
-    Engine &engineOf(GpmId g) const { return lps.engineOfGpm(g); }
 };
 
 /**
@@ -174,14 +170,6 @@ class CoherenceModel
     virtual const char *name() const = 0;
 
     virtual void reportStats(StatRecorder &r) const;
-
-    // --- shared coherence statistics (Figures 9-11) ---
-
-    /** Lines invalidated per store that found other sharers (Fig. 9). */
-    const MeanStat &storeInvStat() const { return store_inv_; }
-    /** Lines invalidated per directory eviction (Fig. 10). */
-    const MeanStat &evictInvStat() const { return evict_inv_; }
-    std::uint64_t invMessagesSent() const { return inv_msgs_.total(); }
 
   protected:
     /**

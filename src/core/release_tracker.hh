@@ -29,6 +29,7 @@
 #include "common/types.hh"
 #include "sim/callback.hh"
 #include "sim/lp.hh"
+#include "sim/pool.hh"
 
 namespace hmg
 {
@@ -40,8 +41,7 @@ class ReleaseTracker
     /**
      * Waiter continuations are move-only SmallCallbacks. Release-fence
      * closures (which capture a DoneCb plus marker-round state) run to
-     * ~130 bytes, so the inline buffer is sized generously; anything
-     * fatter spills to the heap, which is fine off the hot path.
+     * ~130 bytes, so the inline buffer is sized generously.
      */
     using Callback = SmallCallback<136, void()>;
 
@@ -65,8 +65,14 @@ class ReleaseTracker
     /** Run `cb` once *every* SM's system level is drained. */
     void waitAllDrained(Callback cb);
 
-    std::uint64_t pendingGpu(SmId sm) const { return sms_[sm].pendingGpu; }
-    std::uint64_t pendingSys(SmId sm) const { return sms_[sm].pendingSys; }
+    std::uint64_t pendingGpu(SmId sm) const
+    {
+        return sms_[sm].gpu.inFlight();
+    }
+    std::uint64_t pendingSys(SmId sm) const
+    {
+        return sms_[sm].sys.inFlight();
+    }
     std::uint64_t totalPendingSys() const;
 
   private:
@@ -80,10 +86,8 @@ class ReleaseTracker
      */
     struct PerSm
     {
-        std::uint64_t pendingGpu = 0;
-        std::uint64_t pendingSys = 0;
-        std::vector<Callback> gpuWaiters;
-        std::vector<Callback> sysWaiters;
+        DrainLedger<Callback> gpu; //!< writes short of the GPU level
+        DrainLedger<Callback> sys; //!< writes short of the system home
     };
 
     struct alignas(64) LpPending
@@ -92,8 +96,6 @@ class ReleaseTracker
         std::atomic<std::uint64_t> v{0};
     };
 
-    void drainGpuWaiters(PerSm &s);
-    void drainSysWaiters(PerSm &s);
     /** LP-0 only: fire global waiters if the machine is drained. */
     void recheckGlobalDrained();
 

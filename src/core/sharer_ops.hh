@@ -167,8 +167,8 @@ dropSharerBits(const SharerTopology &topo, bool hier, GpmId h, GpmId via,
  * Enumerate the GPMs a home `h` must invalidate when its entry's
  * sharers go stale (a store on behalf of `via`, or a replacement with
  * `via` = kInvalidGpm). GPM-level bits address sharing L2s directly;
- * GPU-level bits address the sharing GPU's home `gpuHomeOf(gpu)` and
- * node-level bits the sharing node's home `nodeHomeOf(node)`, each of
+ * GPU-level bits address the sharing GPU's home and node-level bits the
+ * sharing node's home for a line whose system home is `sys`, each of
  * which re-fans one tier down (Table I, HMG). The writer's own domains
  * and the home itself are excluded — their copies are fresh,
  * authoritative, or invalidated by a closer home on the write path.
@@ -176,12 +176,11 @@ dropSharerBits(const SharerTopology &topo, bool hier, GpmId h, GpmId via,
  * Emission order is deterministic: ascending GPM bits, then ascending
  * GPU bits, then ascending node bits.
  */
-template <typename GpuHomeFn, typename NodeHomeFn, typename EmitFn>
+template <typename EmitFn>
 inline void
 forEachInvTarget(const SharerTopology &topo, bool hier, GpmId h, GpmId via,
                  std::uint32_t gpm_bits, std::uint32_t gpu_bits,
-                 std::uint32_t node_bits, GpuHomeFn &&gpu_home_of,
-                 NodeHomeFn &&node_home_of, EmitFn &&emit)
+                 std::uint32_t node_bits, GpmId sys, EmitFn &&emit)
 {
     if (!hier) {
         forEachBit(gpm_bits, [&](unsigned flat) {
@@ -203,14 +202,14 @@ forEachInvTarget(const SharerTopology &topo, bool hier, GpmId h, GpmId via,
         const GpuId gpu = topo.gpuId(hn, local);
         if (gpu == via_gpu || gpu == hg)
             return;
-        emit(gpu_home_of(gpu));
+        emit(topo.gpuHome(gpu, sys));
     });
     const NodeId via_node =
         via == kInvalidGpm ? ~NodeId{0} : topo.nodeOf(via_gpu);
     forEachBit(node_bits, [&](unsigned node) {
         if (node == via_node || node == hn)
             return;
-        emit(node_home_of(static_cast<NodeId>(node)));
+        emit(topo.nodeHome(static_cast<NodeId>(node), sys));
     });
 }
 
@@ -218,14 +217,15 @@ forEachInvTarget(const SharerTopology &topo, bool hier, GpmId h, GpmId via,
  * Enumerate the sharers an intermediate home `h` (GPU home or node
  * home) re-fans an incoming invalidation to: its local GPM sharers
  * directly, and — for a node home, which also tracks the other GPUs of
- * its node — each sharing GPU's home one tier down. A pure GPU home
- * never has GPU bits, reducing this to Table I's HMG-only transition.
+ * its node — each sharing GPU's home one tier down, for a line whose
+ * system home is `sys`. A pure GPU home never has GPU bits, reducing
+ * this to Table I's HMG-only transition.
  */
-template <typename GpuHomeFn, typename EmitFn>
+template <typename EmitFn>
 inline void
 forEachRefanTarget(const SharerTopology &topo, GpmId h,
                    std::uint32_t gpm_bits, std::uint32_t gpu_bits,
-                   GpuHomeFn &&gpu_home_of, EmitFn &&emit)
+                   GpmId sys, EmitFn &&emit)
 {
     const GpuId g = topo.gpuOf(h);
     forEachBit(gpm_bits, [&](unsigned local) {
@@ -237,7 +237,7 @@ forEachRefanTarget(const SharerTopology &topo, GpmId h,
     forEachBit(gpu_bits, [&](unsigned local) {
         const GpuId gpu = topo.gpuId(hn, local);
         if (gpu != g)
-            emit(gpu_home_of(gpu));
+            emit(topo.gpuHome(gpu, sys));
     });
 }
 

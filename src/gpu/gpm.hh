@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cache/cache.hh"
 #include "common/config.hh"
@@ -21,6 +20,7 @@
 #include "noc/message.hh"
 #include "sim/callback.hh"
 #include "sim/engine.hh"
+#include "sim/pool.hh"
 
 namespace hmg
 {
@@ -29,8 +29,6 @@ namespace hmg
 class GpmNode
 {
   public:
-    using Callback = SmallCallback<kCompletionCbBytes, void()>;
-
     /** The L2 tags and the directory are carved from `tags`. */
     GpmNode(Engine &engine, const SystemConfig &cfg, GpmId id,
             bool with_directory, TagStore &tags);
@@ -47,37 +45,29 @@ class GpmNode
     /**
      * A transport-layer message addressed to this node was dispatched by
      * its ingress port and will be delivered at `arrival`. The node
-     * accounts per-class receive traffic here; the protocol-level
+     * counts received messages and bytes here; the protocol-level
      * reaction is the message's own arrival continuation.
      */
     void ingress(const Message &m, Tick arrival);
 
-    std::uint64_t messagesReceived(MsgType t) const
-    {
-        return rx_count_[static_cast<std::size_t>(t)];
-    }
-    std::uint64_t bytesReceived() const { return rx_bytes_; }
-
-    // --- in-flight invalidation ledger ---
+    // --- in-flight ledgers ---
     //
     // A release marker received by this node must not be acknowledged
     // before every invalidation this node has sent has landed
     // (Section IV-B, "Release"). With per-hop queueing the arrival tick
     // of an invalidation is not knowable at injection time, so the node
-    // keeps a count of in-flight invalidations and parks release-marker
-    // continuations until it drains — the exact analogue of the
-    // write-back ledger below.
+    // counts its invalidations in flight and parks release-marker
+    // continuations until the count drains. In write-back mode
+    // (cfg.l2WriteBack) a flush waits the same way for this node's
+    // dirty-line write-backs to reach their system homes.
 
-    /** An invalidation left this node. */
-    void invIssued() { ++pending_invs_; }
+    using Ledger = DrainLedger<SmallCallback<kCompletionCbBytes, void()>>;
 
-    /** One of this node's invalidations reached its destination. */
-    void invLanded();
+    /** Invalidations this node sent that have not landed. */
+    Ledger &invs() { return invs_; }
 
-    /** Run `cb` once no invalidations from this node are in flight. */
-    void waitInvDrained(Callback cb);
-
-    std::uint64_t pendingInvs() const { return pending_invs_; }
+    /** Write-backs this node sent that have not reached the home. */
+    Ledger &writebacks() { return writebacks_; }
 
     // --- miss-status handling registers (request coalescing) ---
     //
@@ -88,9 +78,9 @@ class GpmNode
     // individual GPMs to be coalesced and/or cached within a single
     // GPU").
     //
-    // Waiters live in a per-node pool that grows to its peak and then
-    // recycles, linked per line in arrival order; the map holds only
-    // each line's first and last waiter. A miss allocates nothing.
+    // Waiters live in a per-node SlotPool, linked per line in arrival
+    // order; the map holds only each line's first and last waiter. A
+    // miss allocates nothing.
 
     using MissCb = SmallCallback<kCompletionCbBytes, void(Version)>;
 
@@ -123,14 +113,11 @@ class GpmNode
             MissCb cb = std::move(slot.cb);
             const GpmId via = slot.via;
             const std::uint32_t next = slot.next;
-            slot.next = free_waiter_;
-            free_waiter_ = w;
+            waiters_.free(w);
             wake(via, std::move(cb));
             w = next;
         }
     }
-
-    std::uint64_t mshrMerges() const { return mshr_merges_; }
 
     // --- parked fetch continuations ---
     //
@@ -138,7 +125,7 @@ class GpmNode
     // callback, whose inline buffer holds a few ids and one completion.
     // A tier that must resume more than that (a load it may not merge,
     // an atomic it performs itself) parks the continuation here and
-    // sends a ticket instead. The pool grows to its peak and recycles.
+    // sends a ticket instead, the continuation's index in a SlotPool.
 
     // Sized for the fattest, an atomic performed at a GPU home: `this`,
     // a MemAccess, two ids, a Version and a load and a store completion
@@ -151,19 +138,6 @@ class GpmNode
     /** Take back the continuation parked under `ticket`. */
     ParkedCb unpark(std::uint32_t ticket);
 
-    // --- in-flight write-back ledger (cfg.l2WriteBack) ---
-
-    /** A dirty-line write-back left this node. */
-    void wbIssued() { ++pending_writebacks_; }
-
-    /** The write-back reached the system home. */
-    void wbLanded();
-
-    /** Run `cb` once no write-backs from this node are in flight. */
-    void waitWbDrained(Callback cb);
-
-    std::uint64_t pendingWritebacks() const { return pending_writebacks_; }
-
     /** Report into `r` under relative names ("l2.loads", ...): a GPM's
      *  stats are only ever published as sums (gpuN.*, total.*). */
     void reportStats(StatRecorder &r) const;
@@ -175,8 +149,7 @@ class GpmNode
     std::unique_ptr<Directory> dir_;
 
     static constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
-    /** A parked continuation; `next` links its line's list or the
-     *  pool's free list. */
+    /** A parked continuation; `next` links its line's list. */
     struct Waiter
     {
         MissCb cb;
@@ -190,29 +163,12 @@ class GpmNode
         std::uint32_t tail = kNoWaiter;
     };
     FlatMap<Addr, MissList> mshr_;
-    std::vector<Waiter> waiters_;
-    std::uint32_t free_waiter_ = kNoWaiter;
-
-    /** A parked continuation, or (empty) a link of the free list. */
-    struct Parked
-    {
-        ParkedCb cb;
-        std::uint32_t next = kNoWaiter;
-    };
-    std::vector<Parked> parked_;
-    std::uint32_t free_parked_ = kNoWaiter;
-
-    /** A slot of `pool` off its free list `free` (linked through
-     *  `next`), growing the pool by one when the list is empty. */
-    template <typename Slot>
-    static std::uint32_t takeSlot(std::vector<Slot> &pool,
-                                  std::uint32_t &free);
+    SlotPool<Waiter> waiters_;
+    SlotPool<ParkedCb> parked_;
     std::uint64_t mshr_merges_ = 0;
-    std::uint64_t pending_invs_ = 0;
-    std::vector<Callback> inv_waiters_;
-    std::uint64_t pending_writebacks_ = 0;
-    std::vector<Callback> wb_waiters_;
-    std::uint64_t rx_count_[kNumMsgTypes] = {};
+    Ledger invs_;
+    Ledger writebacks_;
+    std::uint64_t rx_msgs_ = 0;
     std::uint64_t rx_bytes_ = 0;
 };
 

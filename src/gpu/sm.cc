@@ -32,38 +32,19 @@ Sm::accessFor(const trace::MemOp &op) const
 
 // ------------------------------------------------------------ CTA entry
 
-namespace
-{
-
-/** Take a free slot of `pool`, growing it by one when none is free. */
-template <typename T>
-std::uint32_t
-takeSlot(std::vector<T> &pool, std::vector<std::uint32_t> &free)
-{
-    if (free.empty()) {
-        pool.emplace_back();
-        return static_cast<std::uint32_t>(pool.size() - 1);
-    }
-    const std::uint32_t i = free.back();
-    free.pop_back();
-    return i;
-}
-
-} // namespace
-
 void
 Sm::runCta(const trace::Cta &cta, DoneCb on_done)
 {
     hmg_assert(canAccept(cta));
     hmg_assert(!cta.warps.empty());
 
-    const std::uint32_t c = takeSlot(ctas_, free_ctas_);
+    const std::uint32_t c = ctas_.take();
     ctas_[c].remaining = static_cast<std::uint32_t>(cta.warps.size());
     ctas_[c].onDone = std::move(on_done);
 
     active_warps_ += static_cast<std::uint32_t>(cta.warps.size());
     for (const auto &warp : cta.warps) {
-        const WarpSlot w = takeSlot(warps_, free_warps_);
+        const WarpSlot w = warps_.take();
         warps_[w] = WarpCtx{&warp, 0, c, 0, Park::None};
         warpStep(w);
     }
@@ -105,11 +86,11 @@ Sm::finishWarp(WarpSlot w)
     --active_warps_;
     const std::uint32_t c = warps_[w].cta;
     warps_[w] = WarpCtx{};
-    free_warps_.push_back(w);
+    warps_.free(w);
     if (--ctas_[c].remaining == 0) {
         // on_done may place the next CTA here and grow the pools.
         DoneCb done = std::move(ctas_[c].onDone);
-        free_ctas_.push_back(c);
+        ctas_.free(c);
         done.consume();
     }
 }

@@ -18,16 +18,16 @@
  * writes so per-thread per-location coherence holds even while a
  * write-through is still crossing the machine.
  *
- * Warp contexts and per-CTA counters live in per-SM pools indexed by
- * slot; a pool grows on demand to the SM's peak number of resident
- * warps (or CTAs) and reuses freed slots, so nothing is allocated at
- * construction and nothing per op. Continuations capture `this` and a
- * slot index. A warp stalled on a structural hazard parks with a tag
- * (retire, or re-run the op at its pc) that the next of its in-flight
- * loads to return acts on. The MSHR waiters and release continuations
- * are SmallCallbacks whose inline buffers hold every closure the SM
- * builds, so no load, store or atomic heap-allocates a closure or
- * touches a reference count.
+ * Warp contexts and per-CTA counters live in per-SM SlotPools
+ * (sim/pool.hh) indexed by slot; a pool grows on demand to the SM's
+ * peak number of resident warps (or CTAs) and reuses freed slots, so
+ * nothing is allocated at construction and nothing per op.
+ * Continuations capture `this` and a slot index. A warp stalled on a
+ * structural hazard parks with a tag (retire, or re-run the op at its
+ * pc) that the next of its in-flight loads to return acts on. The MSHR
+ * waiters and release continuations are SmallCallbacks, which hold
+ * every closure inline, so no load, store or atomic heap-allocates a
+ * closure or touches a reference count.
  */
 
 #ifndef HMG_GPU_SM_HH
@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "cache/cache.hh"
 #include "common/config.hh"
@@ -43,6 +42,7 @@
 #include "common/stats.hh"
 #include "core/protocol.hh"
 #include "sim/engine.hh"
+#include "sim/pool.hh"
 #include "sim/serializer.hh"
 #include "trace/trace.hh"
 
@@ -88,10 +88,6 @@ class Sm
 
     // Statistics.
     std::uint64_t opsExecuted() const { return ops_executed_; }
-    std::uint64_t loadsIssued() const { return loads_; }
-    std::uint64_t storesIssued() const { return stores_; }
-    std::uint64_t atomicsIssued() const { return atomics_; }
-    std::uint64_t storeBufferForwards() const { return sb_forwards_; }
 
     /** Report into `r` under relative names ("ops", "l1.loads", ...):
      *  an SM's stats are only ever published as the sm_total.* sum. */
@@ -175,11 +171,8 @@ class Sm
     std::uint32_t outstanding_ = 0;
     std::deque<SlotWaiter> slot_waiters_;
 
-    /** Warp and CTA pools, with their free slots (LIFO). */
-    std::vector<WarpCtx> warps_;
-    std::vector<WarpSlot> free_warps_;
-    std::vector<CtaCtx> ctas_;
-    std::vector<std::uint32_t> free_ctas_;
+    SlotPool<WarpCtx> warps_;
+    SlotPool<CtaCtx> ctas_;
 
     struct SbEntry
     {

@@ -10,7 +10,6 @@ AddressMap::AddressMap(const SystemConfig &cfg, const PageTable &pages)
     : cfg_(cfg),
       pages_(pages),
       line_shift_(floorLog2(cfg.cacheLineBytes)),
-      sector_shift_(floorLog2(cfg.cacheLineBytes * cfg.dirLinesPerEntry)),
       line_mask_(cfg.cacheLineBytes - 1),
       sector_mask_(std::uint64_t{cfg.cacheLineBytes} * cfg.dirLinesPerEntry
                    - 1),

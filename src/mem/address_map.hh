@@ -43,7 +43,6 @@ class AddressMap
     Addr sectorAddr(Addr a) const { return a & ~sector_mask_; }
     Addr pageAddr(Addr a) const { return a & ~page_mask_; }
     std::uint64_t lineNumber(Addr a) const { return a >> line_shift_; }
-    std::uint64_t sectorNumber(Addr a) const { return a >> sector_shift_; }
 
     std::uint32_t lineBytes() const { return cfg_.cacheLineBytes; }
     std::uint32_t sectorBytes() const
@@ -75,7 +74,6 @@ class AddressMap
     const SystemConfig &cfg_;
     const PageTable &pages_;
     unsigned line_shift_;
-    unsigned sector_shift_;
     Addr line_mask_;
     Addr sector_mask_;
     Addr page_mask_;

@@ -151,8 +151,6 @@ class Port
 
     // --- occupancy / contention statistics (Fig. 11/12 plumbing) ---
 
-    std::uint64_t bytesForwarded() const { return wire_.bytesTotal(); }
-    std::uint64_t messagesForwarded() const { return msgs_; }
     /** Fraction of elapsed cycles the output wire was occupied. */
     double utilization() const;
     std::uint32_t peakQueueDepth() const { return peak_depth_; }

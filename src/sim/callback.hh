@@ -1,24 +1,24 @@
 /**
  * @file
- * A small-buffer-optimized, move-only callable for engine events and
- * protocol completion paths.
+ * A move-only callable stored in place, for engine events and protocol
+ * completion paths.
  *
  * std::function's inline buffer (16 bytes on libstdc++) is smaller than
  * almost every closure the protocol engines schedule — a typical data-path
  * continuation captures `this`, a MemAccess, a few ids and one or two
  * completion callbacks — so the seed engine paid one heap allocation +
- * free per event. SmallCallback widens the inline buffer so all of those
- * captures are stored in place; only outsized, over-aligned or
- * throwing-move callables fall back to the heap. Dispatch is a single
- * ops-table pointer (invoke / relocate / destroy), generated per closure
- * type.
+ * free per event. SmallCallback<N> stores its callable in an N-byte
+ * buffer and nowhere else: a closure larger than N, aligned beyond a
+ * pointer, or whose move may throw does not convert, so a capture that
+ * outgrows its buffer is a compile error, never a silent allocation.
+ * Dispatch is a single ops-table pointer (invoke / relocate / destroy),
+ * generated per closure type.
  *
  * The buffer is aligned to a pointer, not to `std::max_align_t`: every
  * capture the simulator makes (pointers, ids, addresses, other
  * SmallCallbacks) needs no more, and the smaller alignment drops the
  * padding after the ops pointer. A SmallCallback<N> is then exactly
- * N + 8 bytes — a completion callback is one 64-byte host cache line. A
- * closure that needs 16-byte alignment still works; it lives on the heap.
+ * N + 8 bytes — a completion callback is one 64-byte host cache line.
  *
  * The signature is a template parameter (`SmallCallback<N, R(Args...)>`,
  * defaulting to `void()`), so the same machinery backs the engine's
@@ -42,37 +42,40 @@ namespace hmg
  * (core/protocol.hh's LoadDoneCb/DoneCb and GpmNode's parked
  * continuations) and the SM front-end's MSHR waiters. Sized for the
  * SM's fattest capture (`this` + a warp slot index + a MemAccess + a
- * Version + an op pointer = 56 bytes); anything larger spills to the
- * heap gracefully.
+ * Version + an op pointer = 56 bytes).
  */
 constexpr std::size_t kCompletionCbBytes = 56;
 
 template <std::size_t N, typename Sig = void()>
 class SmallCallback;
 
-/** Move-only `R(Args...)` callable with `N` bytes of inline storage. */
+/** Move-only `R(Args...)` callable held in `N` bytes of its own. */
 template <std::size_t N, typename R, typename... Args>
 class SmallCallback<N, R(Args...)>
 {
+    static constexpr std::size_t kAlign = alignof(void *);
+    static_assert(N % kAlign == 0, "inline capacity must keep the "
+                                   "callback free of tail padding");
+
+    /** Can `Fn` live in the buffer? Nothing else is accepted. */
+    template <typename Fn>
+    static constexpr bool kFits = sizeof(Fn) <= N &&
+                                  alignof(Fn) <= kAlign &&
+                                  std::is_nothrow_move_constructible_v<Fn>;
+
   public:
     SmallCallback() = default;
     SmallCallback(std::nullptr_t) {}
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, SmallCallback> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, SmallCallback> &&
+                 std::is_invocable_r_v<R, std::decay_t<F> &, Args...> &&
+                 kFits<std::decay_t<F>>)
     SmallCallback(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= N && alignof(Fn) <= kAlign &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            new (buf_) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
-            ops_ = &heapOps<Fn>;
-        }
+        new (buf_) Fn(std::forward<F>(f));
+        ops_ = &opsFor<Fn>;
     }
 
     SmallCallback(SmallCallback &&other) noexcept { moveFrom(other); }
@@ -115,16 +118,7 @@ class SmallCallback<N, R(Args...)>
         return o->invoke_destroy(buf_, std::forward<Args>(args)...);
     }
 
-    static constexpr std::size_t inlineCapacity() { return N; }
-
-    /** True when the stored callable lives in the inline buffer. */
-    bool isInline() const { return ops_ && ops_->inline_storage; }
-
   private:
-    static constexpr std::size_t kAlign = alignof(void *);
-    static_assert(N % kAlign == 0, "inline capacity must keep the "
-                                   "callback free of tail padding");
-
     struct Ops
     {
         R (*invoke)(void *, Args...);
@@ -133,11 +127,10 @@ class SmallCallback<N, R(Args...)>
         /** Move-construct into `dst` from `src`, then destroy `src`. */
         void (*relocate)(void *dst, void *src);
         void (*destroy)(void *);
-        bool inline_storage;
     };
 
     template <typename Fn>
-    static constexpr Ops inlineOps = {
+    static constexpr Ops opsFor = {
         [](void *p, Args... args) -> R {
             return (*std::launder(reinterpret_cast<Fn *>(p)))(
                 std::forward<Args>(args)...);
@@ -159,31 +152,6 @@ class SmallCallback<N, R(Args...)>
             s->~Fn();
         },
         [](void *p) { std::launder(reinterpret_cast<Fn *>(p))->~Fn(); },
-        true,
-    };
-
-    template <typename Fn>
-    static constexpr Ops heapOps = {
-        [](void *p, Args... args) -> R {
-            return (**reinterpret_cast<Fn **>(p))(
-                std::forward<Args>(args)...);
-        },
-        [](void *p, Args... args) -> R {
-            Fn *f = *reinterpret_cast<Fn **>(p);
-            if constexpr (std::is_void_v<R>) {
-                (*f)(std::forward<Args>(args)...);
-                delete f;
-            } else {
-                R r = (*f)(std::forward<Args>(args)...);
-                delete f;
-                return r;
-            }
-        },
-        [](void *dst, void *src) {
-            *reinterpret_cast<Fn **>(dst) = *reinterpret_cast<Fn **>(src);
-        },
-        [](void *p) { delete *reinterpret_cast<Fn **>(p); },
-        false,
     };
 
     void

@@ -66,8 +66,9 @@ class Engine
      * step (`this`, a StoreFlow with its completion, a home id and the
      * accept completion: 184 bytes); an atomic's step, with its access,
      * ids, version and two completions, is 176. Both count on a
-     * completion callback taking one 64-byte line (sim/callback.hh);
-     * tests/alloc_test.cc pins the sizes and counts what still spills.
+     * completion callback taking one 64-byte line (sim/callback.hh,
+     * pinned by tests/alloc_test.cc); a closure that outgrows the
+     * buffer does not compile.
      */
     using Callback = SmallCallback<192>;
 

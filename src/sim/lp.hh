@@ -262,10 +262,6 @@ class LpDomain
     // Sync-overhead observability (BENCH_engine.json "pdes" section).
     std::uint64_t windows() const { return windows_; }
     std::uint64_t boundaryMsgs() const { return boundary_msgs_; }
-    std::uint64_t nullMsgs() const { return null_msgs_; }
-    std::uint64_t creditReturns() const { return credit_returns_; }
-    std::uint64_t crossLpPosts() const { return posts_; }
-    std::uint64_t lpStallWindows() const { return stall_windows_; }
 
   private:
     Tick runTimeWindow();

@@ -62,8 +62,8 @@ struct ApplyOutcome
  *                 kInvalidGpm when no node retains a tracked copy
  * @param ev       the directory event
  * @param pre      entry state before the event
- * @param gpuHomeOf maps a GPU id to its GPU-home GPM for this sector
- * @param nodeHomeOf maps a node id to its node-home GPM for this sector
+ * @param sys      the system home of the entry's sector, from which
+ *                 the GPU and node homes a fan addresses follow
  * @param emitInv  called once per invalidation target, in the
  *                 deterministic order of forEachInvTarget /
  *                 forEachRefanTarget (ascending GPM bits, then
@@ -71,12 +71,11 @@ struct ApplyOutcome
  * @return the row applied plus the post-update entry state; the caller
  *         commits it (remove when !keepEntry, else write the bits).
  */
-template <typename GpuHomeFn, typename NodeHomeFn, typename EmitInvFn>
+template <typename EmitInvFn>
 inline ApplyOutcome
 applyDirEvent(const TransitionTable &t, const SharerTopology &topo,
               bool hier, GpmId h, GpmId via, DirEvent ev,
-              const DirSnapshot &pre, GpuHomeFn &&gpuHomeOf,
-              NodeHomeFn &&nodeHomeOf, EmitInvFn &&emitInv)
+              const DirSnapshot &pre, GpmId sys, EmitInvFn &&emitInv)
 {
     const bool tracked = via != kInvalidGpm && via != h;
     const DirState state = pre.present ? DirState::Valid
@@ -93,16 +92,15 @@ applyDirEvent(const TransitionTable &t, const SharerTopology &topo,
         break;
       case EmitMsg::InvOthers:
         forEachInvTarget(topo, hier, h, tracked ? via : kInvalidGpm,
-                         pre.gpmBits, pre.gpuBits, pre.nodeBits,
-                         gpuHomeOf, nodeHomeOf, emitInv);
+                         pre.gpmBits, pre.gpuBits, pre.nodeBits, sys,
+                         emitInv);
         break;
       case EmitMsg::InvAll:
         forEachInvTarget(topo, hier, h, kInvalidGpm, pre.gpmBits,
-                         pre.gpuBits, pre.nodeBits, gpuHomeOf,
-                         nodeHomeOf, emitInv);
+                         pre.gpuBits, pre.nodeBits, sys, emitInv);
         break;
       case EmitMsg::RefanGpm:
-        forEachRefanTarget(topo, h, pre.gpmBits, pre.gpuBits, gpuHomeOf,
+        forEachRefanTarget(topo, h, pre.gpmBits, pre.gpuBits, sys,
                            emitInv);
         break;
     }

@@ -24,11 +24,10 @@
 
 #include "verify/model.hh"
 
-#include <algorithm>
 #include <cstring>
-#include <deque>
+#include <string>
+#include <vector>
 
-#include "common/flat_map.hh"
 #include "common/log.hh"
 #include "core/protocol.hh"
 #include "core/sharer_ops.hh"
@@ -126,6 +125,14 @@ struct MState
     std::uint8_t nextVer;
     std::uint8_t chanN[kMaxGpms][kMaxGpms];
     Msg chanQ[kMaxGpms][kMaxGpms][kChanCap];
+
+    /** Canonical key for the visited set: the raw bytes. */
+    std::string
+    key() const
+    {
+        return std::string(reinterpret_cast<const char *>(this),
+                           sizeof(MState));
+    }
 };
 
 static_assert(sizeof(MState) ==
@@ -510,9 +517,7 @@ Explorer::applyAt(MState &s, GpmId node, GpmId via, std::uint8_t l,
     const TransitionTable &tab = tableAt(node, l);
     const DirSnapshot pre = readEntry(s, node, l);
     ApplyOutcome out = applyDirEvent(
-        tab, topo_, cfg_.hier, node, via, ev, pre,
-        [&](GpuId g) { return ghOfLine(g, l); },
-        [&](NodeId n) { return nhOfLine(n, l); },
+        tab, topo_, cfg_.hier, node, via, ev, pre, hOf(l),
         [&](GpmId tgt) { send(s, node, tgt, Msg{MInv, l, 0, 0}); });
 
     // Commit, mirroring core/hw_protocol.cc's directory adapter:
@@ -562,9 +567,7 @@ Explorer::evictFor(MState &s, GpmId node, std::uint8_t line)
     if (pre.gpmBits || pre.gpuBits || pre.nodeBits)
         applyDirEvent(
             tableAt(node, vl), topo_, cfg_.hier, node, kInvalidGpm,
-            DirEvent::Replace, pre,
-            [&](GpuId g) { return ghOfLine(g, vl); },
-            [&](NodeId n) { return nhOfLine(n, vl); },
+            DirEvent::Replace, pre, hOf(vl),
             [&](GpmId tgt) { send(s, node, tgt, Msg{MInv, vl, 0, 0}); });
     writeEntry(s, node, vl, false, 0, 0, 0);
 }
@@ -1073,89 +1076,43 @@ Explorer::checkState(const MState &s) const
 MckResult
 Explorer::run()
 {
-    MckResult res;
-
     MState init{};
     std::memset(init.reg, kRegUnset, sizeof(init.reg));
+    Search<MState> search(init);
 
-    auto key = [](const MState &s) {
-        return std::string(reinterpret_cast<const char *>(&s),
-                           sizeof(MState));
-    };
-
-    std::vector<MState> states;
-    std::vector<std::uint32_t> parent;
-    std::vector<std::string> label;
-    FlatMap<std::string, std::uint32_t> seen;
-
-    states.push_back(init);
-    parent.push_back(0);
-    label.emplace_back();
-    seen.tryEmplace(key(init), 0);
-
-    auto fail = [&](std::uint32_t idx, std::string what) {
-        res.ok = false;
-        res.violation = std::move(what);
-        std::vector<std::string> tr;
-        for (std::uint32_t i = idx; i != 0; i = parent[i])
-            tr.push_back(label[i]);
-        std::reverse(tr.begin(), tr.end());
-        res.trace = std::move(tr);
-        res.statesExplored = states.size();
-    };
-
-    std::deque<std::uint32_t> frontier;
-    frontier.push_back(0);
+    std::uint32_t idx;
+    MState cur;
     std::vector<Succ> succs;
-
-    while (!frontier.empty()) {
-        const std::uint32_t idx = frontier.front();
-        frontier.pop_front();
-        const MState cur = states[idx]; // states may reallocate below
-
+    while (search.next(idx, cur)) {
         succs.clear();
         successors(cur, succs);
         if (succs.empty()) {
-            if (!allDone(cur)) {
-                fail(idx, "deadlock: no transition enabled and threads "
-                          "are still running");
-                return res;
-            }
-            ++res.finalStates;
+            if (!allDone(cur))
+                search.fail(idx, "deadlock: no transition enabled and "
+                                 "threads are still running");
+            else
+                search.terminal();
             continue;
         }
 
         for (Succ &sc : succs) {
-            ++res.transitionsTaken;
-            if (!seen.tryEmplace(key(sc.st),
-                                 static_cast<std::uint32_t>(states.size()))
-                     .second)
+            // A state reached before is not checked again, so a step's
+            // error is looked at only when its state is new.
+            const std::uint32_t nidx =
+                search.step(idx, sc.st, std::move(sc.label));
+            if (nidx == Search<MState>::kSeen)
                 continue;
-            const auto nidx = static_cast<std::uint32_t>(states.size());
-            states.push_back(sc.st);
-            parent.push_back(idx);
-            label.push_back(std::move(sc.label));
-            if (!sc.err.empty()) {
-                fail(nidx, std::move(sc.err));
-                return res;
-            }
-            std::string v = checkState(states[nidx]);
+            std::string v =
+                sc.err.empty() ? checkState(sc.st) : std::move(sc.err);
+            if (v.empty() && search.size() > kStateBound)
+                v = "state-space bound exceeded (model growth bug?)";
             if (!v.empty()) {
-                fail(nidx, std::move(v));
-                return res;
+                search.fail(nidx, std::move(v));
+                break;
             }
-            if (states.size() > kStateBound) {
-                fail(nidx,
-                     "state-space bound exceeded (model growth bug?)");
-                return res;
-            }
-            frontier.push_back(nidx);
         }
     }
-
-    res.ok = true;
-    res.statesExplored = states.size();
-    return res;
+    return search.result();
 }
 
 } // namespace

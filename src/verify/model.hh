@@ -50,8 +50,8 @@
 #define HMG_VERIFY_MODEL_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
+
+#include "verify/search.hh"
 
 namespace hmg::verify
 {
@@ -99,20 +99,6 @@ struct MckConfig
      * produces a counterexample trace for a bad table row.
      */
     bool seedBadRow = false;
-};
-
-/** Result of one exhaustive exploration. */
-struct MckResult
-{
-    bool ok = false;
-    std::uint64_t statesExplored = 0;
-    std::uint64_t transitionsTaken = 0;
-    std::uint64_t finalStates = 0;     //!< states with all threads done
-    /** First violation found (empty when ok). */
-    std::string violation;
-    /** Minimal counterexample: one action label per step from the
-     *  initial state to the violating state (empty when ok). */
-    std::vector<std::string> trace;
 };
 
 /** Exhaustively explore the protocol under `cfg`. */

@@ -1,9 +1,9 @@
 #include "verify/retry_model.hh"
 
 #include <algorithm>
-#include <deque>
-#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/log.hh"
 
@@ -49,87 +49,48 @@ struct RetryState
     }
 };
 
-/** The explorer: BFS with parent links for counterexample traces. */
+/** The explorer: the shared breadth-first search (verify/search.hh). */
 class RetryExplorer
 {
   public:
-    explicit RetryExplorer(const RetryMckConfig &cfg) : cfg_(cfg) {}
+    explicit RetryExplorer(const RetryMckConfig &cfg)
+        : cfg_(cfg),
+          search_(RetryState{
+              .budget = static_cast<std::uint8_t>(cfg.lossBudget),
+              .frames = {},
+              .acks = {}})
+    {
+    }
 
-    RetryMckResult
+    MckResult
     run()
     {
-        RetryState init;
-        init.budget = static_cast<std::uint8_t>(cfg_.lossBudget);
-        visit(init, std::string(), std::string());
-        while (res_.ok && !queue_.empty()) {
-            RetryState s = std::move(queue_.front());
-            queue_.pop_front();
-            expand(s);
-        }
-        return std::move(res_);
+        std::uint32_t at;
+        RetryState s;
+        while (search_.next(at, s))
+            expand(at, s);
+        return search_.result();
     }
 
   private:
-    void
-    visit(const RetryState &s, const std::string &parent,
-          const std::string &action)
-    {
-        const std::string k = s.key();
-        if (parents_.count(k))
-            return;
-        parents_.emplace(k, std::make_pair(parent, action));
-        queue_.push_back(s);
-        ++res_.statesExplored;
-    }
-
-    void
-    fail(const RetryState &s, const std::string &action,
-         const std::string &why)
-    {
-        res_.ok = false;
-        res_.violation = why;
-        // Reconstruct the action path root -> s, then the failing step.
-        std::vector<std::string> path;
-        std::string k = s.key();
-        while (true) {
-            const auto &[parent, act] = parents_.at(k);
-            if (act.empty())
-                break;
-            path.push_back(act);
-            k = parent;
-        }
-        res_.trace.assign(path.rbegin(), path.rend());
-        if (!action.empty())
-            res_.trace.push_back(action);
-    }
-
-    /** Apply the receiver's frame-acceptance rule; false on violation. */
-    bool
-    receive(RetryState &t, std::uint8_t seq, const RetryState &from,
-            const std::string &action)
+    /** Apply the receiver's frame-acceptance rule to `t`.
+     *  @return the violation it commits, or empty */
+    std::string
+    receive(RetryState &t, std::uint8_t seq) const
     {
         if (cfg_.seedAcceptAnySeq) {
             // Bug hook: no in-order filter — accept whatever arrives.
-            if (t.delivered & (1u << seq)) {
-                fail(from, action,
-                     "duplicate delivery of seq " + std::to_string(seq));
-                return false;
-            }
-            if (seq != t.expected) {
-                fail(from, action,
-                     "out-of-order delivery: got seq " +
-                         std::to_string(seq) + ", expected " +
-                         std::to_string(t.expected));
-                return false;
-            }
+            if (t.delivered & (1u << seq))
+                return "duplicate delivery of seq " + std::to_string(seq);
+            if (seq != t.expected)
+                return "out-of-order delivery: got seq " +
+                       std::to_string(seq) + ", expected " +
+                       std::to_string(t.expected);
         }
         if (seq == t.expected) {
             // In-order accept: deliver exactly once, advance, ack.
-            if (t.delivered & (1u << seq)) {
-                fail(from, action,
-                     "duplicate delivery of seq " + std::to_string(seq));
-                return false;
-            }
+            if (t.delivered & (1u << seq))
+                return "duplicate delivery of seq " + std::to_string(seq);
             t.delivered = static_cast<std::uint8_t>(
                 t.delivered | (1u << seq));
             ++t.expected;
@@ -138,18 +99,16 @@ class RetryExplorer
         // cumulative dup-ack on a filtered retransmission is what
         // resynchronizes a sender whose acks were lost.
         t.acks.push_back(t.expected);
-        return true;
+        return {};
     }
 
     void
-    expand(const RetryState &s)
+    expand(std::uint32_t at, const RetryState &s)
     {
-        const std::string k = s.key();
         bool any = false;
-        auto step = [&](RetryState t, const std::string &action) {
+        auto step = [&](RetryState t, std::string action) {
             any = true;
-            ++res_.transitionsTaken;
-            visit(t, k, action);
+            search_.step(at, std::move(t), std::move(action));
         };
 
         // send: a fresh frame while window space remains.
@@ -186,8 +145,11 @@ class RetryExplorer
                 t.frames.erase(t.frames.begin());
                 const std::string action =
                     "deliver frame " + std::to_string(seq);
-                if (!receive(t, seq, s, action))
+                // A bad delivery fails before its state is deduplicated.
+                if (std::string why = receive(t, seq); !why.empty()) {
+                    search_.fail(at, std::move(why), action);
                     return;
+                }
                 step(std::move(t), action);
             }
         }
@@ -213,33 +175,29 @@ class RetryExplorer
         if (!any) {
             // Terminal state: nothing in flight, nothing to send or
             // resend. Delivery liveness == every terminal is complete.
-            ++res_.finalStates;
+            search_.terminal();
             const auto full = static_cast<std::uint8_t>(
                 (1u << cfg_.numMsgs) - 1);
             if (s.expected != cfg_.numMsgs || s.delivered != full ||
                 s.base != cfg_.numMsgs)
-                fail(s, std::string(),
-                     "terminal state with incomplete delivery: "
-                     "expected cursor " +
-                         std::to_string(s.expected) + "/" +
-                         std::to_string(cfg_.numMsgs) +
-                         ", delivered mask " +
-                         std::to_string(s.delivered) + ", base " +
-                         std::to_string(s.base));
+                search_.fail(at,
+                             "terminal state with incomplete delivery: "
+                             "expected cursor " +
+                                 std::to_string(s.expected) + "/" +
+                                 std::to_string(cfg_.numMsgs) +
+                                 ", delivered mask " +
+                                 std::to_string(s.delivered) + ", base " +
+                                 std::to_string(s.base));
         }
     }
 
     RetryMckConfig cfg_;
-    RetryMckResult res_;
-    std::deque<RetryState> queue_;
-    /** state key -> (parent key, action that produced it). Ordered map:
-     *  exploration order must be deterministic for stable traces. */
-    std::map<std::string, std::pair<std::string, std::string>> parents_;
+    Search<RetryState> search_;
 };
 
 } // namespace
 
-RetryMckResult
+MckResult
 exploreRetry(const RetryMckConfig &cfg)
 {
     hmg_assert(cfg.numMsgs >= 1 && cfg.numMsgs <= 8); // bitmask width

@@ -34,8 +34,8 @@
 #define HMG_VERIFY_RETRY_MODEL_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
+
+#include "verify/search.hh"
 
 namespace hmg::verify
 {
@@ -55,19 +55,9 @@ struct RetryMckConfig
     bool seedAcceptAnySeq = false;
 };
 
-/** Outcome of one exhaustive exploration. */
-struct RetryMckResult
-{
-    bool ok = true;
-    std::uint64_t statesExplored = 0;
-    std::uint64_t transitionsTaken = 0;
-    std::uint64_t finalStates = 0; //!< terminal (quiescent) states
-    std::string violation;         //!< first invariant failure
-    std::vector<std::string> trace; //!< action path to the violation
-};
-
-/** Breadth-first exploration of every loss/retransmit interleaving. */
-RetryMckResult exploreRetry(const RetryMckConfig &cfg);
+/** Breadth-first exploration of every loss/retransmit interleaving;
+ *  its final states are the terminal (quiescent) ones. */
+MckResult exploreRetry(const RetryMckConfig &cfg);
 
 } // namespace hmg::verify
 

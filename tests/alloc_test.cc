@@ -178,7 +178,9 @@ TEST_P(AllocTest, SteadyStateAllocationsPerOpAreBounded)
  * wrapped completions spilled their closures on every load, store,
  * atomic, acquire and release: 1.11 per extra op. Parked in the
  * checker's pool, 0.11. Each bound leaves about 0.04 per op of headroom:
- * a closure that spills on one op in ten breaks it.
+ * anything that allocates on one op in ten breaks it. A closure no longer
+ * can: SmallCallback refuses one that does not fit its buffer at compile
+ * time.
  */
 INSTANTIATE_TEST_SUITE_P(
     Cells, AllocTest,

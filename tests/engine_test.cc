@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -408,21 +409,49 @@ TEST(Engine, SlabCapacityFollowsPeakLiveEvents)
     EXPECT_LE(e.slabCapacity(), (peak_live + kBlock - 1) / kBlock * kBlock);
 }
 
-// Closures up to Engine::Callback's inline capacity must not touch the
-// heap; bigger ones still work via the fallback.
+// A SmallCallback holds its closure in its own buffer and nowhere else:
+// one that does not fit (too large, aligned beyond a pointer, or with a
+// move that may throw) does not convert, so it cannot reach the heap.
+struct Big
+{
+    unsigned char pad[512];
+    void operator()() const {}
+};
+struct alignas(16) OverAligned
+{
+    unsigned char pad[16];
+    void operator()() const {}
+};
+struct ThrowingMove
+{
+    ThrowingMove() = default;
+    ThrowingMove(ThrowingMove &&) noexcept(false) {}
+    void operator()() const {}
+};
+/** Exactly fills a completion callback's buffer. */
+struct Fills
+{
+    unsigned char pad[kCompletionCbBytes];
+    void operator()() const {}
+};
+using CompletionCb = SmallCallback<kCompletionCbBytes>;
+static_assert(!std::is_constructible_v<Engine::Callback, Big>);
+static_assert(!std::is_constructible_v<CompletionCb, OverAligned>);
+static_assert(!std::is_constructible_v<CompletionCb, ThrowingMove>);
+static_assert(std::is_constructible_v<CompletionCb, Fills>);
+static_assert(sizeof(CompletionCb) == kCompletionCbBytes + sizeof(void *));
+
 TEST(Engine, CallbackInlineStorage)
 {
     struct Small { unsigned char pad[96]; };
-    struct Big { unsigned char pad[512]; };
-    Engine::Callback small_cb([s = Small{}]() { (void)s; });
-    Engine::Callback big_cb([b = Big{}]() { (void)b; });
-    EXPECT_TRUE(small_cb.isInline());
-    EXPECT_FALSE(big_cb.isInline());
-
     Engine e;
     int fired = 0;
     e.schedule(1, [&fired, s = Small{}]() { (void)s; ++fired; });
-    e.schedule(2, [&fired, b = Big{}]() { (void)b; ++fired; });
+    CompletionCb full{Fills{}};
+    e.schedule(2, [&fired, cb = std::move(full)]() mutable {
+        cb();
+        ++fired;
+    });
     e.run();
     EXPECT_EQ(fired, 2);
 }

@@ -81,9 +81,13 @@ TEST_P(ConcurrentMp, ReaderRacingWriterSeesPublishedData)
         });
 
         // Reader: poll the flag every 50 cycles until it sees the new
-        // version, then acquire and check the data.
-        bool done = false;
-        std::optional<Version> seen_data1, seen_data2;
+        // version, then acquire and check the data. What it saw is one
+        // struct, so a load completion's captures fit its buffer.
+        struct Seen
+        {
+            std::optional<Version> data1, data2;
+            bool done = false;
+        } seen;
         std::function<void()> poll = [&]() {
             d.sys.model().load(
                 d.acc(reader, kFlag, scope), [&](Version fv) {
@@ -92,15 +96,15 @@ TEST_P(ConcurrentMp, ReaderRacingWriterSeesPublishedData)
                                           [&]() {
                         d.sys.model().load(d.acc(reader, kData),
                                            [&](Version x) {
-                            seen_data1 = x;
+                            seen.data1 = x;
                             d.sys.model().load(d.acc(reader, kData2),
                                                [&](Version y) {
-                                seen_data2 = y;
-                                done = true;
+                                seen.data2 = y;
+                                seen.done = true;
                             });
                         });
                     });
-                } else if (!done) {
+                } else if (!seen.done) {
                     d.engine().schedule(50, poll);
                 }
             });
@@ -108,10 +112,10 @@ TEST_P(ConcurrentMp, ReaderRacingWriterSeesPublishedData)
         d.engine().schedule(1, poll);
         d.engine().run();
 
-        ASSERT_TRUE(done) << "reader never observed the flag";
+        ASSERT_TRUE(seen.done) << "reader never observed the flag";
         ASSERT_TRUE(flag_published);
-        EXPECT_GE(*seen_data1, v1) << "trial " << trial;
-        EXPECT_GE(*seen_data2, v2) << "trial " << trial;
+        EXPECT_GE(*seen.data1, v1) << "trial " << trial;
+        EXPECT_GE(*seen.data2, v2) << "trial " << trial;
     }
 }
 

@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the two-level outstanding-write ledger behind release
- * semantics.
+ * semantics, and for the DrainLedger each level is.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/config.hh"
 #include "core/release_tracker.hh"
 #include "sim/lp.hh"
+#include "sim/pool.hh"
 
 namespace hmg
 {
@@ -115,6 +118,40 @@ TEST(ReleaseTracker, WaiterRegisteredInsideCallbackWaitsForNext)
     t.reachedGpuLevel(0);
     t.reachedSysLevel(0);
     EXPECT_EQ(inner, 1);
+}
+
+// The ledger behind each level (sim/pool.hh). Waiters run in arrival
+// order when the count drains. While they run, a waiter that waits with
+// nothing in flight runs at once; one that issues first (a marker round
+// starting its next round at the same GPM) waits for the next drain.
+TEST(DrainLedger, WaitersRunInArrivalOrderAndReissueWaitsForNextDrain)
+{
+    DrainLedger<ReleaseTracker::Callback> ledger;
+    std::vector<int> order;
+    ledger.issue();
+    ledger.issue();
+    ledger.wait([&]() {
+        order.push_back(0);
+        ledger.wait([&]() { order.push_back(1); });
+    });
+    ledger.wait([&]() {
+        order.push_back(2);
+        ledger.issue();
+        ledger.wait([&]() { order.push_back(4); });
+    });
+    ledger.wait([&]() { order.push_back(3); });
+    ledger.land();
+    EXPECT_TRUE(order.empty());
+    ledger.land();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(ledger.inFlight(), 1u);
+    ledger.land();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(ledger.inFlight(), 0u);
+
+    bool ran = false;
+    ledger.wait([&]() { ran = true; });
+    EXPECT_TRUE(ran);
 }
 
 TEST(ReleaseTrackerDeath, UnderflowPanics)

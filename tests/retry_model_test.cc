@@ -19,7 +19,7 @@ namespace
 
 TEST(RetryModel, DefaultInstanceVerifies)
 {
-    const RetryMckResult res = exploreRetry(RetryMckConfig{});
+    const MckResult res = exploreRetry(RetryMckConfig{});
     EXPECT_TRUE(res.ok) << res.violation;
     EXPECT_GT(res.statesExplored, 0u);
     EXPECT_GT(res.transitionsTaken, res.statesExplored);
@@ -34,11 +34,11 @@ TEST(RetryModel, LargerInstanceVerifies)
     cfg.numMsgs = 4;
     cfg.window = 3;
     cfg.lossBudget = 4;
-    const RetryMckResult res = exploreRetry(cfg);
+    const MckResult res = exploreRetry(cfg);
     EXPECT_TRUE(res.ok) << res.violation;
     EXPECT_GT(res.finalStates, 0u);
     // Sanity: the bigger instance explores strictly more states.
-    const RetryMckResult small = exploreRetry(RetryMckConfig{});
+    const MckResult small = exploreRetry(RetryMckConfig{});
     EXPECT_GT(res.statesExplored, small.statesExplored);
 }
 
@@ -46,7 +46,7 @@ TEST(RetryModel, LosslessInstanceVerifies)
 {
     RetryMckConfig cfg;
     cfg.lossBudget = 0; // no losses: plain windowed FIFO delivery
-    const RetryMckResult res = exploreRetry(cfg);
+    const MckResult res = exploreRetry(cfg);
     EXPECT_TRUE(res.ok) << res.violation;
     EXPECT_GT(res.finalStates, 0u);
 }
@@ -55,7 +55,7 @@ TEST(RetryModel, SeededBugIsCaughtWithTrace)
 {
     RetryMckConfig cfg;
     cfg.seedAcceptAnySeq = true;
-    const RetryMckResult res = exploreRetry(cfg);
+    const MckResult res = exploreRetry(cfg);
     ASSERT_FALSE(res.ok);
     // Without the in-order filter a retransmission is either
     // re-delivered (duplicate) or delivered ahead of a lost
@@ -69,8 +69,8 @@ TEST(RetryModel, SeededBugIsCaughtWithTrace)
 
 TEST(RetryModel, DeterministicAcrossRuns)
 {
-    const RetryMckResult a = exploreRetry(RetryMckConfig{});
-    const RetryMckResult b = exploreRetry(RetryMckConfig{});
+    const MckResult a = exploreRetry(RetryMckConfig{});
+    const MckResult b = exploreRetry(RetryMckConfig{});
     EXPECT_EQ(a.statesExplored, b.statesExplored);
     EXPECT_EQ(a.transitionsTaken, b.transitionsTaken);
     EXPECT_EQ(a.finalStates, b.finalStates);

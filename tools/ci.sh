@@ -2,9 +2,9 @@
 # The CI wall: lint + tier-1 tests under the default, ASan and UBSan
 # presets (tier-1 runs every hmgcheck leg: the static families at the
 # default, DGX and scale-out shapes, exhaustive exploration per protocol
-# and every seeded bug), the static report as a SARIF artifact, a
-# sanitizer pass over the fault-injection label and TSan over the
-# threaded code.
+# and every seeded bug), the static report as a SARIF artifact, the
+# host-speed benchmark's self-test, a sanitizer pass over the
+# fault-injection label and TSan over the threaded code.
 #
 # Everything here is hermetic — no network, no installed extras beyond
 # cmake/g++ (clang-tidy is picked up when present, skipped when not).
@@ -88,6 +88,13 @@ mkdir -p build/artifacts
 budget 120 "hmgcheck sarif" sh -c \
     'build/tools/hmgcheck --static --sarif > build/artifacts/hmgcheck.sarif'
 echo "ci: SARIF artifact at build/artifacts/hmgcheck.sarif"
+
+# hostbench (the benchmark behind BENCHMARK.json) compiles src/ in a
+# build of its own that no preset touches: build it, check every
+# metric's name and unit, and meet the recorded digests, so a src change
+# that breaks the benchmark fails here rather than at the benchmark.
+echo "=== hostbench: self-test (build, metric names, recorded digests) ==="
+budget 900 "hostbench selftest" python3 hostbench/selftest.py
 
 # The fault-injection smokes (requeue/replay/watchdog paths) under ASan:
 # the asan test preset filters the tier1 label, so the `fault` label is

@@ -290,10 +290,10 @@ verdict(bool ok, bool expectFail, const char *holds)
  * Print one exhaustive stage's line, and its violation when there is
  * one. @return whether the stage passed.
  */
-template <typename Result>
 bool
 printExhaustive(const Options &o, const char *stage, const std::string &name,
-                const Result &res, bool expectFail, const char *holds)
+                const verify::MckResult &res, bool expectFail,
+                const char *holds)
 {
     const bool pass = expectFail ? !res.ok : res.ok;
     if (o.quiet && pass)
