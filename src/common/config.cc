@@ -167,6 +167,25 @@ SystemConfig::validate() const
         hmg_fatal("transport queue parameters must be non-zero");
     if (l2WriteBack && !isHardwareProtocol(protocol))
         hmg_fatal("write-back L2s require a hardware coherence protocol");
+    // A knob the chosen model never reads would run identically to the
+    // same config without it, so it is refused rather than ignored.
+    if (sharerDowngrade && !isHardwareProtocol(protocol))
+        hmg_fatal("sharerDowngrade requires a hardware coherence protocol "
+                  "(NHCC or HMG), not %s",
+                  hmg::toString(protocol));
+    if (sharerDowngrade && dirLinesPerEntry != 1)
+        hmg_fatal("sharerDowngrade requires dirLinesPerEntry == 1 (got "
+                  "%u): with coarser entries a downgrade could prune a "
+                  "sharer that still caches a sibling line",
+                  dirLinesPerEntry);
+    if (hierarchicalReleaseFanout && protocol != Protocol::Hmg)
+        hmg_fatal("hierarchicalReleaseFanout requires the HMG protocol, "
+                  "not %s: no other protocol relays release markers",
+                  hmg::toString(protocol));
+    if (lpDeterministic && lpJobs <= 1)
+        hmg_fatal("lpDeterministic requires lpJobs > 1 (got %u): a serial "
+                  "run has no LP merge to make deterministic",
+                  lpJobs);
     if (fault.dropProb < 0 || fault.corruptProb < 0 ||
         fault.delayProb < 0)
         hmg_fatal("fault probabilities must be non-negative");

@@ -153,6 +153,7 @@ struct SystemConfig
      * When true, clean L2 evictions notify the home so the sharer entry
      * can be pruned (the optional "downgrade" message of Section IV-B).
      * The paper's evaluation leaves this off; we expose it for ablation.
+     * Requires NHCC or HMG and dirLinesPerEntry == 1 (validate()).
      */
     bool sharerDowngrade = false;
 
@@ -162,7 +163,7 @@ struct SystemConfig
      * point-to-point, cutting the inter-GPU control messages per release
      * from 3*(N-1)*M/4... to N-1 per round. A bandwidth optimization in
      * the spirit of Section V's hierarchy; off by default to match the
-     * protocol as described.
+     * protocol as described. HMG only (validate()).
      */
     bool hierarchicalReleaseFanout = false;
 
@@ -218,6 +219,7 @@ struct SystemConfig
      * single-threaded under a (tick, insertion-order) merge that is
      * bit-identical to the serial engine — the differential-testing
      * mode. Off: threaded time windows (delay-only relaxations).
+     * validate() refuses it with lpJobs <= 1.
      */
     bool lpDeterministic = false;
 

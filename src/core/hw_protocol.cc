@@ -421,11 +421,10 @@ HwProtocol::installEvictionHooks()
 {
     // Dirty victims must be written back (write-back mode); clean
     // victims may optionally send the downgrade message of Section IV-B
-    // ("Cache Eviction") — exact only when a directory entry covers a
-    // single line, since with coarse sectors a downgrade could prune a
-    // sharer that still caches a sibling line.
-    const bool downgrade =
-        ctx_.cfg.sharerDowngrade && ctx_.cfg.dirLinesPerEntry == 1;
+    // ("Cache Eviction"). validate() admits downgrades only where a
+    // directory entry covers a single line, the one granularity at
+    // which pruning the evicting sharer is exact.
+    const bool downgrade = ctx_.cfg.sharerDowngrade;
     for (auto &node : ctx_.gpms) {
         GpmId id = node->id();
         node->l2().setEvictionHook([this, id,

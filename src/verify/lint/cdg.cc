@@ -56,14 +56,10 @@ intraGpuOnly(const char *className)
 /**
  * The credit-pool graph over the machine in `opts`, drawn from its
  * fabric: one node per link (its pool, in the fabric's bytes) and one
- * per GPM NIC. `boundedNic` keeps every emission edge blocking (the
- * cdg family's seed); otherwise only the emissions of a stalled class
- * do.
+ * per GPM NIC. `opts.seedCdgCycle` keeps every emission edge blocking.
  */
 Graph
-buildGraph(const LintOptions &opts, bool boundedNic,
-           const std::vector<ProtocolStall> &stalls,
-           const char *family, LintReport &report)
+buildGraph(const LintOptions &opts, LintReport &report)
 {
     Graph g;
     const Fabric fabric(opts.cfg);
@@ -125,14 +121,14 @@ buildGraph(const LintOptions &opts, bool boundedNic,
     // the real transport the NIC is unbounded and every handler
     // consumes unconditionally, so these dependencies terminate in a
     // pool that can always accept — they are the escape that makes the
-    // rest of the graph acyclic. boundedNic models a bounded, blocking
+    // rest of the graph acyclic. The seed models a bounded, blocking
     // injection queue by keeping them.
     std::size_t depCount = 0;
     const MsgDep *deps = msgDeps(depCount);
     for (std::size_t d = 0; d < depCount; ++d) {
         if (deps[d].from >= count || deps[d].to >= count) {
             Finding f;
-            f.family = family;
+            f.family = "cdg";
             f.check = "bad-dep";
             f.file = kTablesFile;
             f.message = "msgDeps()[" + std::to_string(d) +
@@ -140,24 +136,13 @@ buildGraph(const LintOptions &opts, bool boundedNic,
             report.add(std::move(f));
             continue;
         }
-        // A protocol stall on the emitting class means its handler no
-        // longer consumes unconditionally; the escape cut is invalid
-        // for this dependency and the edge stays blocking.
-        const ProtocolStall *stall = nullptr;
-        for (const ProtocolStall &s : stalls)
-            if (s.triggerClass == deps[d].from)
-                stall = &s;
         for (std::uint32_t m = 0; m < gpms; ++m) {
-            std::string label = std::string("handling ") +
-                                classes[deps[d].from].name + " emits " +
-                                classes[deps[d].to].name + " (" +
-                                deps[d].why + ")";
-            if (stall)
-                label += "; ingress held by transient " +
-                         stall->transient + " awaiting " + stall->awaits;
             Edge e{fabric.linkOf(LinkTier::Gpm, LinkDir::Ingress, m),
-                   nic0 + m, std::move(label)};
-            if (boundedNic || stall)
+                   nic0 + m,
+                   std::string("handling ") + classes[deps[d].from].name +
+                       " emits " + classes[deps[d].to].name + " (" +
+                       deps[d].why + ")"};
+            if (opts.seedCdgCycle)
                 g.edges.push_back(std::move(e));
             else
                 g.escapes.push_back(std::move(e));
@@ -215,20 +200,18 @@ minimalCycle(const Graph &g)
 
 /** Append the minimal-cycle finding (if any) for a built graph. */
 void
-reportCycle(const Graph &g, const char *family,
-            const std::string &prefix, const std::string &suffix,
-            LintReport &report)
+reportCycle(const Graph &g, const std::string &suffix, LintReport &report)
 {
     const std::vector<const Edge *> cycle = minimalCycle(g);
     if (cycle.empty())
         return;
 
     Finding f;
-    f.family = family;
+    f.family = "cdg";
     f.check = "cycle";
     f.file = "src/noc/network.cc";
-    f.message = prefix + " of length " + std::to_string(cycle.size()) +
-                suffix;
+    f.message = "channel-dependency cycle of length " +
+                std::to_string(cycle.size()) + suffix;
     for (const Edge *e : cycle) {
         const Node &from = g.nodes[e->from];
         const Node &to = g.nodes[e->to];
@@ -298,60 +281,25 @@ analyzeMsgDeps(std::span<const MsgDep> deps, LintReport &report)
 void
 analyzeCdg(const LintOptions &opts, LintReport &report)
 {
-    // The escape argument requires guaranteed consumption: a handler
-    // that could block would hold its ingress slot forever.
-    std::size_t count = 0;
-    const MsgClass *classes = msgClasses(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (classes[i].nonBlockingHandler)
-            continue;
-        Finding f;
-        f.family = "cdg";
-        f.check = "blocking-handler";
-        f.file = kTablesFile;
-        f.message = std::string(classes[i].name) +
-                    ": handler may block on consumption, invalidating "
-                    "the unbounded-NIC escape the acyclicity proof "
-                    "rests on";
-        report.add(std::move(f));
-    }
     std::size_t depCount = 0;
     const MsgDep *deps = msgDeps(depCount);
     analyzeMsgDeps({deps, depCount}, report);
 
-    Graph g = buildGraph(opts, opts.seedCdgCycle, {}, "cdg", report);
+    std::size_t count = 0;
+    msgClasses(count);
+    Graph g = buildGraph(opts, report);
     report.stat("cdg.nodes", g.nodes.size());
     report.stat("cdg.edges", g.edges.size());
     report.stat("cdg.escape_edges", g.escapes.size());
     report.stat("cdg.msg_classes", count);
 
-    reportCycle(g, "cdg", "channel-dependency cycle",
+    reportCycle(g,
                 opts.seedCdgCycle
                     ? " under a bounded injection queue: every pool in "
                       "the loop can fill while waiting on the next, so "
                       "the transport can deadlock"
                     : ": the credit pools below can deadlock",
                 report);
-}
-
-void
-analyzeComposedCdg(const LintOptions &opts,
-                   const std::vector<ProtocolStall> &stalls,
-                   LintReport &report)
-{
-    Graph g = buildGraph(opts, false, stalls, "composed", report);
-    report.stat("composed.nodes", g.nodes.size());
-    report.stat("composed.edges", g.edges.size());
-    report.stat("composed.escape_edges", g.escapes.size());
-    report.stat("composed.protocol_stalls", stalls.size());
-
-    std::string suffix;
-    if (!stalls.empty())
-        suffix = ": the protocol stall at " + stalls.front().transient +
-                 " invalidates the unbounded-NIC escape and the credit "
-                 "pools below close a deadlock loop";
-    reportCycle(g, "composed", "composed protocol-transport dependency "
-                               "cycle", suffix, report);
 }
 
 } // namespace hmg::verify::lint

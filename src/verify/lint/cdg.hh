@@ -2,9 +2,9 @@
  * @file
  * Family (b): static message-class deadlock freedom over the transport.
  *
- * First the protocol layer: every message class's handler must consume
- * unconditionally, and the "handling class X may emit class Y" graph
- * over the hop-level classes (msgDeps(), spec.hh) must be acyclic.
+ * First the protocol layer: the "handling class X may emit class Y"
+ * graph over the hop-level classes (msgDeps(), spec.hh) must be
+ * acyclic.
  *
  * Then the transport: the Duato-style channel-dependency graph of the
  * NoC, drawn from the fabric (common/fabric.hh) of the machine in
@@ -22,11 +22,14 @@
  *     class Y (msgDeps()), which enters at the local NIC.
  *
  * The transport's deadlock-freedom argument is that the NIC backlog is
- * UNBOUNDED and every handler consumes unconditionally, so emission
- * edges terminate in a pool that can always accept — they are recorded
- * as "escape" edges and cut from the cycle check. What remains must be
- * acyclic; if it is not, the minimal dependency cycle (links + the
- * message classes inducing each edge) is emitted as a counterexample.
+ * UNBOUNDED and every handler consumes unconditionally — a handler
+ * applies its table row in one step, because the row type has no
+ * transient state to wait in and no acknowledgment to collect — so
+ * emission edges terminate in a pool that can always accept. They are
+ * recorded as "escape" edges and cut from the cycle check. What
+ * remains must be acyclic; if it is not, the minimal dependency cycle
+ * (links + the message classes inducing each edge) is emitted as a
+ * counterexample.
  *
  * `seedCdgCycle` models the one-line bug that would re-introduce
  * deadlock — a bounded, blocking injection queue — by keeping the
@@ -39,35 +42,13 @@
 #ifndef HMG_VERIFY_LINT_CDG_HH
 #define HMG_VERIFY_LINT_CDG_HH
 
-#include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "verify/lint/lint.hh"
 #include "verify/spec.hh"
 
 namespace hmg::verify::lint
 {
-
-/**
- * One protocol-side stall edge, derived by the liveness family
- * (liveness.cc) from the transition tables: a directory row that
- * enters a transient state (or collects acks) while *handling*
- * `triggerClass` holds its GPM ingress until `awaits` is delivered.
- * Composing these with the transport CDG turns "handler consumes
- * unconditionally" — the premise the escape-edge cut rests on — into
- * a checked fact rather than an assumption.
- */
-struct ProtocolStall
-{
-    /** msgClasses() index whose handler executes the stalling row. */
-    std::uint8_t triggerClass;
-    /** The stalling transient, e.g. "hmg-gpu-home[Valid,InvRecv,...]". */
-    std::string transient;
-    /** What the stall awaits (human description of the completion). */
-    std::string awaits;
-};
 
 /**
  * Prove the message-class graph and then the channel-dependency graph
@@ -83,20 +64,6 @@ void analyzeCdg(const LintOptions &opts, LintReport &report);
  * class outside msgClasses() are skipped; the graph build reports them.
  */
 void analyzeMsgDeps(std::span<const MsgDep> deps, LintReport &report);
-
-/**
- * The composed protocol∘transport proof: rebuild the CDG with each
- * stalled handler's emission edges kept as *blocking* (its ingress no
- * longer consumes unconditionally, so the unbounded-NIC escape cut is
- * invalid for those classes) and prove the composed graph acyclic.
- * With an empty stall list this degenerates to the pure transport CDG
- * — exactly HMG's compositional deadlock argument, now derived from
- * the tables instead of asserted. Findings use family "composed"; the
- * cdg family's seed does not apply.
- */
-void analyzeComposedCdg(const LintOptions &opts,
-                        const std::vector<ProtocolStall> &stalls,
-                        LintReport &report);
 
 } // namespace hmg::verify::lint
 

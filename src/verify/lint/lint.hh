@@ -7,19 +7,19 @@
  * exhaustive exploration: where the model checker enumerates reachable
  * protocol states (and therefore stops scaling past small instances),
  * the lint families prove *structural* properties — of the transition
- * tables, of the NoC channel-dependency graph, of the protocol's
- * transient-state wait-for graph — in milliseconds, independent of
- * state-space size.
+ * tables and of the NoC channel-dependency graph — in milliseconds,
+ * independent of state-space size.
  *
  * Every family reads one LintOptions — the validated SystemConfig of
  * the machine under analysis, whose fabric the transport proofs are
  * drawn from, plus the families' seeds — and appends Findings to a
- * shared LintReport. A Finding carries machine-readable provenance (the file
- * it is attributed to, plus table/row for spec findings) and an
- * optional counterexample: the minimal dependency cycle, the masking
- * row, the livelock cycle. Every finding is an error. The report
- * serializes to text, JSON (`hmgcheck --static --json`) and SARIF so CI
- * and editors can consume findings without scraping diagnostics.
+ * shared LintReport. A Finding carries machine-readable provenance
+ * (the file it is attributed to, plus table/row for spec findings) and
+ * an optional counterexample: the minimal dependency cycle, the
+ * closing message-class edge, the two rows a protocol divergence
+ * compares. Every finding is an error. The report serializes to text,
+ * JSON (`hmgcheck --static --json`) and SARIF so CI and editors can
+ * consume findings without scraping diagnostics.
  */
 
 #ifndef HMG_VERIFY_LINT_LINT_HH
@@ -39,9 +39,9 @@ namespace hmg::verify::lint
 inline constexpr const char *kTablesFile = "src/verify/tables.cc";
 
 /**
- * What one static pass analyzes: the machine the cdg and composed
- * graphs are built over, and each family's test hook. A family applies
- * only its own seed.
+ * What one static pass analyzes: the machine the cdg graph is built
+ * over, and each family's test hook. A family applies only its own
+ * seed.
  */
 struct LintOptions
 {
@@ -62,17 +62,14 @@ struct LintOptions
     bool seedDeadRow = false;
     /** cdg: model a bounded, blocking NIC injection queue. */
     bool seedCdgCycle = false;
-    /** liveness: mark the GPU home's re-fan row transient
-     *  (TableSeed::Livelock). */
-    bool seedLivelock = false;
 };
 
 /** One machine-readable diagnostic with provenance. */
 struct Finding
 {
-    /** Analysis family: "table", "cdg", "liveness", "composed". */
+    /** Analysis family: "table" or "cdg". */
     std::string family;
-    /** Specific check within the family, e.g. "dead-row". */
+    /** Specific check within the family, e.g. "core". */
     std::string check;
     /** Source provenance: the file that defines what the finding is
      *  about. For spec-table findings this is the file the tables live

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "verify/spec.hh"
 
@@ -47,18 +46,11 @@ tableFinding(const TransitionTable &t, std::size_t row,
     return f;
 }
 
-/** Does guard `a` accept every tracked-writer value guard `b` does? */
-bool
-guardCovers(Guard a, Guard b)
-{
-    return a == Guard::Always || a == b;
-}
-
 // ------------------------------------------------------------------
 // Individual passes.
 // ------------------------------------------------------------------
 
-/** Fold checkTable()'s ack/transient/determinism/completeness pass. */
+/** Fold checkTable()'s encoding/determinism/completeness pass. */
 void
 passCore(const TransitionTable &t, LintReport &report)
 {
@@ -71,36 +63,6 @@ passCore(const TransitionTable &t, LintReport &report)
             p.rfind(prefix, 0) == 0 ? p.substr(prefix.size()) : p);
         f.row = -1;
         report.add(std::move(f));
-    }
-}
-
-/** Dead rows: shadowed by an earlier row with a covering guard. */
-void
-passDeadRows(const TransitionTable &t, LintReport &report)
-{
-    for (std::size_t j = 1; j < t.numRows; ++j) {
-        const Transition &rj = t.rows[j];
-        for (std::size_t i = 0; i < j; ++i) {
-            const Transition &ri = t.rows[i];
-            if (ri.state != rj.state || ri.event != rj.event ||
-                !guardCovers(ri.guard, rj.guard))
-                continue;
-            Finding f = tableFinding(
-                t, j, "dead-row",
-                "row can never fire: every (state, event, tracked) "
-                "query it matches is answered first by row " +
-                    std::to_string(i) + " (guard " +
-                    toString(ri.guard) + " covers " +
-                    toString(rj.guard) + ")");
-            f.counterexample.push_back("dead row " + std::to_string(j) +
-                                       ": " + rowLabel(t, j) + "  \"" +
-                                       rj.note + "\"");
-            f.counterexample.push_back(
-                "masked by row " + std::to_string(i) + ": " +
-                rowLabel(t, i) + "  \"" + ri.note + "\"");
-            report.add(std::move(f));
-            break; // one masking row is counterexample enough
-        }
     }
 }
 
@@ -136,83 +98,6 @@ passReachability(const TransitionTable &t, LintReport &report)
             std::string("row is anchored at ") + toString(r.state) +
                 ", which no event path reaches from the initial "
                 "Invalid state"));
-    }
-}
-
-/**
- * Emitted-message budget: every message a row emits must land in a
- * consumer. Most emissions terminate at cache-side handlers that are
- * not table-driven (declared sinks below); the table-to-table edges
- * are HMG invalidations descending the home chain (system home ->
- * node home -> GPU home), each of which the lower home must be able
- * to receive as InvRecv in *both* states — delete those rows and
- * this pass catches it without any state exploration.
- */
-void
-passEmitBudget(const TableSet &tables, LintReport &report)
-{
-    for (const TransitionTable &t : tables) {
-        for (std::size_t i = 0; i < t.numRows; ++i) {
-            const Transition &r = t.rows[i];
-            const char *sink = nullptr;
-            std::vector<Role> consumerRoles;
-            DirEvent consumerEvent = DirEvent::NumEvents;
-            switch (r.emit) {
-              case EmitMsg::None:
-                continue;
-              case EmitMsg::DataResp:
-                sink = "requester MSHR fill handler";
-                break;
-              case EmitMsg::RefanGpm:
-                if (t.role == Role::NodeHome) {
-                    // A node home's re-fan addresses both its local
-                    // GPM sharers (cache-side sink) and the GPU homes
-                    // of its tracked GPUs, which re-fan once more.
-                    consumerRoles = {Role::GpuHome};
-                    consumerEvent = DirEvent::InvRecv;
-                } else {
-                    sink = "GPM L2 invalidation handler";
-                }
-                break;
-              case EmitMsg::InvOthers:
-              case EmitMsg::InvAll:
-                if (t.role == Role::SysHome) {
-                    // HMG: system-home invalidations reach remote GPU
-                    // homes (same node) and node homes (other nodes),
-                    // which must re-fan via InvRecv rows.
-                    consumerRoles = {Role::GpuHome, Role::NodeHome};
-                    consumerEvent = DirEvent::InvRecv;
-                } else {
-                    sink = "GPM L2 invalidation handler";
-                }
-                break;
-            }
-            if (sink)
-                continue; // terminal: consumed outside the tables
-            for (Role role : consumerRoles) {
-                const TransitionTable &consumer = tables[role];
-                for (DirState s : {DirState::Invalid, DirState::Valid}) {
-                    for (bool tracked : {false, true}) {
-                        if (findTransition(consumer, s, consumerEvent,
-                                           tracked))
-                            continue;
-                        Finding f = tableFinding(
-                            t, i, "missing-consumer",
-                            std::string("row emits ") + toString(r.emit) +
-                                " toward " + consumer.name +
-                                ", which has no row consuming (" +
-                                toString(s) + ", " +
-                                toString(consumerEvent) +
-                                ", tracked=" + (tracked ? "1" : "0") +
-                                ")");
-                        f.counterexample.push_back(
-                            "emitting row: " + rowLabel(t, i) + "  \"" +
-                            r.note + "\"");
-                        report.add(std::move(f));
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -282,10 +167,8 @@ analyzeTables(const LintOptions &opts, LintReport &report)
         ++count;
         rows += t.numRows;
         passCore(t, report);
-        passDeadRows(t, report);
         passReachability(t, report);
     }
-    passEmitBudget(tables, report);
     passProtocolDiff(tables, report);
     report.stat("table.tables", count);
     report.stat("table.rows", rows);

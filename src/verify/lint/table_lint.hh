@@ -2,27 +2,25 @@
  * @file
  * Family (a): structural analysis of the declarative transition tables.
  *
- * Extends checkTable()'s determinism/completeness pass into a full
- * structural audit of src/verify/tables.cc:
+ * Folds checkTable() into the static report as the `core` check —
+ * consistent row encoding, determinism (an overlap names the masked
+ * row and the row that masks it) and completeness — and adds what core
+ * cannot see from one table alone:
  *
- *  - dead rows: a row shadowed by an earlier row whose guard covers it
- *    (findTransition matches first, so the later row can never fire);
  *  - unreachable rows: rows anchored at a DirState no event path can
  *    reach from the initial state (Invalid);
- *  - emitted-message budget: every message a row emits must have a
- *    consumer — either a terminal cache-side handler or, for HMG
- *    system-home invalidations, an InvRecv row at the GPU home — so a
- *    deleted consumer row is caught before the model checker even runs;
  *  - cross-protocol divergence: NHCC and HMG rows answering the same
  *    (state, event, tracked-writer) query with different outcomes are
  *    flagged, so the shared-automaton claim of Table I cannot silently
- *    rot when one table is edited;
- *  - everything checkTable() already proves (ack-/transient-freedom,
- *    determinism, completeness), folded into the same report.
+ *    rot when one table is edited.
  *
+ * A dead row (shadowed by an earlier row whose guard covers it) and a
+ * missing invalidation consumer (an intermediate home without an
+ * InvRecv row) are both core findings: the first makes two rows match
+ * one query, the second leaves a receivable query without a row.
  * `seedDeadRow` analyzes a TableSet seeded with TableSeed::DeadRow,
- * which appends a shadowed row to the hmg-gpu-home table: the analysis
- * must produce a row-attributed counterexample naming the masking row.
+ * which appends a shadowed row to the hmg-gpu-home table: core must
+ * report it, naming the masking row.
  */
 
 #ifndef HMG_VERIFY_LINT_TABLE_LINT_HH

@@ -21,10 +21,11 @@
  *   4. deadlock freedom — every non-final state has a successor, and no
  *      bounded channel overflows.
  *
- * (Invariant family 1 — no acks, no transient states, determinism,
- * completeness, an acyclic message-class graph — is proven statically
- * by the lint families, src/verify/lint/; hmgcheck runs that static
- * stage before this exploration stage.)
+ * (Invariant family 1 is not explored: no acks and no transient states
+ * hold by the row type (spec.hh), and determinism, completeness and an
+ * acyclic message-class graph are proven statically by the lint
+ * families, src/verify/lint/, which hmgcheck runs before this
+ * exploration stage.)
  *
  * Deliberate abstractions, chosen to keep the state space finite while
  * preserving the protocol decisions under test:

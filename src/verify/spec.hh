@@ -19,13 +19,14 @@
  * the transition the timing simulation performs, and a row edit shows
  * up in both or neither.
  *
- * Two fields exist purely to be asserted over: `needsAck` and
- * `transientNext` encode the paper's central simplification claims —
- * "the proposed caching protocols do not require transient states" and
- * "no invalidation acknowledgment messages" (Sections IV-B, V-C).
- * checkTable() statically proves every row keeps both false, alongside
- * determinism (no two rows match the same state/event/guard) and
- * completeness (every reachable state/event pair has a row).
+ * The row type carries the paper's two simplification claims — "the
+ * proposed caching protocols do not require transient states" and "no
+ * invalidation acknowledgment messages" (Sections IV-B, V-C): a row's
+ * next state is a DirState, which has only the two stable values, and
+ * no field can ask for an acknowledgment, so a row applies in one step.
+ * checkTable() proves what the type cannot: determinism (no two rows
+ * match the same state/event/guard), completeness (every receivable
+ * state/event pair has a row) and a consistent row encoding.
  *
  * A verifier that plants a defect does so in a TableSet, a private copy
  * of every table with one named TableSeed applied, so a test hook never
@@ -117,11 +118,6 @@ struct Transition
     DirState next;
     DirUpdate update;
     EmitMsg emit;
-    /** Would this row need an invalidation acknowledgment? Table I
-     *  never does; checkTable() proves it stays that way. */
-    bool needsAck;
-    /** Would this row enter a transient (non-stable) state? */
-    bool transientNext;
     /** Table I row name / paper reference. */
     const char *note;
 };
@@ -158,9 +154,6 @@ enum class TableSeed : std::uint8_t
     /** The GPU home gains a row a Guard::Always row shadows
      *  (--seed-dead-row). */
     DeadRow,
-    /** The GPU home's re-fan row enters a transient state
-     *  (--seed-livelock). */
-    Livelock,
 };
 
 /**
@@ -212,10 +205,11 @@ const Transition *findTransition(const TransitionTable &t, DirState s,
                                  DirEvent e, bool tracked);
 
 /**
- * Statically verify one table: every row is ack-free and
- * transient-free; no two rows overlap; every (state, event) pair the
- * role can receive is covered. @return human-readable problems (empty
- * when the table is sound).
+ * Statically verify one table: every row's encoding is consistent; no
+ * two rows overlap (an overlap names the masked row and the row that
+ * masks it); every (state, event) pair the role can receive is
+ * covered. @return human-readable problems (empty when the table is
+ * sound).
  */
 std::vector<std::string> checkTable(const TransitionTable &t);
 
@@ -224,23 +218,20 @@ std::vector<std::string> checkTable(const TransitionTable &t);
 //
 // The transport (src/noc/) applies credit backpressure per hop but
 // parks injections in an *unbounded* NIC backlog
-// (SystemConfig::nocInjectionBacklogLimit only throttles SM issue), so
-// a handler never blocks consuming its message. Deadlock freedom then
-// reduces to: the "handling class X may synchronously emit class Y"
-// graph over hop-level message classes is acyclic (the cdg lint
-// family proves it, lint/cdg.hh). The classes below split MsgType by
-// hierarchy position (requester -> GPU home -> system home), because
-// e.g. a ReadReq forwarded gh->h is a *different* resource class than
-// the requester's ReadReq.
+// (SystemConfig::nocInjectionBacklogLimit only throttles SM issue), and
+// a handler applies its row in one step, so it never blocks consuming
+// its message. Deadlock freedom then reduces to: the "handling class X
+// may synchronously emit class Y" graph over hop-level message classes
+// is acyclic (the cdg lint family proves it, lint/cdg.hh). The classes
+// below split MsgType by hierarchy position (requester -> GPU home ->
+// system home), because e.g. a ReadReq forwarded gh->h is a
+// *different* resource class than the requester's ReadReq.
 // ------------------------------------------------------------------
 
 /** One hop-level message class. */
 struct MsgClass
 {
     const char *name;
-    /** Handlers consume unconditionally (enqueue to the unbounded NIC
-     *  backlog, never wait for downstream credit). All true; asserted. */
-    bool nonBlockingHandler;
 };
 
 /** Directed edge: handling `from` may emit `to` in the same event. */

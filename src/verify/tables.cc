@@ -20,37 +20,33 @@ namespace
 #define HMG_COMMON_HOME_ROWS                                              \
     {DirState::Valid, DirEvent::LoadMiss, Guard::Always,                  \
      DirState::Valid, DirUpdate::AddSharer, EmitMsg::DataResp,            \
-     false, false, "Read: add the requester to the sharer set"},          \
+     "Read: add the requester to the sharer set"},                        \
     {DirState::Invalid, DirEvent::LoadMiss, Guard::Always,                \
      DirState::Valid, DirUpdate::AddSharer, EmitMsg::DataResp,            \
-     false, false, "Read miss: allocate an entry, record the requester"}, \
+     "Read miss: allocate an entry, record the requester"},               \
     {DirState::Valid, DirEvent::Store, Guard::WriterTracked,              \
      DirState::Valid, DirUpdate::SetSoleSharer, EmitMsg::InvOthers,       \
-     false, false,                                                        \
      "Store: invalidate stale sharers in the background; the writer "     \
      "becomes the sole sharer (no acks collected — Section IV-B)"},       \
     {DirState::Valid, DirEvent::Store, Guard::WriterUntracked,            \
      DirState::Invalid, DirUpdate::Clear, EmitMsg::InvOthers,             \
-     false, false,                                                        \
      "Store by the home / atomic / update-only write-back: invalidate "   \
      "every sharer, entry returns to Invalid"},                           \
     {DirState::Invalid, DirEvent::Store, Guard::WriterTracked,            \
      DirState::Valid, DirUpdate::AddSharer, EmitMsg::None,                \
-     false, false, "Store miss: track the writer's fresh copy"},          \
+     "Store miss: track the writer's fresh copy"},                        \
     {DirState::Invalid, DirEvent::Store, Guard::WriterUntracked,          \
      DirState::Invalid, DirUpdate::None, EmitMsg::None,                   \
-     false, false, "Store miss, untracked writer: nothing to track"},     \
+     "Store miss, untracked writer: nothing to track"},                   \
     {DirState::Valid, DirEvent::Replace, Guard::Always,                   \
      DirState::Invalid, DirUpdate::Clear, EmitMsg::InvAll,                \
-     false, false,                                                        \
      "Replace dir entry: invalidate every sharer of the victim"},         \
     {DirState::Valid, DirEvent::Downgrade, Guard::Always,                 \
      DirState::Valid, DirUpdate::DropSharer, EmitMsg::None,               \
-     false, false,                                                        \
      "Clean-eviction downgrade: prune one sharer (Section IV-B)"},        \
     {DirState::Invalid, DirEvent::Downgrade, Guard::Always,               \
      DirState::Invalid, DirUpdate::None, EmitMsg::None,                   \
-     false, false, "Downgrade for an untracked sector: stale, ignore"}
+     "Downgrade for an untracked sector: stale, ignore"}
 
 constexpr Transition kFlatHomeRows[] = {
     HMG_COMMON_HOME_ROWS,
@@ -64,16 +60,15 @@ constexpr Transition kGpuHomeRows[] = {
     HMG_COMMON_HOME_ROWS,
     // The single transition HMG adds over NHCC (Table I, last row): a
     // GPU home receiving a system-level invalidation re-fans it to the
-    // GPM sharers it tracks, then drops its entry. Still no transient
-    // state and still no acknowledgment — the release marker rounds
-    // drain the re-fanned wave (Section V-C).
+    // GPM sharers it tracks, then drops its entry, in one step like
+    // every row: no acknowledgment is collected, and the release marker
+    // rounds drain the re-fanned wave (Section V-C).
     {DirState::Valid, DirEvent::InvRecv, Guard::Always,
      DirState::Invalid, DirUpdate::Clear, EmitMsg::RefanGpm,
-     false, false,
      "HMG-only: GPU home re-fans the invalidation to its GPM sharers"},
     {DirState::Invalid, DirEvent::InvRecv, Guard::Always,
      DirState::Invalid, DirUpdate::None, EmitMsg::None,
-     false, false, "Invalidation with no tracked local sharers: drop"},
+     "Invalidation with no tracked local sharers: drop"},
 };
 
 constexpr Transition kNodeHomeRows[] = {
@@ -82,14 +77,13 @@ constexpr Transition kNodeHomeRows[] = {
     // invalidation arriving here re-fans to the local GPM sharers it
     // tracks *and* to the GPU homes of its tracked same-node GPUs,
     // which re-fan again (the three-wave chain Section V-C's release
-    // marker rounds drain). Still transient-free, still ack-free.
+    // marker rounds drain).
     {DirState::Valid, DirEvent::InvRecv, Guard::Always,
      DirState::Invalid, DirUpdate::Clear, EmitMsg::RefanGpm,
-     false, false,
      "HMG multi-node: node home re-fans the invalidation one tier down"},
     {DirState::Invalid, DirEvent::InvRecv, Guard::Always,
      DirState::Invalid, DirUpdate::None, EmitMsg::None,
-     false, false, "Invalidation with no tracked node sharers: drop"},
+     "Invalidation with no tracked node sharers: drop"},
 };
 
 #undef HMG_COMMON_HOME_ROWS
@@ -242,23 +236,8 @@ TableSet::TableSet(TableSeed seed)
         // findTransition can never reach this row.
         gpuHome.push_back({DirState::Valid, DirEvent::LoadMiss,
                            Guard::WriterTracked, DirState::Valid,
-                           DirUpdate::SetSoleSharer, EmitMsg::None, false,
-                           false,
+                           DirUpdate::SetSoleSharer, EmitMsg::None,
                            "seeded dead row (--seed-dead-row test hook)"});
-        break;
-      case TableSeed::Livelock:
-        // The canonical regression toward an ack-collecting protocol:
-        // the re-fan row holds the entry in a transient state until the
-        // re-fanned wave completes.
-        for (Transition &row : gpuHome) {
-            if (row.state == DirState::Valid &&
-                row.event == DirEvent::InvRecv &&
-                row.emit == EmitMsg::RefanGpm) {
-                row.transientNext = true;
-                row.note = "seeded transient re-fan (--seed-livelock "
-                           "test hook)";
-            }
-        }
         break;
     }
     for (std::size_t r = 0; r < kNumRoles; ++r)
@@ -286,16 +265,11 @@ checkTable(const TransitionTable &t)
         problems.push_back(std::string(t.name) + ": " + what);
     };
 
+    // Internal consistency of the row encoding. (Ack- and
+    // transient-freedom need no check: the row type cannot express
+    // either.)
     for (std::size_t i = 0; i < t.numRows; ++i) {
         const Transition &r = t.rows[i];
-        // Invariant family 1: the paper's simplification claims.
-        if (r.needsAck)
-            complain(rowName(t, r) + " requires an invalidation ack "
-                     "(Sections IV-B/V-C forbid acks)");
-        if (r.transientNext)
-            complain(rowName(t, r) + " enters a transient state (the "
-                     "protocols have only Valid/Invalid)");
-        // Internal consistency of the row encoding.
         if ((r.update == DirUpdate::AddSharer ||
              r.update == DirUpdate::SetSoleSharer) &&
             r.next != DirState::Valid)
@@ -318,35 +292,40 @@ checkTable(const TransitionTable &t)
     }
 
     // Determinism + completeness over the receivable event space.
+    // findTransition answers with the first match, so every later
+    // match is a row that can never fire for this query: name it and
+    // the row that masks it.
     for (DirState s : {DirState::Invalid, DirState::Valid}) {
         for (std::size_t e = 0;
              e < static_cast<std::size_t>(DirEvent::NumEvents); ++e) {
             const auto ev = static_cast<DirEvent>(e);
             for (bool tracked : {false, true}) {
-                std::size_t matches = 0;
+                std::vector<std::size_t> matches;
                 for (std::size_t i = 0; i < t.numRows; ++i) {
                     const Transition &r = t.rows[i];
                     if (r.state == s && r.event == ev &&
                         guardHolds(r.guard, tracked))
-                        ++matches;
+                        matches.push_back(i);
                 }
-                char buf[160];
-                if (matches > 1) {
-                    std::snprintf(buf, sizeof(buf),
-                                  "ambiguous: %zu rows match (%s, %s, "
-                                  "tracked=%d)",
-                                  matches, toString(s), toString(ev),
-                                  tracked ? 1 : 0);
-                    complain(buf);
+                char buf[96];
+                std::snprintf(buf, sizeof(buf), "(%s, %s, tracked=%d)",
+                              toString(s), toString(ev), tracked ? 1 : 0);
+                if (matches.size() > 1) {
+                    const std::size_t first = matches.front();
+                    std::string what = "ambiguous: " +
+                                       std::to_string(matches.size()) +
+                                       " rows match " + buf;
+                    for (std::size_t k = 1; k < matches.size(); ++k)
+                        what += (k == 1 ? ": row " : "; row ") +
+                                std::to_string(matches[k]) +
+                                " " + rowName(t, t.rows[matches[k]]) +
+                                " is masked by row " +
+                                std::to_string(first) + " " +
+                                rowName(t, t.rows[first]);
+                    complain(what);
                 }
-                if (matches == 0 && receivable(t.role, s, ev)) {
-                    std::snprintf(buf, sizeof(buf),
-                                  "incomplete: no row for (%s, %s, "
-                                  "tracked=%d)",
-                                  toString(s), toString(ev),
-                                  tracked ? 1 : 0);
-                    complain(buf);
-                }
+                if (matches.empty() && receivable(t.role, s, ev))
+                    complain(std::string("incomplete: no row for ") + buf);
             }
         }
     }
@@ -387,15 +366,15 @@ enum MsgClassId : std::uint8_t
 };
 
 constexpr MsgClass kMsgClasses[] = {
-    {"ReadReq.req", true},    {"ReadReq.fwd", true},
-    {"ReadResp.sys", true},   {"ReadResp.home", true},
-    {"WriteThrough.req", true}, {"WriteThrough.fwd", true},
-    {"Inv.fan", true},        {"Inv.refan", true},
-    {"AtomicReq", true},      {"AtomicResp", true},
-    {"RelMarker.fan", true},  {"RelMarker.relay", true},
-    {"RelAck", true},         {"Downgrade", true},
-    {"ReadReq.nfwd", true},   {"ReadResp.node", true},
-    {"WriteThrough.nfwd", true}, {"Inv.nrefan", true},
+    {"ReadReq.req"},      {"ReadReq.fwd"},
+    {"ReadResp.sys"},     {"ReadResp.home"},
+    {"WriteThrough.req"}, {"WriteThrough.fwd"},
+    {"Inv.fan"},          {"Inv.refan"},
+    {"AtomicReq"},        {"AtomicResp"},
+    {"RelMarker.fan"},    {"RelMarker.relay"},
+    {"RelAck"},           {"Downgrade"},
+    {"ReadReq.nfwd"},     {"ReadResp.node"},
+    {"WriteThrough.nfwd"}, {"Inv.nrefan"},
 };
 static_assert(sizeof(kMsgClasses) / sizeof(kMsgClasses[0]) ==
               kNumMsgClasses);

@@ -68,7 +68,7 @@ baseFlags()
         {"--gpms", "2", true, "1024"},
         {"--l2-mb", "12", true, "1048576"},
         {"--dir-entries", "12288", true, "4294967295"},
-        {"--dir-lines", "4", true, "4294967295"},
+        {"--dir-lines", "1", true, "4294967295"},
         {"--inter-bw", "64", true, "1e9"},
         {"--placement", "round-robin"},
         {"--lp-jobs", "1", true},

@@ -104,6 +104,17 @@ expect_reject "bad flap direction" --workload bfs --fault-flap 1:both:0:0
 expect_reject "non-numeric flap gpu" --workload bfs --fault-flap x:egress:0:0
 expect_reject "flap gpu out of range" --workload bfs --fault-flap 64:egress:0:0
 
+# A knob the chosen model never reads would run identically to the same
+# command line without it: refused by name, never silently ignored.
+expect_reject "downgrade under a software protocol" --workload bfs \
+    --scale 0.01 --protocol swh --downgrade --dir-lines 1
+expect_reject "downgrade with multi-line directory entries" \
+    --workload bfs --scale 0.01 --downgrade
+expect_reject "hier-release under NHCC" --workload bfs --scale 0.01 \
+    --protocol nhcc --hier-release
+expect_reject "deterministic without lp-jobs" --workload bfs --scale 0.01 \
+    --deterministic
+
 # Probabilities summing past 1 are a config error even though each is
 # individually in range.
 expect_reject "prob sum > 1" --workload bfs \
@@ -221,7 +232,8 @@ if [ -n "$HMGCHECK" ]; then
     check_reject_first "hmgcheck unknown workload" --workload bogus
     # These name no hmgcheck stage or mode: rejected, never ignored.
     for flag in --tables --cdg --liveness --determinism --lockset \
-                --seed-lockset --incremental --cache-file --statkeys; do
+                --seed-lockset --seed-livelock --incremental --cache-file \
+                --statkeys; do
         check_reject "hmgcheck $flag is unknown" "$flag"
     done
     check_reject "hmgcheck --root is unknown" --root .

@@ -240,6 +240,24 @@ TEST(ConfigValidation, RejectsInconsistentConfigs)
             c.fault.retryTimeout = (kMaxFaultCycles >> c.fault.backoffCap) + 1;
         },
         "fault retryTimeout");
+    // ---- knobs the chosen model would never read ----
+    dies(
+        [](SystemConfig &c) {
+            c.protocol = Protocol::SwHier;
+            c.sharerDowngrade = true;
+            c.dirLinesPerEntry = 1;
+        },
+        "sharerDowngrade requires a hardware coherence protocol");
+    dies([](SystemConfig &c) { c.sharerDowngrade = true; },
+         "sharerDowngrade requires dirLinesPerEntry == 1 \\(got 4\\)");
+    dies(
+        [](SystemConfig &c) {
+            c.protocol = Protocol::Nhcc;
+            c.hierarchicalReleaseFanout = true;
+        },
+        "hierarchicalReleaseFanout requires the HMG protocol");
+    dies([](SystemConfig &c) { c.lpDeterministic = true; },
+         "lpDeterministic requires lpJobs > 1");
 }
 
 TEST(ConfigValidation, AcceptsFaultTimingAtTheCap)

@@ -4,25 +4,29 @@
  *
  * Mirrors the retry_model_test pattern: each family must (a) run clean
  * on the real artifact — the shipped transition tables and the real NoC
- * topology — and (b) catch its seeded bug with a file/row-attributed
- * counterexample.
+ * topology — and (b) catch its seeded bug with a file-attributed
+ * finding that names the defect: the masked row and its masker, or the
+ * dependency cycle.
  */
 
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fabric.hh"
 #include "verify/lint/cdg.hh"
 #include "verify/lint/lint.hh"
-#include "verify/lint/liveness.hh"
 #include "verify/lint/table_lint.hh"
 #include "verify/spec.hh"
 
 using namespace hmg::verify::lint;
 using hmg::verify::MsgDep;
+using hmg::verify::Role;
+using hmg::verify::Transition;
+using hmg::verify::TransitionTable;
 
 namespace
 {
@@ -60,16 +64,69 @@ TEST(TableLint, SeededDeadRowCaughtWithMaskingRow)
     o.seedDeadRow = true;
     LintReport r;
     analyzeTables(o, r);
-    const Finding *f = findCheck(r, "dead-row");
+    // The seed appends a row behind the GPU home's shipped rows, where
+    // the (Valid, LoadMiss, Always) row 0 answers its one query first.
+    const Finding *f = findCheck(r, "core");
     ASSERT_NE(f, nullptr) << "seeded dead row not reported";
+    ASSERT_EQ(r.findings().size(), 1u) << r.toText();
+    EXPECT_EQ(f->family, std::string("table"));
     EXPECT_EQ(f->table, std::string("hmg-gpu-home"));
     EXPECT_EQ(f->file, std::string("src/verify/tables.cc"));
-    EXPECT_GE(f->row, 0);
-    // The counterexample names both the dead row and its masker.
-    ASSERT_EQ(f->counterexample.size(), 2u);
-    EXPECT_NE(f->counterexample[0].find("dead row"), std::string::npos);
-    EXPECT_NE(f->counterexample[1].find("masked by row"),
-              std::string::npos);
+    const std::size_t dead =
+        hmg::verify::tableFor(Role::GpuHome).numRows;
+    // The message names both the dead row and its masker.
+    EXPECT_EQ(f->message,
+              "ambiguous: 2 rows match (Valid, LoadMiss, tracked=1): row " +
+                  std::to_string(dead) +
+                  " hmg-gpu-home[Valid,LoadMiss,WriterTracked] is masked "
+                  "by row 0 hmg-gpu-home[Valid,LoadMiss,Always]");
+}
+
+TEST(TableLint, CoreCatchesEveryDuplicatedOrDroppedRow)
+{
+    // Two mutants of every row of every shipped table, and core must
+    // fail both. A copy of the row appended behind it can never fire
+    // (what a dead-row pass would report), so core names it masked by
+    // the original. Dropping a row whose query the role can receive
+    // leaves that query with no row (what a missing-consumer pass would
+    // report for an InvRecv row), so core reports the table incomplete.
+    std::size_t mutants = 0;
+    for (std::size_t role = 0;
+         role < static_cast<std::size_t>(Role::NumRoles); ++role) {
+        const TransitionTable &t =
+            hmg::verify::tableFor(static_cast<Role>(role));
+        for (std::size_t i = 0; i < t.numRows; ++i) {
+            const Transition &row = t.rows[i];
+            const std::string name = hmg::verify::rowName(t, row);
+            auto problems = [&](const std::vector<Transition> &rows) {
+                std::string all;
+                for (const std::string &p : hmg::verify::checkTable(
+                         {t.role, t.name, rows.data(), rows.size()}))
+                    all += p + "\n";
+                return all;
+            };
+
+            std::vector<Transition> copied(t.rows, t.rows + t.numRows);
+            copied.push_back(row);
+            EXPECT_NE(problems(copied).find(
+                          "row " + std::to_string(t.numRows) + " " + name +
+                          " is masked by row " + std::to_string(i) + " " +
+                          name),
+                      std::string::npos)
+                << name << " appended twice";
+            ++mutants;
+
+            if (!hmg::verify::receivable(t.role, row.state, row.event))
+                continue;
+            std::vector<Transition> dropped(t.rows, t.rows + t.numRows);
+            dropped.erase(dropped.begin() + static_cast<long>(i));
+            EXPECT_NE(problems(dropped).find("incomplete: no row for"),
+                      std::string::npos)
+                << name << " dropped";
+            ++mutants;
+        }
+    }
+    EXPECT_EQ(mutants, 80u); // 40 shipped rows, all receivable
 }
 
 TEST(TableLint, SeededRunIsDeterministic)
@@ -88,9 +145,8 @@ TEST(TableLint, SeededRunIsDeterministic)
 
 TEST(CdgLint, RealTransportIsAcyclic)
 {
-    // Clean means every handler consumes unconditionally, the
-    // message-class dependency graph is acyclic (no msg-class-cycle
-    // finding) and so is the credit-pool graph.
+    // Clean means the message-class dependency graph is acyclic (no
+    // msg-class-cycle finding) and so is the credit-pool graph.
     LintReport r;
     analyzeCdg(LintOptions{}, r);
     for (const Finding &f : r.findings())
@@ -248,97 +304,6 @@ TEST(CdgLint, RouteEdgesAreTheFabricsHops)
 }
 
 // ===================================================================
-// Family (c): transient-state liveness + the composed proof.
-// ===================================================================
-
-TEST(LivenessLint, ShippedTablesHaveNoTransientStalls)
-{
-    LintReport r;
-    analyzeLiveness(LintOptions{}, r);
-    for (const Finding &f : r.findings())
-        ADD_FAILURE() << "[" << f.check << "] " << f.message;
-    EXPECT_TRUE(r.clean());
-    // The non-blocking claim discharged structurally: every row of
-    // every table resolves in place, so the wait-for graph is empty
-    // and the composed graph degenerates to the pure transport CDG.
-    EXPECT_EQ(r.stats().at("liveness.transient_rows"), 0u);
-    EXPECT_EQ(r.stats().at("liveness.ack_rows"), 0u);
-    EXPECT_EQ(r.stats().at("liveness.wait_edges"), 0u);
-    EXPECT_EQ(r.stats().at("composed.protocol_stalls"), 0u);
-    EXPECT_GT(r.stats().at("composed.edges"), 0u);
-}
-
-TEST(LivenessLint, ScaleoutShapeComposedProofAcyclic)
-{
-    // The largest example topology's shape: 8 nodes x 8 GPUs x 4 GPMs.
-    LintOptions o;
-    o.cfg.numGpus = 64;
-    o.cfg.gpmsPerGpu = 4;
-    o.cfg.numNodes = 8;
-    LintReport r;
-    analyzeLiveness(o, r);
-    EXPECT_TRUE(r.clean()) << r.toText();
-}
-
-TEST(LivenessLint, SeededTransientRowCaughtAsLivelock)
-{
-    LintOptions o;
-    o.seedLivelock = true;
-    LintReport r;
-    analyzeLiveness(o, r);
-    const Finding *f = findCheck(r, "livelock");
-    ASSERT_NE(f, nullptr) << "seeded transient row not reported";
-    EXPECT_EQ(f->table, std::string("hmg-gpu-home"));
-    EXPECT_EQ(f->file, std::string("src/verify/tables.cc"));
-    EXPECT_NE(f->message.find("livelock cycle"), std::string::npos);
-    // The counterexample spells the length-2 cycle: the stall, the
-    // held ingress its completion needs, and the closing argument.
-    ASSERT_EQ(f->counterexample.size(), 3u);
-    EXPECT_NE(f->counterexample[0].find("stalls awaiting"),
-              std::string::npos);
-    EXPECT_NE(f->counterexample[1].find("holds"), std::string::npos);
-    EXPECT_NE(f->counterexample[2].find("cycle closes"),
-              std::string::npos);
-    EXPECT_EQ(r.stats().at("liveness.transient_rows"), 1u);
-}
-
-TEST(LivenessLint, SeededStallClosesComposedTransportCycle)
-{
-    // The same seeded stall must also surface in the composed proof:
-    // the protocol edge invalidates the unbounded-NIC escape and the
-    // credit pools close a full-system deadlock loop.
-    LintOptions o;
-    o.seedLivelock = true;
-    LintReport r;
-    analyzeLiveness(o, r);
-    const Finding *f = findCheck(r, "cycle");
-    ASSERT_NE(f, nullptr) << "composed cycle not reported";
-    EXPECT_EQ(f->family, std::string("composed"));
-    EXPECT_NE(f->message.find("composed protocol-transport"),
-              std::string::npos);
-    ASSERT_GE(f->counterexample.size(), 3u);
-    for (const std::string &edge : f->counterexample)
-        EXPECT_NE(edge.find("-->"), std::string::npos) << edge;
-    // The loop must close on itself.
-    const std::string firstNode =
-        f->counterexample.front().substr(0,
-            f->counterexample.front().find(' '));
-    EXPECT_NE(f->counterexample.back().find("--> " + firstNode),
-              std::string::npos);
-    EXPECT_GT(r.stats().at("composed.protocol_stalls"), 0u);
-}
-
-TEST(LivenessLint, OutputIsDeterministic)
-{
-    LintOptions o;
-    o.seedLivelock = true;
-    LintReport a, b;
-    analyzeLiveness(o, a);
-    analyzeLiveness(o, b);
-    EXPECT_EQ(a.toJson(), b.toJson());
-}
-
-// ===================================================================
 // Report plumbing.
 // ===================================================================
 
@@ -370,12 +335,12 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     f.counterexample = {"nic0 --> gpm0.egress", "gpm0.egress --> nic0"};
     r.add(std::move(f));
     Finding w;
-    w.family = "liveness";
-    w.check = "ack-stall";
+    w.family = "table";
+    w.check = "unreachable-row";
     w.file = "src/verify/tables.cc";
     w.table = "hmg-gpu-home";
     w.row = 9;
-    w.message = "row awaits acks";
+    w.message = "row is anchored at Valid";
     r.add(std::move(w));
     r.stat("cdg.nodes", 7);
 
@@ -387,7 +352,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     // One reportingDescriptor per family/check, results referencing
     // them by id and index.
     EXPECT_NE(sarif.find("\"id\": \"cdg/cycle\""), std::string::npos);
-    EXPECT_NE(sarif.find("\"id\": \"liveness/ack-stall\""),
+    EXPECT_NE(sarif.find("\"id\": \"table/unreachable-row\""),
               std::string::npos);
     EXPECT_NE(sarif.find("\"ruleIndex\": 0"), std::string::npos);
     EXPECT_NE(sarif.find("\"ruleIndex\": 1"), std::string::npos);
@@ -416,10 +381,16 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
 
 TEST(LintReport, SarifIsByteDeterministic)
 {
+    // Both families' seeds, so the log carries findings with a
+    // message-only shape (core) and with a counterexample (cycle).
     LintOptions o;
-    o.seedLivelock = true;
+    o.seedDeadRow = true;
+    o.seedCdgCycle = true;
     LintReport a, b;
-    analyzeLiveness(o, a);
-    analyzeLiveness(o, b);
+    for (LintReport *r : {&a, &b}) {
+        analyzeTables(o, *r);
+        analyzeCdg(o, *r);
+    }
+    EXPECT_EQ(a.findings().size(), 2u);
     EXPECT_EQ(a.toSarif(), b.toSarif());
 }

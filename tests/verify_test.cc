@@ -48,11 +48,6 @@ TEST(VerifyTables, FindTransitionMatchesGuards)
     ASSERT_NE(tracked, nullptr);
     ASSERT_NE(untracked, nullptr);
     EXPECT_NE(tracked, untracked);
-    // Core paper claims, restated as direct row checks: no row needs an
-    // acknowledgment or a transient next state.
-    EXPECT_FALSE(tracked->needsAck);
-    EXPECT_FALSE(untracked->needsAck);
-    EXPECT_FALSE(tracked->transientNext);
 }
 
 // ------------------------------------------------------------------

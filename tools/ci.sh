@@ -2,9 +2,10 @@
 # The CI wall: lint + tier-1 tests under the default, ASan and UBSan
 # presets (tier-1 runs every hmgcheck leg: the static families at the
 # default, DGX and scale-out shapes, exhaustive exploration per protocol
-# and every seeded bug), the static report as a SARIF artifact, the
-# host-speed benchmark's self-test, a sanitizer pass over the
-# fault-injection label and TSan over the threaded code.
+# and every seeded bug), every other ctest leg but perf_smoke on the
+# default build, the static report as a SARIF artifact, the host-speed
+# benchmark's self-test, a sanitizer pass over the fault-injection label
+# and TSan over the threaded code.
 #
 # Everything here is hermetic — no network, no installed extras beyond
 # cmake/g++ (clang-tidy is picked up when present, skipped when not).
@@ -80,6 +81,14 @@ for preset in default asan ubsan; do
         cmake --build --preset "$preset" -j "$(nproc)" >/dev/null
     budget 900 "$preset ctest" ctest --preset "${preset/default/tier1}"
 done
+
+# The legs tier-1 leaves out, on the default build: the full-system
+# tests (sweeps, workloads, integration, micro, io, the fault fuzz) and
+# bench_smoke, the serial/pool and det-merge bit-identity gate.
+# perf_smoke stays out because it measures host time, not results.
+echo "=== default: every ctest leg outside tier-1 but perf_smoke ==="
+budget 900 "default non-tier-1 ctest" \
+    ctest --test-dir build -LE tier1 -E perf_smoke --output-on-failure
 
 # SARIF artifact for ingestion by code-scanning UIs; it needs the
 # default preset's build/tools/hmgcheck.

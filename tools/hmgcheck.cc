@@ -6,19 +6,18 @@
  * simulator itself dispatches through (src/verify/):
  *
  *   static   structural proofs over any machine shape, in milliseconds
- *            and independent of state-space size: one report from three
+ *            and independent of state-space size: one report from two
  *            families (src/verify/lint/)
- *              table     every row is ack-free and transient-free (the
- *                        paper's Sections IV-B / V-C claims),
- *                        deterministic and complete; no row is dead or
- *                        unreachable; every emitted message has a
- *                        consumer; NHCC and HMG agree where both answer;
- *              cdg       the message-class dependency graph and the
- *                        channel-dependency graph over the NoC credit
- *                        pools are acyclic (deadlock freedom);
- *              liveness  no table row stalls in a transient state, and
- *                        the composed protocol-transport graph is
- *                        acyclic;
+ *              table  every row is consistently encoded, deterministic
+ *                     (no row is masked by another) and complete (every
+ *                     receivable event has a row); no row is
+ *                     unreachable; NHCC and HMG agree where both answer;
+ *              cdg    the message-class dependency graph and the
+ *                     channel-dependency graph over the NoC credit pools
+ *                     are acyclic (deadlock freedom);
+ *            the paper's no-transient-state and no-ack claims (Sections
+ *            IV-B / V-C) need no family: the row type cannot express
+ *            either (src/verify/spec.hh);
  *   retry    exhaustive check of the link-level retry sublayer: delivery
  *            liveness and exactly-once in-order delivery;
  *   explore  breadth-first search over every reachable state of a small
@@ -57,7 +56,6 @@
 #include "common/topology.hh"
 #include "verify/lint/cdg.hh"
 #include "verify/lint/lint.hh"
-#include "verify/lint/liveness.hh"
 #include "verify/lint/table_lint.hh"
 #include "verify/model.hh"
 #include "verify/retry_model.hh"
@@ -90,8 +88,8 @@ usage()
 {
     std::printf(
         "hmgcheck — static analysis and exhaustive model checking of the\n"
-        "coherence tables. Stages: static (table, cdg, liveness), then\n"
-        "retry and explore unless --static is given.\n\n"
+        "coherence tables. Stages: static (table, cdg), then retry and\n"
+        "explore unless --static is given.\n\n"
         "  --static          run the static stage only\n"
         "  --topology FILE   machine shape from a topology JSON file;\n"
         "                    conflicts with --gpus/--gpms/--nodes\n"
@@ -106,10 +104,7 @@ usage()
         "  --seed-dead-row   test hook: append a guard-shadowed row; the\n"
         "                    table family must report it\n"
         "  --seed-cdg-cycle  test hook: model a bounded blocking NIC\n"
-        "                    queue; the cdg family must print the cycle\n"
-        "  --seed-livelock   test hook: mark the GPU-home re-fan row\n"
-        "                    transient; the liveness family must print\n"
-        "                    the livelock and the composed cycle\n\n"
+        "                    queue; the cdg family must print the cycle\n\n"
         "Read only by retry and explore, so fatal with --static:\n"
         "  --protocol P      nhcc|hmg (default hmg; the 2-node shape\n"
         "                    requires hmg)\n"
@@ -202,8 +197,6 @@ parse(int argc, char **argv)
             o.lint.seedDeadRow = true;
         else if (a == "--seed-cdg-cycle")
             o.lint.seedCdgCycle = true;
-        else if (a == "--seed-livelock")
-            o.lint.seedLivelock = true;
         else if (a == "--protocol") {
             const std::string p = need(i);
             if (p == "hmg")
@@ -315,16 +308,14 @@ printExhaustive(const Options &o, const char *stage, const std::string &name,
     return pass;
 }
 
-/** The static stage: one report from the three lint families. */
+/** The static stage: one report from the two lint families. */
 bool
 runStatic(const Options &o)
 {
     verify::lint::LintReport report;
     verify::lint::analyzeTables(o.lint, report);
     verify::lint::analyzeCdg(o.lint, report);
-    verify::lint::analyzeLiveness(o.lint, report);
-    const bool expectFail =
-        o.lint.seedDeadRow || o.lint.seedCdgCycle || o.lint.seedLivelock;
+    const bool expectFail = o.lint.seedDeadRow || o.lint.seedCdgCycle;
     const bool pass = expectFail ? !report.clean() : report.clean();
 
     if (o.json || o.sarif) {
@@ -339,8 +330,7 @@ runStatic(const Options &o)
                         static_cast<unsigned long long>(value));
     if (!o.quiet || !pass) {
         const std::size_t n = report.findings().size();
-        std::printf("static  table cdg liveness  %zu finding%s over %s: "
-                    "%s\n",
+        std::printf("static  table cdg  %zu finding%s over %s: %s\n",
                     n, n == 1 ? "" : "s", shapeName(o.lint.cfg).c_str(),
                     verdict(report.clean(), expectFail,
                             "all invariants hold"));

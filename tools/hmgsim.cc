@@ -124,7 +124,7 @@ usage()
         "                          GPU, per node when multi-node)\n"
         "                          synchronized by conservative time\n"
         "                          windows over the cut tier's lookahead\n"
-        "  --deterministic         with --lp-jobs: single-threaded\n"
+        "  --deterministic         with --lp-jobs N > 1: single-threaded\n"
         "                          (tick, insertion-order) merge that is\n"
         "                          bit-identical to the serial engine\n"
         "  --topology FILE         load a declarative machine shape\n"
@@ -139,7 +139,9 @@ usage()
         "  --inter-bw GBPS         inter-GPU link bandwidth\n"
         "  --placement P           first-touch|round-robin\n"
         "  --hier-release          hierarchical release marker fan-out\n"
+        "                          (hmg only)\n"
         "  --downgrade             clean-eviction sharer downgrades\n"
+        "                          (nhcc or hmg, with --dir-lines 1)\n"
         "  --check                 run the runtime coherence checker\n"
         "  --locality              also run the Fig. 3 locality analysis\n"
         "  --stats                 dump every statistic\n"
