@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/fabric.hh"
 #include "common/intmath.hh"
 #include "common/log.hh"
 
@@ -186,6 +187,18 @@ SystemConfig::validate() const
         hmg_fatal("lpDeterministic requires lpJobs > 1 (got %u): a serial "
                   "run has no LP merge to make deterministic",
                   lpJobs);
+    // LpPlan::build clamps the LP count to the fabric's cut units, so a
+    // machine with one of them runs serially whatever lpJobs says.
+    if (lpDeterministic) {
+        const Fabric fabric(*this);
+        const FabricTier &cut = fabric.tier(fabric.cutTier());
+        if (cut.units <= 1)
+            hmg_fatal("lpDeterministic requires more than one LP, but "
+                      "lpJobs (%u) is clamped to the machine's %u cut "
+                      "unit (%s tier): a serial run has no LP merge to "
+                      "make deterministic",
+                      lpJobs, cut.units, cut.unit);
+    }
     if (fault.dropProb < 0 || fault.corruptProb < 0 ||
         fault.delayProb < 0)
         hmg_fatal("fault probabilities must be non-negative");

@@ -52,25 +52,12 @@ HwProtocol::dirEvent(verify::DirEvent ev, GpmId at, GpmId via, Addr line,
 
 // --------------------------------------------------- directory plumbing
 
-const verify::TransitionTable &
-HwProtocol::dirTableFor(GpmId at, GpmId h) const
-{
-    using verify::Role;
-    if (!hier_)
-        return verify::tableFor(Role::FlatHome);
-    if (at == h)
-        return verify::tableFor(Role::SysHome);
-    if (multiNode_ && at == topo_.nodeHome(topo_.nodeOfGpm(at), h))
-        return verify::tableFor(Role::NodeHome);
-    return verify::tableFor(Role::GpuHome);
-}
-
 void
 HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
                             verify::DirEvent ev, InvJobPtr &job)
 {
+    using verify::DirCommit;
     using verify::DirEvent;
-    using verify::DirUpdate;
     Directory &dir = *ctx_.gpm(at).dir();
     const Addr sector = dir.sectorOf(line);
 
@@ -89,8 +76,8 @@ HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
 
     // The entry covers the whole sector, so its fan goes to the homes
     // of the sector's base address. A flat fan names no home.
-    auto outcome = verify::applyDirEvent(
-        dirTableFor(at, h), topo_, hier_, at, via, ev, pre,
+    const auto out = verify::applyDirEvent(
+        verify::dirTable(), topo_, hier_, at, via, ev, pre,
         hier_ ? sysHome(sector) : h, [&](GpmId dst) {
             if (!job) {
                 // Only a store's fan starts a job (see dirEvent).
@@ -100,41 +87,31 @@ HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
             sendInv(at, dst, sector, job);
         });
 
-    if (!outcome.keepEntry) {
-        // An entry whose sharers were all downgraded away carries no
-        // obligations; a store leaves it in place (same occupancy the
-        // imperative code kept). A processed re-fan always drops its.
-        if (e && (ev == DirEvent::InvRecv || pre.gpmBits || pre.gpuBits ||
-                  pre.nodeBits))
-            dir.remove(line);
+    DirEntry *w = e;
+    switch (out.commit) {
+      case DirCommit::Keep:
         return;
-    }
-    switch (outcome.row->update) {
-      case DirUpdate::None:
-      case DirUpdate::Clear:
+      case DirCommit::Remove:
+        dir.remove(line);
+        return;
+      case DirCommit::WriteBits:
+        // Only a found entry is rewritten in place; a load allocates.
+        hmg_assert(w != nullptr);
         break;
-      case DirUpdate::DropSharer:
-        if (e) {
-            e->gpmSharers = outcome.gpmBits;
-            e->gpuSharers = outcome.gpuBits;
-            e->nodeSharers = outcome.nodeBits;
-        }
-        break;
-      case DirUpdate::SetSoleSharer:
-        if (e && e->hasSharers())
-            dir.remove(line);
+      case DirCommit::RemoveAllocate:
+        dir.remove(line);
         [[fallthrough]];
-      case DirUpdate::AddSharer: {
+      case DirCommit::Allocate: {
         std::optional<DirEntry> evicted;
-        DirEntry *ne = dir.allocate(line, &evicted);
+        w = dir.allocate(line, &evicted);
         if (evicted && evicted->hasSharers())
             replaceVictim(at, *evicted);
-        ne->gpmSharers = outcome.gpmBits;
-        ne->gpuSharers = outcome.gpuBits;
-        ne->nodeSharers = outcome.nodeBits;
         break;
       }
     }
+    w->gpmSharers = out.gpmBits;
+    w->gpuSharers = out.gpuBits;
+    w->nodeSharers = out.nodeBits;
 }
 
 void
@@ -149,7 +126,7 @@ HwProtocol::replaceVictim(GpmId at, const DirEntry &victim)
     // A flat directory lives at the system home itself.
     const GpmId h = hier_ ? sysHome(sector) : at;
     verify::applyDirEvent(
-        dirTableFor(at, h), topo_, hier_, at, kInvalidGpm,
+        verify::dirTable(), topo_, hier_, at, kInvalidGpm,
         verify::DirEvent::Replace, pre, h,
         [&](GpmId dst) { sendInv(at, dst, sector, job); });
 }
@@ -211,14 +188,13 @@ HwProtocol::handleInv(GpmId at, Addr sector, InvJobPtr job)
     }
 
     if (hier_) {
-        // The HMG-only transition of Table I: an intermediate home
-        // receiving an invalidation re-fans it one tier down and drops
-        // the entry. dirTableFor resolves whether `at` plays the GPU-
-        // home or node-home role here; a node home's single entry
-        // covers both of its roles, so it applies exactly one InvRecv.
-        // The system home never receives an invalidation for a sector
-        // it homes (every fan excludes it), so the guard below never
-        // sees at == sysHome.
+        // The HMG-only transition of Table I: a GPU home receiving an
+        // invalidation re-fans it one tier down and drops the entry. A
+        // node home is a GPU home too, and its single entry covers
+        // both tiers, so it applies exactly one InvRecv. The system
+        // home never receives an invalidation for a sector it homes
+        // (every fan excludes it), so the guard below never sees
+        // at == sysHome.
         if (ctx_.pages.isPlaced(sector)) {
             const GpmId h = sysHome(sector);
             if (topo_.gpuHome(topo_.gpuOf(at), h) == at && at != h)

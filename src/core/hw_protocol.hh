@@ -95,15 +95,12 @@ class HwProtocol : public HomeChainModel
 
     // --- directory maintenance (table-driven; see src/verify/spec.hh) ---
 
-    /** The transition table governing home `at` for system home `h`. */
-    const verify::TransitionTable &dirTableFor(GpmId at, GpmId h) const;
-
     /**
      * Apply the unique Table I row for (entry state at `at`, `ev`,
      * writer-tracked guard of `via`) for a line whose system home is
-     * `h`: emit the row's invalidations (charged to `job`) and commit
-     * the directory update. All directory maintenance — sharer
-     * recording, store/atomic invalidation fans, HMG re-fans,
+     * `h`: emit the row's invalidations (charged to `job`) and execute
+     * its commit step on the directory. All directory maintenance —
+     * sharer recording, store/atomic invalidation fans, HMG re-fans,
      * downgrades — funnels through here, so the rows hmgcheck verifies
      * are the rows executed.
      */

@@ -40,8 +40,6 @@ LintReport::toJson() const
         out += "\"family\": \"" + jsonEscape(f.family) + "\", ";
         out += "\"check\": \"" + jsonEscape(f.check) + "\", ";
         out += "\"file\": \"" + jsonEscape(f.file) + "\", ";
-        out += "\"table\": \"" + jsonEscape(f.table) + "\", ";
-        out += "\"row\": " + std::to_string(f.row) + ", ";
         out += "\"message\": \"" + jsonEscape(f.message) + "\", ";
         out += "\"counterexample\": [";
         for (std::size_t j = 0; j < f.counterexample.size(); ++j) {
@@ -117,8 +115,6 @@ LintReport::toSarif() const
         out += "\"properties\": {";
         out += "\"family\": \"" + jsonEscape(f.family) + "\", ";
         out += "\"check\": \"" + jsonEscape(f.check) + "\", ";
-        out += "\"table\": \"" + jsonEscape(f.table) + "\", ";
-        out += "\"row\": " + std::to_string(f.row) + ", ";
         out += "\"counterexample\": [";
         for (std::size_t j = 0; j < f.counterexample.size(); ++j) {
             if (j)
@@ -147,14 +143,8 @@ LintReport::toText() const
 {
     std::string out;
     for (const Finding &f : findings_) {
-        out += f.file + ": error: [" + f.family + "/" + f.check + "] ";
-        if (!f.table.empty()) {
-            out += f.table;
-            if (f.row >= 0)
-                out += " row " + std::to_string(f.row);
-            out += ": ";
-        }
-        out += f.message + "\n";
+        out += f.file + ": error: [" + f.family + "/" + f.check + "] " +
+               f.message + "\n";
         for (const std::string &c : f.counterexample)
             out += "    " + c + "\n";
     }

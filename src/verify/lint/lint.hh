@@ -7,19 +7,19 @@
  * exhaustive exploration: where the model checker enumerates reachable
  * protocol states (and therefore stops scaling past small instances),
  * the lint families prove *structural* properties — of the transition
- * tables and of the NoC channel-dependency graph — in milliseconds,
+ * table and of the NoC channel-dependency graph — in milliseconds,
  * independent of state-space size.
  *
  * Every family reads one LintOptions — the validated SystemConfig of
  * the machine under analysis, whose fabric the transport proofs are
  * drawn from, plus the families' seeds — and appends Findings to a
  * shared LintReport. A Finding carries machine-readable provenance
- * (the file it is attributed to, plus table/row for spec findings) and
- * an optional counterexample: the minimal dependency cycle, the
- * closing message-class edge, the two rows a protocol divergence
- * compares. Every finding is an error. The report serializes to text,
- * JSON (`hmgcheck --static --json`) and SARIF so CI and editors can
- * consume findings without scraping diagnostics.
+ * (the file it is attributed to; a table finding names its rows by
+ * index in its message) and an optional counterexample: the minimal
+ * dependency cycle, the closing message-class edge. Every finding is
+ * an error. The report serializes to text, JSON (`hmgcheck --static
+ * --json`) and SARIF so CI and editors can consume findings without
+ * scraping diagnostics.
  */
 
 #ifndef HMG_VERIFY_LINT_LINT_HH
@@ -35,7 +35,7 @@
 namespace hmg::verify::lint
 {
 
-/** Where the tables live; row indices attribute findings into it. */
+/** Where the table lives; row indices attribute findings into it. */
 inline constexpr const char *kTablesFile = "src/verify/tables.cc";
 
 /**
@@ -72,15 +72,12 @@ struct Finding
     /** Specific check within the family, e.g. "core". */
     std::string check;
     /** Source provenance: the file that defines what the finding is
-     *  about. For spec-table findings this is the file the tables live
-     *  in; `row` then indexes the table. */
+     *  about. For table findings this is the file the table lives in,
+     *  and the message names rows by their index there. */
     std::string file;
-    /** Table name and row index for spec findings ("" / -1 otherwise). */
-    std::string table;
-    int row = -1;
     /** One-line human diagnostic. */
     std::string message;
-    /** Optional counterexample: cycle edges, masking rows, etc. */
+    /** Optional counterexample: cycle edges, the closing edge. */
     std::vector<std::string> counterexample;
 };
 

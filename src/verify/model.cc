@@ -4,7 +4,7 @@
  *
  * The abstraction is deliberately small and fully deterministic: a
  * packed byte-array state (MState), successor generation that steps
- * verify::applyDirEvent over the same transition tables the timing
+ * verify::applyDirEvent over the same transition table the timing
  * simulator executes, and breadth-first search with a hashed visited
  * set — so the first violation found is a minimal-depth counterexample.
  *
@@ -207,7 +207,6 @@ class Explorer
 
     void setupWorkload();
 
-    const TransitionTable &tableAt(GpmId node, std::uint8_t l) const;
     DirSnapshot readEntry(const MState &s, GpmId node,
                           std::uint8_t l) const;
     void writeEntry(MState &s, GpmId node, std::uint8_t l, bool present,
@@ -243,14 +242,15 @@ class Explorer
     std::vector<Program> progs_;
     int thrAt_[kMaxGpms] = {};
     /** Private copy, so the bad-row test hook never touches the
-     *  shared tables the simulator dispatches through. */
-    const TableSet tables_;
+     *  table the simulator dispatches through. */
+    const std::vector<Transition> table_;
     std::string pendingErr_;
 };
 
 Explorer::Explorer(const MckConfig &cfg)
     : cfg_(cfg),
-      tables_(cfg.seedBadRow ? TableSeed::BadStoreRow : TableSeed::None)
+      table_(seededTable(cfg.seedBadRow ? TableSeed::BadStoreRow
+                                        : TableSeed::None))
 {
     hmg_assert(cfg_.numNodes >= 1 && cfg_.numNodes <= kMaxNodes);
     hmg_assert(cfg_.numGpus % cfg_.numNodes == 0);
@@ -430,21 +430,6 @@ Explorer::setupWorkload()
     }
 }
 
-const TransitionTable &
-Explorer::tableAt(GpmId node, std::uint8_t l) const
-{
-    if (!cfg_.hier) {
-        hmg_assert(node == hOf(l));
-        return tables_[Role::FlatHome];
-    }
-    if (node == hOf(l))
-        return tables_[Role::SysHome];
-    if (isNodeHome(node, l))
-        return tables_[Role::NodeHome];
-    hmg_assert(ghOfLine(topo_.gpuOf(node), l) == node);
-    return tables_[Role::GpuHome];
-}
-
 DirSnapshot
 Explorer::readEntry(const MState &s, GpmId node, std::uint8_t l) const
 {
@@ -514,37 +499,32 @@ void
 Explorer::applyAt(MState &s, GpmId node, GpmId via, std::uint8_t l,
                   DirEvent ev)
 {
-    const TransitionTable &tab = tableAt(node, l);
+    // Every directory event lands at one of the line's homes.
+    hmg_assert(node == hOf(l) ||
+               (cfg_.hier && (isNodeHome(node, l) ||
+                              ghOfLine(topo_.gpuOf(node), l) == node)));
     const DirSnapshot pre = readEntry(s, node, l);
-    ApplyOutcome out = applyDirEvent(
-        tab, topo_, cfg_.hier, node, via, ev, pre, hOf(l),
+    const ApplyOutcome out = applyDirEvent(
+        table_, topo_, cfg_.hier, node, via, ev, pre, hOf(l),
         [&](GpmId tgt) { send(s, node, tgt, Msg{MInv, l, 0, 0}); });
 
-    // Commit, mirroring core/hw_protocol.cc's directory adapter:
-    // valid-but-empty entries are only dropped by an explicit re-fan.
-    if (!out.keepEntry) {
-        if (pre.present && (ev == DirEvent::InvRecv || pre.gpmBits ||
-                            pre.gpuBits || pre.nodeBits))
-            writeEntry(s, node, l, false, 0, 0, 0);
+    switch (out.commit) {
+      case DirCommit::Keep:
         return;
-    }
-    switch (out.row->update) {
-      case DirUpdate::SetSoleSharer:
-        if (pre.present &&
-            (pre.gpmBits || pre.gpuBits || pre.nodeBits))
-            writeEntry(s, node, l, false, 0, 0, 0);
+      case DirCommit::Remove:
+        writeEntry(s, node, l, false, 0, 0, 0);
+        return;
+      case DirCommit::WriteBits:
+        break;
+      case DirCommit::RemoveAllocate:
+        writeEntry(s, node, l, false, 0, 0, 0);
         [[fallthrough]];
-      case DirUpdate::AddSharer:
+      case DirCommit::Allocate:
         if (!readEntry(s, node, l).present)
             evictFor(s, node, l);
-        writeEntry(s, node, l, true, out.gpmBits, out.gpuBits,
-                   out.nodeBits);
-        break;
-      default:
-        writeEntry(s, node, l, pre.present, out.gpmBits, out.gpuBits,
-                   out.nodeBits);
         break;
     }
+    writeEntry(s, node, l, true, out.gpmBits, out.gpuBits, out.nodeBits);
 }
 
 void
@@ -565,10 +545,10 @@ Explorer::evictFor(MState &s, GpmId node, std::uint8_t line)
     const auto vl = static_cast<std::uint8_t>(victim);
     const DirSnapshot pre = readEntry(s, node, vl);
     if (pre.gpmBits || pre.gpuBits || pre.nodeBits)
-        applyDirEvent(
-            tableAt(node, vl), topo_, cfg_.hier, node, kInvalidGpm,
-            DirEvent::Replace, pre, hOf(vl),
-            [&](GpmId tgt) { send(s, node, tgt, Msg{MInv, vl, 0, 0}); });
+        applyDirEvent(table_, topo_, cfg_.hier, node, kInvalidGpm,
+                      DirEvent::Replace, pre, hOf(vl), [&](GpmId tgt) {
+                          send(s, node, tgt, Msg{MInv, vl, 0, 0});
+                      });
     writeEntry(s, node, vl, false, 0, 0, 0);
 }
 

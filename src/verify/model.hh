@@ -1,7 +1,7 @@
 /**
  * @file
  * Exhaustive (Murphi-style) model checker for the NHCC / HMG directory
- * protocols, driven by the declarative transition tables of spec.hh.
+ * protocols, driven by the declarative transition table of spec.hh.
  *
  * The model is a small, finite abstraction of the machine the timing
  * simulator builds: 2 GPUs x 2 GPMs (or 2 nodes x 2 GPUs x 2 GPMs with
@@ -79,7 +79,7 @@ constexpr std::uint32_t kMaxLines = 3;
 /** Model-checker configuration (the "small config" of the issue). */
 struct MckConfig
 {
-    bool hier = true;              //!< true = HMG tables, false = NHCC
+    bool hier = true;              //!< true = HMG, false = NHCC
     /**
      * 1 = the paper's two-level home chain; 2 = a 2-node machine whose
      * home chain has a live node tier (requires hier, numGpus = 4,
@@ -95,8 +95,8 @@ struct MckConfig
     std::uint32_t dirEntriesPerNode = 1;
     Workload workload = Workload::Free;
     /**
-     * Test hook: explore tables seeded with TableSeed::BadStoreRow, a
-     * home-store row that emits no invalidations, proving the checker
+     * Test hook: explore a table seeded with TableSeed::BadStoreRow, a
+     * store row that emits no invalidations, proving the checker
      * produces a counterexample trace for a bad table row.
      */
     bool seedBadRow = false;

@@ -2,12 +2,17 @@
  * @file
  * The declarative protocol specification: Table I of the paper as data.
  *
- * Every directory/line state transition of the two hardware protocols
- * (NHCC, Section IV; HMG, Section V) is one row of a per-role
- * TransitionTable:
+ * NHCC (Section IV) and HMG (Section V) share one directory automaton
+ * with two stable states, and every transition is one row of it:
  *
  *     (line state, incoming event, guard)
  *         -> (next state, directory update, emitted messages)
+ *
+ * HMG adds one row pair, InvRecv: a home below the system home (a GPU
+ * home, or a node home) re-fans an arriving invalidation one tier down.
+ * What differs between the homes is only how sharers are encoded (flat
+ * GPM bits, or local-GPM + GPU + node bits), which core/sharer_ops.hh
+ * decides at apply time.
  *
  * The simulator dispatches its directory maintenance through these rows
  * via verify::applyDirEvent (apply.hh): core/hw_protocol.cc applies one
@@ -24,13 +29,14 @@
  * invalidation acknowledgment messages" (Sections IV-B, V-C): a row's
  * next state is a DirState, which has only the two stable values, and
  * no field can ask for an acknowledgment, so a row applies in one step.
- * checkTable() proves what the type cannot: determinism (no two rows
- * match the same state/event/guard), completeness (every receivable
- * state/event pair has a row) and a consistent row encoding.
+ * checkTable() proves what the type cannot: a consistent row encoding,
+ * determinism (no two rows match the same state/event/guard),
+ * completeness (every receivable state/event pair has a row) and
+ * reachability (every row's anchor state is reachable).
  *
- * A verifier that plants a defect does so in a TableSet, a private copy
- * of every table with one named TableSeed applied, so a test hook never
- * touches the rows the simulator dispatches through.
+ * A verifier that plants a defect does so in seededTable(), a private
+ * copy of the table with one named TableSeed applied, so a test hook
+ * never touches the rows the simulator dispatches through.
  */
 
 #ifndef HMG_VERIFY_SPEC_HH
@@ -38,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,16 +106,6 @@ enum class EmitMsg : std::uint8_t
                  //!< GPU homes of its tracked GPUs)
 };
 
-/** Which directory a table describes. */
-enum class Role : std::uint8_t
-{
-    FlatHome,  //!< NHCC's single home (flat GPM sharer bits)
-    GpuHome,   //!< HMG per-GPU home (local GPM bits only)
-    NodeHome,  //!< HMG per-node home (GPM bits + local GPU bits)
-    SysHome,   //!< HMG system home (GPM + GPU + node bits)
-    NumRoles,
-};
-
 /** One declarative transition row. */
 struct Transition
 {
@@ -122,66 +119,35 @@ struct Transition
     const char *note;
 };
 
-/** A per-role table plus identification. */
-struct TransitionTable
-{
-    Role role;
-    const char *name;
-    const Transition *rows;
-    std::size_t numRows;
-};
+/** A view of transition rows: Table I itself, or a seeded copy. */
+using TransitionTable = std::span<const Transition>;
 
 const char *toString(DirState s);
 const char *toString(DirEvent e);
 const char *toString(Guard g);
 const char *toString(DirUpdate u);
 const char *toString(EmitMsg e);
-const char *toString(Role r);
 
-/** The table governing directories of `role`. */
-const TransitionTable &tableFor(Role role);
+/** Table I: the rows every directory of NHCC and HMG applies. */
+TransitionTable dirTable();
 
-/** "table[state,event,guard]": a row's name in findings and problems. */
-std::string rowName(const TransitionTable &t, const Transition &r);
+/** "row i [state,event,guard]": a row's name in checkTable()'s problems. */
+std::string rowName(TransitionTable t, std::size_t i);
 
-/** A defect a verifier's test hook plants in its TableSet. */
+/** A defect a verifier's test hook plants in its copy of the table. */
 enum class TableSeed : std::uint8_t
 {
     None,
-    /** The top home of each protocol (NHCC's flat home, HMG's system
-     *  home) stops invalidating on a tracked store (--seed-bad-row). */
+    /** The store row stops invalidating on a tracked store
+     *  (--seed-bad-row). */
     BadStoreRow,
-    /** The GPU home gains a row a Guard::Always row shadows
+    /** A row shadowed by the Guard::Always load row is appended
      *  (--seed-dead-row). */
     DeadRow,
 };
 
-/**
- * A private copy of every table, indexed by Role, with one seed
- * applied. Row storage is owned and never moves, so the set is not
- * copyable.
- */
-class TableSet
-{
-  public:
-    explicit TableSet(TableSeed seed = TableSeed::None);
-    TableSet(const TableSet &) = delete;
-    TableSet &operator=(const TableSet &) = delete;
-
-    const TransitionTable &
-    operator[](Role role) const
-    {
-        return tables_[static_cast<std::size_t>(role)];
-    }
-    const TransitionTable *begin() const { return tables_; }
-    const TransitionTable *end() const { return tables_ + kNumRoles; }
-
-  private:
-    static constexpr std::size_t kNumRoles =
-        static_cast<std::size_t>(Role::NumRoles);
-    std::vector<Transition> rows_[kNumRoles];
-    TransitionTable tables_[kNumRoles] = {};
-};
+/** A private copy of Table I with `seed` applied. */
+std::vector<Transition> seededTable(TableSeed seed);
 
 /** Does guard `g` accept a writer-tracked flag of `tracked`? */
 constexpr bool
@@ -191,27 +157,20 @@ guardHolds(Guard g, bool tracked)
 }
 
 /**
- * Which events a directory of `role` can actually receive in state `s`.
- * Shared by checkTable()'s completeness pass and the table lint family
- * so "covered" means the same thing everywhere.
- */
-bool receivable(Role role, DirState s, DirEvent e);
-
-/**
  * The unique row of `t` matching (state, event, tracked-writer), or
  * nullptr. Uniqueness and coverage are enforced by checkTable().
  */
-const Transition *findTransition(const TransitionTable &t, DirState s,
-                                 DirEvent e, bool tracked);
+const Transition *findTransition(TransitionTable t, DirState s, DirEvent e,
+                                 bool tracked);
 
 /**
- * Statically verify one table: every row's encoding is consistent; no
- * two rows overlap (an overlap names the masked row and the row that
- * masks it); every (state, event) pair the role can receive is
- * covered. @return human-readable problems (empty when the table is
- * sound).
+ * Statically verify a table: every row's encoding is consistent; no two
+ * rows overlap (an overlap names the masked row and the row that masks
+ * it); every (state, event) pair a directory can receive is covered;
+ * every row is anchored at a state reachable from Invalid. @return
+ * human-readable problems (empty when the table is sound).
  */
-std::vector<std::string> checkTable(const TransitionTable &t);
+std::vector<std::string> checkTable(TransitionTable t);
 
 // ------------------------------------------------------------------
 // Message-class dependency graph (deadlock freedom, invariant 4).

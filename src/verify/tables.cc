@@ -1,6 +1,8 @@
 #include "verify/spec.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 namespace hmg::verify
 {
@@ -11,117 +13,70 @@ namespace
 // ------------------------------------------------------------------
 // Table I as data. Row order is documentation order; lookup is by
 // (state, event, guard) and checkTable() proves the match is unique.
+// The sharer-bit *encoding* (flat GPM bits vs. local-GPM + GPU + node
+// bits) is each home's business, delegated to sharer_ops.hh at apply
+// time; the transitions are one two-stable-state automaton.
 // ------------------------------------------------------------------
 
-// Rows shared by every home role. The sharer-bit *encoding* (flat GPM
-// bits vs. local-GPM + GPU bits) is the role's business, delegated to
-// sharer_ops.hh at apply time; the transitions themselves are the same
-// two-stable-state automaton of Table I.
-#define HMG_COMMON_HOME_ROWS                                              \
-    {DirState::Valid, DirEvent::LoadMiss, Guard::Always,                  \
-     DirState::Valid, DirUpdate::AddSharer, EmitMsg::DataResp,            \
-     "Read: add the requester to the sharer set"},                        \
-    {DirState::Invalid, DirEvent::LoadMiss, Guard::Always,                \
-     DirState::Valid, DirUpdate::AddSharer, EmitMsg::DataResp,            \
-     "Read miss: allocate an entry, record the requester"},               \
-    {DirState::Valid, DirEvent::Store, Guard::WriterTracked,              \
-     DirState::Valid, DirUpdate::SetSoleSharer, EmitMsg::InvOthers,       \
-     "Store: invalidate stale sharers in the background; the writer "     \
-     "becomes the sole sharer (no acks collected — Section IV-B)"},       \
-    {DirState::Valid, DirEvent::Store, Guard::WriterUntracked,            \
-     DirState::Invalid, DirUpdate::Clear, EmitMsg::InvOthers,             \
-     "Store by the home / atomic / update-only write-back: invalidate "   \
-     "every sharer, entry returns to Invalid"},                           \
-    {DirState::Invalid, DirEvent::Store, Guard::WriterTracked,            \
-     DirState::Valid, DirUpdate::AddSharer, EmitMsg::None,                \
-     "Store miss: track the writer's fresh copy"},                        \
-    {DirState::Invalid, DirEvent::Store, Guard::WriterUntracked,          \
-     DirState::Invalid, DirUpdate::None, EmitMsg::None,                   \
-     "Store miss, untracked writer: nothing to track"},                   \
-    {DirState::Valid, DirEvent::Replace, Guard::Always,                   \
-     DirState::Invalid, DirUpdate::Clear, EmitMsg::InvAll,                \
-     "Replace dir entry: invalidate every sharer of the victim"},         \
-    {DirState::Valid, DirEvent::Downgrade, Guard::Always,                 \
-     DirState::Valid, DirUpdate::DropSharer, EmitMsg::None,               \
-     "Clean-eviction downgrade: prune one sharer (Section IV-B)"},        \
-    {DirState::Invalid, DirEvent::Downgrade, Guard::Always,               \
-     DirState::Invalid, DirUpdate::None, EmitMsg::None,                   \
-     "Downgrade for an untracked sector: stale, ignore"}
-
-constexpr Transition kFlatHomeRows[] = {
-    HMG_COMMON_HOME_ROWS,
-};
-
-constexpr Transition kSysHomeRows[] = {
-    HMG_COMMON_HOME_ROWS,
-};
-
-constexpr Transition kGpuHomeRows[] = {
-    HMG_COMMON_HOME_ROWS,
+constexpr Transition kRows[] = {
+    {DirState::Valid, DirEvent::LoadMiss, Guard::Always,
+     DirState::Valid, DirUpdate::AddSharer, EmitMsg::DataResp,
+     "Read: add the requester to the sharer set"},
+    {DirState::Invalid, DirEvent::LoadMiss, Guard::Always,
+     DirState::Valid, DirUpdate::AddSharer, EmitMsg::DataResp,
+     "Read miss: allocate an entry, record the requester"},
+    {DirState::Valid, DirEvent::Store, Guard::WriterTracked,
+     DirState::Valid, DirUpdate::SetSoleSharer, EmitMsg::InvOthers,
+     "Store: invalidate stale sharers in the background; the writer "
+     "becomes the sole sharer (no acks collected — Section IV-B)"},
+    {DirState::Valid, DirEvent::Store, Guard::WriterUntracked,
+     DirState::Invalid, DirUpdate::Clear, EmitMsg::InvOthers,
+     "Store by the home / atomic / update-only write-back: invalidate "
+     "every sharer, entry returns to Invalid"},
+    {DirState::Invalid, DirEvent::Store, Guard::WriterTracked,
+     DirState::Valid, DirUpdate::AddSharer, EmitMsg::None,
+     "Store miss: track the writer's fresh copy"},
+    {DirState::Invalid, DirEvent::Store, Guard::WriterUntracked,
+     DirState::Invalid, DirUpdate::None, EmitMsg::None,
+     "Store miss, untracked writer: nothing to track"},
+    {DirState::Valid, DirEvent::Replace, Guard::Always,
+     DirState::Invalid, DirUpdate::Clear, EmitMsg::InvAll,
+     "Replace dir entry: invalidate every sharer of the victim"},
+    {DirState::Valid, DirEvent::Downgrade, Guard::Always,
+     DirState::Valid, DirUpdate::DropSharer, EmitMsg::None,
+     "Clean-eviction downgrade: prune one sharer (Section IV-B)"},
+    {DirState::Invalid, DirEvent::Downgrade, Guard::Always,
+     DirState::Invalid, DirUpdate::None, EmitMsg::None,
+     "Downgrade for an untracked sector: stale, ignore"},
     // The single transition HMG adds over NHCC (Table I, last row): a
-    // GPU home receiving a system-level invalidation re-fans it to the
-    // GPM sharers it tracks, then drops its entry, in one step like
-    // every row: no acknowledgment is collected, and the release marker
-    // rounds drain the re-fanned wave (Section V-C).
+    // home below the system home receiving an invalidation re-fans it
+    // one tier down — a GPU home to its GPM sharers, a node home also
+    // to the GPU homes of its tracked GPUs, which re-fan again — then
+    // drops its entry, in one step like every row: no acknowledgment is
+    // collected, and the release marker rounds drain the re-fanned
+    // waves (Section V-C). applyDirEvent admits it nowhere else.
     {DirState::Valid, DirEvent::InvRecv, Guard::Always,
      DirState::Invalid, DirUpdate::Clear, EmitMsg::RefanGpm,
-     "HMG-only: GPU home re-fans the invalidation to its GPM sharers"},
+     "HMG-only: an intermediate home re-fans the invalidation one tier "
+     "down"},
     {DirState::Invalid, DirEvent::InvRecv, Guard::Always,
      DirState::Invalid, DirUpdate::None, EmitMsg::None,
-     "Invalidation with no tracked local sharers: drop"},
+     "Invalidation with no tracked sharers below: drop"},
 };
 
-constexpr Transition kNodeHomeRows[] = {
-    HMG_COMMON_HOME_ROWS,
-    // A node home is the same automaton one tier up: a system-level
-    // invalidation arriving here re-fans to the local GPM sharers it
-    // tracks *and* to the GPU homes of its tracked same-node GPUs,
-    // which re-fan again (the three-wave chain Section V-C's release
-    // marker rounds drain).
-    {DirState::Valid, DirEvent::InvRecv, Guard::Always,
-     DirState::Invalid, DirUpdate::Clear, EmitMsg::RefanGpm,
-     "HMG multi-node: node home re-fans the invalidation one tier down"},
-    {DirState::Invalid, DirEvent::InvRecv, Guard::Always,
-     DirState::Invalid, DirUpdate::None, EmitMsg::None,
-     "Invalidation with no tracked node sharers: drop"},
-};
-
-#undef HMG_COMMON_HOME_ROWS
-
-constexpr TransitionTable kTables[] = {
-    {Role::FlatHome, "nhcc-home", kFlatHomeRows,
-     sizeof(kFlatHomeRows) / sizeof(kFlatHomeRows[0])},
-    {Role::GpuHome, "hmg-gpu-home", kGpuHomeRows,
-     sizeof(kGpuHomeRows) / sizeof(kGpuHomeRows[0])},
-    {Role::NodeHome, "hmg-node-home", kNodeHomeRows,
-     sizeof(kNodeHomeRows) / sizeof(kNodeHomeRows[0])},
-    {Role::SysHome, "hmg-sys-home", kSysHomeRows,
-     sizeof(kSysHomeRows) / sizeof(kSysHomeRows[0])},
-};
+/**
+ * Which events a directory can actually receive in state `s`: the
+ * query space of checkTable()'s completeness and reachability passes.
+ * Replacement is only ever applied to a displaced valid victim; every
+ * other event arrives in both states.
+ */
+bool
+receivable(DirState s, DirEvent e)
+{
+    return e != DirEvent::Replace || s == DirState::Valid;
+}
 
 } // namespace
-
-bool
-receivable(Role role, DirState s, DirEvent e)
-{
-    switch (e) {
-      case DirEvent::LoadMiss:
-      case DirEvent::Store:
-      case DirEvent::Downgrade:
-        return true;
-      case DirEvent::Replace:
-        // Replacement is only ever applied to a displaced valid victim.
-        return s == DirState::Valid;
-      case DirEvent::InvRecv:
-        // Only the intermediate homes (GPU home, node home) own re-fan
-        // state; elsewhere an arriving invalidation is pure cache-side
-        // work.
-        return role == Role::GpuHome || role == Role::NodeHome;
-      case DirEvent::NumEvents:
-        break;
-    }
-    return false;
-}
 
 const char *
 toString(DirState s)
@@ -180,115 +135,84 @@ toString(EmitMsg e)
     return "?";
 }
 
-const char *
-toString(Role r)
+TransitionTable
+dirTable()
 {
-    switch (r) {
-      case Role::FlatHome: return "FlatHome";
-      case Role::GpuHome:  return "GpuHome";
-      case Role::NodeHome: return "NodeHome";
-      case Role::SysHome:  return "SysHome";
-      case Role::NumRoles: break;
-    }
-    return "?";
-}
-
-const TransitionTable &
-tableFor(Role role)
-{
-    return kTables[static_cast<std::size_t>(role)];
+    return kRows;
 }
 
 std::string
-rowName(const TransitionTable &t, const Transition &r)
+rowName(TransitionTable t, std::size_t i)
 {
-    std::string s = t.name;
-    s += '[';
-    s += toString(r.state);
-    s += ',';
-    s += toString(r.event);
-    s += ',';
-    s += toString(r.guard);
-    s += ']';
-    return s;
+    const Transition &r = t[i];
+    return "row " + std::to_string(i) + " [" + toString(r.state) + "," +
+           toString(r.event) + "," + toString(r.guard) + "]";
 }
 
-TableSet::TableSet(TableSeed seed)
+std::vector<Transition>
+seededTable(TableSeed seed)
 {
-    for (std::size_t r = 0; r < kNumRoles; ++r)
-        rows_[r].assign(kTables[r].rows, kTables[r].rows + kTables[r].numRows);
-    auto &gpuHome = rows_[static_cast<std::size_t>(Role::GpuHome)];
+    std::vector<Transition> rows(std::begin(kRows), std::end(kRows));
     switch (seed) {
       case TableSeed::None:
         break;
       case TableSeed::BadStoreRow:
         // Stale sharers survive a write, which exploration must surface
         // as a sharer-tracking or litmus counterexample.
-        for (Role role : {Role::FlatHome, Role::SysHome})
-            for (Transition &row : rows_[static_cast<std::size_t>(role)])
-                if (row.state == DirState::Valid &&
-                    row.event == DirEvent::Store &&
-                    row.guard == Guard::WriterTracked)
-                    row.emit = EmitMsg::None;
+        for (Transition &row : rows)
+            if (row.state == DirState::Valid &&
+                row.event == DirEvent::Store &&
+                row.guard == Guard::WriterTracked)
+                row.emit = EmitMsg::None;
         break;
       case TableSeed::DeadRow:
-        // Shadowed by the (Valid, LoadMiss, Always) row above it:
-        // findTransition can never reach this row.
-        gpuHome.push_back({DirState::Valid, DirEvent::LoadMiss,
-                           Guard::WriterTracked, DirState::Valid,
-                           DirUpdate::SetSoleSharer, EmitMsg::None,
-                           "seeded dead row (--seed-dead-row test hook)"});
+        // Shadowed by the (Valid, LoadMiss, Always) row 0: findTransition
+        // can never reach this row.
+        rows.push_back({DirState::Valid, DirEvent::LoadMiss,
+                        Guard::WriterTracked, DirState::Valid,
+                        DirUpdate::SetSoleSharer, EmitMsg::None,
+                        "seeded dead row (--seed-dead-row test hook)"});
         break;
     }
-    for (std::size_t r = 0; r < kNumRoles; ++r)
-        tables_[r] = {kTables[r].role, kTables[r].name, rows_[r].data(),
-                      rows_[r].size()};
+    return rows;
 }
 
 const Transition *
-findTransition(const TransitionTable &t, DirState s, DirEvent e,
-               bool tracked)
+findTransition(TransitionTable t, DirState s, DirEvent e, bool tracked)
 {
-    for (std::size_t i = 0; i < t.numRows; ++i) {
-        const Transition &r = t.rows[i];
+    for (const Transition &r : t)
         if (r.state == s && r.event == e && guardHolds(r.guard, tracked))
             return &r;
-    }
     return nullptr;
 }
 
 std::vector<std::string>
-checkTable(const TransitionTable &t)
+checkTable(TransitionTable t)
 {
     std::vector<std::string> problems;
-    auto complain = [&](const std::string &what) {
-        problems.push_back(std::string(t.name) + ": " + what);
-    };
 
     // Internal consistency of the row encoding. (Ack- and
     // transient-freedom need no check: the row type cannot express
     // either.)
-    for (std::size_t i = 0; i < t.numRows; ++i) {
-        const Transition &r = t.rows[i];
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const Transition &r = t[i];
+        auto complain = [&](const char *what) {
+            problems.push_back(rowName(t, i) + " " + what);
+        };
         if ((r.update == DirUpdate::AddSharer ||
              r.update == DirUpdate::SetSoleSharer) &&
             r.next != DirState::Valid)
-            complain(rowName(t, r) + " records a sharer yet leaves the "
-                     "entry Invalid");
+            complain("records a sharer yet leaves the entry Invalid");
         if (r.update == DirUpdate::DropSharer &&
             r.state != DirState::Valid)
-            complain(rowName(t, r) + " drops a sharer from an absent "
-                     "entry");
+            complain("drops a sharer from an absent entry");
         if (r.emit == EmitMsg::InvAll && r.event != DirEvent::Replace)
-            complain(rowName(t, r) + " blanket-invalidates outside a "
-                     "replacement");
-        if (r.emit == EmitMsg::RefanGpm && t.role != Role::GpuHome &&
-            t.role != Role::NodeHome)
-            complain(rowName(t, r) + " re-fans at a role with no home "
-                     "tier below it");
+            complain("blanket-invalidates outside a replacement");
+        if (r.emit == EmitMsg::RefanGpm && r.event != DirEvent::InvRecv)
+            complain("re-fans an event other than an arriving "
+                     "invalidation");
         if (r.event == DirEvent::Store && r.guard == Guard::Always)
-            complain(rowName(t, r) + " ignores the writer-tracking "
-                     "guard stores require");
+            complain("ignores the writer-tracking guard stores require");
     }
 
     // Determinism + completeness over the receivable event space.
@@ -301,8 +225,8 @@ checkTable(const TransitionTable &t)
             const auto ev = static_cast<DirEvent>(e);
             for (bool tracked : {false, true}) {
                 std::vector<std::size_t> matches;
-                for (std::size_t i = 0; i < t.numRows; ++i) {
-                    const Transition &r = t.rows[i];
+                for (std::size_t i = 0; i < t.size(); ++i) {
+                    const Transition &r = t[i];
                     if (r.state == s && r.event == ev &&
                         guardHolds(r.guard, tracked))
                         matches.push_back(i);
@@ -316,19 +240,33 @@ checkTable(const TransitionTable &t)
                                        std::to_string(matches.size()) +
                                        " rows match " + buf;
                     for (std::size_t k = 1; k < matches.size(); ++k)
-                        what += (k == 1 ? ": row " : "; row ") +
-                                std::to_string(matches[k]) +
-                                " " + rowName(t, t.rows[matches[k]]) +
-                                " is masked by row " +
-                                std::to_string(first) + " " +
-                                rowName(t, t.rows[first]);
-                    complain(what);
+                        what += (k == 1 ? ": " : "; ") +
+                                rowName(t, matches[k]) +
+                                " is masked by " + rowName(t, first);
+                    problems.push_back(what);
                 }
-                if (matches.empty() && receivable(t.role, s, ev))
-                    complain(std::string("incomplete: no row for ") + buf);
+                if (matches.empty() && receivable(s, ev))
+                    problems.push_back(std::string("incomplete: no row "
+                                                   "for ") + buf);
             }
         }
     }
+
+    // Reachability. Invalid is the initial state, so with two states
+    // Valid is reachable exactly when a receivable Invalid-anchored row
+    // leads to it; otherwise no Valid-anchored row can ever fire.
+    const bool validReached =
+        std::any_of(t.begin(), t.end(), [](const Transition &r) {
+            return r.state == DirState::Invalid &&
+                   r.next == DirState::Valid && receivable(r.state, r.event);
+        });
+    if (!validReached)
+        for (std::size_t i = 0; i < t.size(); ++i)
+            if (t[i].state == DirState::Valid)
+                problems.push_back("unreachable: " + rowName(t, i) +
+                                   " is anchored at Valid, which no "
+                                   "event path reaches from the initial "
+                                   "Invalid state");
     return problems;
 }
 

@@ -114,6 +114,11 @@ expect_reject "hier-release under NHCC" --workload bfs --scale 0.01 \
     --protocol nhcc --hier-release
 expect_reject "deterministic without lp-jobs" --workload bfs --scale 0.01 \
     --deterministic
+expect_reject "deterministic on a one-GPU machine (one LP)" \
+    --gpus 1 --lp-jobs 4 --deterministic --workload bfs --scale 0.02
+expect_accept "deterministic over two nodes (two LPs)" \
+    --nodes 2 --gpus 2 --lp-jobs 4 --deterministic --workload bfs \
+    --scale 0.02
 
 # Probabilities summing past 1 are a config error even though each is
 # individually in range.

@@ -258,6 +258,15 @@ TEST(ConfigValidation, RejectsInconsistentConfigs)
         "hierarchicalReleaseFanout requires the HMG protocol");
     dies([](SystemConfig &c) { c.lpDeterministic = true; },
          "lpDeterministic requires lpJobs > 1");
+    // One GPU on one node is one cut unit, so LpPlan::build runs one LP.
+    dies(
+        [](SystemConfig &c) {
+            c.numGpus = 1;
+            c.lpJobs = 4;
+            c.lpDeterministic = true;
+        },
+        "lpDeterministic requires more than one LP, but lpJobs \\(4\\) "
+        "is clamped to the machine's 1 cut unit \\(gpu tier\\)");
 }
 
 TEST(ConfigValidation, AcceptsFaultTimingAtTheCap)

@@ -24,7 +24,6 @@
 
 using namespace hmg::verify::lint;
 using hmg::verify::MsgDep;
-using hmg::verify::Role;
 using hmg::verify::Transition;
 using hmg::verify::TransitionTable;
 
@@ -40,22 +39,30 @@ findCheck(const LintReport &r, const std::string &check)
     return nullptr;
 }
 
+/** checkTable()'s problems with `rows`, one per line. */
+std::string
+problemsOf(const std::vector<Transition> &rows)
+{
+    std::string all;
+    for (const std::string &p : hmg::verify::checkTable(rows))
+        all += p + "\n";
+    return all;
+}
+
 } // namespace
 
 // ===================================================================
 // Family (a): spec-table structure.
 // ===================================================================
 
-TEST(TableLint, CleanOnShippedTables)
+TEST(TableLint, CleanOnShippedTable)
 {
     LintReport r;
     analyzeTables(LintOptions{}, r);
     for (const Finding &f : r.findings())
-        ADD_FAILURE() << f.table << " row " << f.row << " ["
-                      << f.check << "]: " << f.message;
+        ADD_FAILURE() << "[" << f.check << "]: " << f.message;
     EXPECT_TRUE(r.clean());
-    // NHCC flat + HMG sys/node/GPU home tiers.
-    EXPECT_EQ(r.stats().at("table.tables"), 4u);
+    EXPECT_EQ(r.stats().at("table.rows"), 11u);
 }
 
 TEST(TableLint, SeededDeadRowCaughtWithMaskingRow)
@@ -64,69 +71,81 @@ TEST(TableLint, SeededDeadRowCaughtWithMaskingRow)
     o.seedDeadRow = true;
     LintReport r;
     analyzeTables(o, r);
-    // The seed appends a row behind the GPU home's shipped rows, where
-    // the (Valid, LoadMiss, Always) row 0 answers its one query first.
+    // The seed appends row 11 behind the table's 11 rows, where the
+    // (Valid, LoadMiss, Always) row 0 answers its one query first.
     const Finding *f = findCheck(r, "core");
     ASSERT_NE(f, nullptr) << "seeded dead row not reported";
     ASSERT_EQ(r.findings().size(), 1u) << r.toText();
     EXPECT_EQ(f->family, std::string("table"));
-    EXPECT_EQ(f->table, std::string("hmg-gpu-home"));
     EXPECT_EQ(f->file, std::string("src/verify/tables.cc"));
-    const std::size_t dead =
-        hmg::verify::tableFor(Role::GpuHome).numRows;
+    EXPECT_EQ(r.stats().at("table.rows"), 12u);
     // The message names both the dead row and its masker.
     EXPECT_EQ(f->message,
-              "ambiguous: 2 rows match (Valid, LoadMiss, tracked=1): row " +
-                  std::to_string(dead) +
-                  " hmg-gpu-home[Valid,LoadMiss,WriterTracked] is masked "
-                  "by row 0 hmg-gpu-home[Valid,LoadMiss,Always]");
+              "ambiguous: 2 rows match (Valid, LoadMiss, tracked=1): "
+              "row 11 [Valid,LoadMiss,WriterTracked] is masked by "
+              "row 0 [Valid,LoadMiss,Always]");
 }
 
 TEST(TableLint, CoreCatchesEveryDuplicatedOrDroppedRow)
 {
-    // Two mutants of every row of every shipped table, and core must
-    // fail both. A copy of the row appended behind it can never fire
-    // (what a dead-row pass would report), so core names it masked by
-    // the original. Dropping a row whose query the role can receive
-    // leaves that query with no row (what a missing-consumer pass would
-    // report for an InvRecv row), so core reports the table incomplete.
+    // Two mutants of every row, and core must fail both. A copy of the
+    // row appended behind it can never fire (what a dead-row pass would
+    // report), so core names it masked by the original. Every row
+    // answers a query some directory receives, so dropping one leaves
+    // that query with no row (what a missing-consumer pass would report
+    // for an InvRecv row), and core reports the table incomplete.
+    const TransitionTable t = hmg::verify::dirTable();
     std::size_t mutants = 0;
-    for (std::size_t role = 0;
-         role < static_cast<std::size_t>(Role::NumRoles); ++role) {
-        const TransitionTable &t =
-            hmg::verify::tableFor(static_cast<Role>(role));
-        for (std::size_t i = 0; i < t.numRows; ++i) {
-            const Transition &row = t.rows[i];
-            const std::string name = hmg::verify::rowName(t, row);
-            auto problems = [&](const std::vector<Transition> &rows) {
-                std::string all;
-                for (const std::string &p : hmg::verify::checkTable(
-                         {t.role, t.name, rows.data(), rows.size()}))
-                    all += p + "\n";
-                return all;
-            };
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const std::string name = hmg::verify::rowName(t, i);
 
-            std::vector<Transition> copied(t.rows, t.rows + t.numRows);
-            copied.push_back(row);
-            EXPECT_NE(problems(copied).find(
-                          "row " + std::to_string(t.numRows) + " " + name +
-                          " is masked by row " + std::to_string(i) + " " +
-                          name),
-                      std::string::npos)
-                << name << " appended twice";
-            ++mutants;
+        std::vector<Transition> copied(t.begin(), t.end());
+        copied.push_back(t[i]);
+        const std::string masked = hmg::verify::rowName(copied, t.size()) +
+                                   " is masked by " + name;
+        EXPECT_NE(problemsOf(copied).find(masked), std::string::npos)
+            << name << " appended twice";
+        ++mutants;
 
-            if (!hmg::verify::receivable(t.role, row.state, row.event))
-                continue;
-            std::vector<Transition> dropped(t.rows, t.rows + t.numRows);
-            dropped.erase(dropped.begin() + static_cast<long>(i));
-            EXPECT_NE(problems(dropped).find("incomplete: no row for"),
-                      std::string::npos)
-                << name << " dropped";
-            ++mutants;
-        }
+        std::vector<Transition> dropped(t.begin(), t.end());
+        dropped.erase(dropped.begin() + static_cast<long>(i));
+        EXPECT_NE(problemsOf(dropped).find("incomplete: no row for"),
+                  std::string::npos)
+            << name << " dropped";
+        ++mutants;
     }
-    EXPECT_EQ(mutants, 80u); // 40 shipped rows, all receivable
+    EXPECT_EQ(mutants, 22u); // 11 rows, all receivable
+}
+
+TEST(TableLint, CoreNamesEveryRowAnchoredAtAnUnreachableState)
+{
+    // No Invalid-anchored row enters Valid any more, so from the
+    // initial Invalid state no event path reaches Valid: every
+    // Valid-anchored row is dead, though the table stays deterministic
+    // and complete.
+    std::vector<Transition> rows(hmg::verify::dirTable().begin(),
+                                 hmg::verify::dirTable().end());
+    for (Transition &r : rows)
+        if (r.state == hmg::verify::DirState::Invalid) {
+            r.next = hmg::verify::DirState::Invalid;
+            r.update = hmg::verify::DirUpdate::None;
+        }
+    const std::vector<std::string> problems =
+        hmg::verify::checkTable(rows);
+    std::size_t valid = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (rows[i].state != hmg::verify::DirState::Valid)
+            continue;
+        ++valid;
+        const std::string unreachable =
+            "unreachable: " + hmg::verify::rowName(rows, i) + " ";
+        std::size_t named = 0;
+        for (const std::string &p : problems)
+            named += p.rfind(unreachable, 0) == 0;
+        EXPECT_EQ(named, 1u) << unreachable;
+    }
+    EXPECT_EQ(valid, 6u);
+    EXPECT_EQ(problems.size(), valid) << problemsOf(rows);
 }
 
 TEST(TableLint, SeededRunIsDeterministic)
@@ -336,11 +355,10 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     r.add(std::move(f));
     Finding w;
     w.family = "table";
-    w.check = "unreachable-row";
+    w.check = "core";
     w.file = "src/verify/tables.cc";
-    w.table = "hmg-gpu-home";
-    w.row = 9;
-    w.message = "row is anchored at Valid";
+    w.message = "unreachable: row 9 [Valid,InvRecv,Always] is anchored "
+                "at Valid";
     r.add(std::move(w));
     r.stat("cdg.nodes", 7);
 
@@ -352,8 +370,7 @@ TEST(LintReport, SarifCarriesSameFindingsAsJson)
     // One reportingDescriptor per family/check, results referencing
     // them by id and index.
     EXPECT_NE(sarif.find("\"id\": \"cdg/cycle\""), std::string::npos);
-    EXPECT_NE(sarif.find("\"id\": \"table/unreachable-row\""),
-              std::string::npos);
+    EXPECT_NE(sarif.find("\"id\": \"table/core\""), std::string::npos);
     EXPECT_NE(sarif.find("\"ruleIndex\": 0"), std::string::npos);
     EXPECT_NE(sarif.find("\"ruleIndex\": 1"), std::string::npos);
     // Every result is an error (SARIF's default level is warning), and

@@ -1,14 +1,19 @@
 /**
  * @file
  * Tests for the src/verify/ subsystem: the declarative transition
- * tables the timing simulator dispatches through, the static table
+ * table the timing simulator dispatches through, the static table
  * check (invariant family 1; the message-class graph is the cdg lint
- * family's, tests/lint_test.cc), and the exhaustive model checker
- * behind hmgcheck's explore stage (families 2-4).
+ * family's, tests/lint_test.cc), the commit step applyDirEvent decides
+ * for both of its callers, and the exhaustive model checker behind
+ * hmgcheck's explore stage (families 2-4).
  */
+
+#include <iterator>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "verify/apply.hh"
 #include "verify/model.hh"
 #include "verify/spec.hh"
 
@@ -21,24 +26,22 @@ namespace
 // Family 1: static table properties.
 // ------------------------------------------------------------------
 
-TEST(VerifyTables, AllTablesAckFreeTransientFreeComplete)
+TEST(VerifyTables, TableIsSoundAndSeedsCopyIt)
 {
-    const TableSet tables;
-    std::size_t count = 0;
-    for (const TransitionTable &t : tables) {
-        ++count;
-        for (const auto &p : checkTable(t))
-            ADD_FAILURE() << t.name << ": " << p;
-        EXPECT_GT(t.numRows, 0u);
-        // An unseeded copy holds exactly the rows the simulator uses.
-        EXPECT_EQ(t.numRows, tableFor(t.role).numRows);
-    }
-    EXPECT_EQ(count, 4u); // NHCC flat + HMG sys/node/GPU home tiers
+    for (const auto &p : checkTable(dirTable()))
+        ADD_FAILURE() << p;
+    // Table I: nine rows every home applies, then HMG's two InvRecv rows.
+    EXPECT_EQ(dirTable().size(), 11u);
+    // An unseeded copy holds exactly the rows the simulator uses.
+    const std::vector<Transition> copy = seededTable(TableSeed::None);
+    ASSERT_EQ(copy.size(), dirTable().size());
+    for (std::size_t i = 0; i < copy.size(); ++i)
+        EXPECT_EQ(rowName(copy, i), rowName(dirTable(), i));
 }
 
 TEST(VerifyTables, FindTransitionMatchesGuards)
 {
-    const TransitionTable &t = tableFor(Role::SysHome);
+    const TransitionTable t = dirTable();
     // The home-store row splits on whether the writer is tracked; both
     // variants must resolve, to different rows.
     const Transition *tracked =
@@ -48,6 +51,113 @@ TEST(VerifyTables, FindTransitionMatchesGuards)
     ASSERT_NE(tracked, nullptr);
     ASSERT_NE(untracked, nullptr);
     EXPECT_NE(tracked, untracked);
+}
+
+// ------------------------------------------------------------------
+// The commit step applyDirEvent hands the simulator and the model.
+// ------------------------------------------------------------------
+
+// 2 GPUs x 4 GPMs. A line homed at gpm0 has its GPU-1 home at gpm4,
+// whose entry tracks GPU 1's GPMs by local index.
+constexpr SharerTopology kTopo{2, 4, 1};
+constexpr GpmId kSys = 0;
+constexpr GpmId kGpuHome = 4;
+constexpr GpmId kActor = 5;              // local bit 0b0010
+constexpr std::uint32_t kSharers = 0x6;  // gpm5 and gpm6
+
+/** The three entries every row is applied to (those its state names). */
+enum class Entry
+{
+    Absent,
+    Empty,   //!< valid, every sharer downgraded away
+    Shared,  //!< valid, sharers kSharers
+};
+
+/** The commit step of one row on one entry, as the simulator's and the
+ *  model's directories execute it. */
+struct CommitCase
+{
+    std::size_t row;
+    Entry entry;
+    DirCommit commit;
+    std::uint32_t gpmBits; //!< post-event bits when the step writes them
+};
+
+constexpr CommitCase kCommitCases[] = {
+    {0, Entry::Empty, DirCommit::Allocate, 0x2},
+    {0, Entry::Shared, DirCommit::Allocate, 0x6},
+    {1, Entry::Absent, DirCommit::Allocate, 0x2},
+    {2, Entry::Empty, DirCommit::Allocate, 0x2},
+    {2, Entry::Shared, DirCommit::RemoveAllocate, 0x2},
+    {3, Entry::Empty, DirCommit::Keep, 0},
+    {3, Entry::Shared, DirCommit::Remove, 0},
+    {4, Entry::Absent, DirCommit::Allocate, 0x2},
+    {5, Entry::Absent, DirCommit::Keep, 0},
+    {6, Entry::Empty, DirCommit::Keep, 0},
+    {6, Entry::Shared, DirCommit::Remove, 0},
+    {7, Entry::Empty, DirCommit::WriteBits, 0},
+    {7, Entry::Shared, DirCommit::WriteBits, 0x4},
+    {8, Entry::Absent, DirCommit::Keep, 0},
+    {9, Entry::Empty, DirCommit::Remove, 0},
+    {9, Entry::Shared, DirCommit::Remove, 0},
+    {10, Entry::Absent, DirCommit::Keep, 0},
+};
+
+TEST(VerifyApply, EveryRowOnAbsentEmptyAndSharedEntries)
+{
+    const TransitionTable t = dirTable();
+    std::size_t applied = 0;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const Transition &row = t[i];
+        for (Entry entry : {Entry::Absent, Entry::Empty, Entry::Shared}) {
+            if ((entry == Entry::Absent) != (row.state == DirState::Invalid))
+                continue;
+            const CommitCase *c = nullptr;
+            for (const CommitCase &k : kCommitCases)
+                if (k.row == i && k.entry == entry)
+                    c = &k;
+            ASSERT_NE(c, nullptr) << rowName(t, i) << " has no case";
+
+            // Replacements, re-fans and untracked stores name no
+            // tracked actor; every other event acts for gpm5.
+            const bool untracked = row.guard == Guard::WriterUntracked ||
+                                   row.event == DirEvent::Replace ||
+                                   row.event == DirEvent::InvRecv;
+            const GpmId via = untracked ? kInvalidGpm : kActor;
+            ASSERT_EQ(findTransition(t, row.state, row.event, !untracked),
+                      &row)
+                << rowName(t, i);
+            DirSnapshot pre;
+            pre.present = entry != Entry::Absent;
+            pre.gpmBits = entry == Entry::Shared ? kSharers : 0;
+
+            const ApplyOutcome out =
+                applyDirEvent(t, kTopo, /*hier=*/true, kGpuHome, via,
+                              row.event, pre, kSys, [](GpmId) {});
+            EXPECT_EQ(out.commit, c->commit) << rowName(t, i);
+            const bool writes = out.commit == DirCommit::WriteBits ||
+                                out.commit == DirCommit::Allocate ||
+                                out.commit == DirCommit::RemoveAllocate;
+            if (writes) {
+                EXPECT_EQ(out.gpmBits, c->gpmBits) << rowName(t, i);
+            }
+            EXPECT_EQ(out.gpuBits, 0u) << rowName(t, i);
+            EXPECT_EQ(out.nodeBits, 0u) << rowName(t, i);
+            ++applied;
+        }
+    }
+    EXPECT_EQ(applied, std::size(kCommitCases));
+}
+
+TEST(VerifyApplyDeathTest, InvRecvOnlyBelowTheSystemHome)
+{
+    const DirSnapshot pre{true, kSharers, 0, 0};
+    auto apply = [&](bool hier, GpmId at) {
+        (void)applyDirEvent(dirTable(), kTopo, hier, at, kInvalidGpm,
+                            DirEvent::InvRecv, pre, kSys, [](GpmId) {});
+    };
+    EXPECT_DEATH(apply(/*hier=*/true, kSys), "assertion failed");
+    EXPECT_DEATH(apply(/*hier=*/false, kGpuHome), "assertion failed");
 }
 
 // ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 /**
  * @file
- * hmgcheck — the verifier for the NHCC / HMG coherence tables.
+ * hmgcheck — the verifier for the NHCC / HMG coherence table.
  *
- * Runs three stages over the declarative transition tables the timing
- * simulator itself dispatches through (src/verify/):
+ * Runs three stages over the declarative transition table (Table I)
+ * the timing simulator itself dispatches through (src/verify/):
  *
  *   static   structural proofs over any machine shape, in milliseconds
  *            and independent of state-space size: one report from two
@@ -11,7 +11,7 @@
  *              table  every row is consistently encoded, deterministic
  *                     (no row is masked by another) and complete (every
  *                     receivable event has a row); no row is
- *                     unreachable; NHCC and HMG agree where both answer;
+ *                     unreachable;
  *              cdg    the message-class dependency graph and the
  *                     channel-dependency graph over the NoC credit pools
  *                     are acyclic (deadlock freedom);
@@ -30,7 +30,9 @@
  * 2 GPMs x 2 nodes, whose home chain has a live node tier.
  *
  * Each --seed-* flag plants one defect, and its stage passes only when
- * it reports a defect. The mis-scoped litmus variant (mp_gpu_cross)
+ * it reports a defect: a seeded explore stage when at least one of its
+ * workloads reports a violation (a workload that reports none did not
+ * reach the seeded row). The mis-scoped litmus variant (mp_gpu_cross)
  * likewise must FAIL, demonstrating the checker can detect real scope
  * bugs. Exit status: 0 when every stage passes, 1 otherwise.
  *
@@ -88,7 +90,7 @@ usage()
 {
     std::printf(
         "hmgcheck — static analysis and exhaustive model checking of the\n"
-        "coherence tables. Stages: static (table, cdg), then retry and\n"
+        "coherence table. Stages: static (table, cdg), then retry and\n"
         "explore unless --static is given.\n\n"
         "  --static          run the static stage only\n"
         "  --topology FILE   machine shape from a topology JSON file;\n"
@@ -116,8 +118,8 @@ usage()
         "  --retry-losses N  loss budget of the retry check, 0..%u\n"
         "                    (default 3)\n"
         "  --trace           print the counterexample trace of failures\n"
-        "  --seed-bad-row    test hook: corrupt the home store row; the\n"
-        "                    explorer must emit a counterexample\n"
+        "  --seed-bad-row    test hook: corrupt the store row; at least\n"
+        "                    one workload must emit a counterexample\n"
         "  --seed-retry-bug  test hook: remove the retry sublayer's\n"
         "                    in-order filter; the retry check must find\n"
         "                    a duplicate delivery\n",
@@ -338,9 +340,15 @@ runStatic(const Options &o)
     return pass;
 }
 
-/** Run one exhaustive exploration (invariant families 2-4). */
+/**
+ * Run one exhaustive exploration (invariant families 2-4), setting
+ * `violated` when it reports a violation. Under --seed-bad-row a
+ * workload that reports none only says it never reached the seeded
+ * row, so its line passes; the stage verdict (main) asks that one
+ * workload did.
+ */
 bool
-runWorkload(const Options &o, verify::Workload w)
+runWorkload(const Options &o, verify::Workload w, bool &violated)
 {
     verify::MckConfig cfg;
     cfg.hier = o.hier;
@@ -350,13 +358,16 @@ runWorkload(const Options &o, verify::Workload w)
     cfg.dirEntriesPerNode = o.dirCap;
     cfg.workload = w;
     cfg.seedBadRow = o.seedBadRow;
+    const verify::MckResult res = verify::exploreProtocol(cfg);
+    violated = violated || !res.ok;
     // The mis-scoped litmus must be caught, not survived.
     const bool expectFail =
-        (w == verify::Workload::MpGpuCross && cfg.hier) || o.seedBadRow;
+        (w == verify::Workload::MpGpuCross && cfg.hier) ||
+        (o.seedBadRow && !res.ok);
 
-    return printExhaustive(o, "explore", toString(w),
-                           verify::exploreProtocol(cfg), expectFail,
-                           "all invariants hold");
+    return printExhaustive(o, "explore", toString(w), res, expectFail,
+                           o.seedBadRow ? "seed not reached"
+                                        : "all invariants hold");
 }
 
 /**
@@ -410,8 +421,14 @@ main(int argc, char **argv)
             if (o.hier && !o.seedBadRow)
                 runs.push_back(W::MpGpuCross);
         }
+        bool violated = false;
         for (W w : runs)
-            ok = runWorkload(o, w) && ok;
+            ok = runWorkload(o, w, violated) && ok;
+        if (o.seedBadRow && !violated) {
+            std::printf("explore seeded row reached by no workload: "
+                        "FAILED\n");
+            ok = false;
+        }
     }
 
     if (!o.json && !o.sarif)
