@@ -135,14 +135,17 @@ correlation(const std::vector<double> &x, const std::vector<double> &y)
     return den == 0 ? 0 : num / den;
 }
 
+/** Print the bench's header; a malformed HMG_BENCH_SCALE is fatal
+ *  before any of it is printed. */
 inline void
 banner(const char *what, const char *paper_ref)
 {
+    const double scale = benchScale();
     std::printf("================================================"
                 "====================\n");
     std::printf("%s\n", what);
     std::printf("reproduces: %s\n", paper_ref);
-    std::printf("workload scale: %.2f (HMG_BENCH_SCALE)\n", benchScale());
+    std::printf("workload scale: %.2f (HMG_BENCH_SCALE)\n", scale);
     std::printf("================================================"
                 "====================\n");
 }

@@ -27,6 +27,8 @@ int
 main(int argc, char **argv)
 {
     using namespace hmgbench;
+    // --jobs and HMG_JOBS are checked before anything is printed.
+    hmg::SweepRunner runner(hmg::parseJobsFlag(argc, argv));
     hmgbench::banner("Fig. 8: 4-GPU system, speedup vs no-remote-caching",
                      "HMG paper, Figure 8 (Section VII-A)");
 
@@ -34,7 +36,6 @@ main(int argc, char **argv)
     const auto &protos = allProtocols();
     const std::size_t stride = 1 + protos.size();
 
-    hmg::SweepRunner runner(hmg::parseJobsFlag(argc, argv));
     const auto results = runner.run(fig8Cells());
 
     std::printf("%-12s | %9s %9s %9s %9s %9s\n", "workload", "SW-NonH",

@@ -20,6 +20,8 @@ int
 main(int argc, char **argv)
 {
     using namespace hmgbench;
+    // --jobs and HMG_JOBS are checked before anything is printed.
+    hmg::SweepRunner runner(hmg::parseJobsFlag(argc, argv));
     banner("Table III: benchmark suite", "HMG paper, Table III");
 
     const auto &infos = hmg::trace::workloads::list();
@@ -32,7 +34,6 @@ main(int argc, char **argv)
     };
     std::vector<Row> rows(infos.size());
 
-    hmg::SweepRunner runner(hmg::parseJobsFlag(argc, argv));
     runner.forEach(infos.size(), [&](std::size_t i) {
         const auto t =
             hmg::trace::workloads::make(infos[i].name, benchScale());

@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/types.hh"
+
 namespace hmg
 {
 
@@ -36,8 +38,6 @@ namespace hmg
 class TagStore
 {
   public:
-    /** Every region starts on a host cache line. */
-    static constexpr std::uint64_t kAlign = 64;
     /** The size and alignment the store asks huge pages for. */
     static constexpr std::uint64_t kHugePage = 2 * 1024 * 1024;
 #if defined(__SANITIZE_ADDRESS__)
@@ -47,12 +47,15 @@ class TagStore
     static constexpr std::uint64_t kGuardBytes = 0;
 #endif
 
-    /** Bytes a region of `bytes` takes in a store: rounded up to
-     *  kAlign, plus the guard in AddressSanitizer builds. */
+    /** Bytes a region of `bytes` takes in a store: rounded up to a
+     *  whole host line (kHostLineBytes), so every region starts on
+     *  one, plus the guard in AddressSanitizer builds. */
     static constexpr std::uint64_t
     regionBytes(std::uint64_t bytes)
     {
-        return (bytes + kAlign - 1) / kAlign * kAlign + kGuardBytes;
+        return (bytes + kHostLineBytes - 1) / kHostLineBytes *
+                   kHostLineBytes +
+               kGuardBytes;
     }
 
     /**
@@ -68,7 +71,7 @@ class TagStore
     /** Fault every page in now rather than on first touch. */
     void populate();
 
-    /** The next region of `bytes`, zero-filled and kAlign-aligned. */
+    /** The next region of `bytes`, zero-filled and starting on a host line. */
     void *take(std::uint64_t bytes);
 
     const std::byte *base() const { return base_; }

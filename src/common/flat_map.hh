@@ -1,11 +1,10 @@
 /**
  * @file
- * The simulator's hash maps: FlatMap, and ShardedMap for state that LP
- * threads share.
+ * The simulator's hash map, FlatMap.
  *
  * One (config, seed) must always give the same statistics. Hash-map
  * iteration order would break that: it follows the hash, the capacity
- * and the insert/erase history, not simulated time. Neither type can be
+ * and the insert/erase history, not simulated time. A FlatMap cannot be
  * iterated. There is no begin()/end() and no iterator type, so hash
  * order cannot reach simulated behaviour. The hash is fixed (no
  * per-process seed), so even the table layout is the same in every run.
@@ -28,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -198,90 +196,6 @@ class FlatMap
 
     std::vector<Slot> slots_;
     std::size_t size_ = 0;
-};
-
-/**
- * A FlatMap split into 64 shards by key hash, for state any LP thread
- * may touch. Each shard has a mutex, taken only after
- * setConcurrent(true), so serial and deterministic-merge runs pay no
- * synchronization. A shard is reachable only through with(), size() and
- * clear(), which lock it, so no access can skip its lock.
- */
-template <typename K, typename V>
-class ShardedMap
-{
-  public:
-    /** Take the shard locks from now on (TimeWindow runs). Call it
-     *  before any LP worker starts. */
-    void setConcurrent(bool c) { concurrent_ = c; }
-
-    /**
-     * Run `fn` on the FlatMap of the shard that owns `key`, holding that
-     * shard's lock when concurrent. @return `fn`'s result, by value, so
-     * no reference into the shard outlives the lock.
-     */
-    template <typename Fn>
-    auto
-    with(const K &key, Fn &&fn)
-    {
-        Shard &s = shards_[shardOf(key)];
-        const auto g = lock(s);
-        return fn(s.map);
-    }
-
-    template <typename Fn>
-    auto
-    with(const K &key, Fn &&fn) const
-    {
-        const Shard &s = shards_[shardOf(key)];
-        const auto g = lock(s);
-        return fn(s.map);
-    }
-
-    std::size_t
-    size() const
-    {
-        std::size_t n = 0;
-        for (const Shard &s : shards_) {
-            const auto g = lock(s);
-            n += s.map.size();
-        }
-        return n;
-    }
-
-    void
-    clear()
-    {
-        for (Shard &s : shards_) {
-            const auto g = lock(s);
-            s.map.clear();
-        }
-    }
-
-  private:
-    static constexpr unsigned kShardBits = 6;
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        FlatMap<K, V> map;
-    };
-
-    static std::size_t
-    shardOf(const K &key)
-    {
-        return flatHash(key) >> (64 - kShardBits);
-    }
-
-    std::unique_lock<std::mutex>
-    lock(const Shard &s) const
-    {
-        return concurrent_ ? std::unique_lock<std::mutex>(s.mu)
-                           : std::unique_lock<std::mutex>();
-    }
-
-    Shard shards_[1u << kShardBits];
-    bool concurrent_ = false;
 };
 
 } // namespace hmg

@@ -14,6 +14,7 @@
 #ifndef HMG_COMMON_TYPES_HH
 #define HMG_COMMON_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -46,6 +47,12 @@ constexpr GpmId kInvalidGpm = ~GpmId{0};
 
 /** Largest tick; used as "never". */
 constexpr Tick kTickMax = ~Tick{0};
+
+/**
+ * Bytes of one host cache line. State that one LP thread writes during
+ * a window is aligned to it, so no host line is written by two LPs.
+ */
+constexpr std::size_t kHostLineBytes = 64;
 
 /**
  * Synchronization scope, mirroring the PTX scopes the paper targets

@@ -87,8 +87,12 @@ struct DirEntry
 };
 static_assert(sizeof(DirEntry) == 32, "no field of DirEntry is padded");
 
-/** Set-associative sharer-tracking directory for one GPM. */
-class Directory
+/**
+ * Set-associative sharer-tracking directory for one GPM. Only the LP
+ * owning the GPM writes it during a window, so a directory owns its
+ * host lines.
+ */
+class alignas(kHostLineBytes) Directory
 {
   public:
     /**
@@ -169,6 +173,8 @@ class Directory
     std::uint64_t allocations_ = 0;
     std::uint64_t evictions_ = 0;
 };
+
+static_assert(alignof(Directory) == kHostLineBytes);
 
 } // namespace hmg
 

@@ -30,6 +30,14 @@ HomeChainModel::isHome(GpmId g, GpmId h) const
     return g == h || (hier_ && topo_.gpuHome(topo_.gpuOf(g), h) == g);
 }
 
+MemoryState &
+HomeChainModel::memAt(GpmId h) const
+{
+    hmg_assert(!ctx_.lps.concurrent() ||
+               ctx_.lps.lpOfGpm(h) == LpDomain::currentLp());
+    return ctx_.mem;
+}
+
 // ---------------------------------------------------------------- loads
 
 void
@@ -100,7 +108,7 @@ HomeChainModel::probeLoad(const MemAccess &acc, GpmId at, GpmId via,
         ++loads_dram_;
         const Tick ready = node.dram().read(ctx_.cfg.cacheLineBytes);
         ctx_.engine().scheduleAt(ready, [this, line, h]() {
-            const Version v = ctx_.mem.read(line);
+            const Version v = memAt(h).read(line);
             ctx_.gpm(h).l2().fill(line, v);
             wakeMerged(line, h, h, v);
         });
@@ -253,7 +261,7 @@ HomeChainModel::storeAt(StoreFlow f, GpmId at, GpmId via, GpmId h)
         ctx_.gpm(at).l2().store(line, f.v, /*mark_dirty=*/false,
                                 f.serialized);
     if (at == h) {
-        ctx_.mem.write(line, f.v, f.serialized);
+        memAt(h).write(line, f.v, f.serialized);
         ctx_.gpm(h).dram().write(ctx_.cfg.cacheLineBytes);
     }
     dirEvent(DirEvent::Store, at, f.recordWriter ? via : kInvalidGpm, line,
@@ -347,7 +355,7 @@ HomeChainModel::atomicAt(const MemAccess &acc, GpmId target, GpmId h,
                                              sys_done = std::move(
                                                  sys_done)]() mutable {
                 performAtomic(acc, target, h, v,
-                              ctx_.mem.read(acc.lineAddr), std::move(done),
+                              memAt(h).read(acc.lineAddr), std::move(done),
                               std::move(sys_done));
             });
             return;
@@ -397,7 +405,7 @@ HomeChainModel::performAtomic(const MemAccess &acc, GpmId target, GpmId h,
     }
 
     if (target == h) {
-        ctx_.mem.write(line, v);
+        memAt(h).write(line, v);
         ctx_.gpm(h).dram().write(ctx_.cfg.cacheLineBytes);
     }
     // Write the result onward as a store from `target` would propagate

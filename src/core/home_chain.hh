@@ -121,6 +121,14 @@ class HomeChainModel : public CoherenceModel
     /** Is GPM `g` a home (GPU, node or system) for system home `h`? */
     bool isHome(GpmId g, GpmId h) const;
 
+    /**
+     * The memory oracle, for a line whose system home is `h`. A line's
+     * version lives in the partition of the LP that reads and writes
+     * it (mem/memory_state.hh), so in threaded runs the running LP must
+     * own `h`.
+     */
+    MemoryState &memAt(GpmId h) const;
+
     GpmId
     nextHome(GpmId g, GpmId h) const
     {

@@ -16,7 +16,7 @@ std::uint64_t
 ReleaseTracker::totalPendingSys() const
 {
     std::uint64_t sum = 0;
-    for (const LpPending &p : lp_pending_)
+    for (const auto &p : lp_pending_)
         sum += p.v.load(std::memory_order_relaxed);
     return sum;
 }

@@ -90,18 +90,14 @@ class ReleaseTracker
         DrainLedger<Callback> sys; //!< writes short of the system home
     };
 
-    struct alignas(64) LpPending
-    {
-        // Single-writer relaxed counter (see class comment).
-        std::atomic<std::uint64_t> v{0};
-    };
-
     /** LP-0 only: fire global waiters if the machine is drained. */
     void recheckGlobalDrained();
 
     LpDomain &lps_;
     std::vector<PerSm> sms_;
-    LpPending lp_pending_[LpCounter::kMaxLps];
+    /** Writes pending below the system level, one single-writer
+     *  relaxed counter per LP (see the class comment). */
+    LpSlot<std::atomic<std::uint64_t>> lp_pending_[kMaxLps];
     /** LP-0 only (waitAllDrained callers run there). */
     std::vector<Callback> global_waiters_;
 };

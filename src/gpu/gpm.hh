@@ -25,8 +25,11 @@
 namespace hmg
 {
 
-/** L2 + DRAM (+ directory) of one GPM. */
-class GpmNode
+/**
+ * L2 + DRAM (+ directory) of one GPM. Only the LP owning the GPM writes
+ * it during a window, so a node owns its host lines.
+ */
+class alignas(kHostLineBytes) GpmNode
 {
   public:
     /** The L2 tags and the directory are carved from `tags`. */
@@ -171,6 +174,8 @@ class GpmNode
     std::uint64_t rx_msgs_ = 0;
     std::uint64_t rx_bytes_ = 0;
 };
+
+static_assert(alignof(GpmNode) == kHostLineBytes);
 
 } // namespace hmg
 

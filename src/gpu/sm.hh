@@ -49,8 +49,12 @@
 namespace hmg
 {
 
-/** One streaming multiprocessor executing trace warps. */
-class Sm
+/**
+ * One streaming multiprocessor executing trace warps. Only the LP
+ * owning its GPM writes it during a window, so an SM owns its host
+ * lines.
+ */
+class alignas(kHostLineBytes) Sm
 {
   public:
     /** The L1 tags are carved from `tags`. */
@@ -187,6 +191,8 @@ class Sm
     std::uint64_t atomics_ = 0;
     std::uint64_t sb_forwards_ = 0;
 };
+
+static_assert(alignof(Sm) == kHostLineBytes);
 
 } // namespace hmg
 

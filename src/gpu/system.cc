@@ -47,8 +47,8 @@ System::tagStoreBytes(const SystemConfig &cfg)
 }
 
 System::System(const SystemConfig &cfg)
-    : cfg_(cfg), lps_(cfg_), pages_(cfg_),
-      tracker_(lps_, cfg_.totalSms())
+    : cfg_(cfg), lps_(cfg_), pages_(cfg_, lps_.numLps()),
+      mem_(lps_.numLps()), tracker_(lps_, cfg_.totalSms())
 {
     cfg_.validate();
 
@@ -56,13 +56,6 @@ System::System(const SystemConfig &cfg)
     // cache/tag_store.hh); the arrays then fill it exactly.
     tags_ = std::make_unique<TagStore>(tagStoreBytes(cfg_),
                                        tagStoreGeometry(cfg_));
-
-    // Shared maps only need their shard locks when LP workers actually
-    // run concurrently; serial and deterministic runs stay lock-free.
-    if (lps_.concurrent()) {
-        mem_.setConcurrent(true);
-        pages_.setConcurrent(true);
-    }
 
     amap_ = std::make_unique<AddressMap>(cfg_, pages_);
     net_ = std::make_unique<Network>(lps_, cfg_);

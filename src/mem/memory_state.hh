@@ -11,11 +11,14 @@
  * checking at the cost of 8 bytes per line.
  *
  * Partitioned (PDES) runs touch this state from several LP threads: a
- * store allocates its version on the issuing LP and the write lands on
- * the home LP. Version allocation is a relaxed atomic counter, and the
- * line map is a ShardedMap, whose shard locks are taken only when LP
- * workers actually run concurrently — serial and deterministic-merge
- * runs pay no synchronization.
+ * store allocates its version on the issuing LP, and the version lands
+ * at the line's system home. Version allocation is one relaxed atomic
+ * counter. A line's version is read and written only at its system
+ * home (core/home_chain.cc), so only the LP owning that home touches
+ * it, and the lines live in one partition per LP, each on host lines
+ * of its own: inside a window an LP reads and writes its own partition
+ * and takes no lock. A read made outside any window (set-up, after
+ * run(), tests) consults every partition.
  */
 
 #ifndef HMG_MEM_MEMORY_STATE_HH
@@ -23,9 +26,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "common/flat_map.hh"
 #include "common/types.hh"
+#include "sim/lp.hh"
 
 namespace hmg
 {
@@ -34,8 +39,8 @@ namespace hmg
 class MemoryState
 {
   public:
-    /** Enable shard locking (TimeWindow runs; off by default). */
-    void setConcurrent(bool c) { lines_.setConcurrent(c); }
+    /** @param lps one partition per LP of the run (1 when serial) */
+    explicit MemoryState(std::uint32_t lps = 1);
 
     /** Allocate a fresh, globally unique store version. */
     Version
@@ -48,7 +53,8 @@ class MemoryState
     Version read(Addr line_addr) const;
 
     /**
-     * Record that `version` reached DRAM at `line_addr`.
+     * Record that `version` reached DRAM at `line_addr`, in the running
+     * LP's partition.
      *
      * `serialized` (the default) is for write-throughs and atomics
      * landing at the system home: arrival order there *is* the
@@ -66,17 +72,22 @@ class MemoryState
      */
     void write(Addr line_addr, Version version, bool serialized = true);
 
-    std::uint64_t linesWritten() const { return lines_.size(); }
+    /** Lines written, over every partition. */
+    std::uint64_t linesWritten() const;
+
     Version
     latestVersion() const
     {
         return next_version_.load(std::memory_order_relaxed);
     }
 
-    void clear();
-
   private:
-    ShardedMap<Addr, Version> lines_;
+    using Lines = FlatMap<Addr, Version>;
+
+    /** The running LP: the index of the partition it owns. */
+    std::uint32_t runningLp() const;
+
+    std::vector<LpSlot<Lines>> parts_;
     // Relaxed is enough: serial runs see the exact sequence a plain
     // increment gives, and threaded runs need only unique ids.
     std::atomic<Version> next_version_{0};

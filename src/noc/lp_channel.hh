@@ -25,7 +25,9 @@
  * No locks and no atomics: every field is owned by exactly one thread
  * in each phase (source thread / destination thread during a window,
  * main thread during the barrier), and the window barrier's
- * acquire/release pairs publish the hand-offs.
+ * acquire/release pairs publish the hand-offs. The source side and the
+ * destination side each start a host line of their own, so the two LPs
+ * never write one line.
  */
 
 #ifndef HMG_NOC_LP_CHANNEL_HH
@@ -46,7 +48,7 @@ namespace hmg
 
 /** One directed cross-LP link (a cut unit's egress -> another's
  *  ingress). */
-class LpChannel
+class alignas(kHostLineBytes) LpChannel
 {
   public:
     /**
@@ -129,7 +131,7 @@ class LpChannel
     MessageSlab &dst_slab_;
 
     /** Source side: bytes sent and not yet credited back. */
-    std::uint64_t in_flight_bytes_ = 0;
+    alignas(kHostLineBytes) std::uint64_t in_flight_bytes_ = 0;
     /** Source side: messages awaiting the barrier hand-off (handles
      *  into the source slab). */
     std::deque<MsgRef> outbox_;
@@ -137,10 +139,12 @@ class LpChannel
     /** Destination side: sizes of delivered-but-unpopped messages
      *  (filled by the main thread at delivery, consumed FIFO by the
      *  destination's pops). */
-    std::deque<std::uint32_t> pending_credit_bytes_;
+    alignas(kHostLineBytes) std::deque<std::uint32_t> pending_credit_bytes_;
     /** Destination side: credit bytes accumulated this window. */
     std::uint64_t returned_bytes_ = 0;
 };
+
+static_assert(alignof(LpChannel) == kHostLineBytes);
 
 } // namespace hmg
 

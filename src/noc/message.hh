@@ -106,9 +106,10 @@ struct MsgRef
  * release(); freed slots are reused LIFO. Storage tracks the peak number
  * of messages in flight and is never allocated before the first put().
  * A slab belongs to one LP: only that LP's thread touches it during a
- * window (the barrier moves bodies between slabs).
+ * window (the barrier moves bodies between slabs), and it owns its host
+ * lines, so the slabs of neighbouring LPs share none.
  */
-class MessageSlab
+class alignas(kHostLineBytes) MessageSlab
 {
   public:
     /** Store `m`; the body is moved once. */
@@ -147,6 +148,8 @@ class MessageSlab
     std::vector<std::unique_ptr<Message[]>> blocks_;
     std::vector<MsgHandle> free_;
 };
+
+static_assert(alignof(MessageSlab) == kHostLineBytes);
 
 } // namespace hmg
 

@@ -126,9 +126,7 @@ Network::init()
         }
     }
 
-    nic_.resize(cfg_.totalGpms());
-    inject_waiters_.resize(cfg_.totalGpms());
-    draining_waiters_.resize(cfg_.totalGpms(), false);
+    nics_ = std::vector<Nic>(cfg_.totalGpms());
 
     // Fault injection (DESIGN.md §11): the plan holds one injector per
     // link it targets (the inter-GPU switch links, plus the crossbars
@@ -166,20 +164,20 @@ Network::inject(Message m)
     const std::uint32_t bytes = m.bytes;
     const std::uint32_t entry = fabric_.entry(src).link;
     const MsgHandle h = slabOfLp(lpOf(entry)).put(std::move(m));
-    nic_[src].push_back(MsgRef{0, h, bytes});
+    nics_[src].queue.push_back(MsgRef{0, h, bytes});
     feedNic(src);
 }
 
 void
 Network::feedNic(GpmId src)
 {
-    auto &nic = nic_[src];
+    std::deque<MsgRef> &queue = nics_[src].queue;
     const FabricHop entry = fabric_.entry(src);
     Port &egress = *ports_[entry.link];
     const Tick now = engOf(entry.link).now();
-    while (!nic.empty() && egress.canAccept(entry.input)) {
-        MsgRef m = nic.front();
-        nic.pop_front();
+    while (!queue.empty() && egress.canAccept(entry.input)) {
+        MsgRef m = queue.front();
+        queue.pop_front();
         m.ready = now;
         egress.push(entry.input, m);
     }
@@ -193,23 +191,23 @@ Network::whenInjectable(GpmId src, InjectWaiter cb)
         cb.consume();
         return;
     }
-    inject_waiters_[src].push_back(std::move(cb));
+    nics_[src].waiters.push_back(std::move(cb));
 }
 
 void
 Network::drainInjectWaiters(GpmId src)
 {
-    if (draining_waiters_[src])
+    Nic &nic = nics_[src];
+    if (nic.draining)
         return;
-    draining_waiters_[src] = true;
-    auto &waiters = inject_waiters_[src];
-    while (!waiters.empty() &&
+    nic.draining = true;
+    while (!nic.waiters.empty() &&
            injectionBacklog(src) < cfg_.nocInjectionBacklogLimit) {
-        InjectWaiter cb = std::move(waiters.front());
-        waiters.pop_front();
+        InjectWaiter cb = std::move(nic.waiters.front());
+        nic.waiters.pop_front();
         cb.consume();
     }
-    draining_waiters_[src] = false;
+    nic.draining = false;
 }
 
 void
@@ -328,12 +326,13 @@ Network::dumpDiagnostic(std::string &out, Tick now) const
     std::uint64_t backlog = 0;
     std::uint64_t waiters = 0;
     for (std::uint32_t g = 0; g < cfg_.totalGpms(); ++g) {
-        backlog += nic_[g].size();
-        waiters += inject_waiters_[g].size();
-        if (!nic_[g].empty() || !inject_waiters_[g].empty())
+        const Nic &nic = nics_[g];
+        backlog += nic.queue.size();
+        waiters += nic.waiters.size();
+        if (!nic.queue.empty() || !nic.waiters.empty())
             out += "  nic gpm" + std::to_string(g) + ": " +
-                   std::to_string(nic_[g].size()) + " parked, " +
-                   std::to_string(inject_waiters_[g].size()) +
+                   std::to_string(nic.queue.size()) + " parked, " +
+                   std::to_string(nic.waiters.size()) +
                    " store-issue waiters\n";
     }
     out += "  delivered " + std::to_string(delivered_.total()) +

@@ -111,17 +111,41 @@ class Network
     /** Messages parked in `src`'s NIC queue awaiting egress credit. */
     std::uint32_t injectionBacklog(GpmId src) const
     {
-        return static_cast<std::uint32_t>(nic_[src].size());
+        return static_cast<std::uint32_t>(nics_[src].queue.size());
     }
 
     /** May `src` inject without exceeding the configured backlog? */
     bool injectable(GpmId src) const
     {
         return injectionBacklog(src) < cfg_.nocInjectionBacklogLimit &&
-               inject_waiters_[src].empty();
+               nics_[src].waiters.empty();
     }
 
     using InjectWaiter = SmallCallback<kCompletionCbBytes, void()>;
+
+    /**
+     * One GPM's injection side: its NIC queue (unbounded; see the file
+     * comment), its store-issue waiters, and whether a drain of them is
+     * running. Only the LP owning the GPM writes it, so each record owns
+     * its host lines.
+     */
+    struct alignas(kHostLineBytes) Nic
+    {
+        std::deque<MsgRef> queue;
+        std::deque<InjectWaiter> waiters;
+        bool draining = false;
+    };
+    static_assert(alignof(Nic) == kHostLineBytes);
+
+    /** GPM `g`'s injection record. */
+    const Nic &nic(GpmId g) const { return nics_[g]; }
+
+    /** The message slab of LP `lp` (the only one when not concurrent). */
+    const MessageSlab &
+    slab(std::uint32_t lp) const
+    {
+        return slabs_[concurrent() ? lp : 0];
+    }
 
     /**
      * Run `cb` as soon as `src` may inject (immediately when already
@@ -187,7 +211,6 @@ class Network
     {
         return lps_ ? lps_->engine(lpOf(link)) : engine_;
     }
-    /** The message slab of LP `lp` (the only one when not concurrent). */
     MessageSlab &slabOfLp(std::uint32_t lp)
     {
         return slabs_[concurrent() ? lp : 0];
@@ -237,13 +260,8 @@ class Network
      *  fault-free runs carry no injector state at all. */
     std::unique_ptr<FaultPlan> faults_;
 
-    /** Per-GPM injection queues (unbounded; see file comment). Each is
-     *  touched only by its owning LP's thread. */
-    std::vector<std::deque<MsgRef>> nic_;
-    std::vector<std::deque<InjectWaiter>> inject_waiters_;
-    /** Not vector<bool>: per-GPM flags must not share packed bits when
-     *  neighbouring GPMs live on different LP threads. */
-    std::vector<std::uint8_t> draining_waiters_;
+    /** One injection record per GPM. */
+    std::vector<Nic> nics_;
 
     DeliveryHook delivery_hook_;
 

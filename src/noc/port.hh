@@ -66,8 +66,12 @@ namespace hmg
 class LinkFault;
 class LpChannel;
 
-/** One arbitrated, bandwidth-limited, bounded-queue forwarding hop. */
-class Port
+/**
+ * One arbitrated, bandwidth-limited, bounded-queue forwarding hop. Only
+ * the LP owning its link writes a port during a window, so a port and
+ * its per-input state own their host lines.
+ */
+class alignas(kHostLineBytes) Port
 {
   public:
     /** Where a dispatched message goes: the next hop's input queue, a
@@ -170,7 +174,7 @@ class Port
     static_assert(sizeof(MsgRef) == 16,
                   "port queues hold two-word entries, not bodies");
 
-    struct Input
+    struct alignas(kHostLineBytes) Input
     {
         /** Queued (possibly still in-flight) messages. */
         std::deque<MsgRef> q;
@@ -180,6 +184,7 @@ class Port
         std::uint64_t arrived_bytes = 0;
         NotifyFn upstream;
     };
+    static_assert(alignof(Input) == kHostLineBytes);
 
     /** Advance every input's arrived count to the current tick. */
     void noteArrivals(Tick now);
@@ -231,6 +236,8 @@ class Port
     /** Fault injector on the output wire; null in fault-free runs. */
     LinkFault *fault_ = nullptr;
 };
+
+static_assert(alignof(Port) == kHostLineBytes);
 
 } // namespace hmg
 

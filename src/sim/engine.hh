@@ -56,8 +56,11 @@
 namespace hmg
 {
 
-/** Discrete-event simulation engine. */
-class Engine
+/**
+ * Discrete-event simulation engine. Each LP's engine is written by that
+ * LP's thread on every event, so an engine owns whole host lines.
+ */
+class alignas(kHostLineBytes) Engine
 {
   public:
     /**
@@ -215,8 +218,6 @@ class Engine
     static constexpr std::size_t kSlotBytes = sizeof(Event);
 
   private:
-    static constexpr std::size_t kHostLineBytes = 64;
-
     /** A FIFO of slab slots, linked through Event::next. */
     struct List
     {
@@ -399,6 +400,8 @@ class Engine
     // The engine this thread is executing; never shared across threads.
     static thread_local Engine *tl_current;
 };
+
+static_assert(alignof(Engine) == kHostLineBytes);
 
 } // namespace hmg
 

@@ -137,7 +137,7 @@ LpPlan::build(const SystemConfig &cfg)
     const LinkTier cut = fabric.cutTier();
     const std::uint32_t units = fabric.tier(cut).units;
     std::uint32_t jobs = cfg.lpJobs == 0 ? 1 : cfg.lpJobs;
-    jobs = std::min({jobs, units, LpCounter::kMaxLps});
+    jobs = std::min({jobs, units, kMaxLps});
     p.numLps = jobs;
     p.lpOfGpm.resize(cfg.totalGpms());
     for (GpmId g = 0; g < cfg.totalGpms(); ++g)
@@ -154,7 +154,9 @@ LpPlan::build(const SystemConfig &cfg)
     return p;
 }
 
-LpDomain::LpDomain(const SystemConfig &cfg) : plan_(LpPlan::build(cfg))
+LpDomain::LpDomain(const SystemConfig &cfg)
+    : plan_(LpPlan::build(cfg)),
+      mail_(std::size_t{plan_.numLps} * plan_.numLps)
 {
     engines_.reserve(plan_.numLps);
     for (std::uint32_t lp = 0; lp < plan_.numLps; ++lp) {
@@ -165,7 +167,6 @@ LpDomain::LpDomain(const SystemConfig &cfg) : plan_(LpPlan::build(cfg))
         if (plan_.mode == LpMode::DeterministicMerge)
             engines_.back()->setSeqSource(&merge_seq_);
     }
-    mail_.resize(std::size_t{plan_.numLps} * plan_.numLps);
 }
 
 LpDomain::~LpDomain()
@@ -211,7 +212,7 @@ LpDomain::drainBoundaries(Tick wend)
     const std::uint32_t n = numLps();
     for (std::uint32_t s = 0; s < n; ++s) {
         for (std::uint32_t d = 0; d < n; ++d) {
-            auto &row = mail_[std::size_t{s} * n + d];
+            auto &row = mail_[std::size_t{s} * n + d].v;
             if (row.empty())
                 continue;
             posts_ += row.size();
@@ -416,12 +417,12 @@ LpDomain::dumpState(std::string &out) const
     const std::uint32_t n = numLps();
     for (std::uint32_t s = 0; s < n; ++s)
         for (std::uint32_t d = 0; d < n; ++d)
-            if (!mail_[std::size_t{s} * n + d].empty())
+            if (!mail_[std::size_t{s} * n + d].v.empty())
                 out += "  pending boundary posts lp" +
                        std::to_string(s) + "->lp" + std::to_string(d) +
                        ": " +
                        std::to_string(
-                           mail_[std::size_t{s} * n + d].size()) +
+                           mail_[std::size_t{s} * n + d].v.size()) +
                        "\n";
 }
 

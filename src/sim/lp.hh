@@ -115,6 +115,9 @@ struct LpPlan
     static LpPlan build(const SystemConfig &cfg);
 };
 
+/** Most LPs a plan cuts a machine into. */
+constexpr std::uint32_t kMaxLps = 16;
+
 namespace detail
 {
 // LP index of the executing worker (0 on the main thread), set once at
@@ -123,15 +126,26 @@ inline thread_local std::uint32_t tl_current_lp = 0;
 } // namespace detail
 
 /**
- * A per-LP sharded counter: each LP increments its own cache-line-sized
- * slot, so hot data-path statistics never bounce lines between LP
- * threads. Reads (total()) are reporting-time only.
+ * A `T` on host lines of its own. An array of them, indexed by LP, is
+ * state each LP thread writes only in its own slot, and no host line
+ * is written by two LPs.
+ */
+template <typename T>
+struct alignas(kHostLineBytes) LpSlot
+{
+    T v{};
+};
+
+static_assert(alignof(LpSlot<char>) == kHostLineBytes);
+
+/**
+ * A per-LP sharded counter: each LP increments its own slot, so hot
+ * data-path statistics never bounce lines between LP threads. Reads
+ * (total()) are reporting-time only.
  */
 class LpCounter
 {
   public:
-    static constexpr std::uint32_t kMaxLps = 16;
-
     LpCounter &
     operator++()
     {
@@ -150,17 +164,13 @@ class LpCounter
     total() const
     {
         std::uint64_t sum = 0;
-        for (const Slot &s : slots_)
+        for (const LpSlot<std::uint64_t> &s : slots_)
             sum += s.v;
         return sum;
     }
 
   private:
-    struct alignas(64) Slot
-    {
-        std::uint64_t v = 0;
-    };
-    Slot slots_[kMaxLps] = {};
+    LpSlot<std::uint64_t> slots_[kMaxLps] = {};
 };
 
 /** Messages + credits one barrier drain moved across LP boundaries. */
@@ -217,7 +227,7 @@ class LpDomain
             fn();
             return;
         }
-        mail_[currentLp() * numLps() + lp].emplace_back(
+        mail_[currentLp() * numLps() + lp].v.emplace_back(
             std::forward<F>(fn));
     }
 
@@ -283,8 +293,9 @@ class LpDomain
 
     /** Cross-LP posts, one single-writer row per (src, dst) LP pair;
      *  src's worker appends during a window, the main thread drains at
-     *  the barrier (the barrier itself publishes the rows). */
-    std::vector<std::deque<Engine::Callback>> mail_;
+     *  the barrier (the barrier itself publishes the rows). Each row
+     *  owns its host lines: neighbouring rows have different writers. */
+    std::vector<LpSlot<std::deque<Engine::Callback>>> mail_;
 
     DrainHook drain_hook_;
 

@@ -20,8 +20,10 @@ MICROBENCH=${4:-}
 TABLE3=${5:-}
 fails=0
 
-# reject_by <binary> <description> <args...>: nonzero exit + an error
-# line.
+# reject_by <binary> <description> <args...>: nonzero exit and one
+# line of output, the `fatal:` line. Only the binary's own --help text
+# may follow it (an unknown option prints the usage); any other line
+# means the tool did work before it refused the input.
 reject_by() {
     local bin=$1
     local desc=$2
@@ -34,15 +36,19 @@ reject_by() {
         fails=$((fails + 1))
         return
     fi
-    if ! printf '%s' "$out" | grep -q "fatal:"; then
-        echo "FAIL: $desc: no error line on stderr ($*)"
+    local first rest
+    first=$(printf '%s\n' "$out" | head -n 1)
+    rest=$(printf '%s\n' "$out" | tail -n +2)
+    if [ "${first#fatal:}" = "$first" ]; then
+        echo "FAIL: $desc: output does not start with a fatal: line ($*)"
         fails=$((fails + 1))
         return
     fi
-    if [ "$(printf '%s\n' "$out" | wc -l)" -gt 2 ]; then
-        # One line of error (plus at most the usage banner trigger);
-        # a stack of warnings would mean we simulated before rejecting.
-        :
+    if [ -n "$rest" ] && [ "$rest" != "$("$bin" --help 2>&1)" ]; then
+        echo "FAIL: $desc: more than the fatal: line ($*)"
+        printf '%s\n' "$out" | head -n 8 | sed 's/^/      | /'
+        fails=$((fails + 1))
+        return
     fi
     echo "ok:   $desc"
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for common/flat_map.hh: FlatMap against a std::map
- * reference, move-only values, byte-string keys, the absence of any
- * iteration API, and ShardedMap under concurrent writers.
+ * reference, move-only values, byte-string keys, and the absence of any
+ * iteration API.
  */
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include <random>
 #include <ranges>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,13 +28,10 @@ concept HasBegin = requires(M &m) { m.begin(); };
 template <typename M>
 concept HasEnd = requires(M &m) { m.end(); };
 
-// Neither map can be iterated, so hash order can never reach a result.
+// A FlatMap cannot be iterated, so hash order can never reach a result.
 static_assert(!HasBegin<FlatMap<std::uint64_t, int>>);
 static_assert(!HasEnd<FlatMap<std::uint64_t, int>>);
 static_assert(!std::ranges::range<FlatMap<std::string, int>>);
-static_assert(!HasBegin<ShardedMap<std::uint64_t, int>>);
-static_assert(!HasEnd<ShardedMap<std::uint64_t, int>>);
-static_assert(!std::ranges::range<ShardedMap<std::uint64_t, int>>);
 // The concepts do detect an iterable type.
 static_assert(HasBegin<std::map<int, int>> && HasEnd<std::map<int, int>>);
 
@@ -176,46 +172,6 @@ TEST(FlatMap, ByteStringKeys)
         }
     }
     EXPECT_EQ(*std::as_const(map).find(a_nul_b), 2u);
-}
-
-TEST(ShardedMap, ConcurrentWritersUnderShardLocks)
-{
-    constexpr int kThreads = 4;
-    constexpr std::uint64_t kPerThread = 5000;
-    constexpr std::uint64_t kShared = 64;
-    using Shard = FlatMap<std::uint64_t, std::uint64_t>;
-    ShardedMap<std::uint64_t, std::uint64_t> map;
-    map.setConcurrent(true);
-
-    auto writer = [&](int t) {
-        for (std::uint64_t i = 0; i < kPerThread; ++i) {
-            // A private key per step, plus a counter every thread bumps.
-            const std::uint64_t own = kShared + t * kPerThread + i;
-            map.with(own, [&](Shard &m) { m.tryEmplace(own, own); });
-            const std::uint64_t shared = i % kShared;
-            map.with(shared, [&](Shard &m) { ++m[shared]; });
-            if (i % 7 == 0)
-                map.with(own, [&](Shard &m) { return m.erase(own); });
-        }
-    };
-    std::vector<std::thread> pool;
-    for (int t = 0; t < kThreads; ++t)
-        pool.emplace_back(writer, t);
-    for (auto &th : pool)
-        th.join();
-
-    const std::uint64_t erased = (kPerThread + 6) / 7;
-    EXPECT_EQ(map.size(), kShared + kThreads * (kPerThread - erased));
-    std::uint64_t bumps = 0;
-    for (std::uint64_t k = 0; k < kShared; ++k)
-        bumps += map.with(k, [&](auto &m) { return *m.find(k); });
-    EXPECT_EQ(bumps, kThreads * kPerThread);
-    const std::uint64_t kept = kShared + 1;
-    EXPECT_TRUE(map.with(kept, [&](Shard &m) {
-        return m.find(kept) != nullptr;
-    }));
-    map.clear();
-    EXPECT_EQ(map.size(), 0u);
 }
 
 } // namespace

@@ -1,8 +1,16 @@
 /**
  * @file
  * Unit tests for src/mem: NUMA page placement, home-node mapping, the
- * versioned memory oracle, and the DRAM channel.
+ * versioned memory oracle, and the DRAM channel. Two cases run one
+ * thread per LP, the way a time-window run does: the page table's
+ * first-touch placement under racing touches, and the memory oracle's
+ * per-LP partitions.
  */
+
+#include <algorithm>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +20,7 @@
 #include "mem/memory_state.hh"
 #include "mem/page_table.hh"
 #include "sim/engine.hh"
+#include "sim/lp.hh"
 
 namespace hmg
 {
@@ -131,6 +140,98 @@ TEST(MemoryState, WriteBackFlushNeverClobbersNewerData)
     // But it does install when memory is genuinely older.
     m.write(0x200, v1, /*serialized=*/false);
     EXPECT_EQ(m.read(0x200), v1);
+}
+
+/** Run `fn` on a thread of its own that runs as LP `lp`, the way an
+ *  LP worker of a time-window run does. */
+template <typename Fn>
+std::thread
+asLp(std::uint32_t lp, Fn fn)
+{
+    return std::thread([lp, fn]() {
+        detail::tl_current_lp = lp;
+        fn();
+    });
+}
+
+TEST(PageTable, ConcurrentFirstTouchesAgreeOnOnePlacement)
+{
+    constexpr std::uint32_t kLps = 4;
+    constexpr std::uint64_t kPages = 64;
+    SystemConfig cfg;
+    PageTable pt(cfg, kLps);
+    // Each LP first-touches the same pages in its own order, as a GPM
+    // of its own, then asks again; every answer must name one home.
+    std::vector<std::vector<GpmId>> seen(kLps,
+                                         std::vector<GpmId>(kPages, 0));
+    std::vector<std::thread> lps;
+    for (std::uint32_t lp = 0; lp < kLps; ++lp) {
+        lps.push_back(asLp(lp, [&pt, &seen, lp]() {
+            std::vector<std::uint64_t> order(kPages);
+            for (std::uint64_t p = 0; p < kPages; ++p)
+                order[p] = p;
+            std::shuffle(order.begin(), order.end(), std::mt19937(lp));
+            const GpmId me = lp * 4;
+            for (std::uint64_t p : order)
+                seen[lp][p] = pt.touch(p * kPage + lp, me);
+            for (std::uint64_t p : order) {
+                if (pt.touch(p * kPage, me) != seen[lp][p] ||
+                    pt.homeOf(p * kPage + 64) != seen[lp][p] ||
+                    !pt.isPlaced(p * kPage))
+                    seen[lp][p] = kInvalidGpm;
+            }
+        }));
+    }
+    for (std::thread &t : lps)
+        t.join();
+
+    EXPECT_EQ(pt.pageCount(), kPages);
+    for (std::uint64_t p = 0; p < kPages; ++p) {
+        const GpmId home = pt.homeOf(p * kPage);
+        EXPECT_EQ(home % 4, 0u) << "page " << p << " placed off a toucher";
+        for (std::uint32_t lp = 0; lp < kLps; ++lp)
+            EXPECT_EQ(seen[lp][p], home) << "page " << p << ", lp " << lp;
+    }
+}
+
+TEST(MemoryState, WindowWritesReadBackInsideAndOutsideWindows)
+{
+    constexpr std::uint32_t kLps = 4;
+    MemoryState m(kLps);
+    std::vector<Version> inside(kLps, 0);
+    std::vector<std::thread> lps;
+    // Each LP, inside an engine run (a window), writes the lines homed
+    // on it and reads them back from its own partition.
+    for (std::uint32_t lp = 0; lp < kLps; ++lp) {
+        lps.push_back(asLp(lp, [&m, &inside, lp]() {
+            Engine e;
+            const Addr line = 0x1000 * (lp + 1);
+            const Version v = m.allocateVersion();
+            e.schedule(1, [&m, &inside, line, v, lp]() {
+                m.write(line, v);
+                m.write(line + 0x80, v);
+                inside[lp] = m.read(line);
+            });
+            e.run();
+        }));
+    }
+    for (std::thread &t : lps)
+        t.join();
+
+    EXPECT_EQ(m.latestVersion(), kLps);
+    EXPECT_EQ(m.linesWritten(), 2u * kLps);
+    std::vector<Version> outside;
+    for (std::uint32_t lp = 0; lp < kLps; ++lp) {
+        const Addr line = 0x1000 * (lp + 1);
+        EXPECT_NE(inside[lp], 0u) << "lp " << lp;
+        // Outside any window a read consults every partition.
+        EXPECT_EQ(m.read(line), inside[lp]) << "lp " << lp;
+        EXPECT_EQ(m.read(line + 0x80), inside[lp]) << "lp " << lp;
+        outside.push_back(m.read(line));
+    }
+    std::sort(outside.begin(), outside.end());
+    EXPECT_EQ(std::unique(outside.begin(), outside.end()), outside.end());
+    EXPECT_EQ(m.read(0x80), 0u);
 }
 
 TEST(Dram, BandwidthAndLatency)

@@ -14,15 +14,22 @@
  * complete without a violation. They are also the threaded tests the
  * tsan CI preset exercises, together with a transport-level case whose
  * messages cross LPs, and so the per-LP message slabs, in both
- * directions.
+ * directions. An address check pins the layout rule of those runs: the
+ * state each LP writes shares no host line with another LP's.
  *
  * Partition-time validation (the zero-lookahead rejection rules) is
  * unit-tested against LpPlan directly.
  */
 
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/fabric.hh"
 #include "gpu/simulator.hh"
+#include "gpu/system.hh"
 #include "noc/network.hh"
 #include "sim/lp.hh"
 #include "trace/workloads.hh"
@@ -301,6 +308,70 @@ TEST(PdesTimeWindow, MessagesCrossPerLpSlabs)
             last[a.src] = a.seq;
         }
     }
+}
+
+/** The LP that writes each host line, as objects are added. */
+class LineOwners
+{
+  public:
+    /** Record that LP `lp` writes every host line `obj` covers. */
+    template <typename T>
+    void
+    add(const T &obj, std::uint32_t lp, const std::string &what)
+    {
+        const auto begin = reinterpret_cast<std::uintptr_t>(&obj);
+        const std::uintptr_t end = begin + sizeof(T);
+        for (std::uintptr_t line = begin / kHostLineBytes;
+             line <= (end - 1) / kHostLineBytes; ++line) {
+            const auto [it, fresh] = owner_.try_emplace(line, lp, what);
+            if (!fresh && it->second.first != lp)
+                ADD_FAILURE() << what << " (lp " << lp
+                              << ") shares a host line with "
+                              << it->second.second << " (lp "
+                              << it->second.first << ")";
+        }
+        ++objects_;
+    }
+
+    std::size_t objects() const { return objects_; }
+
+  private:
+    std::map<std::uintptr_t, std::pair<std::uint32_t, std::string>> owner_;
+    std::size_t objects_ = 0;
+};
+
+TEST(PdesTimeWindow, LpsShareNoHostLine)
+{
+    SystemConfig cfg; // 4 GPUs x 4 GPMs, one LP per GPU
+    cfg.lpJobs = 4;
+    System sys(cfg);
+    LpDomain &lps = sys.lps();
+    ASSERT_TRUE(lps.concurrent());
+    ASSERT_EQ(lps.numLps(), 4u);
+    Network &net = sys.network();
+
+    LineOwners owners;
+    for (std::uint32_t lp = 0; lp < lps.numLps(); ++lp) {
+        owners.add(lps.engine(lp), lp, "engine " + std::to_string(lp));
+        owners.add(net.slab(lp), lp, "slab " + std::to_string(lp));
+    }
+    const Fabric fabric(cfg, /*windowed=*/true);
+    for (std::uint32_t l = 0; l < fabric.links().size(); ++l) {
+        const FabricLink &k = fabric.links()[l];
+        owners.add(net.port(l), lps.lpOfGpm(k.gpm), "port " + k.name);
+    }
+    for (GpmId g = 0; g < cfg.totalGpms(); ++g) {
+        const std::uint32_t lp = lps.lpOfGpm(g);
+        const std::string gpm = "gpm" + std::to_string(g);
+        owners.add(sys.gpm(g), lp, gpm + " node");
+        owners.add(*sys.gpm(g).dir(), lp, gpm + " directory");
+        owners.add(net.nic(g), lp, gpm + " nic");
+    }
+    for (SmId s = 0; s < sys.numSms(); ++s)
+        owners.add(sys.sm(s), lps.lpOfGpm(sys.sm(s).gpm()),
+                   "sm" + std::to_string(s));
+    EXPECT_EQ(owners.objects(), 4 * 2 + fabric.links().size() +
+                                    3 * cfg.totalGpms() + sys.numSms());
 }
 
 // ------------------------------------------------ partition rules

@@ -847,7 +847,7 @@ expectOneStore(const SystemConfig &cfg)
     const std::byte *next = store.base();
     for (const Region &r : regions) {
         EXPECT_EQ(reinterpret_cast<std::uintptr_t>(r.begin) %
-                      TagStore::kAlign,
+                      kHostLineBytes,
                   0u);
         ASSERT_EQ(r.begin, next);
         next = r.begin + TagStore::regionBytes(r.bytes);

@@ -113,10 +113,11 @@ budget 900 "asan fault ctest" \
     ctest --test-dir build-asan -L fault --output-on-failure
 
 # The PDES time-window mode is the only threaded code in the simulator;
-# TSan the differential/transport tests and flat_map_test's concurrent
-# ShardedMap writers, so a missed mailbox handoff or shard lock shows up
-# as a hard failure, not a once-a-month flake.
-echo "=== preset: tsan (PDES, transport and ShardedMap under ThreadSanitizer) ==="
+# TSan the differential/transport tests and mem_test's one-thread-per-LP
+# page-table and memory-partition cases, so a missed mailbox handoff, an
+# unlocked page placement or a partition written by the wrong LP shows
+# up as a hard failure, not a once-a-month flake.
+echo "=== preset: tsan (PDES, transport and memory maps under TSan) ==="
 budget 300 "tsan configure" cmake --preset tsan >/dev/null
 budget 1200 "tsan build" \
     cmake --build --preset tsan -j "$(nproc)" >/dev/null
