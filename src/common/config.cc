@@ -55,7 +55,6 @@ toString(PagePlacement p)
     switch (p) {
       case PagePlacement::FirstTouch: return "first-touch";
       case PagePlacement::RoundRobin: return "round-robin";
-      case PagePlacement::LocalOnly:  return "local-only";
     }
     return "?";
 }

@@ -31,7 +31,6 @@ enum class PagePlacement : std::uint8_t
 {
     FirstTouch,   //!< page homed on the GPM of the first CTA touching it
     RoundRobin,   //!< pages interleaved across all GPMs
-    LocalOnly,    //!< everything on GPM 0 (stress / unit tests only)
 };
 
 const char *toString(PagePlacement p);

@@ -29,8 +29,10 @@ CoherenceChecker::CoherenceChecker(SystemContext &ctx,
                                    std::unique_ptr<CoherenceModel> inner)
     : CoherenceModel(ctx), inner_(std::move(inner)),
       name_(std::string(inner_->name()) + "+check"),
+      topo_{ctx.cfg.numGpus, ctx.cfg.gpmsPerGpu, ctx.cfg.numNodes},
       hw_(isHardwareProtocol(ctx.cfg.protocol)),
-      hier_(isHierarchicalProtocol(ctx.cfg.protocol))
+      hier_(isHierarchicalProtocol(ctx.cfg.protocol)),
+      multiNode_(hier_ && ctx.cfg.numNodes > 1)
 {
     sms_.resize(ctx.cfg.totalSms());
     released_gpu_.resize(ctx.cfg.numGpus);
@@ -396,54 +398,21 @@ CoherenceChecker::checkCopyCovered(GpmId g, const CacheLine &copy)
 {
     const Addr line = copy.addr;
     const GpmId home = ctx_.pages.homeOf(line);
-    if (hier_) {
-        const GpuId gu = ctx_.cfg.gpuOf(g);
-        const GpmId gh = ctx_.amap.gpuHome(gu, line);
-        if (gh == g) {
-            // A GPU home registers one tier up the home chain, which
-            // tracks it the way recordSharerBits does: the next home
-            // is the node home when one stands strictly between (the
-            // cross-node case), else the system home; sharers on the
-            // upper home's own GPU get a GPM bit, same-node GPU homes
-            // a local-GPU bit, and remote node homes a node bit.
-            GpmId up = home;
-            if (ctx_.cfg.numNodes > 1) {
-                const GpmId nh =
-                    ctx_.amap.nodeHome(ctx_.cfg.nodeOf(gu), line);
-                if (nh != g && nh != home)
-                    up = nh;
-            }
-            const DirEntry *e = ctx_.gpm(up).dir()->peek(line);
-            if (up != home) {
-                if (e && e->hasGpu(ctx_.cfg.localGpuOf(gu)))
-                    return;
-            } else if (ctx_.cfg.nodeOf(gu) !=
-                       ctx_.cfg.nodeOfGpm(home)) {
-                if (e && e->hasNode(ctx_.cfg.nodeOf(gu)))
-                    return;
-            } else if (e && (gu == ctx_.cfg.gpuOf(home)
-                                 ? e->hasGpm(ctx_.cfg.localGpmOf(g))
-                                 : e->hasGpu(ctx_.cfg.localGpuOf(gu)))) {
-                return;
-            }
-        } else {
-            const DirEntry *e = ctx_.gpm(gh).dir()->peek(line);
-            if (e && e->hasGpm(ctx_.cfg.localGpmOf(g)))
-                return;
-        }
-    } else {
-        const DirEntry *e = ctx_.gpm(home).dir()->peek(line);
-        if (e && e->hasGpm(g))
-            return;
-    }
+    // The one link a copy hangs by: the next home up must hold the bit
+    // the walk records for `g` there. That home's own copy, if it is
+    // not the system home, is checked as a copy in turn.
+    const GpmId up = nextHome(topo_, hier_, multiNode_, g, home);
+    const DirEntry *e = ctx_.gpm(up).dir()->peek(line);
+    if (e && tracksSharer(topo_, hier_, up, g, e->gpmSharers,
+                          e->gpuSharers, e->nodeSharers))
+        return;
     if (coverageExempt(g, line, copy)) {
         ++coverage_exemptions_;
         return;
     }
     // Dump both directory levels so a violation report pinpoints which
     // sharer bit is missing.
-    const GpmId gh =
-        hier_ ? ctx_.amap.gpuHome(ctx_.cfg.gpuOf(g), line) : home;
+    const GpmId gh = hier_ ? topo_.gpuHome(topo_.gpuOf(g), home) : home;
     const DirEntry *he = ctx_.gpm(home).dir()->peek(line);
     const DirEntry *ge = ctx_.gpm(gh).dir()->peek(line);
     violation("GPM %u caches line %#llx (v%llu) with no covering "

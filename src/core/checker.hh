@@ -24,9 +24,10 @@
  *     the paper's protocols are specified against.
  *
  *  3. Directory coverage (hardware protocols) — every cached non-home
- *     copy must be reachable by home directory state (directly or via
- *     the GPU sharer bit under HMG), otherwise a future store could
- *     never invalidate it. Transients are exempted precisely: sectors
+ *     copy must be tracked by the next home up its chain (nextHome),
+ *     by the bit the walk records for it there (tracksSharer, both in
+ *     core/sharer_ops.hh), otherwise a future store could never
+ *     invalidate it. Transients are exempted precisely: sectors
  *     with in-flight invalidations, lines with an in-flight
  *     write-through from the copy's GPM, and dirty write-back copies
  *     (which travel by update, not tracking).
@@ -55,6 +56,7 @@
 
 #include "common/flat_map.hh"
 #include "core/protocol.hh"
+#include "core/sharer_ops.hh"
 #include "sim/pool.hh"
 
 namespace hmg
@@ -194,8 +196,11 @@ class CoherenceChecker : public CoherenceModel
 
     std::unique_ptr<CoherenceModel> inner_;
     std::string name_;
-    const bool hw_;    //!< wrapped model keeps directories
-    const bool hier_;  //!< wrapped model routes via GPU homes
+    /** The chain the wrapped model walks (core/sharer_ops.hh). */
+    const SharerTopology topo_;
+    const bool hw_;        //!< wrapped model keeps directories
+    const bool hier_;      //!< wrapped model routes via GPU homes
+    const bool multiNode_; //!< ... and via node homes
 
     /** Every version ever produced, mapped to its line. */
     FlatMap<Version, Addr> version_line_;

@@ -100,7 +100,7 @@ class HomeChainModel : public CoherenceModel
     void writeThrough(StoreFlow f, GpmId h);
 
     /** System home GPM of a line. */
-    GpmId sysHome(Addr line) const { return ctx_.amap.systemHome(line); }
+    GpmId sysHome(Addr line) const { return ctx_.pages.homeOf(line); }
 
     /** Tag-check cost (misses); hits additionally pay dataLat(). */
     Tick tagLat() const { return ctx_.cfg.l2TagLatency; }

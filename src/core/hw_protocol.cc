@@ -44,17 +44,16 @@ void
 HwProtocol::dirEvent(verify::DirEvent ev, GpmId at, GpmId via, Addr line,
                      GpmId h)
 {
-    // A store's job is made with its first invalidation: a job that
-    // sends none is never sampled, so it would be pure overhead.
-    InvJobPtr job;
-    applyDirEventAt(at, h, via, line, ev, job);
+    // A store whose fan sends an invalidation starts a wave.
+    if (applyDirEventAt(at, h, via, line, ev, /*from_store=*/true) != 0)
+        ++store_inv_events_;
 }
 
 // --------------------------------------------------- directory plumbing
 
-void
+std::uint32_t
 HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
-                            verify::DirEvent ev, InvJobPtr &job)
+                            verify::DirEvent ev, bool from_store)
 {
     using verify::DirCommit;
     using verify::DirEvent;
@@ -76,24 +75,24 @@ HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
 
     // The entry covers the whole sector, so its fan goes to the homes
     // of the sector's base address. A flat fan names no home.
+    std::uint32_t sent = 0;
     const auto out = verify::applyDirEvent(
         verify::dirTable(), topo_, hier_, at, via, ev, pre,
         hier_ ? sysHome(sector) : h, [&](GpmId dst) {
-            if (!job) {
-                // Only a store's fan starts a job (see dirEvent).
-                hmg_assert(ev == DirEvent::Store);
-                job = makeInvJob(/*from_store=*/true);
-            }
-            sendInv(at, dst, sector, job);
+            // A store fans out here, and an intermediate home re-fans
+            // its wave; a replacement fans in replaceVictim.
+            hmg_assert(ev == DirEvent::Store || ev == DirEvent::InvRecv);
+            sendInv(at, dst, sector, from_store);
+            ++sent;
         });
 
     DirEntry *w = e;
     switch (out.commit) {
       case DirCommit::Keep:
-        return;
+        return sent;
       case DirCommit::Remove:
         dir.remove(line);
-        return;
+        return sent;
       case DirCommit::WriteBits:
         // Only a found entry is rewritten in place; a load allocates.
         hmg_assert(w != nullptr);
@@ -112,12 +111,12 @@ HwProtocol::applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
     w->gpmSharers = out.gpmBits;
     w->gpuSharers = out.gpuBits;
     w->nodeSharers = out.nodeBits;
+    return sent;
 }
 
 void
 HwProtocol::replaceVictim(GpmId at, const DirEntry &victim)
 {
-    auto job = makeInvJob(/*from_store=*/false);
     const Addr sector = victim.sector;
     const verify::DirSnapshot pre{true, victim.gpmSharers,
                                   victim.gpuSharers, victim.nodeSharers};
@@ -125,21 +124,21 @@ HwProtocol::replaceVictim(GpmId at, const DirEntry &victim)
     // Invalid next-state needs no commit — only its invalidation fan.
     // A flat directory lives at the system home itself.
     const GpmId h = hier_ ? sysHome(sector) : at;
+    bool sent = false;
     verify::applyDirEvent(
         verify::dirTable(), topo_, hier_, at, kInvalidGpm,
-        verify::DirEvent::Replace, pre, h,
-        [&](GpmId dst) { sendInv(at, dst, sector, job); });
+        verify::DirEvent::Replace, pre, h, [&](GpmId dst) {
+            sendInv(at, dst, sector, /*from_store=*/false);
+            sent = true;
+        });
+    if (sent)
+        ++evict_inv_events_;
 }
 
 void
-HwProtocol::sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job)
+HwProtocol::sendInv(GpmId from, GpmId to, Addr sector, bool from_store)
 {
     ++inv_msgs_;
-    {
-        // A GPU-home re-fan grows a job another LP may be finishing.
-        MaybeLock lock(ctx_.lps);
-        ++job->pending;
-    }
     // The sender's in-flight-invalidation ledger gates release-marker
     // acknowledgment (GpmNode::invs()); the landing is counted
     // before handleInv so a re-fanned invalidation issued there can
@@ -153,7 +152,7 @@ HwProtocol::sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job)
                      .dst = to,
                      .type = MsgType::Inv,
                      .addr = sector,
-                     .onArrival = [this, from, to, sector, job]() {
+                     .onArrival = [this, from, to, sector, from_store]() {
                          // The sender's ledger belongs to `from`'s LP;
                          // a delayed decrement only lengthens marker
                          // waits (delay-only relaxation).
@@ -161,14 +160,14 @@ HwProtocol::sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job)
                                        [this, from]() {
                                            ctx_.gpm(from).invs().land();
                                        });
-                         handleInv(to, sector, job);
+                         handleInv(to, sector, from_store);
                          if (ctx_.checker)
                              ctx_.checker->noteInvDelivered(sector);
                      }});
 }
 
 void
-HwProtocol::handleInv(GpmId at, Addr sector, InvJobPtr job)
+HwProtocol::handleInv(GpmId at, Addr sector, bool from_store)
 {
     GpmNode &node = ctx_.gpm(at);
     const std::uint32_t sector_bytes = node.dir()->sectorBytes();
@@ -199,10 +198,10 @@ HwProtocol::handleInv(GpmId at, Addr sector, InvJobPtr job)
             const GpmId h = sysHome(sector);
             if (topo_.gpuHome(topo_.gpuOf(at), h) == at && at != h)
                 applyDirEventAt(at, h, kInvalidGpm, sector,
-                                verify::DirEvent::InvRecv, job);
+                                verify::DirEvent::InvRecv, from_store);
         }
     }
-    finishInvMsg(job, lines);
+    (from_store ? store_inv_lines_ : evict_inv_lines_) += lines;
 }
 
 // -------------------------------------------------------- acquire/release
@@ -430,9 +429,9 @@ HwProtocol::installEvictionHooks()
                  .type = MsgType::Downgrade,
                  .addr = line,
                  .onArrival = [this, home, h, id, line]() {
-                     InvJobPtr none;
                      applyDirEventAt(home, h, id, line,
-                                     verify::DirEvent::Downgrade, none);
+                                     verify::DirEvent::Downgrade,
+                                     /*from_store=*/false);
                  }});
         });
     }

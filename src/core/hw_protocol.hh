@@ -98,23 +98,26 @@ class HwProtocol : public HomeChainModel
     /**
      * Apply the unique Table I row for (entry state at `at`, `ev`,
      * writer-tracked guard of `via`) for a line whose system home is
-     * `h`: emit the row's invalidations (charged to `job`) and execute
-     * its commit step on the directory. All directory maintenance —
-     * sharer recording, store/atomic invalidation fans, HMG re-fans,
+     * `h`: emit the row's invalidations (a wave whose cause is a store
+     * when `from_store`, else a replacement) and execute its commit
+     * step on the directory. All directory maintenance — sharer
+     * recording, store/atomic invalidation fans, HMG re-fans,
      * downgrades — funnels through here, so the rows hmgcheck verifies
      * are the rows executed.
+     * @return the invalidations sent
      */
-    void applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
-                         verify::DirEvent ev, InvJobPtr &job);
+    std::uint32_t applyDirEventAt(GpmId at, GpmId h, GpmId via, Addr line,
+                                  verify::DirEvent ev, bool from_store);
 
     /** Table I "Replace Dir Entry" on a displaced (detached) victim. */
     void replaceVictim(GpmId at, const DirEntry &victim);
 
-    /** Send one invalidation and process it at the destination. */
-    void sendInv(GpmId from, GpmId to, Addr sector, InvJobPtr job);
+    /** Send one invalidation of a wave and process it at the
+     *  destination. */
+    void sendInv(GpmId from, GpmId to, Addr sector, bool from_store);
 
     /** Invalidation arriving at `at` (may re-fan at a GPU home). */
-    void handleInv(GpmId at, Addr sector, InvJobPtr job);
+    void handleInv(GpmId at, Addr sector, bool from_store);
 
     /** Clean-eviction downgrades (Section IV-B, off by default; exact
      *  only at 1-line directory granularity) and write-back of dirty

@@ -9,27 +9,16 @@ namespace hmg
 {
 
 void
-CoherenceModel::finishInvMsg(const InvJobPtr &job,
-                             std::uint64_t lines_dropped)
-{
-    // One job's messages may land in several LPs within a window; the
-    // join counter and the sampled statistic are the shared state.
-    MaybeLock lock(ctx_.lps);
-    hmg_assert(job->pending > 0);
-    job->lines += lines_dropped;
-    if (--job->pending == 0 && job->stat)
-        job->stat->sample(static_cast<double>(job->lines));
-}
-
-void
 CoherenceModel::reportStats(StatRecorder &r) const
 {
     r.record("protocol.store_inv_events",
-             static_cast<double>(store_inv_.count()));
-    r.record("protocol.store_inv_lines", store_inv_.sum());
+             static_cast<double>(store_inv_events_.total()));
+    r.record("protocol.store_inv_lines",
+             static_cast<double>(store_inv_lines_.total()));
     r.record("protocol.evict_inv_events",
-             static_cast<double>(evict_inv_.count()));
-    r.record("protocol.evict_inv_lines", evict_inv_.sum());
+             static_cast<double>(evict_inv_events_.total()));
+    r.record("protocol.evict_inv_lines",
+             static_cast<double>(evict_inv_lines_.total()));
     r.record("protocol.inv_msgs", static_cast<double>(inv_msgs_.total()));
 }
 

@@ -32,7 +32,6 @@
 #include "common/types.hh"
 #include "core/release_tracker.hh"
 #include "gpu/gpm.hh"
-#include "mem/address_map.hh"
 #include "mem/memory_state.hh"
 #include "mem/page_table.hh"
 #include "noc/network.hh"
@@ -61,7 +60,6 @@ struct SystemContext
     const SystemConfig &cfg;
     Network &net;
     PageTable &pages;
-    AddressMap &amap;
     MemoryState &mem;
     ReleaseTracker &tracker;
     std::vector<std::unique_ptr<GpmNode>> &gpms;
@@ -172,37 +170,16 @@ class CoherenceModel
     virtual void reportStats(StatRecorder &r) const;
 
   protected:
-    /**
-     * A tree of invalidation messages triggered by one cause (a store or
-     * a directory eviction). Tracks how many messages are still in
-     * flight and how many cache lines they dropped, and samples the
-     * right mean-statistic when the last one lands.
-     */
-    struct InvJob
-    {
-        std::uint32_t pending = 0;
-        std::uint64_t lines = 0;
-        MeanStat *stat = nullptr;
-    };
-
-    using InvJobPtr = std::shared_ptr<InvJob>;
-
-    InvJobPtr
-    makeInvJob(bool from_store)
-    {
-        auto job = std::make_shared<InvJob>();
-        job->stat = from_store ? &store_inv_ : &evict_inv_;
-        return job;
-    }
-
-    /** Finish one message of `job`; samples the stat when all landed. */
-    void finishInvMsg(const InvJobPtr &job, std::uint64_t lines_dropped);
-
     SystemContext &ctx_;
-    /** Guarded by lps.modelMutex() in concurrent runs: InvJobs fan
-     *  across LPs and the last message may land on any of them. */
-    MeanStat store_inv_;
-    MeanStat evict_inv_;
+    // Invalidation waves by cause, a store's fan or a directory
+    // replacement's: a wave counts where its fan sends its first
+    // invalidation, and every landing, re-fans included, adds the lines
+    // it dropped to its wave's cause. LP-sharded like inv_msgs_, so no
+    // lock: the checker is the model mutex's only user.
+    LpCounter store_inv_events_;
+    LpCounter store_inv_lines_;
+    LpCounter evict_inv_events_;
+    LpCounter evict_inv_lines_;
     LpCounter inv_msgs_; ///< LP-sharded (counted at the sending home)
 };
 

@@ -2,8 +2,8 @@
  * @file
  * Pure home-chain and sharer-set routing logic shared by the live
  * protocols (core/home_chain.cc walks the chain, core/hw_protocol.cc
- * maintains the directories) and the exhaustive model checker
- * (src/verify/).
+ * maintains the directories), the runtime checker (core/checker.cc)
+ * and the exhaustive model checker (src/verify/).
  *
  * The chain step: every line has one system home; a GPU's home for it
  * is the GPM of that GPU with the system home's local index, and a
@@ -21,6 +21,10 @@
  *     entry or an entry is replaced (forEachInvTarget);
  *   - which nodes receive the HMG-only re-fanned invalidations when an
  *     intermediate home processes an invalidation (forEachRefanTarget).
+ *
+ * Both checkers ask one question of the same encoding: does a home's
+ * entry hold the bit recordSharerBits sets for a tier below it
+ * (tracksSharer)? A copy is covered when every link of its chain is.
  *
  * The hierarchical encoding is *geometric*: a home records the acting
  * GPM by the most specific tier that separates them — same GPU ->
@@ -143,6 +147,21 @@ recordSharerBits(const SharerTopology &topo, bool hier, GpmId h, GpmId via,
         gpu_bits |= 1u << topo.localGpuOf(topo.gpuOf(via));
     else
         node_bits |= 1u << topo.nodeOfGpm(via);
+}
+
+/**
+ * Does an entry at home `h` with these sharer bits hold the bit that
+ * recordSharerBits sets for `via`? The coverage rule of both checkers:
+ * a copy at `via` is reachable from `h` exactly when it does.
+ */
+inline bool
+tracksSharer(const SharerTopology &topo, bool hier, GpmId h, GpmId via,
+             std::uint32_t gpm_bits, std::uint32_t gpu_bits,
+             std::uint32_t node_bits)
+{
+    std::uint32_t gpm = 0, gpu = 0, node = 0;
+    recordSharerBits(topo, hier, h, via, gpm, gpu, node);
+    return ((gpm & gpm_bits) | (gpu & gpu_bits) | (node & node_bits)) != 0;
 }
 
 /**

@@ -57,7 +57,6 @@ System::System(const SystemConfig &cfg)
     tags_ = std::make_unique<TagStore>(tagStoreBytes(cfg_),
                                        tagStoreGeometry(cfg_));
 
-    amap_ = std::make_unique<AddressMap>(cfg_, pages_);
     net_ = std::make_unique<Network>(lps_, cfg_);
 
     const bool with_dir = isHardwareProtocol(cfg_.protocol);
@@ -72,7 +71,7 @@ System::System(const SystemConfig &cfg)
     });
 
     ctx_ = std::make_unique<SystemContext>(SystemContext{
-        lps_, cfg_, *net_, pages_, *amap_, mem_, tracker_, gpms_});
+        lps_, cfg_, *net_, pages_, mem_, tracker_, gpms_});
 
     model_ = makeCoherenceModel(*ctx_);
     if (cfg_.checkCoherence)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Wiring of the whole simulated machine: engine, page table, address
- * map, memory oracle, interconnect, GPM nodes, release tracker, the
- * selected coherence model, SMs, and the CTA scheduler.
+ * Wiring of the whole simulated machine: engine, page table, memory
+ * oracle, interconnect, GPM nodes, release tracker, the selected
+ * coherence model, SMs, and the CTA scheduler.
  */
 
 #ifndef HMG_GPU_SYSTEM_HH
@@ -18,7 +18,6 @@
 #include "gpu/cta_scheduler.hh"
 #include "gpu/gpm.hh"
 #include "gpu/sm.hh"
-#include "mem/address_map.hh"
 #include "mem/memory_state.hh"
 #include "mem/page_table.hh"
 #include "noc/network.hh"
@@ -54,7 +53,6 @@ class System
     CoherenceModel &model() { return *model_; }
     Network &network() { return *net_; }
     PageTable &pageTable() { return pages_; }
-    AddressMap &addressMap() { return *amap_; }
     MemoryState &memory() { return mem_; }
     ReleaseTracker &tracker() { return tracker_; }
     CtaScheduler &scheduler() { return *scheduler_; }
@@ -89,7 +87,6 @@ class System
     SystemConfig cfg_;
     LpDomain lps_;
     PageTable pages_;
-    std::unique_ptr<AddressMap> amap_;
     MemoryState mem_;
     ReleaseTracker tracker_;
     /** Every L1, L2 and directory array. Declared before the GPMs and

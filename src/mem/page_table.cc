@@ -39,9 +39,6 @@ PageTable::touch(Addr addr, GpmId toucher)
       case PagePlacement::RoundRobin:
         home = static_cast<GpmId>(page % cfg_.totalGpms());
         break;
-      case PagePlacement::LocalOnly:
-        home = 0;
-        break;
     }
     {
         const std::lock_guard<std::mutex> lock(mu_);

@@ -231,7 +231,7 @@ class LpDomain
             std::forward<F>(fn));
     }
 
-    /** Serialize checker/invalidation bookkeeping when concurrent.
+    /** Serialize the runtime checker's bookkeeping when concurrent.
      *  Recursive: completion callbacks may re-enter locked paths.
      *  MaybeLock no-ops in serial/deterministic modes, so the
      *  bit-identical paths never take it. */
@@ -302,8 +302,8 @@ class LpDomain
     /** Hang detector, polled by the run loops; null when unarmed. */
     Watchdog *watchdog_ = nullptr;
 
-    // Serializes the checker/invalidation paths; their order inside a
-    // window is not simulated time.
+    // Serializes the checker's paths; their order inside a window is
+    // not simulated time.
     std::recursive_mutex model_mu_;
 
     // --- TimeWindow thread coordination ---
@@ -333,9 +333,8 @@ class LpDomain
 /**
  * Scoped guard for the model mutex that collapses to a no-op unless LP
  * workers actually run concurrently — serial and deterministic-merge
- * runs pay nothing. Guards the few genuinely shared model structures
- * (invalidation join-counters, mean statistics, the coherence checker)
- * whose accesses are not LP-affine.
+ * runs pay nothing. Its one user is the coherence checker, whose
+ * oracle and ledgers every LP reads and writes.
  */
 class MaybeLock
 {

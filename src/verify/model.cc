@@ -941,64 +941,32 @@ Explorer::coverageViolation(const MState &s) const
             const GpmId h = hOf(l);
             if (p == h)
                 continue;
-            // Transient exemptions, mirroring core/checker.cc: the
+            // Transient exemptions, as core/checker.cc makes them: the
             // copy's invalidation or its write-through is in flight.
             if (invInFlight(s, l) || wtInFlight(s, topo_.gpuOf(p), l))
                 continue;
-            bool covered = false;
-            if (!cfg_.hier) {
-                covered = s.sysP[l] && ((s.sysGpm[l] >> p) & 1);
-            } else if (topo_.gpuOf(p) == topo_.gpuOf(h)) {
-                covered = s.sysP[l] &&
-                          ((s.sysGpm[l] >> topo_.localGpmOf(p)) & 1);
-            } else if (topo_.nodeOfGpm(p) == topo_.nodeOfGpm(h)) {
-                const GpuId g = topo_.gpuOf(p);
-                const bool gpuBit =
-                    s.sysP[l] &&
-                    ((s.sysGpu[l] >> topo_.localGpuOf(g)) & 1);
-                if (p == ghOfLine(g, l))
-                    covered = gpuBit;
-                else
-                    covered = gpuBit && s.ghP[g][l] &&
-                              ((s.ghGpm[g][l] >> topo_.localGpmOf(p)) &
-                               1);
-            } else {
-                // Remote node: walk the three-level chain — node bit
-                // at the system home, then (unless p is the node home
-                // itself) the node home's entry, then (unless p is its
-                // GPU home) the GPU home's entry.
-                const NodeId n = topo_.nodeOfGpm(p);
-                const GpuId g = topo_.gpuOf(p);
-                const GpmId nh = nhOfLine(n, l);
+            // Walk every link up to the system home: each next home
+            // must hold the bit the walk records for the tier below.
+            bool covered = true;
+            for (GpmId from = p; covered && from != h;) {
+                const GpmId up = upFrom(from, l);
+                const NodeId n = topo_.nodeOfGpm(from);
                 // The sys->node link is transiently excused while a
-                // write-through from node n is in flight: the node
-                // home fills from pass-through write-throughs (and may
-                // serve descendants from that copy) before the
-                // forwarded write-through lands at the system home and
-                // establishes the node bit. The sub-node links are
-                // still required — the copy must be reachable from the
-                // node home's own directory.
-                const bool nodeBit =
-                    (s.sysP[l] && ((s.sysNode[l] >> n) & 1)) ||
-                    wtFromNodeInFlight(s, n, l);
-                if (p == nh) {
-                    covered = nodeBit;
-                } else if (g == topo_.gpuOf(nh)) {
-                    covered = nodeBit && s.nhP[n][l] &&
-                              ((s.nhGpm[n][l] >> topo_.localGpmOf(p)) &
-                               1);
-                } else {
-                    const bool gpuBit =
-                        nodeBit && s.nhP[n][l] &&
-                        ((s.nhGpu[n][l] >> topo_.localGpuOf(g)) & 1);
-                    if (p == ghOfLine(g, l))
-                        covered = gpuBit;
-                    else
-                        covered = gpuBit && s.ghP[g][l] &&
-                                  ((s.ghGpm[g][l] >>
-                                    topo_.localGpmOf(p)) &
-                                   1);
-                }
+                // write-through from node n is in flight: the node home
+                // fills from pass-through write-throughs (and may serve
+                // descendants from that copy) before the forwarded
+                // write-through lands at the system home and establishes
+                // the node bit. The sub-node links are still required —
+                // the copy must be reachable from the node home's own
+                // directory.
+                const DirSnapshot e = readEntry(s, up, l);
+                covered = (e.present &&
+                           tracksSharer(topo_, cfg_.hier, up, from,
+                                        e.gpmBits, e.gpuBits,
+                                        e.nodeBits)) ||
+                          (up == h && n != topo_.nodeOfGpm(h) &&
+                           wtFromNodeInFlight(s, n, l));
+                from = up;
             }
             if (!covered)
                 return "sharer-tracking violation: " + gpmName(p) +

@@ -2,15 +2,19 @@
  * @file
  * Unit tests for the coherence directory: entry lifecycle, hierarchical
  * sharer sets, sector coverage, eviction behaviour (Table I "Replace
- * Dir Entry") and the Section VII-C sizing arithmetic.
+ * Dir Entry"), the Section VII-C sizing arithmetic, and the sharer
+ * encoding checked against the invalidation fans that read it.
  */
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "core/directory.hh"
+#include "core/sharer_ops.hh"
 
 namespace hmg
 {
@@ -141,6 +145,101 @@ TEST(Directory, ManySectorsNoAliasing)
         DirEntry *e = d.find(s * 512);
         ASSERT_NE(e, nullptr);
         EXPECT_TRUE(e->hasGpm(static_cast<std::uint32_t>(s % 4)));
+    }
+}
+
+// ------------------------------------------------------------------
+// The sharer encoding (core/sharer_ops.hh) against the fans that read
+// it: the coverage checks trust tracksSharer, which restates
+// recordSharerBits, so only the fans can catch a wrong encoding.
+// ------------------------------------------------------------------
+
+/** One home's entry on a copy's chain. */
+struct ChainEntry
+{
+    GpmId at;
+    std::uint32_t gpm = 0, gpu = 0, node = 0;
+};
+
+/**
+ * For every system home `h` and copy `p != h` of a nodes x gpus x gpms
+ * machine (gpus counts the whole machine): record `p`'s chain the way
+ * the walk does, one nextHome step at a time, and check that a store
+ * fan from `h` with no writer, re-fanned at every intermediate home
+ * holding an entry, reaches `p` and nothing off its chain. Returns the
+ * first failure, or "".
+ */
+std::string
+chainFailure(std::uint32_t nodes, std::uint32_t gpus, std::uint32_t gpms,
+             bool hier)
+{
+    const SharerTopology topo{gpus, gpms, nodes};
+    const bool node_tier = hier && nodes > 1;
+    const GpmId total = gpus * gpms;
+    std::vector<ChainEntry> homes;
+    std::vector<GpmId> work;
+    for (GpmId h = 0; h < total; ++h)
+        for (GpmId p = 0; p < total; ++p) {
+            if (p == h)
+                continue;
+            const std::string at = " (home " + std::to_string(h) +
+                                   ", copy " + std::to_string(p) + ")";
+            homes.clear();
+            for (GpmId from = p; from != h;) {
+                ChainEntry e{nextHome(topo, hier, node_tier, from, h)};
+                recordSharerBits(topo, hier, e.at, from, e.gpm, e.gpu,
+                                 e.node);
+                if (!tracksSharer(topo, hier, e.at, from, e.gpm, e.gpu,
+                                  e.node))
+                    return "gpm " + std::to_string(e.at) +
+                           " does not track " + std::to_string(from) + at;
+                homes.push_back(e);
+                from = e.at;
+            }
+            auto onChain = [&](GpmId g) -> const ChainEntry * {
+                for (const ChainEntry &e : homes)
+                    if (e.at == g)
+                        return &e;
+                return nullptr;
+            };
+            auto push = [&](GpmId g) { work.push_back(g); };
+            const ChainEntry &top = homes.back();
+            forEachInvTarget(topo, hier, h, kInvalidGpm, top.gpm, top.gpu,
+                             top.node, h, push);
+            bool reached = false;
+            while (!work.empty()) {
+                const GpmId g = work.back();
+                work.pop_back();
+                reached |= g == p;
+                const ChainEntry *e = onChain(g);
+                if (g != p && (!e || g == h))
+                    return "the fan reaches gpm " + std::to_string(g) +
+                           ", off the chain" + at;
+                if (e)
+                    forEachRefanTarget(topo, g, e->gpm, e->gpu, h, push);
+            }
+            if (!reached)
+                return "the fan misses the copy" + at;
+        }
+    return {};
+}
+
+TEST(SharerOps, EveryRecordedChainIsReachedByTheFans)
+{
+    struct Shape
+    {
+        std::uint32_t nodes, gpus, gpms;
+    };
+    for (const Shape s : {Shape{1, 1, 4}, Shape{1, 2, 2}, Shape{1, 4, 4},
+                          Shape{2, 4, 2}, Shape{2, 4, 4}, Shape{4, 8, 2},
+                          Shape{8, 64, 4}}) {
+        SCOPED_TRACE(std::to_string(s.nodes) + "x" + std::to_string(s.gpus) +
+                     "x" + std::to_string(s.gpms));
+        EXPECT_EQ(chainFailure(s.nodes, s.gpus, s.gpms, /*hier=*/true), "");
+        // A flat entry has one bit per GPM of a one-node machine.
+        if (s.nodes == 1 && s.gpus * s.gpms <= 32) {
+            EXPECT_EQ(chainFailure(s.nodes, s.gpus, s.gpms, false), "");
+        }
     }
 }
 

@@ -169,7 +169,7 @@ TEST_P(LitmusTest, ReleaseWaitsForPendingWrites)
     // release completes, the write must be at the system home.
     Version v = d.storeAsync(0, kData);
     d.release(0, Scope::Sys);
-    EXPECT_EQ(d.sys.memory().read(d.sys.addressMap().lineAddr(kData)), v);
+    EXPECT_EQ(d.sys.memory().read(kData), v);
     // And any other SM's `.sys` load observes it.
     EXPECT_EQ(d.load(7, kData, Scope::Sys), v);
 }
@@ -427,6 +427,50 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return n;
     });
+
+// ------------------------------------------------------------------
+// The checker's coverage rule: a copy whose next home up has lost its
+// sharer bit is reported, naming the copy's GPM. Each case loads a line
+// homed at GPM 0, wipes the bits of one home's entry, and loads again
+// from the same SM, so the second load hits the copy and the checker
+// scans it.
+// ------------------------------------------------------------------
+
+/** Load kData (homed at GPM 0) from `sm`, clear the sharer bits of the
+ *  entry at GPM `wipe`, and load again. */
+void
+loadAfterWipe(Protocol p, SmId sm, GpmId wipe, std::uint32_t nodes = 1)
+{
+    SystemConfig cfg = testing::smallConfig(p);
+    cfg.numNodes = nodes;
+    cfg.numGpus = 2 * nodes;
+    cfg.checkCoherence = true;
+    DirectDrive d(p, cfg);
+    d.place(kData, 0);
+    d.load(sm, kData);
+    DirEntry *e = d.sys.gpm(wipe).dir()->find(kData);
+    ASSERT_NE(e, nullptr);
+    e->gpmSharers = e->gpuSharers = e->nodeSharers = 0;
+    d.load(sm, kData);
+}
+
+TEST(CheckerCoverageDeath, NamesTheCopyItsNextHomeLostTrackOf)
+{
+    // NHCC: GPM 1 is tracked by the system home itself.
+    EXPECT_DEATH(loadAfterWipe(Protocol::Nhcc, 2, 0),
+                 "GPM 1 caches line 0 .* no covering directory state");
+    // HMG: GPM 3 by its GPU home, GPM 2; GPM 2 by the system home.
+    EXPECT_DEATH(loadAfterWipe(Protocol::Hmg, 6, 2),
+                 "GPM 3 caches line 0 .* no covering directory state");
+    EXPECT_DEATH(loadAfterWipe(Protocol::Hmg, 4, 0),
+                 "GPM 2 caches line 0 .* no covering directory state");
+    // 2 nodes x 2 GPUs x 2 GPMs: GPM 6, a GPU home on node 1, is
+    // tracked by its node home, GPM 4, and GPM 4 by the system home.
+    EXPECT_DEATH(loadAfterWipe(Protocol::Hmg, 12, 4, 2),
+                 "GPM 6 caches line 0 .* no covering directory state");
+    EXPECT_DEATH(loadAfterWipe(Protocol::Hmg, 12, 0, 2),
+                 "GPM 4 caches line 0 .* no covering directory state");
+}
 
 } // namespace
 } // namespace hmg

@@ -1,10 +1,9 @@
 /**
  * @file
- * Unit tests for src/mem: NUMA page placement, home-node mapping, the
- * versioned memory oracle, and the DRAM channel. Two cases run one
- * thread per LP, the way a time-window run does: the page table's
- * first-touch placement under racing touches, and the memory oracle's
- * per-LP partitions.
+ * Unit tests for src/mem: NUMA page placement, the versioned memory
+ * oracle, and the DRAM channel. Two cases run one thread per LP, the
+ * way a time-window run does: the page table's first-touch placement
+ * under racing touches, and the memory oracle's per-LP partitions.
  */
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hh"
-#include "mem/address_map.hh"
 #include "mem/dram.hh"
 #include "mem/memory_state.hh"
 #include "mem/page_table.hh"
@@ -51,14 +49,6 @@ TEST(PageTable, RoundRobinPolicy)
         EXPECT_EQ(pt.touch(p * kPage, 3), p % cfg.totalGpms());
 }
 
-TEST(PageTable, LocalOnlyPolicy)
-{
-    SystemConfig cfg;
-    cfg.pagePlacement = PagePlacement::LocalOnly;
-    PageTable pt(cfg);
-    EXPECT_EQ(pt.touch(5 * kPage, 7), 0u);
-}
-
 TEST(PageTable, IsPlacedAndCounts)
 {
     SystemConfig cfg;
@@ -80,35 +70,6 @@ TEST(PageTableDeath, UnplacedPagePanics)
     SystemConfig cfg;
     PageTable pt(cfg);
     EXPECT_DEATH(pt.homeOf(0x123), "unplaced");
-}
-
-TEST(AddressMap, Granularities)
-{
-    SystemConfig cfg;
-    PageTable pt(cfg);
-    AddressMap am(cfg, pt);
-    EXPECT_EQ(am.lineAddr(0x1234), 0x1200u);
-    EXPECT_EQ(am.sectorAddr(0x1234), 0x1200u & ~0x1ffull);
-    EXPECT_EQ(am.sectorBytes(), 512u);
-    EXPECT_EQ(am.linesPerSector(), 4u);
-    EXPECT_EQ(am.pageAddr(kPage + 5), kPage);
-    EXPECT_EQ(am.lineNumber(256), 2u);
-}
-
-TEST(AddressMap, SystemAndGpuHomes)
-{
-    SystemConfig cfg;
-    PageTable pt(cfg);
-    AddressMap am(cfg, pt);
-    // Home the page on GPM 6 (GPU 1, local index 2).
-    pt.touch(0, 6);
-    EXPECT_EQ(am.systemHome(0x40), 6u);
-    EXPECT_EQ(am.systemHomeGpu(0x40), 1u);
-    // Each GPU's home shares the system home's local index.
-    EXPECT_EQ(am.gpuHome(0, 0x40), 2u);
-    EXPECT_EQ(am.gpuHome(1, 0x40), 6u);
-    EXPECT_EQ(am.gpuHome(2, 0x40), 10u);
-    EXPECT_EQ(am.gpuHome(3, 0x40), 14u);
 }
 
 TEST(MemoryState, SerializedWritesOrderByArrival)

@@ -144,8 +144,7 @@ TEST_P(RandomTraceTest, DirectorySharersCoverCachedCopies)
             if (home == g)
                 return;
             if (hier) {
-                const GpmId gh =
-                    sys.addressMap().gpuHome(cfg.gpuOf(g), line.addr);
+                const GpmId gh = cfg.gpmId(cfg.gpuOf(g), cfg.localGpmOf(home));
                 if (gh == g) {
                     // A GPU home is covered at the system home.
                     const DirEntry *e = sys.gpm(home).dir()->find(

@@ -19,6 +19,7 @@
 
 #include "common/rng.hh"
 #include "common/topology.hh"
+#include "core/sharer_ops.hh"
 #include "gpu/simulator.hh"
 #include "test_system.hh"
 #include "trace/trace.hh"
@@ -69,14 +70,16 @@ TEST_P(TopologySweep, HomeMappingIsConsistent)
 {
     SystemConfig c = cfg();
     System sys(c);
+    // The mapping the home-chain walk routes by.
+    const SharerTopology topo{c.numGpus, c.gpmsPerGpu, c.numNodes};
     // Place one page per GPM and check every GPU-home shares the system
     // home's local index.
     for (GpmId h = 0; h < c.totalGpms(); ++h) {
         Addr a = static_cast<Addr>(h) * c.osPageBytes;
         sys.pageTable().touch(a, h);
-        EXPECT_EQ(sys.addressMap().systemHome(a), h);
+        EXPECT_EQ(sys.pageTable().homeOf(a), h);
         for (GpuId g = 0; g < c.numGpus; ++g) {
-            GpmId gh = sys.addressMap().gpuHome(g, a);
+            GpmId gh = topo.gpuHome(g, h);
             EXPECT_EQ(c.gpuOf(gh), g);
             EXPECT_EQ(c.localGpmOf(gh), c.localGpmOf(h));
         }
@@ -85,7 +88,7 @@ TEST_P(TopologySweep, HomeMappingIsConsistent)
             // local index matches the system home's GPU — so every
             // node home is also a GPU home, and the node home of the
             // system home's own node is the system home itself.
-            GpmId nh = sys.addressMap().nodeHome(n, a);
+            GpmId nh = topo.nodeHome(n, h);
             EXPECT_EQ(c.nodeOfGpm(nh), n);
             EXPECT_EQ(c.localGpmOf(nh), c.localGpmOf(h));
             EXPECT_EQ(c.localGpuOf(c.gpuOf(nh)),
