@@ -138,7 +138,7 @@ BM_TagStoreProbe(benchmark::State &state)
     // A load's tag path over a default System's arrays: its SM's L1
     // looked up, on a miss its GPM's L2, each filled on a miss. Lines
     // are drawn at random from a 10 MB footprint, so probes land at
-    // random across 512 L1 and 16 L2 arrays (22 MB of tags). `shared`
+    // random across 512 L1 and 16 L2 arrays (15 MB of tags). `shared`
     // takes the arrays from the System's one store, on huge pages where
     // the kernel grants them; otherwise each array has its own mapping,
     // and the difference is the TLB's share of a probe on this host.

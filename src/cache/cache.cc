@@ -114,7 +114,7 @@ Cache::dirtyLines() const
     return n;
 }
 
-void
+Version
 Cache::fill(Addr line_addr, Version version)
 {
     ++fills_;
@@ -128,6 +128,7 @@ Cache::fill(Addr line_addr, Version version)
     // A racing store may have left a newer version in place; keep it.
     if (line->version < version)
         line->version = version;
+    return line->version;
 }
 
 bool

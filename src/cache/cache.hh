@@ -88,8 +88,12 @@ class Cache
     /** Dirty lines, counted by walking the array (tests). */
     std::uint64_t dirtyLines() const;
 
-    /** Install a line fetched from below (load fill). */
-    void fill(Addr line_addr, Version version);
+    /**
+     * Install a line fetched from below (load fill). A newer version
+     * that a racing store left in place is kept.
+     * @return the version the line holds afterwards
+     */
+    Version fill(Addr line_addr, Version version);
 
     /** Invalidate a single line. @return true if present. */
     bool invalidateLine(Addr line_addr);

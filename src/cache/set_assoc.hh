@@ -4,31 +4,35 @@
  * (cache/tag_array.hh) and the coherence directory (core/directory.hh):
  * set indexing, probing, true-LRU victim choice and valid counting.
  *
- * Validity is a generation stamp. An entry is live iff its 32-bit
- * `stamp` equals the array's current generation, and nothing else
- * records validity. Dropping one entry zeroes its stamp; dropping every
- * entry bumps the generation, so a bulk invalidation costs O(1) however
- * large the array, and the live count it returns is maintained, not
- * counted. Generations start at 1, so the all-zero bytes of a fresh
- * mapping are empty entries and construction writes nothing.
- * When the generation would wrap to 0, every stamp is reset first: an
- * entry dropped 2^32 bulk invalidations earlier must not match again.
+ * Validity is a generation stamp. An entry is live iff its `stamp`
+ * equals the array's current generation, and nothing else records
+ * validity. Dropping one entry zeroes its stamp; dropping every entry
+ * bumps the generation, so a bulk invalidation costs O(1) however large
+ * the array, and the live count it returns is maintained, not counted.
+ * Generations start at 1, so the all-zero bytes of a fresh mapping are
+ * empty entries and construction writes nothing. The generation has
+ * the type of the entry's `stamp` (16 bits for lines and directory
+ * entries). When it would wrap to 0, every stamp is reset first: an
+ * entry dropped 2^16 bulk invalidations earlier must not match again.
  *
- * Each set also keeps a 32-bit summary word: the generation of the last
- * insert into that set. A set whose word differs from the current
- * generation holds no live entry, so a probe of it misses without
- * reading the set's ways (192–384 bytes of host memory), and an insert
- * into it takes way 0 without a scan, the way a full scan would pick.
- * A bulk invalidation leaves every word stale for free; the wrap resets
- * the words with the stamps. Software coherence empties whole arrays at
- * every acquire and kernel boundary, so most probes in those runs land
- * in such sets.
+ * Each set also keeps a summary word of the same type: the generation
+ * of the last insert into that set. A set whose word differs from the
+ * current generation holds no live entry, so a probe of it misses
+ * without reading the set's ways (128–256 bytes of host memory), and an
+ * insert into it takes way 0 without a scan, the way a full scan would
+ * pick. A bulk invalidation leaves every word stale for free; the wrap
+ * resets the words with the stamps. Software coherence empties whole
+ * arrays at every acquire and kernel boundary, so most probes in those
+ * runs land in such sets.
  *
- * The LRU counter is 32 bits, like the stamps it sits beside. Before it
- * would pass 2^32 - 1, the live entries of each set are renumbered
- * 1..n in their LRU order and the counter restarts above the largest
- * set's n. Victims are only ever compared within a set, so every later
- * victim is the one a 64-bit counter would have picked.
+ * The LRU counter has the type of the entry's `lru` (16 bits for lines
+ * and directory entries). Before it would pass its maximum, the live
+ * entries of each set are renumbered 1..n in their LRU order and the
+ * counter restarts above the largest set's n. Victims are only ever
+ * compared within a set, so every later victim is the one a 64-bit
+ * counter would have picked. Both the wrap and the renumbering happen
+ * in long runs (an L2 slice hands out 2^16 LRU stamps in about as many
+ * accesses); neither changes a result.
  *
  * The entries and the summary words live in a TagStore
  * (cache/tag_store.hh): the System's one mapping, or a private one.
@@ -39,6 +43,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -57,10 +62,11 @@ namespace hmg
  * with true-LRU replacement.
  *
  * `Entry` is an aggregate whose value-initialized state is all-zero
- * bytes (so fresh mapped storage holds empty entries), with members
- * `std::uint32_t stamp` (owned by this class) and an unsigned `lru` of
- * at least 32 bits (larger = more recently used). The set of a key is
- * `(key >> key_shift) % num_sets`.
+ * bytes (so fresh mapped storage holds empty entries), with unsigned
+ * integer members `stamp` (owned by this class) and `lru` (larger =
+ * more recently used). Their types are the array's generation and LRU
+ * counter types, `Gen` and `Lru`; 16 bits each suffice (see the file
+ * comment). The set of a key is `(key >> key_shift) % num_sets`.
  */
 template <typename Entry, Addr Entry::*Key>
 class SetAssoc
@@ -71,6 +77,13 @@ class SetAssoc
                   "entries are created implicitly in zeroed storage");
 
   public:
+    /** The generation type: an entry's validity stamp. */
+    using Gen = decltype(Entry::stamp);
+    /** The LRU counter type. */
+    using Lru = decltype(Entry::lru);
+    static_assert(std::is_unsigned_v<Gen> && std::is_unsigned_v<Lru>,
+                  "stamps and LRU counters wrap as unsigned integers");
+
     /** What insert() did. */
     struct Placement
     {
@@ -85,7 +98,7 @@ class SetAssoc
     storageBytes(std::uint64_t num_sets, std::uint32_t ways)
     {
         return TagStore::regionBytes(num_sets * ways * sizeof(Entry)) +
-               TagStore::regionBytes(num_sets * sizeof(std::uint32_t));
+               TagStore::regionBytes(num_sets * sizeof(Gen));
     }
 
     /**
@@ -96,7 +109,7 @@ class SetAssoc
      *        renumbering)
      */
     SetAssoc(std::uint64_t num_sets, std::uint32_t ways, unsigned key_shift,
-             std::uint32_t first_generation = 1, std::uint32_t first_lru = 1)
+             Gen first_generation = 1, Lru first_lru = 1)
         : own_(std::make_unique<TagStore>(
               storageBytes(num_sets, ways),
               "a " + std::to_string(num_sets) + "-set, " +
@@ -226,11 +239,11 @@ class SetAssoc
 
     std::uint64_t numSets() const { return num_sets_; }
     std::uint32_t ways() const { return ways_; }
-    std::uint32_t generation() const { return gen_; }
+    Gen generation() const { return gen_; }
 
     /** The entry and summary-word regions (layout checks in tests). */
     const Entry *entryData() const { return entries_; }
-    const std::uint32_t *summaryData() const { return set_gen_; }
+    const Gen *summaryData() const { return set_gen_; }
 
     /** Visit every live entry, in set-then-way order. */
     template <typename Fn>
@@ -253,11 +266,10 @@ class SetAssoc
     {
         hmg_assert(num_sets_ > 0 && ways_ > 0 && gen_ != 0);
         // Renumbering restarts the counter above the ways of a set.
-        hmg_assert(ways_ < UINT32_MAX / 2);
+        hmg_assert(ways_ < kMaxLru / 2);
         entries_ = static_cast<Entry *>(
             store.take(num_sets_ * ways_ * sizeof(Entry)));
-        set_gen_ = static_cast<std::uint32_t *>(
-            store.take(num_sets_ * sizeof(std::uint32_t)));
+        set_gen_ = static_cast<Gen *>(store.take(num_sets_ * sizeof(Gen)));
     }
 
     std::uint64_t
@@ -279,11 +291,13 @@ class SetAssoc
         return nullptr;
     }
 
+    static constexpr Lru kMaxLru = std::numeric_limits<Lru>::max();
+
     /** The next LRU stamp (see the file comment on renumbering). */
-    std::uint32_t
+    Lru
     nextLru()
     {
-        if (next_lru_ == UINT32_MAX) [[unlikely]]
+        if (next_lru_ == kMaxLru) [[unlikely]]
             renumberLru();
         return next_lru_++;
     }
@@ -293,7 +307,7 @@ class SetAssoc
     renumberLru()
     {
         std::vector<Entry *> live;
-        std::uint32_t top = 0;
+        Lru top = 0;
         for (std::uint64_t set = 0; set < num_sets_; ++set) {
             if (set_gen_[set] != gen_)
                 continue;
@@ -306,12 +320,12 @@ class SetAssoc
                       [](const Entry *a, const Entry *b) {
                           return a->lru < b->lru;
                       });
-            std::uint32_t n = 0;
+            Lru n = 0;
             for (Entry *e : live)
                 e->lru = ++n;
             top = std::max(top, n);
         }
-        next_lru_ = top + 1;
+        next_lru_ = static_cast<Lru>(top + 1);
     }
 
     /** The array's private store; null when carved from a shared one. */
@@ -319,12 +333,12 @@ class SetAssoc
     std::uint64_t num_sets_;
     std::uint32_t ways_;
     unsigned key_shift_;
-    std::uint32_t gen_ = 1;
-    std::uint32_t next_lru_ = 1;
+    Gen gen_ = 1;
+    Lru next_lru_ = 1;
     std::uint64_t live_ = 0;
     Entry *entries_ = nullptr;
     /** Per set: the generation of its last insert (see file comment). */
-    std::uint32_t *set_gen_ = nullptr;
+    Gen *set_gen_ = nullptr;
 };
 
 } // namespace hmg

@@ -18,19 +18,28 @@
 namespace hmg
 {
 
-/** One cache line's bookkeeping: 24 bytes. */
+/**
+ * One cache line's bookkeeping: 16 bytes, the most numerous record of a
+ * run (every L1 and L2 line of the machine has one).
+ *
+ * A store version needs 31 bits (kVersionBits): versions come from one
+ * counter per run, which stops the run before it reaches 2^31
+ * (mem/memory_state.hh), so the version shares a 32-bit word with the
+ * dirty flag. The stamp and the LRU counter are 16 bits; SetAssoc
+ * resets the stamps when the generation wraps and renumbers the LRU
+ * order before the counter does, so neither width changes a hit or a
+ * victim.
+ */
 struct CacheLine
 {
     Addr addr = 0; //!< full line address (tag + index)
-    /** Newest store version this copy reflects. Versions come from one
-     *  counter per run and stay far below 2^63, so the dirty flag takes
-     *  the word's top bit. */
-    Version version : 63 = 0;
+    /** Newest store version this copy reflects. */
+    std::uint32_t version : kVersionBits = 0;
     bool dirty : 1 = false;  //!< holds a write not yet at the home (WB)
-    std::uint32_t stamp = 0; //!< validity; owned by SetAssoc
-    std::uint32_t lru = 0;   //!< larger = more recently used
+    std::uint16_t stamp = 0; //!< validity; owned by SetAssoc
+    std::uint16_t lru = 0;   //!< larger = more recently used
 };
-static_assert(sizeof(CacheLine) == 24,
+static_assert(sizeof(CacheLine) == 16,
               "version and dirty share a word; stamp and lru another");
 
 /** Set-associative array of CacheLine with true-LRU replacement. */

@@ -30,6 +30,10 @@ using Addr = std::uint64_t;
 /** Monotonically increasing store version, used by the coherence oracle. */
 using Version = std::uint64_t;
 
+/** The bits of a version a cache line keeps (cache/tag_array.hh), so a
+ *  run hands out versions below 2^kVersionBits (mem/memory_state.hh). */
+inline constexpr unsigned kVersionBits = 31;
+
 /** Flat GPM index across the whole system: gpu * gpmsPerGpu + gpm. */
 using GpmId = std::uint32_t;
 

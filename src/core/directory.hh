@@ -41,16 +41,20 @@
 namespace hmg
 {
 
-/** One coherence-directory entry (state Valid while present): 32
- *  bytes, with the 64-bit fields first so nothing is padding. */
+/**
+ * One coherence-directory entry (state Valid while present): 24 bytes,
+ * the sector address, the three sharer masks, then SetAssoc's 16-bit
+ * stamp and LRU counter (wide enough; see cache/set_assoc.hh), so
+ * nothing is padding.
+ */
 struct DirEntry
 {
     Addr sector = 0;               //!< sector base address
-    std::uint64_t lru = 0;         //!< larger = more recently used
-    std::uint32_t stamp = 0;       //!< validity; owned by SetAssoc
     std::uint32_t gpmSharers = 0;  //!< bitmask of local GPM indices
     std::uint32_t gpuSharers = 0;  //!< bitmask of node-local GPU indices
     std::uint32_t nodeSharers = 0; //!< bitmask of node ids
+    std::uint16_t stamp = 0;       //!< validity; owned by SetAssoc
+    std::uint16_t lru = 0;         //!< larger = more recently used
 
     bool hasSharers() const
     {
@@ -85,7 +89,7 @@ struct DirEntry
             __builtin_popcount(nodeSharers));
     }
 };
-static_assert(sizeof(DirEntry) == 32, "no field of DirEntry is padded");
+static_assert(sizeof(DirEntry) == 24, "no field of DirEntry is padded");
 
 /**
  * Set-associative sharer-tracking directory for one GPM. Only the LP

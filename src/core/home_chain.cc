@@ -117,17 +117,19 @@ HomeChainModel::probeLoad(const MemAccess &acc, GpmId at, GpmId via,
     // Miss below the system home: fill this tier from the next home up,
     // then wake every merged request (or answer the one that could not
     // merge). Only this tier's identity travels onward (Section V-B).
+    // The answer is the version the L2 holds after the fill, not the
+    // fetched one: a store that landed here during the fetch is newer,
+    // and a waiter answered with the fetched version would miss it.
     if (mergeable) {
         fetchUp(acc, at, h, [this, line, at, h](Version v) {
-            ctx_.gpm(at).l2().fill(line, v);
-            wakeMerged(line, at, h, v);
+            wakeMerged(line, at, h, ctx_.gpm(at).l2().fill(line, v));
         });
     } else {
         fetchUp(acc, at, h,
                 parked(at, [this, line, at, via, h,
                             below = std::move(below)](Version v) mutable {
                     if (mayCache(at, line))
-                        ctx_.gpm(at).l2().fill(line, v);
+                        v = ctx_.gpm(at).l2().fill(line, v);
                     respond(line, at, via, h, std::move(below), v);
                 }));
     }

@@ -6,9 +6,10 @@
 namespace hmg
 {
 
-MemoryState::MemoryState(std::uint32_t lps) : parts_(lps)
+MemoryState::MemoryState(std::uint32_t lps, Version first_version)
+    : parts_(lps), next_version_(first_version - 1)
 {
-    hmg_assert(lps > 0);
+    hmg_assert(lps > 0 && first_version > 0);
 }
 
 std::uint32_t

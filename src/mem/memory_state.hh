@@ -8,7 +8,12 @@
  * reports the version it observed. Memory-model conformance tests then
  * check observed versions against the scoped release/acquire ordering
  * the NVIDIA PTX model requires. This gives full-value-equivalent
- * checking at the cost of 8 bytes per line.
+ * checking at the cost of 31 bits per cache line (cache/tag_array.hh).
+ * A run therefore allocates fewer than 2^31 versions: the allocation
+ * that would hand out 2^31 stops the run with a fatal error. An
+ * operation takes at most one version, and the largest Table III trace
+ * at scale 1 (hpgmg) has 294,960 operations, so the limit is about
+ * 7,000 times any scale-1 run.
  *
  * Partitioned (PDES) runs touch this state from several LP threads: a
  * store allocates its version on the issuing LP, and the version lands
@@ -29,6 +34,7 @@
 #include <vector>
 
 #include "common/flat_map.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 #include "sim/lp.hh"
 
@@ -39,14 +45,29 @@ namespace hmg
 class MemoryState
 {
   public:
-    /** @param lps one partition per LP of the run (1 when serial) */
-    explicit MemoryState(std::uint32_t lps = 1);
+    /** The first version a cache line cannot hold. */
+    static constexpr Version kVersionLimit = Version{1} << kVersionBits;
 
-    /** Allocate a fresh, globally unique store version. */
+    /**
+     * @param lps one partition per LP of the run (1 when serial)
+     * @param first_version the first version allocateVersion() hands
+     *        out (tests start near kVersionLimit); at least 1
+     */
+    explicit MemoryState(std::uint32_t lps = 1, Version first_version = 1);
+
+    /** Allocate a fresh, globally unique store version, below
+     *  kVersionLimit; fatal when the run has used them all. */
     Version
     allocateVersion()
     {
-        return next_version_.fetch_add(1, std::memory_order_relaxed) + 1;
+        const Version v =
+            next_version_.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (v >= kVersionLimit) [[unlikely]]
+            hmg_fatal("store version %llu does not fit the 31 bits a "
+                      "cache line keeps: a run allocates at most 2^31 - 1 "
+                      "store versions",
+                      static_cast<unsigned long long>(v));
+        return v;
     }
 
     /** Latest version written to `line_addr` (0 = initial value). */

@@ -217,10 +217,9 @@ LpDomain::drainBoundaries(Tick wend)
                 continue;
             posts_ += row.size();
             Engine &eng = *engines_[d];
-            while (!row.empty()) {
-                eng.scheduleAt(wend, std::move(row.front()));
-                row.pop_front();
-            }
+            for (Engine::Callback &cb : row)
+                eng.scheduleAt(wend, std::move(cb));
+            row.clear();
         }
     }
     if (drain_hook_) {

@@ -44,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -293,9 +292,11 @@ class LpDomain
 
     /** Cross-LP posts, one single-writer row per (src, dst) LP pair;
      *  src's worker appends during a window, the main thread drains at
-     *  the barrier (the barrier itself publishes the rows). Each row
-     *  owns its host lines: neighbouring rows have different writers. */
-    std::vector<LpSlot<std::deque<Engine::Callback>>> mail_;
+     *  the barrier (the barrier itself publishes the rows) and clears
+     *  the row, which keeps its capacity, so a post allocates only
+     *  while a row grows past its largest window. Each row owns its
+     *  host lines: neighbouring rows have different writers. */
+    std::vector<LpSlot<std::vector<Engine::Callback>>> mail_;
 
     DrainHook drain_hook_;
 

@@ -33,19 +33,24 @@
 namespace hmg::trace
 {
 
-/** One warp-level memory transaction or fence. */
+/**
+ * One warp-level memory transaction or fence: 16 bytes, the address
+ * first and the one-byte fields packed behind the delay, so a trace
+ * costs no padding per op.
+ */
 struct MemOp
 {
-    MemOpType type = MemOpType::Load;
-    Scope scope = Scope::None;
     Addr addr = 0;
     /** Abstract compute cycles separating this op from its predecessor. */
     std::uint32_t delay = 0;
+    MemOpType type = MemOpType::Load;
+    Scope scope = Scope::None;
     /** Load carries acquire semantics at `scope`. */
     bool acq = false;
     /** Store/atomic carries release semantics at `scope`. */
     bool rel = false;
 };
+static_assert(sizeof(MemOp) == 16, "no field of MemOp is padded");
 
 /** An in-order instruction stream executed by one warp. */
 struct Warp
@@ -57,33 +62,33 @@ struct Warp
     ld(Addr a, std::uint32_t delay = 0, Scope s = Scope::None,
        bool acquire = false)
     {
-        ops.push_back({MemOpType::Load, s, a, delay, acquire, false});
+        ops.push_back({a, delay, MemOpType::Load, s, acquire, false});
         return *this;
     }
     Warp &
     st(Addr a, std::uint32_t delay = 0, Scope s = Scope::None,
        bool release = false)
     {
-        ops.push_back({MemOpType::Store, s, a, delay, false, release});
+        ops.push_back({a, delay, MemOpType::Store, s, false, release});
         return *this;
     }
     Warp &
     atom(Addr a, Scope s, std::uint32_t delay = 0, bool acquire = false,
          bool release = false)
     {
-        ops.push_back({MemOpType::Atomic, s, a, delay, acquire, release});
+        ops.push_back({a, delay, MemOpType::Atomic, s, acquire, release});
         return *this;
     }
     Warp &
     acqFence(Scope s, std::uint32_t delay = 0)
     {
-        ops.push_back({MemOpType::AcqFence, s, 0, delay, true, false});
+        ops.push_back({0, delay, MemOpType::AcqFence, s, true, false});
         return *this;
     }
     Warp &
     relFence(Scope s, std::uint32_t delay = 0)
     {
-        ops.push_back({MemOpType::RelFence, s, 0, delay, false, true});
+        ops.push_back({0, delay, MemOpType::RelFence, s, false, true});
         return *this;
     }
 };

@@ -683,12 +683,14 @@ Explorer::resume(MState &s, GpmId gpm, std::uint8_t ver)
  * a read miss forwarded from the GPU home races a store landing at
  * that GPU home, and the stale forwarded response would clobber the
  * fresher dirty copy — found by the explorer on mp_gpu.
+ * @return the version `p` holds afterwards, which is what it relays
  */
-static void
+static std::uint8_t
 fillCache(MState &s, GpmId p, std::uint8_t l, std::uint8_t ver)
 {
     if (s.cache[p][l] < ver + 1)
         s.cache[p][l] = std::uint8_t(ver + 1);
+    return std::uint8_t(s.cache[p][l] - 1);
 }
 
 void
@@ -742,27 +744,30 @@ Explorer::deliver(MState &s, GpmId src, GpmId dst, const Msg &m)
         send(s, h, src, Msg{MRespF, l, s.mem[l], m.a});
         break;
 
+      // A filled tier relays the version it holds after the fill, as
+      // HomeChainModel::probeLoad does: a store that reached it while
+      // the response was in flight is newer than the response.
       case MResp:
-        fillCache(s, dst, l, m.ver);
-        resume(s, dst, m.ver);
+        resume(s, dst, fillCache(s, dst, l, m.ver));
         break;
 
       case MRespF: {
-        fillCache(s, dst, l, m.ver); // the home fills from the response
+        // The home fills from the response.
+        const std::uint8_t held = fillCache(s, dst, l, m.ver);
         const GpmId gh = ghOfLine(topo_.gpuOf(m.a), l);
         if (cfg_.hier && dst != gh) {
             // dst is the node home on the downward path: record the
             // GPU home it serves and pass the response one tier down.
             applyAt(s, dst, gh, l, DirEvent::LoadMiss);
-            send(s, dst, gh, Msg{MRespF, l, m.ver, m.a});
+            send(s, dst, gh, Msg{MRespF, l, held, m.a});
             break;
         }
         if (m.a == dst) {
-            resume(s, dst, m.ver);
+            resume(s, dst, held);
             break;
         }
         applyAt(s, dst, m.a, l, DirEvent::LoadMiss);
-        send(s, dst, m.a, Msg{MResp, l, m.ver, m.a});
+        send(s, dst, m.a, Msg{MResp, l, held, m.a});
         break;
       }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/tag_array.hh"
 #include "common/config.hh"
 #include "mem/dram.hh"
 #include "mem/memory_state.hh"
@@ -101,6 +102,24 @@ TEST(MemoryState, WriteBackFlushNeverClobbersNewerData)
     // But it does install when memory is genuinely older.
     m.write(0x200, v1, /*serialized=*/false);
     EXPECT_EQ(m.read(0x200), v1);
+}
+
+TEST(MemoryStateDeath, RefusesTheFirstVersionALineCannotHold)
+{
+    // A cache line keeps a version in 31 bits: the last one is handed
+    // out and fits a line, the next allocation stops the run with a
+    // located error.
+    MemoryState m(1, MemoryState::kVersionLimit - 2);
+    EXPECT_EQ(m.allocateVersion(), MemoryState::kVersionLimit - 2);
+    const Version last = m.allocateVersion();
+    EXPECT_EQ(last, (Version{1} << 31) - 1);
+    EXPECT_EQ(m.latestVersion(), last);
+    CacheLine line;
+    line.version = last;
+    EXPECT_EQ(line.version, last);
+    EXPECT_EXIT((void)m.allocateVersion(), ::testing::ExitedWithCode(1),
+                "fatal: store version 2147483648 does not fit the 31 bits "
+                "a cache line keeps.* @ .*memory_state.hh:[0-9]+");
 }
 
 /** Run `fn` on a thread of its own that runs as LP `lp`, the way an

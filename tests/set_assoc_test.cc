@@ -7,15 +7,16 @@
  * first-empty-way-else-LRU victim choice, and a bulk invalidation that
  * walks the array. Every step must agree on return values, evicted and
  * dropped copies, LRU stamps and live counts, and the live contents must
- * match entry for entry. Across the 32-bit LRU counter's renumbering the
+ * match entry for entry. Across the 16-bit LRU counter's renumbering the
  * stamps differ by design, and everything else must still agree. A
  * directed case drives the per-set summary's fast paths (a probe of, or
  * an insert into, a set with nothing live) against the same reference.
  *
  * The tag store (cache/tag_store.hh) is checked on whole Systems: every
  * array lies in the one mapping, on a 64-byte boundary, and the arrays
- * fill exactly the size the System computed. In AddressSanitizer builds
- * a read past an array's end must report.
+ * fill exactly the size the System computed, which is pinned for the
+ * default machine so a record that grows fails here. In
+ * AddressSanitizer builds a read past an array's end must report.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/set_assoc.hh"
@@ -40,8 +42,19 @@ namespace hmg
 namespace
 {
 
-static_assert(sizeof(CacheLine) == 24);
-static_assert(sizeof(DirEntry) == 32);
+static_assert(sizeof(CacheLine) == 16);
+static_assert(sizeof(DirEntry) == 24);
+
+using LineCore = SetAssoc<CacheLine, &CacheLine::addr>;
+using DirCore = SetAssoc<DirEntry, &DirEntry::sector>;
+// Lines and directory entries share the counter types the wrap and
+// renumbering tests drive near their ends.
+using Gen = LineCore::Gen;
+using Lru = LineCore::Lru;
+static_assert(std::is_same_v<Gen, std::uint16_t> &&
+              std::is_same_v<Lru, std::uint16_t> &&
+              std::is_same_v<DirCore::Gen, Gen> &&
+              std::is_same_v<DirCore::Lru, Lru>);
 
 // ------------------------------------------------------------ reference
 
@@ -491,6 +504,8 @@ runDifferential(Subject &s, std::uint64_t num_sets, std::uint32_t ways,
 
 // ---------------------------------------------------------------- tests
 
+// The three geometry cases hand out at most 41,000 LRU stamps each, below
+// the 16-bit counter's renumbering, so their stamps compare exactly.
 TEST(SetAssocDifferential, L1TagArray)
 {
     // 128 KB, 8-way, 128 B lines: 128 sets.
@@ -527,12 +542,11 @@ TEST(SetAssocDifferential, Directory)
     EXPECT_EQ(s.dir.evictions(), counts.evictions);
 }
 
-constexpr std::uint32_t kNearWrap =
-    std::numeric_limits<std::uint32_t>::max() - 40;
+constexpr Gen kNearWrap = std::numeric_limits<Gen>::max() - 40;
 
 TEST(SetAssocDifferential, CacheLinesAcrossGenerationWrap)
 {
-    // ~120 clears carry the generation past 2^32 - 1 and on.
+    // ~120 clears carry the generation past 2^16 - 1 and on.
     CoreSubject<CacheLine, &CacheLine::addr> s{{4, 2, 7, kNearWrap}};
     RefCounts counts;
     runDifferential(s, 4, 2, 7, 4000, 4, 0.03, counts);
@@ -561,7 +575,7 @@ class Lockstep
     static constexpr std::uint32_t kWays = 4;
     static constexpr unsigned kShift = 7;
 
-    explicit Lockstep(std::uint32_t first_generation)
+    explicit Lockstep(Gen first_generation)
         : s{{kSets, kWays, kShift, first_generation}},
           ref(kSets, kWays, kShift)
     {
@@ -627,9 +641,9 @@ class Lockstep
 
 TEST(SetAssocSummary, EmptySetFastPathMatchesReference)
 {
-    const std::uint32_t max = std::numeric_limits<std::uint32_t>::max();
+    constexpr Gen max = std::numeric_limits<Gen>::max();
     // From the first generation, and from two clears before the wrap.
-    for (std::uint32_t first : {1u, max - 1}) {
+    for (Gen first : {Gen{1}, Gen{max - 1}}) {
         SCOPED_TRACE(first);
         Lockstep t(first);
         // A fresh array: every set is empty, probes miss, an insert
@@ -679,9 +693,9 @@ TEST(SetAssocSummary, EmptySetFastPathMatchesReference)
 
 TEST(SetAssoc, WrapResetsEveryStampAndReusedWaysStartClean)
 {
-    const std::uint32_t max = std::numeric_limits<std::uint32_t>::max();
-    SetAssoc<CacheLine, &CacheLine::addr> lines(2, 2, 7, max - 1);
-    SetAssoc<DirEntry, &DirEntry::sector> dir(2, 2, 9, max - 1);
+    constexpr Gen max = std::numeric_limits<Gen>::max();
+    LineCore lines(2, 2, 7, max - 1);
+    DirCore dir(2, 2, 9, max - 1);
     // Generation max-1: fill, dirty and share everything, then clear.
     for (Addr i = 0; i < 4; ++i) {
         CacheLine *l = lines.insert(i << 7).entry;
@@ -726,8 +740,7 @@ TEST(SetAssoc, WrapResetsEveryStampAndReusedWaysStartClean)
     EXPECT_EQ(dir.size(), 4u);
 }
 
-constexpr std::uint32_t kNearLruRenumber =
-    std::numeric_limits<std::uint32_t>::max() - 2000;
+constexpr Lru kNearLruRenumber = std::numeric_limits<Lru>::max() - 2000;
 
 /** The largest LRU stamp live in `core`. */
 template <typename Core>
@@ -744,7 +757,7 @@ maxLru(const Core &core)
 TEST(SetAssocDifferential, CacheLinesAcrossLruRenumbering)
 {
     // Finds and inserts take an LRU stamp on about every other step, so
-    // the counter passes 2^32 - 1 (2,000 stamps in) well inside the run;
+    // the counter passes 2^16 - 1 (2,000 stamps in) well inside the run;
     // victims and the forEach order must match the 64-bit reference on
     // both sides of the renumbering.
     CoreSubject<CacheLine, &CacheLine::addr> s{{16, 4, 7, 1,
@@ -769,14 +782,13 @@ TEST(SetAssocDifferential, DirEntriesAcrossLruRenumbering)
 TEST(SetAssoc, RenumberingKeepsEachSetsLruOrder)
 {
     // Two sets at the counter's last stamps, filled in different orders.
-    SetAssoc<CacheLine, &CacheLine::addr> lines(
-        2, 3, 7, 1, std::numeric_limits<std::uint32_t>::max() - 5);
+    LineCore lines(2, 3, 7, 1, std::numeric_limits<Lru>::max() - 5);
     auto key = [](Addr set, Addr tag) { return (set + 2 * tag) << 7; };
     for (Addr tag : {0, 1, 2})
         lines.insert(key(0, tag));
     lines.insert(key(1, 2));
     lines.insert(key(1, 0));
-    // The next stamp would pass 2^32 - 1: set 0 renumbers to 1..3 and
+    // The next stamp would pass 2^16 - 1: set 0 renumbers to 1..3 and
     // set 1 to 1..2, then the find takes 4 (above every set's top).
     ASSERT_NE(lines.find(key(0, 0)), nullptr);
     EXPECT_EQ(lines.peek(key(0, 1))->lru, 2u);
@@ -812,11 +824,12 @@ addRegions(std::vector<Region> &out, const Core &core)
                    core.numSets() * core.ways() *
                        sizeof(*core.entryData())});
     out.push_back({reinterpret_cast<const std::byte *>(core.summaryData()),
-                   core.numSets() * sizeof(std::uint32_t)});
+                   core.numSets() * sizeof(*core.summaryData())});
 }
 
 /** Every array of a System built from `cfg` lies in its one store, on a
- *  64-byte boundary, and the arrays fill the store exactly. */
+ *  64-byte boundary, and the arrays fill the store exactly. A store of
+ *  at least one huge page starts on a huge-page boundary. */
 void
 expectOneStore(const SystemConfig &cfg)
 {
@@ -834,9 +847,11 @@ expectOneStore(const SystemConfig &cfg)
     }
     EXPECT_EQ(store.size(), System::tagStoreBytes(cfg));
     EXPECT_EQ(store.used(), store.size());
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(store.base()) %
-                  TagStore::kHugePage,
-              0u);
+    if (store.size() >= TagStore::kHugePage) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(store.base()) %
+                      TagStore::kHugePage,
+                  0u);
+    }
     std::sort(regions.begin(), regions.end(),
               [](const Region &a, const Region &b) {
                   return a.begin < b.begin;
@@ -865,8 +880,31 @@ TEST(TagStore, DefaultMachineFillsOneStore)
     }
 }
 
+TEST(TagStore, DefaultMachineStoreSizeIsPinned)
+{
+    // 512 L1s of 1,024 lines (128 sets), 16 L2 slices of 24,576 lines
+    // (1,536 sets) and, under HMG, 16 directories of 12,288 entries
+    // (1,536 sets): 16-byte lines, 24-byte entries, 2-byte summary
+    // words. Each array has two regions, each followed by a guard in
+    // AddressSanitizer builds.
+    const std::uint64_t l1 = 1024 * 16 + 128 * 2;
+    const std::uint64_t l2 = 24576 * 16 + 1536 * 2;
+    const std::uint64_t dir = 12288 * 24 + 1536 * 2;
+    SystemConfig cfg;
+    cfg.protocol = Protocol::Hmg;
+    EXPECT_EQ(512 * l1 + 16 * (l2 + dir), 19628032u); // 18.72 MiB
+    EXPECT_EQ(System::tagStoreBytes(cfg),
+              19628032u + 2 * (512 + 32) * TagStore::kGuardBytes);
+    cfg.protocol = Protocol::SwNonHier;
+    EXPECT_EQ(512 * l1 + 16 * l2, 14860288u); // 14.17 MiB
+    EXPECT_EQ(System::tagStoreBytes(cfg),
+              14860288u + 2 * (512 + 16) * TagStore::kGuardBytes);
+}
+
 TEST(TagStore, TwoNodeMachineFillsOneStore)
 {
+    // Under SW-NonHier the store (1.52 MiB) is under one huge page, so
+    // expectOneStore does not ask it for huge-page alignment.
     for (Protocol p : {Protocol::Hmg, Protocol::SwNonHier}) {
         SCOPED_TRACE(toString(p));
         SystemConfig cfg;
